@@ -25,14 +25,14 @@ from .dynamics import (
     preper_points,
     scan,
 )
-from .exactmath import format_rational, parse_rational
+from .exactmath import format_rational, is_prime, parse_rational
 from .families import (
     FAMILY_IDS,
     ExcludedParameterError,
     make_family_point,
     validate_family,
 )
-from .report import SCHEMA_VERSION, Report, jsonable
+from .report import PASS, SCHEMA_VERSION, Report, jsonable
 from .curves import (
     CORRECTED_POINTS,
     CURVES,
@@ -45,7 +45,7 @@ from .curves import (
     x1_13_discriminant_check,
 )
 from .descent import mordell_weil_report
-from .ffjac import jacobian_order, jacobian_report
+from .ffjac import COUNT_BUDGET, jacobian_order, jacobian_report
 from .padic import padic_report
 
 SUITES = ("all", "theorems", "curves", "descent", "jacobian", "padic")
@@ -60,6 +60,16 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(jsonable(payload), sort_keys=True, separators=(",", ":")))
 
@@ -67,12 +77,13 @@ def _emit(payload: dict) -> None:
 def _report_payload(command: str, rep: Report, t0: float, **extra) -> dict:
     return {"schema_version": SCHEMA_VERSION, "command": command,
             "checks": [c.as_dict() for c in rep.checks], "ok": rep.ok,
-            "timing_ms": int((time.time() - t0) * 1000), **extra}
+            "timing_ms": int((time.perf_counter() - t0) * 1000), **extra}
 
 
 def _graph_payload(c: Fraction) -> dict:
     g = preper_points(QuadMap(c))
     types = g.orbit_types()
+    shape = graph_shape(g)
     vertices = sorted(g.vertices)
     return {
         "c": format_rational(c),
@@ -81,8 +92,8 @@ def _graph_payload(c: Fraction) -> dict:
         "orbit_types": {format_rational(v): str(types[v]) for v in vertices},
         "includes_infinity": g.includes_infinity,
         "size_with_infinity": g.size_with_infinity(),
-        "shape": graph_shape(g).code,
-        "in_catalog": graph_shape(g) in admissible_shapes(),
+        "shape": shape.code,
+        "in_catalog": shape in admissible_shapes(),
     }
 
 
@@ -109,7 +120,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = scan(args.height, jobs=args.jobs)
     census = {
         (shape.code or "(empty)"): {
@@ -127,11 +138,28 @@ def cmd_scan(args) -> int:
                            for c, s in result.out_of_catalog],
         "bound_violations": [{"c": format_rational(c), "size": n}
                              for c, n in result.bound_violations],
-        "timing_ms": int((time.time() - t0) * 1000),
+        "timing_ms": int((time.perf_counter() - t0) * 1000),
     }
     _emit(payload)
     # an out-of-catalog shape or a 10-point graph would be a discovery, not an error
     return 0
+
+
+def _family_payload(fp) -> dict:
+    validation = validate_family(fp)
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": "family",
+        "family": fp.family,
+        "parameter": None if fp.parameter is None else format_rational(fp.parameter),
+        "c": format_rational(fp.c),
+        "points": [{"x": format_rational(x), "type": str(t)} for x, t in fp.points],
+        "aux": {k: format_rational(v) for k, v in sorted(fp.aux.items())},
+        "validation": [{"claim": c.id, "ok": c.status == PASS, "detail": c.value}
+                       for c in validation.checks],
+        "warnings": [c.note for c in validation.checks if c.note],
+        "ok": validation.ok,
+    }
 
 
 def cmd_family(args) -> int:
@@ -143,22 +171,9 @@ def cmd_family(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    validation = validate_family(fp)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "family",
-        "family": fp.family,
-        "parameter": None if fp.parameter is None else format_rational(fp.parameter),
-        "c": format_rational(fp.c),
-        "points": [{"x": format_rational(x), "type": str(t)} for x, t in fp.points],
-        "aux": {k: format_rational(v) for k, v in sorted(fp.aux.items())},
-        "validation": [{"claim": cl, "ok": ok, "detail": d}
-                       for cl, ok, d in validation.claims],
-        "warnings": validation.warnings,
-        "ok": validation.ok,
-    }
+    payload = _family_payload(fp)
     _emit(payload)
-    return 0 if validation.ok else 1
+    return 0 if payload["ok"] else 1
 
 
 def cmd_curve_points(args) -> int:
@@ -185,6 +200,9 @@ def cmd_curve_points(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
+    if not is_prime(args.p) or args.p ** 2 > COUNT_BUDGET:
+        print(f"error: --p must be a prime with p^2 <= {COUNT_BUDGET}", file=sys.stderr)
+        return 2
     try:
         order = jacobian_order(CURVES["c1_32"], args.p)
     except ValueError as e:
@@ -277,7 +295,7 @@ def build_suite_report(suite: str, height: int = 1000) -> Report:
 
 
 def cmd_verify(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = build_suite_report(args.suite, height=args.height)
     payload = _report_payload(f"verify {args.suite}", rep, t0, suite=args.suite)
     _emit(payload)
@@ -308,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_graph)
 
     p = sub.add_parser("scan", help="census of graph shapes for all c up to a height")
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("PREPER_JOBS", "1")))
+    p.add_argument("--height", type=_positive_int, required=True)
+    p.add_argument("--jobs", type=_positive_int,
+                   default=os.environ.get("PREPER_JOBS", "1"))
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("family", help="generate and validate a parametrized family point")
@@ -321,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve-points", help="bounded rational point search on a model")
     p.add_argument("--curve", required=True)
-    p.add_argument("--height", type=int, default=1000)
+    p.add_argument("--height", type=_positive_int, default=1000)
     p.set_defaults(fn=cmd_curve_points)
 
     p = sub.add_parser("jacobian", help="Jacobian order of c1_32 over F_p")
@@ -330,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=SUITES, nargs="?", default="all")
-    p.add_argument("--height", type=int, default=1000,
+    p.add_argument("--height", type=_positive_int, default=1000,
                    help="height bound for the curve searches")
     p.set_defaults(fn=cmd_verify)
     return parser

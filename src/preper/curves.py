@@ -10,11 +10,15 @@ The registry exposes every model by a stable id:
   q24 q40 q15 q17 q11        genus-1 quartic/cubic models t^2 = q(u)
   conic_p1p2                 rho^2 - sigma^2 = 1
 
-Point search is exhaustive over x = a/b with |a|, |b| <= H; membership is
-an exact rational-square test, so every reported point satisfies its curve
-equation on the nose.  Map verification happens in the curve function
-field (see exactmath.bivariate): compositions are literal identities of
-field elements modulo the curve relation.
+Point search is exhaustive over x = a/b with |a|, |b| <= H.  One integer
+kernel, _square_values, finds every such x at which a polynomial takes a
+rational square value; two thin adapters turn those values into points:
+rational_points_bounded on the sextic and quintic models y^2 = g(x), and
+elliptic_points_bounded on Weierstrass models through the completed
+square.  Membership is an exact square test, so every reported point
+satisfies its curve equation on the nose.  Map verification happens in
+the curve function field (see exactmath.bivariate): compositions are
+literal identities of field elements modulo the curve relation.
 
 Two printed claims do not survive verification and are reported as
 documented discrepancies rather than patched silently: the point (-1, 1)
@@ -168,42 +172,39 @@ CURVES = {c.label: c for c in
 
 # --- bounded point search ---------------------------------------------------
 
-def _integer_sextic(g: Poly) -> list[int]:
-    if any(c.denominator != 1 for c in g.coeffs):
-        raise ValueError("search expects integer models")
-    return [c.numerator for c in g.coeffs]
+def _square_values(coeffs, height: int):
+    """Yield (x, s) with x = a/b in lowest terms, |a|, |b| <= height, s >= 0
+    and s^2 = f(x), where f has the given integral coefficients (lowest
+    degree first).  The one search loop behind every curve model."""
+    if height < 1:
+        raise ValueError("height bound must be >= 1")
+    if any(Fraction(c).denominator != 1 for c in coeffs):
+        raise ValueError("search expects an integral model")
+    coeffs = [int(c) for c in coeffs]
+    deg = len(coeffs) - 1
+    e = deg + deg % 2  # even, so f(a/b) is a square iff b^e f(a/b) is
+    for b in range(1, height + 1):
+        # b^e * f(a/b) = Horner in a with weights c_i * b^(e-i)
+        lead, *weights = [coeffs[i] * b ** (e - i) for i in range(deg, -1, -1)]
+        scale = b ** (e // 2)
+        for a in range(-height, height + 1):
+            if b > 1 and int_gcd(a, b) != 1:
+                continue
+            n = lead
+            for w in weights:
+                n = n * a + w
+            if is_perfect_square(n):
+                yield Fraction(a, b), Fraction(isqrt(n), scale)
 
 
 def rational_points_bounded(curve: HyperellipticSextic, height: int) -> frozenset[CurvePoint]:
     """All rational points with x = a/b, |a|, |b| <= height, plus the two
     points at infinity when the leading coefficient is a square."""
-    if height < 1:
-        raise ValueError("height bound must be >= 1")
-    coeffs = _integer_sextic(curve.g)
-    deg = curve.g.degree
     pts: set[CurvePoint] = set()
-    for b in range(1, height + 1):
-        # b^deg * g(a/b) = Horner in a with weights c_i * b^(deg-i)
-        weights = [coeffs[i] * b ** (deg - i) for i in range(deg, -1, -1)]
-        for a in range(-height, height + 1):
-            if b > 1 and int_gcd(a, b) != 1:
-                continue
-            n = weights[0]
-            for w in weights[1:]:
-                n = n * a + w
-            if deg == 6:
-                if not is_perfect_square(n):
-                    continue
-                y = Fraction(isqrt(n), b ** 3)
-            else:
-                # odd degree: y^2 = n / b^5 needs b*n a square over b^6
-                if not is_perfect_square(n * b):
-                    continue
-                y = Fraction(isqrt(n * b), b ** 3)
-            x = Fraction(a, b)
-            assert y * y == curve.g(x)
-            pts.add(CurvePoint.affine(x, y))
-            pts.add(CurvePoint.affine(x, -y))
+    for x, y in _square_values(curve.g.coeffs, height):
+        assert y * y == curve.g(x)
+        pts.add(CurvePoint.affine(x, y))
+        pts.add(CurvePoint.affine(x, -y))
     if curve.has_split_infinity():
         pts.add(CurvePoint.infinite(+1))
         pts.add(CurvePoint.infinite(-1))
@@ -213,33 +214,15 @@ def rational_points_bounded(curve: HyperellipticSextic, height: int) -> frozense
 def elliptic_points_bounded(E: EllipticModel, height: int):
     """Affine rational points on a Weierstrass model with x = a/b bounded.
     Uses the completed square (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2b4 x + b6."""
-    if height < 1:
-        raise ValueError("height bound must be >= 1")
     b2 = E.a1 * E.a1 + 4 * E.a2
     b4 = 2 * E.a4 + E.a1 * E.a3
     b6 = E.a3 * E.a3 + 4 * E.a6
-    if any(Fraction(v).denominator != 1 for v in (b2, b4, b6)):
-        raise ValueError("search expects an integral Weierstrass model")
-    ic = [int(v) for v in (4, b2, 2 * b4, b6)]  # multiplies x^3, x^2, x, 1
     pts = set()
-    for b in range(1, height + 1):
-        weights = [ic[0], ic[1] * b, ic[2] * b * b, ic[3] * b ** 3]
-        for a in range(-height, height + 1):
-            if b > 1 and int_gcd(a, b) != 1:
-                continue
-            n = weights[0]
-            for w in weights[1:]:
-                n = n * a + w
-            # need n/b^3 to be a rational square: b*n must be a square
-            m = n * b
-            if not is_perfect_square(m):
-                continue
-            x = Fraction(a, b)
-            s = Fraction(isqrt(m), b * b)
-            for sgn in (1, -1):
-                y = (sgn * s - E.a1 * x - E.a3) / 2
-                if E.contains((x, y)):
-                    pts.add((x, y))
+    for x, s in _square_values((b6, 2 * b4, b2, 4), height):
+        for sgn in (1, -1):
+            y = (sgn * s - E.a1 * x - E.a3) / 2
+            if E.contains((x, y)):
+                pts.add((x, y))
     return frozenset(pts)
 
 
@@ -334,10 +317,6 @@ def verify_point_list(E: EllipticModel, claimed, height: int = 1000) -> Report:
 
 # --- birational pair verification -------------------------------------------
 
-def _map_pair(xnum, xden, ynum, yden) -> tuple[RationalMap, RationalMap]:
-    return RationalMap(xnum, xden), RationalMap(ynum, yden)
-
-
 _U = BiPoly.x()
 _V = BiPoly.y()
 _ONE = BiPoly.const(1)
@@ -369,75 +348,67 @@ def _register(pair: BirationalPair):
 
 _register(BirationalPair(
     "q24_e24", Q24, E24,
-    forward=_map_pair(
-        _V + 2, (_U - 1) ** 2,
-        2 * _U ** 3 - 2 * _U ** 2 - 2 * _U - 6 - 4 * _V, 2 * (_U - 1) ** 3),
-    backward=_map_pair(
-        _U ** 2 - 2 * _V - 1, _U ** 2 + 1,
-        2 * _U ** 4 - 4 * _U ** 3 + 8 * _U * _V + 4 * _U - 2, (_U ** 2 + 1) ** 2),
+    forward=(RationalMap(_V + 2, (_U - 1) ** 2),
+             RationalMap(2 * _U ** 3 - 2 * _U ** 2 - 2 * _U - 6 - 4 * _V, 2 * (_U - 1) ** 3)),
+    backward=(RationalMap(_U ** 2 - 2 * _V - 1, _U ** 2 + 1),
+              RationalMap(2 * _U ** 4 - 4 * _U ** 3 + 8 * _U * _V + 4 * _U - 2,
+                          (_U ** 2 + 1) ** 2)),
 ))
 
 _register(BirationalPair(
     "q40_e40", Q40, E40,
-    forward=_map_pair(
-        _V + 2 * _U ** 2, (_U - 1) ** 2,
-        -(3 * _U ** 3 + 2 * _U * _V + 3 * _U ** 2 - 3 * _U + 1), (_U - 1) ** 3),
-    backward=_map_pair(
-        _U ** 2 - 2 * _V, _U ** 2 - 4 * _U + 2,
-        2 * _U ** 4 - 8 * _U ** 2 * _V + 8 * _U ** 3 + 8 * _U * _V - 24 * _U ** 2 + 24 * _U - 8,
-        (_U ** 2 - 4 * _U + 2) ** 2),
+    forward=(RationalMap(_V + 2 * _U ** 2, (_U - 1) ** 2),
+             RationalMap(-(3 * _U ** 3 + 2 * _U * _V + 3 * _U ** 2 - 3 * _U + 1), (_U - 1) ** 3)),
+    backward=(RationalMap(_U ** 2 - 2 * _V, _U ** 2 - 4 * _U + 2),
+              RationalMap(2 * _U ** 4 - 8 * _U ** 2 * _V + 8 * _U ** 3 + 8 * _U * _V
+                          - 24 * _U ** 2 + 24 * _U - 8,
+                          (_U ** 2 - 4 * _U + 2) ** 2)),
 ))
 
 _register(BirationalPair(
     "q15_e15", Q15, E15,
-    forward=_map_pair(
-        _V + _U ** 2 + 4 * _U - 1, 2 * (_U - 1) ** 2,
-        -(2 * _U ** 3 + _U * _V + _U ** 2 + 2 * _U - 1), (_U - 1) ** 3),
-    backward=_map_pair(
-        _U ** 2 - 2 * _V + _U - 1, _U ** 2 - _U - 1,
-        4 * _U ** 4 - 12 * _U ** 2 * _V + 8 * _U ** 3 - 8 * _U * _V + 8 * _U ** 2 + 4 * _U - 8 * _V - 4,
-        (_U ** 2 - _U - 1) ** 2),
+    forward=(RationalMap(_V + _U ** 2 + 4 * _U - 1, 2 * (_U - 1) ** 2),
+             RationalMap(-(2 * _U ** 3 + _U * _V + _U ** 2 + 2 * _U - 1), (_U - 1) ** 3)),
+    backward=(RationalMap(_U ** 2 - 2 * _V + _U - 1, _U ** 2 - _U - 1),
+              RationalMap(4 * _U ** 4 - 12 * _U ** 2 * _V + 8 * _U ** 3 - 8 * _U * _V
+                          + 8 * _U ** 2 + 4 * _U - 8 * _V - 4,
+                          (_U ** 2 - _U - 1) ** 2)),
 ))
 
 # The printed forward y-coordinate for q17 omits a "+t": with it restored the
 # pair verifies; both versions are kept so the discrepancy can be reported.
 _register(BirationalPair(
     "q17_e17", Q17, E17,
-    forward=_map_pair(
-        _V + _U ** 2 + 3, 2 * (_U - 1) ** 2,
-        -(3 * _U ** 3 + _U * _V + _V - 5 * _U ** 2 + 9 * _U + 1), 2 * (_U - 1) ** 3),
-    backward=_map_pair(
-        _U ** 2 - 2 * _V - _U - 1, _U ** 2 - _U - 1,
-        4 * _U ** 4 - 4 * _U ** 2 * _V - 4 * _U ** 3 - 8 * _U * _V - 4 * _U - 4,
-        (_U ** 2 - _U - 1) ** 2),
+    forward=(RationalMap(_V + _U ** 2 + 3, 2 * (_U - 1) ** 2),
+             RationalMap(-(3 * _U ** 3 + _U * _V + _V - 5 * _U ** 2 + 9 * _U + 1),
+                         2 * (_U - 1) ** 3)),
+    backward=(RationalMap(_U ** 2 - 2 * _V - _U - 1, _U ** 2 - _U - 1),
+              RationalMap(4 * _U ** 4 - 4 * _U ** 2 * _V - 4 * _U ** 3 - 8 * _U * _V - 4 * _U - 4,
+                          (_U ** 2 - _U - 1) ** 2)),
     note="forward y-numerator corrected by the term +t",
-    printed_forward=_map_pair(
-        _V + _U ** 2 + 3, 2 * (_U - 1) ** 2,
-        -(3 * _U ** 3 + _U * _V - 5 * _U ** 2 + 9 * _U + 1), 2 * (_U - 1) ** 3),
+    printed_forward=(RationalMap(_V + _U ** 2 + 3, 2 * (_U - 1) ** 2),
+                     RationalMap(-(3 * _U ** 3 + _U * _V - 5 * _U ** 2 + 9 * _U + 1),
+                                 2 * (_U - 1) ** 3)),
 ))
 
 _register(BirationalPair(
     "q11_e11", Q11, E11,
-    forward=_map_pair((_U + 1), 2 * _ONE, (_V - 2), 4 * _ONE),
-    backward=_map_pair(2 * _U - 1, _ONE, 4 * _V + 2, _ONE),
+    forward=(RationalMap(_U + 1, 2 * _ONE), RationalMap(_V - 2, 4 * _ONE)),
+    backward=(RationalMap(2 * _U - 1, _ONE), RationalMap(4 * _V + 2, _ONE)),
 ))
 
 # conic rho^2 - sigma^2 = 1 (coords (u, v) = (sigma, rho)) <-> projective line
 _register(BirationalPair(
     "conic_p1", CONIC, "p1",
     # mu = (1 - rho)/sigma
-    forward=_map_pair(1 - _V, _U, BiPoly.const(0), _ONE),
+    forward=(RationalMap(1 - _V, _U), RationalMap(BiPoly.const(0), _ONE)),
     # sigma = 2 mu/(mu^2 - 1), rho = -(mu^2 + 1)/(mu^2 - 1)
-    backward=_map_pair(2 * _U, _U ** 2 - 1, -(_U ** 2 + 1), _U ** 2 - 1),
+    backward=(RationalMap(2 * _U, _U ** 2 - 1), RationalMap(-(_U ** 2 + 1), _U ** 2 - 1)),
 ))
 
 
 def _denominator_labels(maps) -> list[str]:
     return sorted({repr(m.den) for m in maps})
-
-
-def _source_field(source) -> CurveFunctionField:
-    return source.function_field()
 
 
 def verify_birational_pair(pair_id: str) -> Report:
@@ -450,7 +421,7 @@ def verify_map_pair(pair: BirationalPair) -> Report:
     identities modulo the source and target curve relations."""
     pair_id = pair.pair_id
     rep = Report(f"birational pair {pair_id}")
-    src = _source_field(pair.source)
+    src = pair.source.function_field()
     u, v = src.x(), src.y()
 
     def push(maps, xval, yval):

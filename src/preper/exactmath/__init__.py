@@ -2,7 +2,6 @@
 residue algebra modulo a fixed sextic."""
 
 from .integers import (
-    coprime,
     format_rational,
     is_perfect_square,
     is_prime,
@@ -40,7 +39,6 @@ __all__ = [
     "RationalMap",
     "Residue",
     "ResidueRing",
-    "coprime",
     "discriminant",
     "factor_mod_p",
     "factor_sextic_mod_p",

@@ -9,7 +9,7 @@ valuations, primality for the small moduli we use).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 # residues of squares modulo 64, 63, 65, 11: cheap rejection before isqrt
 _SQ64 = frozenset((i * i) % 64 for i in range(64))
@@ -96,7 +96,3 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def coprime(a: int, b: int) -> bool:
-    return gcd(a, b) == 1

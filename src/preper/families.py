@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dynamics import OrbitClass, QuadMap, orbit_classify
+from .report import Report
 
 FAMILY_IDS = ("p1", "p2", "p3", "p1and2", "t12", "t22", "t32")
 
@@ -163,56 +164,45 @@ def make_family_point(family: str, parameter=None) -> FamilyPoint:
     return gen(parameter)
 
 
-@dataclass
-class ValidationReport:
-    family: str
-    parameter: Fraction | None
-    claims: list[tuple[str, bool, str]]
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.claims)
-
-
-def validate_family(fp: FamilyPoint) -> ValidationReport:
-    """Re-derive every promise in a FamilyPoint from scratch."""
+def validate_family(fp: FamilyPoint) -> Report:
+    """Re-derive every promise in a FamilyPoint from scratch: one row per
+    claim, with the claim as id and statement and the detail as value."""
     f = QuadMap(fp.c)
-    claims: list[tuple[str, bool, str]] = []
-    warnings: list[str] = []
+    rep = Report(f"family {fp.family}")
+
+    def claim(text: str, ok: bool, detail: str, note: str = "") -> None:
+        rep.add(text, text, ok, value=detail, note=note)
 
     for x, expected in fp.points:
         got = orbit_classify(f, x)
-        claims.append((f"orbit({x})", got == expected, f"expected {expected}, got {got}"))
+        claim(f"orbit({x})", got == expected, f"expected {expected}, got {got}")
 
     rho = fp.aux.get("rho")
     if rho is not None:
         ok = fp.c == Fraction(1, 4) - rho * rho
-        claims.append(("c = 1/4 - rho^2", ok, f"rho = {rho}"))
+        claim("c = 1/4 - rho^2", ok, f"rho = {rho}")
     sigma = fp.aux.get("sigma")
     if sigma is not None:
         ok = fp.c == Fraction(-3, 4) - sigma * sigma
-        claims.append(("c = -3/4 - sigma^2", ok, f"sigma = {sigma}"))
+        claim("c = -3/4 - sigma^2", ok, f"sigma = {sigma}")
 
     if fp.family == "p3" and len(fp.points) == 3:
         xs = [x for x, _ in fp.points]
         forward = f(xs[0]) == xs[1] and f(xs[1]) == xs[2] and f(xs[2]) == xs[0]
         backward = f(xs[0]) == xs[2] and f(xs[2]) == xs[1] and f(xs[1]) == xs[0]
-        claims.append(("3-cycle permutation", forward or backward,
-                       "points are cyclically permuted"))
-        if backward and not forward:
-            warnings.append("3-cycle realized in reverse orientation x1 -> x3 -> x2")
+        claim("3-cycle permutation", forward or backward, "points are cyclically permuted",
+              note="3-cycle realized in reverse orientation x1 -> x3 -> x2"
+              if backward and not forward else "")
 
     if fp.family in ("t12", "t22"):
         # depth-2 points share their image, which is minus a cycle point
         xs = [x for x, _ in fp.points]
         if len(xs) == 2:
-            claims.append(("mirror pair shares image", f(xs[0]) == f(xs[1]),
-                           f"f({xs[0]}) vs f({xs[1]})"))
+            claim("mirror pair shares image", f(xs[0]) == f(xs[1]),
+                  f"f({xs[0]}) vs f({xs[1]})")
         image = f(xs[0])
         cyc = orbit_classify(f, -image)
-        claims.append(("image is minus a cycle point",
-                       cyc.kind == "periodic",
-                       f"-f({xs[0]}) = {-image} classified {cyc}"))
+        claim("image is minus a cycle point", cyc.kind == "periodic",
+              f"-f({xs[0]}) = {-image} classified {cyc}")
 
-    return ValidationReport(fp.family, fp.parameter, claims, warnings)
+    return rep

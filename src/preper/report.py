@@ -8,7 +8,6 @@ but do not fail a run.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -88,7 +87,3 @@ class Report:
         return {"title": self.title,
                 "checks": [c.as_dict() for c in self.checks],
                 "ok": self.ok}
-
-    def to_json(self, **extra) -> str:
-        payload = {"schema_version": SCHEMA_VERSION, **self.as_dict(), **extra}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -1,8 +1,10 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the code paths they check: the resultant oracle
-is a Sylvester determinant over Fractions, and the orbit oracle is blunt
-bounded iteration with an escape cutoff instead of valuation reasoning.
+is a Sylvester determinant over Fractions, the orbit oracle is blunt
+bounded iteration with an escape cutoff instead of valuation reasoning,
+and the point-search oracle evaluates the polynomial at each Fraction
+instead of running integer Horner on scaled weights.
 """
 
 from __future__ import annotations
@@ -83,4 +85,24 @@ def brute_preperiodic_set(c: Fraction, numerator_bound: int = 400) -> set[Fracti
         x = Fraction(k, d)
         if brute_orbit_kind(c, x) != "divergent":
             out.add(x)
+    return out
+
+
+def brute_square_points(coeffs, height: int) -> set[tuple[Fraction, Fraction]]:
+    """All (x, y) with y^2 = f(x) and x = a/b in lowest terms, |a|, |b| <=
+    height, by Fraction evaluation of f (coefficients lowest degree first)
+    and a square-root test on numerator and denominator."""
+    out = set()
+    for b in range(1, height + 1):
+        for a in range(-height, height + 1):
+            if gcd(a, b) != 1:
+                continue
+            x = Fraction(a, b)
+            val = sum(Fraction(c) * x ** i for i, c in enumerate(coeffs))
+            if val < 0:
+                continue
+            rn, rd = isqrt(val.numerator), isqrt(val.denominator)
+            if rn * rn == val.numerator and rd * rd == val.denominator:
+                out.add((x, Fraction(rn, rd)))
+                out.add((x, -Fraction(rn, rd)))
     return out

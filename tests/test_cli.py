@@ -1,11 +1,15 @@
 import json
+import os
 import subprocess
 import sys
 
+import pytest
 
-def run_cli(*args):
+
+def run_cli(*args, env=None):
     return subprocess.run([sys.executable, "-m", "preper", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=None if env is None else {**os.environ, **env})
 
 
 def test_graph_json_minus_29_16():
@@ -127,3 +131,23 @@ def test_verify_theorems_suite():
     by_id = {c["id"]: c for c in json.loads(r.stdout)["checks"]}
     assert by_id["catalog-realized"]["status"] == "pass"
     assert by_id["graph-2916-orbit"]["status"] == "pass"
+
+
+@pytest.mark.parametrize("args, env", [
+    (("scan", "--height", "0"), None),
+    (("scan", "--height", "-3"), None),
+    (("scan", "--height", "5", "--jobs", "0"), None),
+    (("scan", "--height", "5", "--jobs", "-1"), None),
+    (("scan", "--height", "5"), {"PREPER_JOBS": "x"}),
+    (("scan", "--height", "5"), {"PREPER_JOBS": "0"}),
+    (("curve-points", "--curve", "c1_32", "--height", "0"), None),
+    (("verify", "curves", "--height", "0"), None),
+    (("jacobian", "--p", "4"), None),
+    (("jacobian", "--p", "1"), None),
+    (("jacobian", "--p", "2003"), None),
+])
+def test_usage_errors_exit_2_without_traceback(args, env):
+    r = run_cli(*args, env=env)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert "error:" in r.stderr.strip().splitlines()[-1]

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from oracles import brute_square_points
 from preper.curves import (
     BIRATIONAL_PAIRS,
     C1_32,
@@ -15,6 +17,8 @@ from preper.curves import (
     X1_13,
     X1_18,
     CurvePoint,
+    EllipticModel,
+    HyperellipticSextic,
     classify_c_from_curve_point,
     elliptic_add,
     elliptic_mul,
@@ -26,7 +30,7 @@ from preper.curves import (
     verify_point_list,
     x1_13_discriminant_check,
 )
-from preper.exactmath import Fq, Poly, ff_sqrt
+from preper.exactmath import Fq, Poly, discriminant, ff_sqrt
 
 F = Fraction
 
@@ -205,23 +209,39 @@ def test_search_stability_under_doubling_small():
 
 def test_search_on_odd_degree_model():
     # y^2 = x^5 - x has only affine points in the search (no split infinity)
-    from preper.curves import HyperellipticSextic
     quintic = HyperellipticSextic("odd5", Poly((0, -1, 0, 0, 0, 1)))
     pts = rational_points_bounded(quintic, 20)
     assert all(not p.is_infinite for p in pts)
-    # brute Fraction check over the same box picks out the same points
-    expected = set()
-    from math import gcd as _gcd
-    for b in range(1, 21):
-        for a in range(-20, 21):
-            if _gcd(a, b) != 1:
-                continue
-            x = F(a, b)
-            val = x ** 5 - x
-            from preper.exactmath import sqrt_exact
-            y = sqrt_exact(val)
-            if y is not None:
-                expected.add(CurvePoint.affine(x, y))
-                expected.add(CurvePoint.affine(x, -y))
-    assert pts == frozenset(expected)
+    expected = brute_square_points((0, -1, 0, 0, 0, 1), 20)
+    assert pts == frozenset(CurvePoint.affine(x, y) for x, y in expected)
     assert {p.x for p in pts} >= {F(0), F(1), F(-1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.lists(st.integers(-6, 6), min_size=6, max_size=7),
+       height=st.integers(1, 15))
+def test_search_matches_oracle_on_random_models(coeffs, height):
+    assume(coeffs[-1] != 0)
+    g = Poly(tuple(coeffs))
+    assume(discriminant(g) != 0)
+    curve = HyperellipticSextic("random", g)
+    pts = rational_points_bounded(curve, height)
+    affine = {(p.x, p.y) for p in pts if not p.is_infinite}
+    assert affine == brute_square_points(coeffs, height)
+    assert len(pts) - len(affine) == (2 if curve.has_split_infinity() else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.lists(st.integers(-6, 6), min_size=5, max_size=5),
+       height=st.integers(1, 15))
+def test_elliptic_search_matches_oracle_on_random_models(a, height):
+    a1, a2, a3, a4, a6 = a
+    E = EllipticModel("random", *map(F, a))
+    # the quadratic formula in y: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2b4 x + b6
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    expected = {(x, (s - a1 * x - a3) / 2)
+                for x, s in brute_square_points((b6, 2 * b4, b2, 4), height)}
+    found = elliptic_points_bounded(E, height)
+    assert found == expected
+    for x, y in found:
+        assert y * y + a1 * x * y + a3 * y == x ** 3 + a2 * x * x + a4 * x + a6

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from preper.cli import _family_payload
 from preper.dynamics import OrbitClass, QuadMap, orbit_classify, preper_points
 from preper.exactmath import Poly
 from preper.families import (
@@ -140,7 +141,7 @@ def test_random_parameters_validate(maker, excluded):
     for _ in range(40):
         fp = maker(_random_admissible(rng, excluded))
         report = validate_family(fp)
-        assert report.ok, (fp, report.claims)
+        assert report.ok, (fp, report.checks)
 
 
 def test_excluded_values_are_denominator_roots():
@@ -193,3 +194,15 @@ def test_corrupted_family_point_fails_validation():
     bad = dataclasses.replace(fp, c=fp.c + 1)
     report = validate_family(bad)
     assert not report.ok
+
+
+def test_reversed_3_cycle_yields_orientation_warning():
+    fp = family_period3(F(1))
+    x1, x2, x3 = fp.points
+    reversed_fp = dataclasses.replace(fp, points=(x1, x3, x2))
+    report = validate_family(reversed_fp)
+    warning = "3-cycle realized in reverse orientation x1 -> x3 -> x2"
+    assert report.ok
+    assert report["3-cycle permutation"].note == warning
+    assert _family_payload(reversed_fp)["warnings"] == [warning]
+    assert _family_payload(fp)["warnings"] == []
