@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from .dynamics import (
+    BoxBudgetError,
     QuadMap,
     admissible_shapes,
     graph_shape,
@@ -111,11 +112,15 @@ def _graph_dot(c: Fraction) -> str:
 
 
 def cmd_graph(args) -> int:
-    if args.format == "dot":
-        print(_graph_dot(args.c))
-    else:
-        _emit({"schema_version": SCHEMA_VERSION, "command": "graph",
-               **_graph_payload(args.c)})
+    try:
+        if args.format == "dot":
+            print(_graph_dot(args.c))
+        else:
+            _emit({"schema_version": SCHEMA_VERSION, "command": "graph",
+                   **_graph_payload(args.c)})
+    except BoxBudgetError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     return 0
 
 

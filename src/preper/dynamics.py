@@ -9,9 +9,18 @@ Every rational preperiodic point of z**2 + c is constrained two ways:
 * in absolute value, |x| <= B where B is the positive root of B**2 - B = |c|,
   because |x| > B forces |x**2 + c| > |x| and the orbit escapes.
 
-Both tests are decidable in exact rational arithmetic, the candidate box
-is finite, and iteration inside the box must repeat, so classification and
-full enumeration terminate unconditionally.
+With c = u/d**2 and x = k/d both tests are integer tests, so orbits are
+walked on numerators alone: k -> (k**2 + u)/d, and the orbit has left the
+candidates as soon as d does not divide k**2 + u or the image breaks the
+escape bound |k|(|k| - d) <= |u|.  One walk, `_walk`, follows any step
+function until its orbit repeats and records the (period, tail) of every
+preperiodic point it meets, so classification, enumeration of the
+candidate box and the cycles of canonical shapes all share it, and walks
+that share a record never repeat an orbit.  The candidate box is finite
+and iteration inside it must repeat, so classification and full
+enumeration terminate unconditionally.  The box holds about 2*sqrt|u|
+numerators, and `preper_points` refuses one of more than BOX_BUDGET
+rather than run for hours on a short argument.
 
 Graphs are canonicalized as functional digraphs: rooted trees hang off
 cycle vertices, trees get sorted-parenthesis codes, cycles get the
@@ -27,6 +36,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
+
+# largest candidate box, 2*kmax + 1 numerators, that preper_points will walk
+BOX_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -90,7 +102,8 @@ class PreperGraph:
 
     def orbit_types(self) -> dict[Fraction, OrbitClass]:
         f = QuadMap(self.c)
-        return {v: orbit_classify(f, v) for v in self.vertices}
+        types: dict = {}
+        return {v: orbit_classify(f, v, types) for v in self.vertices}
 
     def size_with_infinity(self) -> int:
         return len(self.vertices) + (1 if self.includes_infinity else 0)
@@ -108,6 +121,10 @@ class GraphShape:
 
 class NotQuadraticError(ValueError):
     pass
+
+
+class BoxBudgetError(ValueError):
+    """The candidate box of c holds more than BOX_BUDGET numerators."""
 
 
 def normalize_quadratic(a: Fraction, b: Fraction, c0: Fraction):
@@ -130,53 +147,85 @@ def _denominator_root(c: Fraction) -> int | None:
     return d if d * d == D else None
 
 
-def _within_escape_bound(x: Fraction, c: Fraction) -> bool:
-    # |x| <= 1/2 + sqrt(1/4 + |c|)  <=>  |x| < 1/2 or |x|(|x| - 1) <= |c|
-    ax = abs(x)
-    return 2 * ax <= 1 or ax * (ax - 1) <= abs(c)
+def _walk(start, step, types: dict):
+    """(period, tail) of start under step, or None when step returns None
+    (the orbit left the candidates).
+
+    Every preperiodic point visited gets its (period, tail) in types, and
+    the walk stops at the first point already there.
+    """
+    path: list = []
+    y = start
+    while y not in types:
+        if y in path:
+            i = path.index(y)
+            for z in path[i:]:
+                types[z] = (len(path) - i, 0)
+            del path[i:]
+            break
+        path.append(y)
+        y = step(y)
+        if y is None:
+            return None
+    period, tail = types[y]
+    for z in reversed(path):
+        tail += 1
+        types[z] = (period, tail)
+    return types[start]
 
 
-def orbit_classify(f: QuadMap, x: Fraction) -> OrbitClass:
-    """Exact orbit type of x under z**2 + c; always terminates."""
+def orbit_classify(f: QuadMap, x: Fraction, types: dict | None = None) -> OrbitClass:
+    """Exact orbit type of x under z**2 + c; always terminates.
+
+    Calls that pass the same `types` dict, which must all be for the same
+    f, share what earlier walks found; its keys are the numerators k of
+    the preperiodic points k/d met so far.
+    """
     c = f.c
     d = _denominator_root(c)
-    if d is None:
+    if d is None or x.denominator != d:
         return OrbitClass.divergent()
-    seen: dict[Fraction, int] = {}
-    y = Fraction(x)
-    while y not in seen:
-        if y.denominator != d or not _within_escape_bound(y, c):
-            return OrbitClass.divergent()
-        seen[y] = len(seen)
-        y = f(y)
-    first = seen[y]
-    period = len(seen) - first
-    if first == 0:
-        return OrbitClass.periodic(period)
-    return OrbitClass.preperiodic(period, first)
+    u = c.numerator
+
+    # an image sharing a prime p with d is no candidate either, but needs no
+    # test: u is coprime to d, so p cannot divide image**2 + u and the next
+    # step leaves
+    def step(k: int) -> int | None:
+        image, r = divmod(k * k + u, d)
+        if r or abs(image) * (abs(image) - d) > abs(u):
+            return None
+        return image
+
+    kind = _walk(x.numerator, step, {} if types is None else types)
+    if kind is None:
+        return OrbitClass.divergent()
+    period, tail = kind
+    return OrbitClass.preperiodic(period, tail) if tail else OrbitClass.periodic(period)
 
 
 def preper_points(f: QuadMap) -> PreperGraph:
-    """The complete graph of finite rational preperiodic points of f."""
+    """The complete graph of finite rational preperiodic points of f.
+
+    Raises BoxBudgetError when the candidate box exceeds BOX_BUDGET.
+    """
     c = f.c
     d = _denominator_root(c)
-    vertices: set[Fraction] = set()
+    types: dict[int, tuple[int, int]] = {}
     if d is not None:
         # candidates k/d with gcd(k, d) = 1 and k*k - k*d <= |c|*d*d
         cn, cd = abs(c).numerator, abs(c).denominator
         kmax = (d * (cd + isqrt(cd * cd + 4 * cd * cn))) // (2 * cd) + 1
+        if 2 * kmax + 1 > BOX_BUDGET:
+            raise BoxBudgetError(f"the candidate box of c = {c} holds {2 * kmax + 1} "
+                                 f"numerators, more than the budget of {BOX_BUDGET}")
         for k in range(-kmax, kmax + 1):
-            if gcd(k, d) != 1:
-                continue
-            x = Fraction(k, d)
-            if not _within_escape_bound(x, c):
-                continue
-            if not orbit_classify(f, x).is_divergent:
-                vertices.add(x)
+            if gcd(k, d) == 1:
+                orbit_classify(f, Fraction(k, d), types)
+    vertices = frozenset(Fraction(k, d) for k in types)
     edges = {v: f(v) for v in vertices}
     for v, w in edges.items():
         assert w in vertices, f"image {w} of vertex {v} escaped the vertex set"
-    return PreperGraph(c=c, vertices=frozenset(vertices), edges=edges)
+    return PreperGraph(c=c, vertices=vertices, edges=edges)
 
 
 # --- canonical shapes -------------------------------------------------------
@@ -186,21 +235,12 @@ def _shape_of_edges(edges: dict) -> GraphShape:
     """Canonical code of a functional digraph given as vertex -> image."""
     if not edges:
         return GraphShape("")
-    vertices = set(edges)
-    # cycle vertices: following the map from v returns to v
-    cyclic = set()
-    for v in vertices:
-        tortoise = v
-        for _ in range(len(vertices)):
-            tortoise = edges[tortoise]
-        # after |V| steps we are on the cycle of v's component
-        probe, cycle = tortoise, []
-        while probe not in cycle:
-            cycle.append(probe)
-            probe = edges[probe]
-        cyclic.update(cycle)
-    children: dict = {v: [] for v in vertices}
-    for v in vertices:
+    types: dict = {}
+    for v in edges:
+        _walk(v, edges.__getitem__, types)
+    cyclic = {v for v, (_period, tail) in types.items() if tail == 0}
+    children: dict = {v: [] for v in edges}
+    for v in edges:
         if v not in cyclic:
             children[edges[v]].append(v)
 
@@ -213,10 +253,8 @@ def _shape_of_edges(edges: dict) -> GraphShape:
         if v in done:
             continue
         cycle = [v]
-        w = edges[v]
-        while w != v:
-            cycle.append(w)
-            w = edges[w]
+        while edges[cycle[-1]] != v:
+            cycle.append(edges[cycle[-1]])
         done.update(cycle)
         codes = [tree_code(u) for u in cycle]
         m = len(cycle)
@@ -320,40 +358,34 @@ class ScanResult:
     bound_violations: list[tuple[Fraction, int]]  # (c, size counting infinity)
 
 
-def _scan_chunk(args) -> list[tuple[str, int, Fraction, int]]:
-    """Worker: (index, c-list) -> [(shape code, index, c, size_with_inf)]."""
-    start, cs = args
-    out = []
-    for offset, c in enumerate(cs):
-        g = preper_points(QuadMap(c))
-        out.append((graph_shape(g).code, start + offset, c, g.size_with_infinity()))
-    return out
+def _scan_chunk(cs) -> list[tuple[str, Fraction, int]]:
+    """Worker: c-list -> [(shape code, c, size_with_inf)] in list order."""
+    graphs = (preper_points(QuadMap(c)) for c in cs)
+    return [(graph_shape(g).code, g.c, g.size_with_infinity()) for g in graphs]
 
 
 def scan(height: int, jobs: int = 1) -> ScanResult:
     """Census of graph shapes over all c up to the given height.
 
-    The result is independent of the worker count: records are merged in
-    global iteration order before aggregation.
+    The result is independent of the worker count: the pool returns chunk
+    results in task order, so concatenating them is global iteration order.
     """
     cs = c_values_up_to_height(height)
     if jobs <= 1 or len(cs) < 2 * jobs:
-        records = _scan_chunk((0, cs))
+        records = _scan_chunk(cs)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = (len(cs) + jobs - 1) // jobs
-        tasks = [(i, cs[i:i + chunk]) for i in range(0, len(cs), chunk)]
+        tasks = [cs[i:i + chunk] for i in range(0, len(cs), chunk)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_scan_chunk, tasks))
-        records = [r for part in parts for r in part]
-    records.sort(key=lambda r: r[1])
+            records = [r for part in pool.map(_scan_chunk, tasks) for r in part]
 
     catalog = admissible_shapes()
     census: dict[GraphShape, tuple[int, list[Fraction]]] = {}
     out_of_catalog = []
     bound_violations = []
-    for code, _idx, c, size in records:
+    for code, c, size in records:
         shape = GraphShape(code)
         count, samples = census.get(shape, (0, []))
         if len(samples) < 3:

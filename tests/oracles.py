@@ -3,8 +3,10 @@
 These deliberately avoid the code paths they check: the resultant oracle
 is a Sylvester determinant over Fractions, the orbit oracle is blunt
 bounded iteration with an escape cutoff instead of valuation reasoning,
-and the point-search oracle evaluates the polynomial at each Fraction
-instead of running integer Horner on scaled weights.
+the shape oracle finds cycle vertices by a tortoise walk of |V| steps from
+every vertex instead of one memoised orbit walk, and the point-search
+oracle evaluates the polynomial at each Fraction instead of running
+integer Horner on scaled weights.
 """
 
 from __future__ import annotations
@@ -106,3 +108,46 @@ def brute_square_points(coeffs, height: int) -> set[tuple[Fraction, Fraction]]:
                 out.add((x, Fraction(rn, rd)))
                 out.add((x, -Fraction(rn, rd)))
     return out
+
+
+def tortoise_shape_code(edges: dict) -> str:
+    """Canonical code of a functional digraph given as vertex -> image:
+    trees get sorted-parenthesis codes, cycles the minimal rotation of
+    their tree codes, components are sorted and joined by ';'.  Cycle
+    vertices are found by stepping |V| times from every vertex, which
+    lands on the cycle of that vertex's component."""
+    vertices = set(edges)
+    cyclic = set()
+    for v in vertices:
+        tortoise = v
+        for _ in range(len(vertices)):
+            tortoise = edges[tortoise]
+        probe, cycle = tortoise, []
+        while probe not in cycle:
+            cycle.append(probe)
+            probe = edges[probe]
+        cyclic.update(cycle)
+    children: dict = {v: [] for v in vertices}
+    for v in vertices:
+        if v not in cyclic:
+            children[edges[v]].append(v)
+
+    def tree_code(v) -> str:
+        return "(" + "".join(sorted(tree_code(ch) for ch in children[v])) + ")"
+
+    components = []
+    done = set()
+    for v in sorted(cyclic, key=repr):
+        if v in done:
+            continue
+        cycle = [v]
+        w = edges[v]
+        while w != v:
+            cycle.append(w)
+            w = edges[w]
+        done.update(cycle)
+        codes = [tree_code(u) for u in cycle]
+        m = len(cycle)
+        best = min(tuple(codes[(i + j) % m] for j in range(m)) for i in range(m))
+        components.append(f"{m}:" + ",".join(best))
+    return ";".join(sorted(components))

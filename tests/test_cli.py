@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,11 +6,18 @@ import sys
 
 import pytest
 
+import preper
+
+# the package the tests import, so the child runs it without an install
+SRC = os.path.dirname(os.path.dirname(preper.__file__))
+
 
 def run_cli(*args, env=None):
+    # the timeout turns a command that runs unbounded into a failure, not a hang
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "preper", *args],
-                          capture_output=True, text=True,
-                          env=None if env is None else {**os.environ, **env})
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": pythonpath, **(env or {})})
 
 
 def test_graph_json_minus_29_16():
@@ -82,6 +90,18 @@ def test_scan_determinism_across_jobs():
     assert da["out_of_catalog"] == [] and da["bound_violations"] == []
 
 
+def test_scan_height_300_census_bytes_are_pinned():
+    # sha256 of the census report with timing_ms removed; a change to any
+    # count, sample or shape code at height <= 300 changes it
+    r = run_cli("scan", "--height", "300")
+    assert r.returncode == 0
+    payload = json.loads(r.stdout)
+    del payload["timing_ms"]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "b3a562a8eebcfc550c322ef3389797a5a85209375dca5cb9561fca28e1ed82a5"
+
+
 def test_verify_descent_suite():
     r = run_cli("verify", "descent")
     assert r.returncode == 0
@@ -145,6 +165,8 @@ def test_verify_theorems_suite():
     (("jacobian", "--p", "4"), None),
     (("jacobian", "--p", "1"), None),
     (("jacobian", "--p", "2003"), None),
+    (("graph", "--c", "10000000000000000000001/4"), None),
+    (("graph", "--c", "10000000000000000000001/4", "--format", "dot"), None),
 ])
 def test_usage_errors_exit_2_without_traceback(args, env):
     r = run_cli(*args, env=env)

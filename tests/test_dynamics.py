@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from preper.dynamics import (
     GraphShape,
@@ -18,7 +19,7 @@ from preper.dynamics import (
     scan,
 )
 from preper.exactmath import Poly
-from oracles import brute_orbit_kind, brute_preperiodic_set
+from oracles import brute_orbit_kind, brute_preperiodic_set, tortoise_shape_code
 
 F = Fraction
 
@@ -66,19 +67,46 @@ def test_orbit_of_3_quarters_prefix():
     assert orbit == [F(3, 4), F(-5, 4), F(-1, 4), F(-7, 4), F(5, 4)]
 
 
+def assert_matches_brute(got: OrbitClass, c, x):
+    brute = brute_orbit_kind(c, x)
+    if brute == "divergent":
+        assert got.is_divergent, (c, x)
+    elif brute[0] == "periodic":
+        assert got == OrbitClass.periodic(brute[1]), (c, x)
+    else:
+        assert got == OrbitClass.preperiodic(brute[1], brute[2]), (c, x)
+
+
 def test_orbit_classify_matches_brute_iteration():
     rng = random.Random(12)
     for _ in range(150):
         c = F(rng.randint(-40, 10), rng.choice([1, 1, 4, 9, 16]))
         x = F(rng.randint(-30, 30), rng.choice([1, 2, 3, 4, 6]))
-        got = orbit_classify(QuadMap(c), x)
-        brute = brute_orbit_kind(c, x)
-        if brute == "divergent":
-            assert got.is_divergent
-        elif brute[0] == "periodic":
-            assert got == OrbitClass.periodic(brute[1])
-        else:
-            assert got == OrbitClass.preperiodic(brute[1], brute[2])
+        assert_matches_brute(orbit_classify(QuadMap(c), x), c, x)
+
+
+# c = u/d^2 of small height: every square denominator up to 36, and the
+# non-square ones that arise when gcd(u, d) > 1 reduces the fraction
+small_c = st.builds(lambda u, d: F(u, d * d), st.integers(-200, 200), st.integers(1, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=small_c)
+def test_preper_points_matches_oracles_on_random_c(c):
+    g = preper_points(QuadMap(c))
+    assert g.vertices == brute_preperiodic_set(c)
+    for v, kind in g.orbit_types().items():
+        assert_matches_brute(kind, c, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=small_c, xs=st.lists(st.builds(F, st.integers(-30, 30), st.integers(1, 6)),
+                              min_size=1, max_size=12))
+def test_orbit_classify_with_shared_types_matches_brute(c, xs):
+    f = QuadMap(c)
+    types: dict = {}
+    for x in xs:
+        assert_matches_brute(orbit_classify(f, x, types), c, x)
 
 
 def test_preper_points_c_29_16():
@@ -139,6 +167,14 @@ def test_shape_invariant_under_relabeling():
     perm = {F(1): "x", F(0): "y", F(-1): "z"}
     relabeled = {perm[v]: perm[w] for v, w in g.edges.items()}
     assert _shape_of_edges(relabeled) == graph_shape(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)))
+def test_shape_matches_tortoise_oracle_on_random_graphs(images):
+    edges = dict(enumerate(images))
+    assert _shape_of_edges(edges).code == tortoise_shape_code(edges)
 
 
 def test_shape_distinguishes_rotation_direction():
