@@ -21,6 +21,7 @@ from . import __version__
 from .dynamics import (
     BoxBudgetError,
     QuadMap,
+    ScanBudgetError,
     admissible_shapes,
     graph_shape,
     preper_points,
@@ -39,6 +40,7 @@ from .curves import (
     CURVES,
     PRINTED_POINTS,
     HyperellipticSextic,
+    SearchBudgetError,
     good_reduction_model_check,
     rational_points_bounded,
     verify_all_birational_pairs,
@@ -112,15 +114,11 @@ def _graph_dot(c: Fraction) -> str:
 
 
 def cmd_graph(args) -> int:
-    try:
-        if args.format == "dot":
-            print(_graph_dot(args.c))
-        else:
-            _emit({"schema_version": SCHEMA_VERSION, "command": "graph",
-                   **_graph_payload(args.c)})
-    except BoxBudgetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    if args.format == "dot":
+        print(_graph_dot(args.c))
+    else:
+        _emit({"schema_version": SCHEMA_VERSION, "command": "graph",
+               **_graph_payload(args.c)})
     return 0
 
 
@@ -363,6 +361,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except (BoxBudgetError, ScanBudgetError, SearchBudgetError) as e:
+        # an argument that asks for more work than a budget allows is a usage error
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         return 1
 

@@ -15,10 +15,18 @@ kernel, _square_values, finds every such x at which a polynomial takes a
 rational square value; two thin adapters turn those values into points:
 rational_points_bounded on the sextic and quintic models y^2 = g(x), and
 elliptic_points_bounded on Weierstrass models through the completed
-square.  Membership is an exact square test, so every reported point
-satisfies its curve equation on the nose.  Map verification happens in
-the curve function field (see exactmath.bivariate): compositions are
-literal identities of field elements modulo the curve relation.
+square.  The kernel is a residue sieve in the manner of Stoll's ratpoints
+(Bruin & Stoll, Experiment. Math. 2008): for each b, the numerators a form
+a bitset that is ANDed with one mask per small odd prime p, holding the a
+at which b^e f(a/b) is a square mod p.  A mask depends only on (p, b mod p),
+so a call builds at most 158 of them (the sum of the primes 3..31), and
+only a few numerators in a thousand survive to the exact test.  The sieve
+drops only non-residues, so the search stays exhaustive.  Heights above
+SEARCH_BUDGET are refused.  Membership is an exact square test, so every
+reported point satisfies its curve equation on the nose.  Map
+verification happens in the curve function field (see exactmath.bivariate):
+compositions are literal identities of field elements modulo the curve
+relation.
 
 Two printed claims do not survive verification and are reported as
 documented discrepancies rather than patched silently: the point (-1, 1)
@@ -172,22 +180,72 @@ CURVES = {c.label: c for c in
 
 # --- bounded point search ---------------------------------------------------
 
+# largest height bound the point search accepts; its work grows as height^2
+SEARCH_BUDGET = 10**4
+
+# a square integer is a square mod every prime, so a numerator a at which
+# b^e f(a/b) is a non-residue mod one of these primes is no point
+_SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+class SearchBudgetError(ValueError):
+    """The height bound of a point search exceeds SEARCH_BUDGET."""
+
+
+def _residue_mask(coeffs, e: int, p: int, r: int, height: int) -> int:
+    """Bitset over a in [-height, height], bit a + height, of the a at which
+    sum c_i a^i r^(e-i), that is b^e f(a/b) for b = r mod p, is a square
+    mod p (zero included).  Periodic in a, so one p-bit tile is repeated."""
+    squares = {x * x % p for x in range(p)}
+    ws = [coeffs[i] * r ** (e - i) % p for i in range(len(coeffs) - 1, -1, -1)]
+    tile = 0
+    for j in range(p):
+        a, n = (j - height) % p, 0
+        for w in ws:
+            n = n * a + w
+        if n % p in squares:
+            tile |= 1 << j
+    reps = -(-(2 * height + 1) // p)
+    return tile * ((1 << p * reps) - 1) // ((1 << p) - 1)
+
+
 def _square_values(coeffs, height: int):
     """Yield (x, s) with x = a/b in lowest terms, |a|, |b| <= height, s >= 0
     and s^2 = f(x), where f has the given integral coefficients (lowest
-    degree first).  The one search loop behind every curve model."""
+    degree first).  The one search loop behind every curve model.
+
+    For each b the numerators a in [-height, height] form a bitset, which
+    is ANDed with one _residue_mask per sieve prime p; a mask depends only
+    on (p, b mod p) and is built once per call.  Only the surviving a, in
+    increasing order, are tested exactly, so the values and their order
+    are those of the unsieved loop.  Raises SearchBudgetError above
+    SEARCH_BUDGET."""
     if height < 1:
         raise ValueError("height bound must be >= 1")
+    if height > SEARCH_BUDGET:
+        raise SearchBudgetError(f"height bound {height} exceeds the search budget "
+                                f"of {SEARCH_BUDGET}")
     if any(Fraction(c).denominator != 1 for c in coeffs):
         raise ValueError("search expects an integral model")
     coeffs = [int(c) for c in coeffs]
     deg = len(coeffs) - 1
     e = deg + deg % 2  # even, so f(a/b) is a square iff b^e f(a/b) is
+    full = (1 << (2 * height + 1)) - 1
+    masks = {}
     for b in range(1, height + 1):
+        row = full
+        for p in _SIEVE_PRIMES:
+            r = b % p
+            if (p, r) not in masks:
+                masks[p, r] = _residue_mask(coeffs, e, p, r, height)
+            row &= masks[p, r]
         # b^e * f(a/b) = Horner in a with weights c_i * b^(e-i)
         lead, *weights = [coeffs[i] * b ** (e - i) for i in range(deg, -1, -1)]
         scale = b ** (e // 2)
-        for a in range(-height, height + 1):
+        while row:
+            low = row & -row
+            row ^= low
+            a = low.bit_length() - 1 - height
             if b > 1 and int_gcd(a, b) != 1:
                 continue
             n = lead

@@ -20,7 +20,8 @@ that share a record never repeat an orbit.  The candidate box is finite
 and iteration inside it must repeat, so classification and full
 enumeration terminate unconditionally.  The box holds about 2*sqrt|u|
 numerators, and `preper_points` refuses one of more than BOX_BUDGET
-rather than run for hours on a short argument.
+rather than run for hours on a short argument; `scan` likewise refuses a
+height above SCAN_BUDGET.
 
 Graphs are canonicalized as functional digraphs: rooted trees hang off
 cycle vertices, trees get sorted-parenthesis codes, cycles get the
@@ -39,6 +40,8 @@ from math import gcd, isqrt
 
 # largest candidate box, 2*kmax + 1 numerators, that preper_points will walk
 BOX_BUDGET = 10**6
+# largest height that scan accepts; it visits about 1.2 * height**1.5 values of c
+SCAN_BUDGET = 10**4
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,10 @@ class NotQuadraticError(ValueError):
 
 class BoxBudgetError(ValueError):
     """The candidate box of c holds more than BOX_BUDGET numerators."""
+
+
+class ScanBudgetError(ValueError):
+    """The height of a scan exceeds SCAN_BUDGET."""
 
 
 def normalize_quadratic(a: Fraction, b: Fraction, c0: Fraction):
@@ -369,7 +376,10 @@ def scan(height: int, jobs: int = 1) -> ScanResult:
 
     The result is independent of the worker count: the pool returns chunk
     results in task order, so concatenating them is global iteration order.
+    Raises ScanBudgetError above SCAN_BUDGET.
     """
+    if height > SCAN_BUDGET:
+        raise ScanBudgetError(f"scan height {height} exceeds the scan budget of {SCAN_BUDGET}")
     cs = c_values_up_to_height(height)
     if jobs <= 1 or len(cs) < 2 * jobs:
         records = _scan_chunk(cs)

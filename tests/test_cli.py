@@ -146,7 +146,8 @@ def test_verify_curves_reports_documented_discrepancies():
 
 
 def test_verify_theorems_suite():
-    r = run_cli("verify", "theorems")
+    # the suite runs no point search, so a height above the search budget is unused
+    r = run_cli("verify", "theorems", "--height", "99999999")
     assert r.returncode == 0
     by_id = {c["id"]: c for c in json.loads(r.stdout)["checks"]}
     assert by_id["catalog-realized"]["status"] == "pass"
@@ -167,6 +168,10 @@ def test_verify_theorems_suite():
     (("jacobian", "--p", "2003"), None),
     (("graph", "--c", "10000000000000000000001/4"), None),
     (("graph", "--c", "10000000000000000000001/4", "--format", "dot"), None),
+    (("curve-points", "--curve", "c1_32", "--height", "10001"), None),
+    (("verify", "curves", "--height", "10001"), None),
+    (("verify", "all", "--height", "10001"), None),
+    (("scan", "--height", "1000000000"), None),
 ])
 def test_usage_errors_exit_2_without_traceback(args, env):
     r = run_cli(*args, env=env)

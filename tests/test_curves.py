@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import brute_square_points
 from preper.curves import (
@@ -14,11 +14,13 @@ from preper.curves import (
     E24,
     E40,
     PRINTED_POINTS,
+    SEARCH_BUDGET,
     X1_13,
     X1_18,
     CurvePoint,
     EllipticModel,
     HyperellipticSextic,
+    SearchBudgetError,
     classify_c_from_curve_point,
     elliptic_add,
     elliptic_mul,
@@ -51,6 +53,10 @@ def test_bounded_search_known_sets():
     assert len(rational_points_bounded(X1_13, 100)) == 6
     with pytest.raises(ValueError):
         rational_points_bounded(C1_32, 0)
+    with pytest.raises(SearchBudgetError):
+        rational_points_bounded(C1_32, SEARCH_BUDGET + 1)
+    with pytest.raises(SearchBudgetError):
+        elliptic_points_bounded(E40, SEARCH_BUDGET + 1)
 
 
 def test_points_satisfy_equation_and_involution():
@@ -217,9 +223,14 @@ def test_search_on_odd_degree_model():
     assert {p.x for p in pts} >= {F(0), F(1), F(-1)}
 
 
+# heights up to 40 make the row width 2H + 1 cross every sieve prime and
+# let b = 0 mod p occur; the examples put every coefficient in 3*5*7 Z
+# (the value is 0 mod 3, 5 and 7 at every a) and make the leading one negative
 @settings(max_examples=60, deadline=None)
 @given(coeffs=st.lists(st.integers(-6, 6), min_size=6, max_size=7),
-       height=st.integers(1, 15))
+       height=st.integers(1, 40))
+@example(coeffs=[0, -105, 210, -105, -210, -105, 315], height=40)
+@example(coeffs=[1, -2, 6, 4, 6, -2, -4], height=37)
 def test_search_matches_oracle_on_random_models(coeffs, height):
     assume(coeffs[-1] != 0)
     g = Poly(tuple(coeffs))
@@ -233,7 +244,8 @@ def test_search_matches_oracle_on_random_models(coeffs, height):
 
 @settings(max_examples=60, deadline=None)
 @given(a=st.lists(st.integers(-6, 6), min_size=5, max_size=5),
-       height=st.integers(1, 15))
+       height=st.integers(1, 40))
+@example(a=[0, 315, 0, -315, 0], height=40)
 def test_elliptic_search_matches_oracle_on_random_models(a, height):
     a1, a2, a3, a4, a6 = a
     E = EllipticModel("random", *map(F, a))

@@ -9,6 +9,8 @@ from preper.dynamics import (
     NotQuadraticError,
     OrbitClass,
     QuadMap,
+    SCAN_BUDGET,
+    ScanBudgetError,
     _shape_of_edges,
     admissible_shapes,
     c_values_up_to_height,
@@ -223,6 +225,8 @@ def test_scan_census_basics_and_determinism():
     assert c_values_up_to_height(8)[:3] == [F(-8), F(-7), F(-6)]
     with pytest.raises(ValueError):
         scan(0)
+    with pytest.raises(ScanBudgetError):
+        scan(SCAN_BUDGET + 1)
 
 
 def test_scan_worker_pool_matches_sequential():
