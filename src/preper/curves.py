@@ -46,7 +46,6 @@ from .exactmath import (
     CurveFunctionField,
     GF2m,
     Poly,
-    RationalFunction,
     RationalMap,
     discriminant,
     is_perfect_square,
@@ -347,9 +346,10 @@ def _as_points(raw):
     return [None if P is None else (Fraction(P[0]), Fraction(P[1])) for P in raw]
 
 
-def verify_point_list(E: EllipticModel, claimed, height: int = 1000) -> Report:
+def verify_point_list(E: EllipticModel, claimed, found, height: int) -> Report:
     """Check a claimed full rational point list: curve membership, closure
-    under negation and addition, and no extra points up to the height bound."""
+    under negation and addition, and no extra points among `found`, the
+    result of elliptic_points_bounded(E, height)."""
     claimed = _as_points(claimed)
     rep = Report(f"point list on {E.label}")
     off = [P for P in claimed if not E.contains(P)]
@@ -366,7 +366,6 @@ def verify_point_list(E: EllipticModel, claimed, height: int = 1000) -> Report:
                 closed = False
     rep.add(f"{E.label}-closure", "on-curve sublist is closed under negation and addition",
             closed, value=len(good))
-    found = elliptic_points_bounded(E, height)
     extra = [P for P in found if P not in good]
     rep.add(f"{E.label}-search", f"no further points with x-height <= {height}",
             not extra, value=sorted(str(P) for P in found))
@@ -486,12 +485,13 @@ def verify_map_pair(pair: BirationalPair) -> Report:
         return maps[0].eval(xval, yval), maps[1].eval(xval, yval)
 
     if pair.target == "p1":
-        # backward parametrization lands on the conic, as functions of a free mu
-        m = RationalFunction(Poly.x())
+        # backward parametrization lands on the conic, as functions of a free
+        # mu; any function field contains Q(mu), so take the one of y^2 = mu
+        m = CurveFunctionField.hyperelliptic(Poly.x()).x()
         sigma_m = pair.backward[0].eval(m, m)
         rho_m = pair.backward[1].eval(m, m)
         rep.add(f"{pair_id}-back-on-source", "parametrization satisfies the conic relation",
-                rho_m * rho_m - sigma_m * sigma_m - 1 == RationalFunction(0))
+                (rho_m * rho_m - sigma_m * sigma_m - 1).is_zero())
         rep.add(f"{pair_id}-roundtrip-line", "forward(backward) is the identity on the line",
                 pair.forward[0].eval(sigma_m, rho_m) == m)
         mu = pair.forward[0].eval(u, v)

@@ -9,7 +9,7 @@ from .integers import (
     sqrt_exact,
     valuation,
 )
-from .polynomial import Poly, RationalFunction, discriminant, gcd, resultant, xgcd
+from .polynomial import Poly, discriminant, resultant, xgcd
 from .bivariate import BiPoly, CurveFunctionField, FieldElement, RationalMap
 from .finitefield import (
     FpPoly,
@@ -35,7 +35,6 @@ __all__ = [
     "FqElem",
     "GF2m",
     "Poly",
-    "RationalFunction",
     "RationalMap",
     "Residue",
     "ResidueRing",
@@ -46,7 +45,6 @@ __all__ = [
     "format_rational",
     "fp_gcd",
     "fp_xgcd",
-    "gcd",
     "is_irreducible_mod_p",
     "is_perfect_square",
     "is_prime",

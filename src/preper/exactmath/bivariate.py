@@ -7,16 +7,23 @@ CurveFunctionField, the quadratic extension of Q(x) cut out by a relation
 
     y**2 = s(x)*y + t(x),
 
-where arithmetic reduces every power of y on sight.  Equality of two map
-compositions modulo a curve equation is then literal equality of field
-elements, with no Groebner machinery.
+where arithmetic reduces every power of y on sight.  An element is one
+triple of polynomials (a, b, d) over a common denominator, meaning
+(a(x) + b(x)*y) / d(x) with d nonzero.  Sums cross-multiply (or just add
+when the denominators are equal), products multiply the denominators, and
+the inverse multiplies by the conjugate, a + b*s - b*y, over the norm
+a**2 + a*b*s - b**2*t.  No gcd is taken and nothing is normalized, so two
+triples of one element compare equal by cross-multiplication:
+a1*d2 == a2*d1 and b1*d2 == b2*d1.  Equality of two map compositions
+modulo a curve equation is then an exact polynomial identity, with no
+Groebner machinery.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .polynomial import Poly, RationalFunction
+from .polynomial import Poly
 
 
 class BiPoly:
@@ -166,6 +173,9 @@ class RationalMap:
         return f"RationalMap(({self.num!r}) / ({self.den!r}))"
 
 
+_ONE = Poly((1,))
+
+
 class CurveFunctionField:
     """Function field Q(x)[y] / (y**2 - s(x)*y - t(x)) of a plane curve.
 
@@ -183,27 +193,26 @@ class CurveFunctionField:
         return cls(Poly(), f)
 
     def x(self) -> "FieldElement":
-        return FieldElement(self, RationalFunction(Poly.x()), RationalFunction(0))
+        return FieldElement(self, Poly.x(), Poly(), _ONE)
 
     def y(self) -> "FieldElement":
-        return FieldElement(self, RationalFunction(0), RationalFunction(1))
-
-    def from_rational(self, c) -> "FieldElement":
-        return FieldElement(self, RationalFunction(c), RationalFunction(0))
-
-    def evaluate_map(self, m: RationalMap) -> "FieldElement":
-        return m.eval(self.x(), self.y())
+        return FieldElement(self, Poly(), _ONE, _ONE)
 
 
 class FieldElement:
-    """a(x) + b(x)*y with a, b rational functions, reduced by the relation."""
+    """(a(x) + b(x)*y) / d(x) with d nonzero, reduced by the relation.
 
-    __slots__ = ("field", "a", "b")
+    The triple is never normalized, so one element has many triples;
+    equality cross-multiplies.
+    """
 
-    def __init__(self, field: CurveFunctionField, a: RationalFunction, b: RationalFunction):
+    __slots__ = ("field", "a", "b", "d")
+
+    def __init__(self, field: CurveFunctionField, a: Poly, b: Poly, d: Poly):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
 
     def __setattr__(self, *a):
         raise AttributeError("FieldElement is immutable")
@@ -214,26 +223,31 @@ class FieldElement:
     def _lift(self, other):
         if isinstance(other, FieldElement):
             return other
-        if isinstance(other, (int, Fraction, Poly, RationalFunction)):
-            return FieldElement(self.field, RationalFunction(1) * other, RationalFunction(0))
+        if isinstance(other, (int, Fraction)):
+            other = Poly((other,))
+        if isinstance(other, Poly):
+            return FieldElement(self.field, other, Poly(), _ONE)
         return None
 
     def __eq__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self.a * o.d == o.a * self.d and self.b * o.d == o.b * self.d
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, self.a + o.a, self.b + o.b)
+        if self.d == o.d:
+            return FieldElement(self.field, self.a + o.a, self.b + o.b, self.d)
+        return FieldElement(self.field, self.a * o.d + o.a * self.d,
+                            self.b * o.d + o.b * self.d, self.d * o.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, -self.a, -self.b)
+        return FieldElement(self.field, -self.a, -self.b, self.d)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -249,32 +263,19 @@ class FieldElement:
         if o is None:
             return NotImplemented
         # (a1 + b1 y)(a2 + b2 y) with y^2 = s y + t
-        s = RationalFunction(self.field.s)
-        t = RationalFunction(self.field.t)
-        a = self.a * o.a + self.b * o.b * t
-        b = self.a * o.b + self.b * o.a + self.b * o.b * s
-        return FieldElement(self.field, a, b)
+        bb = self.b * o.b
+        return FieldElement(self.field, self.a * o.a + bb * self.field.t,
+                            self.a * o.b + self.b * o.a + bb * self.field.s, self.d * o.d)
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "FieldElement":
-        # the other root of Y^2 - s Y - t is s - y
-        s = RationalFunction(self.field.s)
-        return FieldElement(self.field, self.a + self.b * s, -self.b)
-
-    def norm(self) -> RationalFunction:
-        # (a + b y)(a + b s - b y) = a^2 + a b s - b^2 t, a rational function
-        s = RationalFunction(self.field.s)
-        t = RationalFunction(self.field.t)
-        return self.a * self.a + self.a * self.b * s - self.b * self.b * t
-
     def inverse(self) -> "FieldElement":
-        n = self.norm()
-        if n.is_zero():
+        # the conjugate of y is s - y, and (a + b y)(a + b s - b y) is the norm
+        a, b, s = self.a, self.b, self.field.s
+        norm = a * a + a * b * s - b * b * self.field.t
+        if norm.is_zero():
             raise ZeroDivisionError("element is a zero divisor in the function field")
-        conj = self.conjugate()
-        inv = RationalFunction(1) / n
-        return FieldElement(self.field, conj.a * inv, conj.b * inv)
+        return FieldElement(self.field, self.d * (a + b * s), -(self.d * b), norm)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -285,17 +286,5 @@ class FieldElement:
     def __rtruediv__(self, other):
         return self._lift(other) * self.inverse()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.from_rational(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __repr__(self):
-        return f"FieldElement({self.a!r} + ({self.b!r})*y)"
+        return f"FieldElement(({self.a!r} + ({self.b!r})*y) / {self.d!r})"

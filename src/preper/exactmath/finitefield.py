@@ -588,12 +588,3 @@ class GF2m:
             if (a >> self.k) & 1:
                 a ^= self.modulus
         return r
-
-    def pow(self, a: int, n: int) -> int:
-        r = 1
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r

@@ -3,6 +3,9 @@
 Coefficients are stored lowest degree first, so ``coeffs[i]`` multiplies
 ``x**i`` and the leading coefficient sits at the end of the tuple.  The
 zero polynomial is the empty tuple.  Instances are immutable and hashable.
+There is no rational-function type: a quotient of polynomials is kept
+unreduced over a common denominator (see exactmath.bivariate), so the only
+gcd here is xgcd, which inverts residue classes modulo a fixed polynomial.
 
 The resultant follows the convention
 
@@ -45,10 +48,6 @@ class Poly:
     @classmethod
     def x(cls) -> "Poly":
         return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
 
     @classmethod
     def from_roots(cls, roots: Sequence) -> "Poly":
@@ -177,15 +176,6 @@ class Poly:
             acc = acc * inner + Poly((c,))
         return acc
 
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self * (1 / self.lc)
-
-    def reversed(self) -> "Poly":
-        """x**deg * p(1/x)."""
-        return Poly(tuple(reversed(self.coeffs)))
-
     def map_coefficients(self, fn) -> "Poly":
         return Poly(tuple(fn(c) for c in self.coeffs))
 
@@ -203,13 +193,6 @@ class Poly:
             else:
                 terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
         return "Poly(" + " + ".join(terms) + ")"
-
-
-def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
 
 
 def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
@@ -259,106 +242,3 @@ def discriminant(p: Poly) -> Fraction:
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * resultant(p, p.derivative()) / p.lc
 
-
-class RationalFunction:
-    """Quotient of two Polys in normal form: reduced, monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=Poly((1,))):
-        if isinstance(num, (int, Fraction)):
-            num = Poly((num,))
-        if isinstance(den, (int, Fraction)):
-            den = Poly((den,))
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        g = gcd(num, den)
-        if not g.is_zero() and g.degree > 0:
-            num, den = num // g, den // g
-        if not den.is_zero() and den.lc != 1:
-            inv = 1 / den.lc
-            num, den = num * inv, den * inv
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalFunction is immutable")
-
-    @classmethod
-    def x(cls) -> "RationalFunction":
-        return cls(Poly.x())
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def _lift(self, other) -> "RationalFunction | None":
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, (int, Fraction, Poly)):
-            return RationalFunction(other)
-        return None
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return (RationalFunction(1) / self) ** (-n)
-        return RationalFunction(self.num ** n, self.den ** n)
-
-    def __call__(self, x: Fraction) -> Fraction:
-        d = self.den(x)
-        if d == 0:
-            raise ZeroDivisionError("pole of rational function")
-        return self.num(x) / d
-
-    def __repr__(self):
-        return f"({self.num!r})/({self.den!r})"

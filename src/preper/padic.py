@@ -155,10 +155,12 @@ class PadicSeries:
             raise ValueError("mixed primes")
         out = {}
         for i in sorted(set(self.coeffs) | set(other.coeffs)):
-            a, ra = self.coeffs.get(i, (0, self.tail_floor or 10 ** 9))
-            b, rb = other.coeffs.get(i, (0, other.tail_floor or 10 ** 9))
+            # an unlisted coefficient is known only to be 0 mod p**tail_floor
+            a, ra = self.coeffs.get(i, (0, self.tail_floor))
+            b, rb = other.coeffs.get(i, (0, other.tail_floor))
             r = min(ra, rb)
-            out[i] = ((a - b) % self.p ** r, r)
+            if r:
+                out[i] = ((a - b) % self.p ** r, r)
         return PadicSeries(self.p, out, min(self.tail_floor, other.tail_floor))
 
 

@@ -102,6 +102,18 @@ def test_scan_height_300_census_bytes_are_pinned():
         "b3a562a8eebcfc550c322ef3389797a5a85209375dca5cb9561fca28e1ed82a5"
 
 
+def test_verify_curves_height_40_bytes_are_pinned():
+    # sha256 of the curves report with timing_ms removed: every search row,
+    # point list row and function-field identity row, with its value and note
+    r = run_cli("verify", "curves", "--height", "40")
+    assert r.returncode == 1
+    payload = json.loads(r.stdout)
+    del payload["timing_ms"]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "081bc11fbaa11784d4033cd0218ad3e94bc7c070251184e4317e176b78a5ec4a"
+
+
 def test_verify_descent_suite():
     r = run_cli("verify", "descent")
     assert r.returncode == 0

@@ -88,17 +88,19 @@ def test_elliptic_group_law_basics():
 
 def test_verify_point_lists_printed():
     for label in ("e11", "e15", "e17", "e40"):
-        rep = verify_point_list(CURVES[label], PRINTED_POINTS[label], 100)
+        E = CURVES[label]
+        rep = verify_point_list(E, PRINTED_POINTS[label], elliptic_points_bounded(E, 100), 100)
         assert rep.ok, [c.id for c in rep.failures]
 
 
 def test_e24_printed_discrepancy_and_correction():
-    rep = verify_point_list(E24, PRINTED_POINTS["e24"], 100)
+    found = elliptic_points_bounded(E24, 100)
+    rep = verify_point_list(E24, PRINTED_POINTS["e24"], found, 100)
     assert not rep.ok
     on_curve = rep["e24-on-curve"]
     assert on_curve.status == "fail"
     assert "(-1,1)" in str(on_curve.value).replace(" ", "")
-    ok_rep = verify_point_list(E24, CORRECTED_POINTS["e24"], 100)
+    ok_rep = verify_point_list(E24, CORRECTED_POINTS["e24"], found, 100)
     assert ok_rep.ok
 
 
@@ -168,6 +170,38 @@ def test_verify_map_pair_rejects_a_wrong_map():
         backward=good.backward)
     rep = verify_map_pair(bad)
     assert not rep.ok
+    # perturbing one backward coefficient must break both roundtrips
+    bad = BirationalPair(
+        "q24_e24_broken", Q24, good.target, forward=good.forward,
+        backward=(RationalMap(U ** 2 - 2 * V + 1, U ** 2 + 1), good.backward[1]))
+    rep = verify_map_pair(bad)
+    assert rep["q24_e24_broken-forward-on-target"].status == "pass"
+    assert rep["q24_e24_broken-roundtrip-source"].status == "fail"
+    assert rep["q24_e24_broken-roundtrip-target"].status == "fail"
+
+
+_small_polys = st.lists(st.integers(-4, 4), max_size=4).map(Poly)
+_nonzero_polys = _small_polys.filter(lambda p: not p.is_zero())
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_small_polys, b=_small_polys, d=_nonzero_polys, m=_nonzero_polys,
+       a2=_small_polys, b2=_small_polys, d2=_nonzero_polys)
+def test_field_element_arithmetic_on_q24(a, b, d, m, a2, b2, d2):
+    from preper.curves import Q24
+    from preper.exactmath import FieldElement
+    field = Q24.function_field()
+    x = FieldElement(field, a, b, d)
+    # the same value over another denominator compares equal
+    assert FieldElement(field, a * m, b * m, d * m) == x
+    assert x + 1 != x and x + field.y() != x
+    assert (x - x).is_zero() and x - x == 0
+    with pytest.raises(ZeroDivisionError):
+        (x - x).inverse()
+    y = FieldElement(field, a2, b2, d2)
+    if not y.is_zero():
+        assert (x * y) / y == x
+        assert y * y.inverse() == 1
 
 
 def test_conic_parametrization_at_rational_points():

@@ -138,6 +138,19 @@ def test_strassman_monotone_in_precision():
     assert strassman_bound(even_better) == 1  # more precision never raises it
 
 
+def test_subtraction_claims_no_precision_beyond_the_tail_floor():
+    # with tail_floor 0 an unlisted coefficient is unknown, so index 2 of
+    # the difference is unknown too and is dropped, not reported as 6 mod 9
+    diff = PadicSeries(3, {1: (1, 2)}) - PadicSeries(3, {1: (1, 2), 2: (3, 2)}, tail_floor=3)
+    assert diff.coeffs == {1: (0, 2)}
+    assert diff.tail_floor == 0
+    # an unlisted coefficient counts as 0 mod p**tail_floor
+    diff = (PadicSeries(3, {1: (1, 3)}, tail_floor=2)
+            - PadicSeries(3, {2: (4, 3)}, tail_floor=1))
+    assert diff.coeffs == {1: (1, 1), 2: (5, 2)}
+    assert diff.tail_floor == 1
+
+
 def test_zero_accounting():
     rep = known_zero_accounting(3, [0, 1, 2])
     assert rep.ok
