@@ -583,7 +583,7 @@ def good_reduction_model_check(g: Poly | None = None) -> Report:
         rep.add("gr2-smooth", "reduced model is nonsingular over F_2", False,
                 note="no integral model produced by this substitution")
         return rep
-    q = residue.map_coefficients(lambda c: c / 4)
+    q = Poly([c // 4 for c in residue.coeffs])  # exact: every c is an integer in 4Z
     if default:
         # z^2 + z(x^3 + x + 1) + (x^4 - x^2) = 0 is the expected plane model,
         # so q = (g - h^2)/4 must equal x^2 - x^4

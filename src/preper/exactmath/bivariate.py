@@ -17,6 +17,11 @@ triples of one element compare equal by cross-multiplication:
 a1*d2 == a2*d1 and b1*d2 == b2*d1.  Equality of two map compositions
 modulo a curve equation is then an exact polynomial identity, with no
 Groebner machinery.
+
+Every polynomial here is an exactmath Poly, whose integral coefficients are
+ints (see exactmath.polynomial).  The registered maps and curve relations
+have integer coefficients, so the triples (a, b, d) of a verification stay
+integral, and every product and sum in it runs on int, never on Fraction.
 """
 
 from __future__ import annotations
@@ -167,6 +172,8 @@ class RationalMap:
         """Evaluate num/den at ring elements; division must exist in the ring."""
         n = self.num.eval(xval, yval)
         d = self.den.eval(xval, yval)
+        if isinstance(n, int) and isinstance(d, int):
+            return Fraction(n, d)  # int / int would be a float
         return n / d
 
     def __repr__(self):

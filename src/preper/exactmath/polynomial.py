@@ -3,9 +3,14 @@
 Coefficients are stored lowest degree first, so ``coeffs[i]`` multiplies
 ``x**i`` and the leading coefficient sits at the end of the tuple.  The
 zero polynomial is the empty tuple.  Instances are immutable and hashable.
-There is no rational-function type: a quotient of polynomials is kept
-unreduced over a common denominator (see exactmath.bivariate), so the only
-gcd here is xgcd, which inverts residue classes modulo a fixed polynomial.
+A coefficient is an ``int`` when it is integral and a ``Fraction`` only
+when it is not: construction maps ``Fraction(n, 1)`` to ``n``.  Sums and
+products of integral polynomials therefore run on Python integers, and
+only a true division (in divmod, xgcd and the resultant) goes through
+``Fraction``, since ``int / int`` would be a float.  There is no
+rational-function type: a quotient of polynomials is kept unreduced over
+a common denominator (see exactmath.bivariate), so the only gcd here is
+xgcd, which inverts residue classes modulo a fixed polynomial.
 
 The resultant follows the convention
 
@@ -14,7 +19,8 @@ The resultant follows the convention
 which is the Sylvester determinant normalization.  With a monic modulus g
 this makes Res(g, a) the norm of the residue class of a, so the norm table
 checks downstream come out with no stray leading-coefficient powers.  The
-discriminant is disc(p) = (-1)**(n(n-1)/2) * Res(p, p') / lc(p).
+discriminant is disc(p) = (-1)**(n(n-1)/2) * Res(p, p') / lc(p).  Both
+are returned as a ``Fraction`` whatever the coefficient types.
 """
 
 from __future__ import annotations
@@ -23,16 +29,28 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 
-def _coerce(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _coerce(c) -> int | Fraction:
+    """An integral coefficient as int, a proper fraction as Fraction."""
+    if type(c) is int:
         return c
-    if isinstance(c, int):
-        return Fraction(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):  # bool and other int subclasses
+        return int(c)
     raise TypeError(f"polynomial coefficients must be rational, got {type(c).__name__}")
 
 
+def _div(a, b) -> int | Fraction:
+    """Exact quotient of two coefficients; never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coerce(Fraction(a) / b)
+
+
 class Poly:
-    """Univariate polynomial with Fraction coefficients, lowest degree first."""
+    """Univariate polynomial with int or Fraction coefficients, lowest
+    degree first."""
 
     __slots__ = ("coeffs",)
 
@@ -62,7 +80,7 @@ class Poly:
         return len(self.coeffs) - 1
 
     @property
-    def lc(self) -> Fraction:
+    def lc(self) -> int | Fraction:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -73,8 +91,8 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    def __getitem__(self, i: int) -> int | Fraction:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -91,13 +109,15 @@ class Poly:
             other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self[i] + other[i] for i in range(n)))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "Poly":
         return self + (-other if isinstance(other, Poly) else Poly((-_coerce(other),)))
@@ -107,16 +127,17 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self.coeffs))
+            return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        bs = other.coeffs
+        out = [0] * (len(self.coeffs) + len(bs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+                for j, b in enumerate(bs, i):
+                    out[j] += a * b
         return Poly(out)
 
     __rmul__ = __mul__
@@ -138,11 +159,11 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        q = [Fraction(0)] * max(1, len(rem) - len(other.coeffs) + 1)
+        q = [0] * max(1, len(rem) - len(other.coeffs) + 1)
         dlc = other.lc
         dd = other.degree
         while len(rem) - 1 >= dd and rem:
-            c = rem[-1] / dlc
+            c = _div(rem[-1], dlc)
             k = len(rem) - 1 - dd
             q[k] = c
             for i, b in enumerate(other.coeffs):
@@ -158,26 +179,17 @@ class Poly:
         return divmod(self, other)[1]
 
     def __call__(self, x):
-        """Horner evaluation; works for Fraction or any ring element that
-        supports addition and multiplication with Fraction."""
+        """Horner evaluation at a rational or at any ring element that
+        supports addition and multiplication with int and Fraction."""
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
         if acc is None:
-            return Fraction(0)
+            return 0
         return acc
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
-
-    def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly((c,))
-        return acc
-
-    def map_coefficients(self, fn) -> "Poly":
-        return Poly(tuple(fn(c) for c in self.coeffs))
+        return Poly([i * c for i, c in enumerate(self.coeffs) if i >= 1])
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -206,7 +218,7 @@ def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
     if not r0.is_zero():
-        inv = 1 / r0.lc
+        inv = _div(1, r0.lc)
         r0, s0, t0 = r0 * inv, s0 * inv, t0 * inv
     return r0, s0, t0
 
@@ -224,9 +236,9 @@ def resultant(p: Poly, q: Poly) -> Fraction:
         other = q if p.is_zero() else p
         return Fraction(1) if other.degree == 0 else Fraction(0)
     if p.degree == 0:
-        return p.lc ** q.degree
+        return Fraction(p.lc) ** q.degree
     if q.degree == 0:
-        return q.lc ** p.degree
+        return Fraction(q.lc) ** p.degree
     # Res(p, q) = (-1)^(dp*dq) lc(q)^(dp - dr) Res(q, r) with r = p mod q
     sign = -1 if (p.degree * q.degree) % 2 else 1
     r = p % q
@@ -241,4 +253,3 @@ def discriminant(p: Poly) -> Fraction:
     n = p.degree
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * resultant(p, p.derivative()) / p.lc
-

@@ -106,10 +106,11 @@ class Residue:
     def inverse(self) -> "Residue":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero residue")
+        # xgcd makes g monic, so g = 1 = s*rep + t*modulus and s is the inverse
         g, s, _ = xgcd(self.rep, self.ring.modulus)
         if g.degree != 0:
             raise ZeroDivisionError("residue is a zero divisor (modulus not irreducible?)")
-        return self.ring(s * (1 / g.coeffs[0]))
+        return self.ring(s)
 
     def __truediv__(self, other):
         o = self._lift(other)

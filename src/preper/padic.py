@@ -40,47 +40,27 @@ class BranchSeries:
     order: int
 
 
-class _Series:
-    """Minimal truncated power-series helper over Fraction."""
-
-    def __init__(self, coeffs, order: int):
-        cs = list(coeffs)[: order + 1]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        self.c = [Fraction(v) for v in cs]
-        self.order = order
-
-    def __add__(self, o):
-        return _Series([a + b for a, b in zip(self.c, o.c)], self.order)
-
-    def __sub__(self, o):
-        return _Series([a - b for a, b in zip(self.c, o.c)], self.order)
-
-    def __mul__(self, o):
-        out = [Fraction(0)] * (self.order + 1)
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in enumerate(o.c):
-                    if i + j > self.order:
-                        break
-                    if b:
-                        out[i + j] += a * b
-        return _Series(out, self.order)
-
-    def inverse(self):
-        if self.c[0] == 0:
-            raise ZeroDivisionError("series with zero constant term")
-        out = [Fraction(0)] * (self.order + 1)
-        out[0] = 1 / self.c[0]
-        for n in range(1, self.order + 1):
-            s = sum(self.c[k] * out[n - k] for k in range(1, n + 1))
-            out[n] = -s / self.c[0]
-        return _Series(out, self.order)
+def _truncate(s: Poly, order: int) -> Poly:
+    """s mod t^(order+1)."""
+    return Poly(s.coeffs[: order + 1])
 
 
-def _eval_poly_series(poly: Poly, xs: _Series) -> _Series:
-    acc = _Series([0], xs.order)
+def _series_inverse(s: Poly, order: int) -> Poly:
+    """1/s mod t^(order+1), term by term; s needs a nonzero constant term."""
+    c0 = s[0]
+    if c0 == 0:
+        raise ZeroDivisionError("series with zero constant term")
+    out = [Fraction(1) / c0]  # a Fraction, so every later term is one too
+    for n in range(1, order + 1):
+        out.append(-sum(s[k] * out[n - k] for k in range(1, n + 1)) / c0)
+    return Poly(out)
+
+
+def _eval_poly_series(poly: Poly, xs: Poly, order: int) -> Poly:
+    """poly(xs) mod t^(order+1), by Horner with truncation at every step."""
+    acc = Poly()
     for c in reversed(poly.coeffs):
-        acc = acc * xs + _Series([c], xs.order)
+        acc = _truncate(acc * xs + c, order)
     return acc
 
 
@@ -97,23 +77,22 @@ def branch_series(order: int, curve=C1_32, base=(Fraction(1), Fraction(-3))) -> 
     if order < 0:
         raise ValueError("order must be non-negative")
     x0, y0 = Fraction(base[0]), Fraction(base[1])
-    g = curve.g
+    g, dg = curve.g, curve.g.derivative()
     if y0 * y0 != g(x0):
         raise ValueError("base point is not on the curve")
-    if g.derivative()(x0) == 0:
+    if dg(x0) == 0:
         raise SingularBranchError("Newton step undefined: g'(x0) = 0")
-    target = _Series([y0 * y0, 2 * y0, 1], order)  # (t + y0)^2
-    xs = _Series([x0], order)
+    target = _truncate(Poly((y0 * y0, 2 * y0, 1)), order)  # (t + y0)^2
+    xs = Poly((x0,))
     # Newton: x <- x - (g(x) - target)/g'(x); doubling convergence
     steps = max(1, (order + 1).bit_length() + 1)
     for _ in range(steps):
-        fx = _eval_poly_series(g, xs) - target
-        fpx = _eval_poly_series(g.derivative(), xs)
-        xs = xs - fx * fpx.inverse()
-    resid = _eval_poly_series(g, xs) - target
-    if any(c != 0 for c in resid.c):
+        fx = _eval_poly_series(g, xs, order) - target
+        fpx = _eval_poly_series(dg, xs, order)
+        xs = xs - _truncate(fx * _series_inverse(fpx, order), order)
+    if _eval_poly_series(g, xs, order) != target:
         raise ArithmeticError("Newton iteration failed to close the branch equation")
-    return BranchSeries(tuple(xs.c), order)
+    return BranchSeries(tuple(Fraction(xs[i]) for i in range(order + 1)), order)
 
 
 # --- congruence series ------------------------------------------------------

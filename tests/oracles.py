@@ -1,7 +1,9 @@
 """Independent oracles used by the tests.
 
-These deliberately avoid the code paths they check: the resultant oracle
-is a Sylvester determinant over Fractions, the orbit oracle is blunt
+These deliberately avoid the code paths they check: the polynomial
+oracles keep every coefficient a Fraction (the package's Poly keeps
+integral coefficients as int), the resultant oracle is a Sylvester
+determinant over Fractions, the orbit oracle is blunt
 bounded iteration with an escape cutoff instead of valuation reasoning,
 the shape oracle finds cycle vertices by a tortoise walk of |V| steps from
 every vertex instead of one memoised orbit walk, and the point-search
@@ -13,6 +15,86 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+
+
+# --- Fraction-only polynomial arithmetic --------------------------------------
+# coefficient lists lowest degree first, with no trailing zeros
+
+
+def frac_poly(coeffs) -> list[Fraction]:
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def frac_add(p, q) -> list[Fraction]:
+    p, q = frac_poly(p), frac_poly(q)
+    n = max(len(p), len(q))
+    p += [Fraction(0)] * (n - len(p))
+    q += [Fraction(0)] * (n - len(q))
+    return frac_poly(a + b for a, b in zip(p, q))
+
+
+def frac_sub(p, q) -> list[Fraction]:
+    return frac_add(p, [-c for c in frac_poly(q)])
+
+
+def frac_mul(p, q) -> list[Fraction]:
+    p, q = frac_poly(p), frac_poly(q)
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return frac_poly(out)
+
+
+def frac_divmod(p, q) -> tuple[list[Fraction], list[Fraction]]:
+    rem, q = frac_poly(p), frac_poly(q)
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    quo = [Fraction(0)] * max(1, len(rem) - len(q) + 1)
+    while len(rem) >= len(q):
+        c = rem[-1] / q[-1]
+        k = len(rem) - len(q)
+        quo[k] = c
+        for i, b in enumerate(q):
+            rem[k + i] -= c * b
+        rem = frac_poly(rem)
+    return frac_poly(quo), rem
+
+
+def frac_xgcd(a, b):
+    """(g, s, t) with g = s*a + t*b and g monic (or zero)."""
+    r0, r1 = frac_poly(a), frac_poly(b)
+    s0, s1, t0, t1 = [Fraction(1)], [], [], [Fraction(1)]
+    while r1:
+        q, r = frac_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, frac_sub(s0, frac_mul(q, s1))
+        t0, t1 = t1, frac_sub(t0, frac_mul(q, t1))
+    if r0:
+        inv = [1 / r0[-1]]
+        r0, s0, t0 = frac_mul(r0, inv), frac_mul(s0, inv), frac_mul(t0, inv)
+    return r0, s0, t0
+
+
+def frac_compose(outer, inner) -> list[Fraction]:
+    """outer(inner(x)) by Horner on coefficient lists."""
+    acc: list[Fraction] = []
+    for c in reversed(frac_poly(outer)):
+        acc = frac_add(frac_mul(acc, inner), [c])
+    return acc
+
+
+def sylvester_discriminant(coeffs) -> Fraction:
+    """(-1)^(n(n-1)/2) Res(p, p') / lc(p), with the Sylvester resultant."""
+    p = frac_poly(coeffs)
+    n = len(p) - 1
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * sylvester_resultant(p, [i * c for i, c in enumerate(p)][1:]) / p[-1]
 
 
 def sylvester_resultant(p_coeffs, q_coeffs) -> Fraction:

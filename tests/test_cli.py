@@ -12,12 +12,29 @@ import preper
 SRC = os.path.dirname(os.path.dirname(preper.__file__))
 
 
-def run_cli(*args, env=None):
+def run_python(*args, env=None):
     # the timeout turns a command that runs unbounded into a failure, not a hang
     pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "preper", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": pythonpath, **(env or {})})
+
+
+def run_cli(*args, env=None):
+    return run_python("-m", "preper", *args, env=env)
+
+
+def test_cli_imports_only_the_standard_library():
+    # the package has no runtime dependencies: importing the command line
+    # tool loads nothing beyond preper itself and the standard library
+    r = run_python("-c", "import sys; before = set(sys.modules); import preper.cli; "
+                         "print(*sorted(set(sys.modules) - before))")
+    assert r.returncode == 0, r.stderr
+    loaded = r.stdout.split()
+    assert "preper.cli" in loaded
+    foreign = [m for m in loaded
+               if m.split(".")[0] != "preper" and m.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
 
 
 def test_graph_json_minus_29_16():
@@ -112,6 +129,19 @@ def test_verify_curves_height_40_bytes_are_pinned():
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "081bc11fbaa11784d4033cd0218ad3e94bc7c070251184e4317e176b78a5ec4a"
+
+
+def test_verify_all_height_57_bytes_are_pinned():
+    # sha256 of the whole verify report with timing_ms removed, including the
+    # descent norms, the padic rows and the jacobian orders, whose JSON bytes
+    # would change if a value flipped between int and Fraction
+    r = run_cli("verify", "all", "--height", "57")
+    assert r.returncode == 1
+    payload = json.loads(r.stdout)
+    del payload["timing_ms"]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "73cd7b4046b877690820f0d09d5aa55ef2dbf36558745008a94d1fab3b8ba2d7"
 
 
 def test_verify_descent_suite():

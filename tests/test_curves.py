@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -156,6 +157,31 @@ def test_birational_pairs_at_random_finite_points(pair_id):
         assert bu == x and bv == y
         checked += 1
     assert checked >= 20
+
+
+@pytest.mark.parametrize("pair_id", ["q24_e24", "q40_e40", "q15_e15", "q17_e17", "q11_e11"])
+def test_birational_pairs_at_integer_points(pair_id):
+    """Third oracle: at integer points of the quartic the maps give exact
+    rationals (an int / int quotient would be a float) on the target, and
+    the backward map returns the point."""
+    pair = BIRATIONAL_PAIRS[pair_id]
+    checked = 0
+    for u in range(-6, 7):
+        s = pair.source.q(u)
+        t = isqrt(max(s, 0))
+        if t * t != s:
+            continue
+        for v in {t, -t}:
+            try:
+                X, Y = (m.eval(u, v) for m in pair.forward)
+                back = tuple(m.eval(X, Y) for m in pair.backward)
+            except ZeroDivisionError:
+                continue
+            assert type(X) is Fraction and type(Y) is Fraction
+            assert pair.target.contains((X, Y))
+            assert back == (u, v)
+            checked += 1
+    assert checked >= 2
 
 
 def test_verify_map_pair_rejects_a_wrong_map():

@@ -21,7 +21,7 @@ from preper.dynamics import (
     scan,
 )
 from preper.exactmath import Poly
-from oracles import brute_orbit_kind, brute_preperiodic_set, tortoise_shape_code
+from oracles import brute_orbit_kind, brute_preperiodic_set, frac_compose, tortoise_shape_code
 
 F = Fraction
 
@@ -31,7 +31,7 @@ def conjugated_normal_form(a, b, c0):
     a, b, c0 = F(a), F(b), F(c0)
     ell_inv = Poly((F(-b, 2) / a, 1 / a))
     f = Poly((c0, b, a))
-    inner = f.compose(ell_inv)
+    inner = Poly(frac_compose(f.coeffs, ell_inv.coeffs))
     return inner * a + F(b, 2)
 
 

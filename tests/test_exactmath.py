@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from preper.exactmath import (
     FpPoly,
@@ -19,8 +20,17 @@ from preper.exactmath import (
     resultant,
     sqrt_exact,
     valuation,
+    xgcd,
 )
-from oracles import sylvester_resultant
+from oracles import (
+    frac_add,
+    frac_divmod,
+    frac_mul,
+    frac_sub,
+    frac_xgcd,
+    sylvester_discriminant,
+    sylvester_resultant,
+)
 
 G = Poly((1, 2, 5, 2, -2, 0, 1))  # the c1_32 sextic
 
@@ -67,6 +77,54 @@ def test_poly_divmod_roundtrip():
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.is_zero() or r.degree < b.degree
+
+
+# coefficients of every kind a caller may pass: int, bool, an integral
+# Fraction (stored as int) and a proper Fraction
+_coefficients = st.one_of(
+    st.integers(-12, 12),
+    st.booleans(),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
+)
+_polys = st.lists(_coefficients, max_size=5).map(Poly)
+
+
+def assert_canonical(poly):
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    for c in poly.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys, _polys)
+@example(Poly((1, 2, 3)), Poly((1, 2)))          # integral, non-monic divisor
+@example(Poly((5, 0, 0, 7)), Poly((3,)))         # integral constant divisor
+@example(Poly((2,)), Poly((0, 0, 3)))            # Res of a constant by an int
+def test_poly_arithmetic_matches_fraction_oracle(a, b):
+    for p in (a, b):
+        assert_canonical(p)
+    for got, want in ((a + b, frac_add(a.coeffs, b.coeffs)),
+                      (a - b, frac_sub(a.coeffs, b.coeffs)),
+                      (a * b, frac_mul(a.coeffs, b.coeffs))):
+        assert_canonical(got)
+        assert list(got.coeffs) == want
+    if b:
+        q, r = divmod(a, b)
+        assert_canonical(q)
+        assert_canonical(r)
+        assert (list(q.coeffs), list(r.coeffs)) == frac_divmod(a.coeffs, b.coeffs)
+    g, u, v = xgcd(a, b)
+    for p in (g, u, v):
+        assert_canonical(p)
+    assert [list(p.coeffs) for p in (g, u, v)] == list(frac_xgcd(a.coeffs, b.coeffs))
+    assume(a and b)
+    res = resultant(a, b)
+    assert type(res) is Fraction
+    assert res == sylvester_resultant(a.coeffs, b.coeffs)
+    if a.degree >= 1:
+        disc = discriminant(a)
+        assert type(disc) is Fraction
+        assert disc == sylvester_discriminant(a.coeffs)
 
 
 def test_resultant_linear_cases():
