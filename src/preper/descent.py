@@ -18,7 +18,6 @@ never as computed results.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
 
 from .curves import C1_32
 from .exactmath import (
@@ -127,7 +126,7 @@ def local_743_analysis() -> Report:
                  "of 2-T and u2 needs only that the pattern be mixed")
 
     u2_poly = TABLE_ELEMENTS["u2"][0]
-    u2_images = [_eval_rational_poly(u2_poly, root) for root in ROOT_IMAGES]
+    u2_images = [u2_poly(root) for root in ROOT_IMAGES]
     u2_squares = [_is_local_square(v) for v in u2_images]
     rep.add("l743-u2", "u2 is a square in neither unramified factor",
             u2_squares == [False, False], value=[str(v) for v in u2_images])
@@ -139,15 +138,6 @@ def local_743_analysis() -> Report:
     rep.add("l743-2torsion", "the local 2-torsion group has order 3 + 1 = 4",
             count == 4, value=count)
     return rep
-
-
-def _eval_rational_poly(poly: Poly, x) -> object:
-    """Evaluate a rational-coefficient polynomial at a finite-field element."""
-    field = x.field
-    acc = field.zero()
-    for c in reversed(poly.coeffs):
-        acc = acc * x + field.from_rational(c)
-    return acc
 
 
 def local_two_torsion_count(shape) -> int:
@@ -166,23 +156,6 @@ def local_two_torsion_count(shape) -> int:
     ones = local_degrees.count(1)
     twos = local_degrees.count(2)
     return ones * (ones - 1) // 2 + twos + 1
-
-
-def count_stable_pairs_brute(local_degrees) -> int:
-    """Independent enumeration of stable 2-subsets under the product of
-    cyclic shifts; used to cross-check local_two_torsion_count."""
-    roots = [(i, j) for i, d in enumerate(local_degrees) for j in range(d)]
-    shifts = list(product(*[range(d) for d in local_degrees]))
-
-    def act(shift, root):
-        i, j = root
-        return (i, (j + shift[i]) % local_degrees[i])
-
-    stable = 0
-    for pair in combinations(roots, 2):
-        if all({act(s, pair[0]), act(s, pair[1])} == set(pair) for s in shifts):
-            stable += 1
-    return stable
 
 
 def mordell_weil_report() -> Report:

@@ -15,10 +15,8 @@ from .finitefield import (
     FpPoly,
     Fq,
     FqElem,
-    GF2m,
     factor_mod_p,
     factor_sextic_mod_p,
-    ff_sqrt,
     fp_gcd,
     fp_xgcd,
     is_irreducible_mod_p,
@@ -33,7 +31,6 @@ __all__ = [
     "FpPoly",
     "Fq",
     "FqElem",
-    "GF2m",
     "Poly",
     "RationalMap",
     "Residue",
@@ -41,7 +38,6 @@ __all__ = [
     "discriminant",
     "factor_mod_p",
     "factor_sextic_mod_p",
-    "ff_sqrt",
     "format_rational",
     "fp_gcd",
     "fp_xgcd",

@@ -1,9 +1,14 @@
-"""Finite fields F_p and F_{p^2}, Legendre symbols, square roots, and
+"""Finite fields F_p and F_{p^2}, Legendre symbols, square tests, and
 factorization of small-degree polynomials mod p.
 
 F_{p^2} is realized as F_p(i) with i**2 equal to a fixed non-residue: -1
 whenever p = 3 mod 4 (so printed values like 330+2i compare literally),
-otherwise the least positive non-residue.
+otherwise the least positive non-residue.  An element x is a square
+exactly when its norm N(x) = x**(p+1) is a square in F_p, because
+x**((p**2 - 1)/2) = N(x)**((p - 1)/2): Euler's criterion on one int.
+
+There is no GF(2**k) arithmetic: smoothness in characteristic 2 is
+decided by gcds of FpPoly over F_2 (see curves.good_reduction_model_check).
 
 Factorization targets degree <= 6 and p <= 743: square-free split by gcd
 with the derivative, root exhaustion plus distinct-degree decomposition
@@ -52,7 +57,6 @@ class Fq:
             raise ValueError("F_4 via a quadratic non-residue is not available")
         self.p = p
         self.k = k
-        self.order = p ** k
         self.nonresidue = _nonresidue(p) if k == 2 else None
 
     def __eq__(self, other):
@@ -71,9 +75,6 @@ class Fq:
 
     def zero(self) -> "FqElem":
         return self(0)
-
-    def one(self) -> "FqElem":
-        return self(1)
 
     def elements(self):
         if self.k == 1:
@@ -95,7 +96,7 @@ class Fq:
 
 
 class FqElem:
-    """Element a + b*i of F_{p^k}; immutable, hashable, ordered by (a, b)."""
+    """Element a + b*i of F_{p^k}; immutable and hashable."""
 
     __slots__ = ("field", "a", "b")
 
@@ -132,10 +133,6 @@ class FqElem:
 
     def __hash__(self):
         return hash((self.field.p, self.field.k, self.a, self.b))
-
-    def __lt__(self, other):
-        o = self._lift(other)
-        return (self.a, self.b) < (o.a, o.b)
 
     def __add__(self, other):
         o = self._lift(other)
@@ -177,9 +174,7 @@ class FqElem:
         if self.field.k == 1:
             return FqElem(self.field, pow(self.a, p - 2, p))
         # (a + bi)^-1 = (a - bi) / (a^2 - n b^2)
-        n = self.field.nonresidue
-        d = (self.a * self.a - n * self.b * self.b) % p
-        dinv = pow(d, p - 2, p)
+        dinv = pow(self._norm(), p - 2, p)
         return FqElem(self.field, self.a * dinv, -self.b * dinv)
 
     def __truediv__(self, other):
@@ -191,71 +186,29 @@ class FqElem:
     def __rtruediv__(self, other):
         return self._lift(other) * self.inverse()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _norm(self) -> int:
+        """Norm down to F_p as an int: a^2 - n*b^2 (= a^2 + b^2 for i^2 = -1)."""
+        field = self.field
+        if field.k == 1:
+            return self.a
+        return (self.a * self.a - field.nonresidue * self.b * self.b) % field.p
 
     def norm(self) -> "FqElem":
-        """Norm down to the prime field: a^2 - n*b^2 (= a^2 + b^2 for i^2 = -1)."""
-        p = self.field.p
-        if self.field.k == 1:
-            return self
-        n = self.field.nonresidue
-        return Fq(p)((self.a * self.a - n * self.b * self.b) % p)
+        """Norm down to the prime field, as an element of F_p."""
+        return self if self.field.k == 1 else Fq(self.field.p)(self._norm())
 
     def is_square(self) -> bool:
-        if self.is_zero():
-            return True
-        if self.field.order % 2 == 0:
-            return True
-        return (self ** ((self.field.order - 1) // 2)) == self.field.one()
+        """Euler's criterion on the norm: x^((p^k - 1)/2) = N(x)^((p - 1)/2)
+        for k <= 2, so one modular power of an int decides.  Zero, and every
+        element of F_2, count as squares."""
+        p = self.field.p
+        n = self._norm()
+        return p == 2 or n == 0 or pow(n, (p - 1) // 2, p) == 1
 
     def __repr__(self):
         if self.field.k == 1:
             return f"{self.a}"
         return f"{self.a}+{self.b}i"
-
-
-def ff_sqrt(x: FqElem) -> FqElem | None:
-    """Deterministic square root, or None for non-squares.  Tonelli-Shanks
-    with the non-square witness chosen in element order; of the two roots
-    the smaller in the (a, b) ordering is returned."""
-    field = x.field
-    if x.is_zero():
-        return field.zero()
-    if field.order % 2 == 0:
-        return x ** (field.order // 2)
-    if not x.is_square():
-        return None
-    m, e = field.order - 1, 0
-    while m % 2 == 0:
-        m //= 2
-        e += 1
-    z = next(c for c in field.elements() if c and not c.is_square())
-    c = z ** m
-    r = x ** ((m + 1) // 2)
-    t = x ** m
-    mm = e
-    one = field.one()
-    while t != one:
-        i, t2 = 0, t
-        while t2 != one:
-            t2 = t2 * t2
-            i += 1
-        b = c ** (2 ** (mm - i - 1))
-        r = r * b
-        c = b * b
-        t = t * c
-        mm = i
-    return min(r, -r)
 
 
 class FpPoly:
@@ -558,33 +511,3 @@ def factor_sextic_mod_p(g, p: int) -> list[tuple[FpPoly, int]]:
     if g.lc.numerator % p == 0 or g.lc.denominator % p == 0:
         raise ValueError(f"leading coefficient of g degenerates mod {p}")
     return factor_mod_p(FpPoly.from_poly(g, p))
-
-
-# --- tiny GF(2^k) layer for characteristic-2 smoothness certification ---
-
-_GF2_MODULI = {1: 0b10, 2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011}
-
-
-class GF2m:
-    """F_{2^k} with elements as int bitmasks, k <= 6."""
-
-    def __init__(self, k: int):
-        if k not in _GF2_MODULI:
-            raise ValueError("supported extension degrees are 1..6")
-        self.k = k
-        self.modulus = _GF2_MODULI[k]
-        self.order = 1 << k
-
-    def elements(self):
-        return range(self.order)
-
-    def mul(self, a: int, b: int) -> int:
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if (a >> self.k) & 1:
-                a ^= self.modulus
-        return r

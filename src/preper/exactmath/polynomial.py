@@ -180,7 +180,8 @@ class Poly:
 
     def __call__(self, x):
         """Horner evaluation at a rational or at any ring element that
-        supports addition and multiplication with int and Fraction."""
+        supports addition and multiplication with int and Fraction.  A
+        constant polynomial returns its bare coefficient, whatever x is."""
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c

@@ -6,14 +6,19 @@ integral coefficients as int), the resultant oracle is a Sylvester
 determinant over Fractions, the orbit oracle is blunt
 bounded iteration with an escape cutoff instead of valuation reasoning,
 the shape oracle finds cycle vertices by a tortoise walk of |V| steps from
-every vertex instead of one memoised orbit walk, and the point-search
+every vertex instead of one memoised orbit walk, the point-search
 oracle evaluates the polynomial at each Fraction instead of running
-integer Horner on scaled weights.
+integer Horner on scaled weights, the finite-field oracles find squares
+by squaring every element instead of Euler's criterion on the norm, the
+smoothness oracle enumerates points over F_{2^k} instead of taking one
+gcd over F_2, and the 2-torsion oracle enumerates stable root pairs
+instead of counting them by formula.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
 from math import gcd, isqrt
 
 
@@ -233,3 +238,117 @@ def tortoise_shape_code(edges: dict) -> str:
         best = min(tuple(codes[(i + j) % m] for j in range(m)) for i in range(m))
         components.append(f"{m}:" + ",".join(best))
     return ";".join(sorted(components))
+
+
+# --- finite fields on pairs of ints -------------------------------------------
+# an element of F_{p^k}, k in {1, 2}, is a pair (a, b) standing for a + b*s
+# with s^2 = n for a non-residue n; over F_p the pair is (a, 0)
+
+
+def least_nonresidue(p: int) -> int:
+    """Least non-square mod an odd prime p, by squaring every residue."""
+    squares = {a * a % p for a in range(p)}
+    return next(a for a in range(2, p) if a not in squares)
+
+
+def fq_elements(p: int, k: int) -> list[tuple[int, int]]:
+    return [(a, b) for a in range(p) for b in (range(p) if k == 2 else (0,))]
+
+
+def fq_mul(x, y, p: int, n: int) -> tuple[int, int]:
+    return ((x[0] * y[0] + n * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p)
+
+
+def brute_fq_squares(p: int, k: int, n: int) -> set[tuple[int, int]]:
+    """Every square of F_{p^k}, zero included, by squaring each element;
+    F_{p^2} is built on the non-residue n (ignored when k = 1)."""
+    return {fq_mul(x, x, p, n) for x in fq_elements(p, k)}
+
+
+def brute_count_points(coeffs, p: int, k: int) -> int:
+    """#C(F_{p^k}) for y^2 = g(x), g of degree 5 or 6 with int coefficients
+    lowest degree first, p odd: one point over each root of g, two over each
+    nonzero square value, and at infinity one point (degree 5) or two when
+    the leading coefficient is a square (degree 6)."""
+    n = least_nonresidue(p) if k == 2 else 0
+    squares = brute_fq_squares(p, k, n)
+    count = 0
+    for x in fq_elements(p, k):
+        acc = (0, 0)
+        for c in reversed(coeffs):
+            acc = fq_mul(acc, x, p, n)
+            acc = ((acc[0] + c) % p, acc[1])
+        if acc == (0, 0):
+            count += 1
+        elif acc in squares:
+            count += 2
+    if len(coeffs) - 1 == 6:
+        return count + (2 if (coeffs[-1] % p, 0) in squares else 0)
+    return count + 1
+
+
+# --- smoothness in characteristic 2 by enumeration ---------------------------
+
+_GF2_MODULI = {1: 0b10, 2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011}
+
+
+def _gf2_mul(a: int, b: int, k: int) -> int:
+    """Product in F_{2^k}, elements as bitmasks reduced by _GF2_MODULI[k]."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if (a >> k) & 1:
+            a ^= _GF2_MODULI[k]
+    return r
+
+
+def brute_char2_smooth(h, q) -> bool:
+    """True when z^2 + h(x) z + q(x) = 0 reduced mod 2 has no singular point
+    over F_{2^k}, k <= 6, in the affine chart or in the chart x -> 1/X,
+    z -> Z/X^3 cleared by X^6.  h and q are int coefficient lists, lowest
+    degree first, of degree at most 3 and 6."""
+    hz = [c % 2 for c in h] + [0] * (4 - len(h))
+    qz = [c % 2 for c in q] + [0] * (7 - len(q))
+    for k in range(1, 7):
+        def ev(coeffs, x):
+            acc = 0
+            for c in reversed(coeffs):
+                acc = _gf2_mul(acc, x, k) ^ c
+            return acc
+
+        for hc, qc in ((hz, qz), (hz[::-1], qz[::-1])):
+            # derivatives over F_2: only odd-degree terms survive
+            hder = [(i % 2) * hc[i] for i in range(1, len(hc))]
+            qder = [(i % 2) * qc[i] for i in range(1, len(qc))]
+            for x in range(1 << k):
+                if ev(hc, x):  # dE/dz = h(x) in characteristic 2
+                    continue
+                for z in range(1 << k):
+                    e = _gf2_mul(z, z, k) ^ ev(qc, x)  # z h(x) = 0 here
+                    dx = _gf2_mul(z, ev(hder, x), k) ^ ev(qder, x)
+                    if e == 0 and dx == 0:
+                        return False
+    return True
+
+
+# --- local 2-torsion by enumeration -------------------------------------------
+
+
+def count_stable_pairs_brute(local_degrees) -> int:
+    """Independent enumeration of stable 2-subsets under the product of
+    cyclic shifts; used to cross-check local_two_torsion_count."""
+    roots = [(i, j) for i, d in enumerate(local_degrees) for j in range(d)]
+    shifts = list(product(*[range(d) for d in local_degrees]))
+
+    def act(shift, root):
+        i, j = root
+        return (i, (j + shift[i]) % local_degrees[i])
+
+    stable = 0
+    for pair in combinations(roots, 2):
+        if all({act(s, pair[0]), act(s, pair[1])} == set(pair) for s in shifts):
+            stable += 1
+    return stable

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -35,6 +36,21 @@ def test_cli_imports_only_the_standard_library():
     foreign = [m for m in loaded
                if m.split(".")[0] != "preper" and m.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_perfbench_targets_resolve_on_the_package(monkeypatch):
+    # the traced benchmark wraps every (module, attribute) of layers.TARGETS,
+    # so deleting or renaming one of them must fail here first
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(SRC), "perfbench"))
+    layers = importlib.import_module("layers")
+    missing = []
+    for _name, module, qual, _hook in layers.TARGETS:
+        owner = importlib.import_module(f"preper.{module}")
+        for part in qual.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{qual}")
+    assert missing == []
 
 
 def test_graph_json_minus_29_16():

@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import brute_square_points
+from oracles import brute_char2_smooth, brute_square_points
 from preper.curves import (
     BIRATIONAL_PAIRS,
     C1_32,
@@ -33,7 +33,7 @@ from preper.curves import (
     verify_point_list,
     x1_13_discriminant_check,
 )
-from preper.exactmath import Fq, Poly, discriminant, ff_sqrt
+from preper.exactmath import Fq, Poly, discriminant
 
 F = Fraction
 
@@ -121,16 +121,19 @@ def test_birational_pairs_exact(pair_id):
 
 
 def _fq_points_on_quartic(q: Poly, field, rng, n):
+    p = field.p
+    assert p % 4 == 3  # so a square v has the root v^((p+1)/4)
     pts = []
     while len(pts) < n:
-        x = field(rng.randrange(field.p))
+        x = field(rng.randrange(p))
         acc = field.zero()
         for c in reversed(q.coeffs):
             acc = acc * x + field.from_rational(c)
-        r = ff_sqrt(acc)
-        if r is not None:
-            pts.append((x, r))
-            pts.append((x, -r))
+        v = acc.a
+        r = pow(v, (p + 1) // 4, p)
+        if r * r % p == v:
+            pts.append((x, field(r)))
+            pts.append((x, field(-r)))
     return pts
 
 
@@ -255,6 +258,22 @@ def test_good_reduction_model():
     neg = good_reduction_model_check(Poly((2, 0, 0, 0, 0, 0, 1)))  # x^6 + 2
     assert not neg.ok
     assert neg["gr2-smooth"].status == "fail"
+
+
+@given(st.lists(st.integers(-3, 3), min_size=7, max_size=7))
+@example([0, 0, 1, 0, -1, 0, 0])  # the c1_32 model: q = x^2 - x^4
+@example([2, 2, 1, -3, 1, 1, 0])  # singular over the roots of x^3 + x + 1
+@settings(max_examples=150, deadline=None)
+def test_good_reduction_gcd_matches_enumeration(q):
+    # g = h^2 + 4q always passes the divisibility step, so the smoothness
+    # verdict is the only thing under test
+    h = [1, 1, 0, 1]
+    rep = good_reduction_model_check(Poly(h) * Poly(h) + Poly(q) * 4)
+    assert rep["gr2-integral"].status == "pass"
+    smooth = brute_char2_smooth(h, q)
+    assert rep["gr2-smooth"].status == ("pass" if smooth else "fail")
+    if not smooth:
+        assert rep["gr2-smooth"].value == [1, [1, 1, 0, 1]]
 
 
 def test_classify_c_from_curve_point():

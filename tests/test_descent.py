@@ -4,11 +4,11 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from oracles import count_stable_pairs_brute
 from preper.descent import (
     RING,
     SEXTIC,
     TABLE_ELEMENTS,
-    count_stable_pairs_brute,
     element,
     factorization_identities,
     local_743_analysis,

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import brute_count_points
 from preper.curves import C1_32, CurvePoint, HyperellipticSextic
 from preper.exactmath import FpPoly, Poly
 from preper.ffjac import (
@@ -37,32 +38,18 @@ def test_count_hand_example():
     assert count_points(curve, 3) == 4
 
 
-def test_count_f9_independent_oracle():
-    # independent arithmetic for F_9 = F_3(i), i^2 = -1
-    def mul(a, b):
-        return ((a[0] * b[0] - a[1] * b[1]) % 3, (a[0] * b[1] + a[1] * b[0]) % 3)
-
-    elements = [(a, b) for a in range(3) for b in range(3)]
-    squares = {mul(e, e) for e in elements}
-    coeffs = [1, 2, 5, 2, -2, 0, 1]
-    count = 0
-    for x in elements:
-        acc = (0, 0)
-        for c in reversed(coeffs):
-            acc = mul(acc, x)
-            acc = ((acc[0] + c) % 3, acc[1])
-        if acc == (0, 0):
-            count += 1
-        elif acc in squares:
-            count += 2
-    count += 2  # split infinity
-    assert count == 11 == count_points(C1_32, 3, 2)
+@pytest.mark.parametrize("k", (1, 2))
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+def test_count_points_matches_int_oracle(p, k):
+    # the oracle builds F_{p^2} on the least non-residue, not on i^2 = -1,
+    # and finds squares by squaring every element
+    assert count_points(C1_32, p, k) == brute_count_points([1, 2, 5, 2, -2, 0, 1], p, k)
 
 
 def test_jacobian_orders():
-    assert jacobian_order(C1_32, 3) == 27
-    assert jacobian_order(C1_32, 5) == 43
-    assert jacobian_order(C1_32, 7) == 84
+    pinned = {3: 27, 5: 43, 7: 84, 11: 139, 13: 161, 17: 283, 19: 389, 23: 731,
+              29: 1012, 31: 1119, 37: 1282, 41: 1422, 43: 1412, 47: 2241, 53: 2775}
+    assert {p: jacobian_order(C1_32, p) for p in pinned} == pinned
     for bad in (2, 743):
         with pytest.raises(ValueError):
             jacobian_order(C1_32, bad)
