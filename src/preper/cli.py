@@ -94,7 +94,7 @@ def _graph_payload(c: Fraction) -> dict:
         "vertices": [format_rational(v) for v in vertices],
         "edges": {format_rational(v): format_rational(g.edges[v]) for v in vertices},
         "orbit_types": {format_rational(v): str(types[v]) for v in vertices},
-        "includes_infinity": g.includes_infinity,
+        "includes_infinity": True,
         "size_with_infinity": g.size_with_infinity(),
         "shape": shape.code,
         "in_catalog": shape in admissible_shapes(),

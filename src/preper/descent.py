@@ -9,6 +9,15 @@ their norms, the factorization identities 2 = -alpha^2 u1 and
 shape of g, the residue-field images of T, which of 2 - T and u2 are local
 squares, and the local 2-torsion count).
 
+An element of L is a Poly representative; products are reduced mod g,
+the norm of a is the resultant Res(g, a) (g is monic), and an inverse
+comes from xgcd(a, g).  The shape of g mod 743 is certified rather than
+found by factoring: gcd(g, g') mod 743 is the linear factor x - r of the
+double root, each transcribed root image a + b*i with b != 0 has the
+irreducible minimal polynomial x^2 - 2a*x + (a^2 + b^2) over F_743, and
+g = (x - r)^2 q1 q2 with q1 != q2 then fixes the shape by unique
+factorization in F_743[x].
+
 The conclusion that the Mordell-Weil group is infinite cyclic rests in
 addition on class-number and unit-group facts obtained from a
 computer-algebra system; those enter the report as external dependencies,
@@ -24,14 +33,14 @@ from .exactmath import (
     FpPoly,
     Fq,
     Poly,
-    ResidueRing,
-    factor_sextic_mod_p,
+    fp_gcd,
     legendre_symbol,
+    resultant,
+    xgcd,
 )
 from .report import EXTERNAL, Report
 
 SEXTIC = C1_32.g
-RING = ResidueRing(SEXTIC)
 
 
 def _half(*numerators) -> Poly:
@@ -40,7 +49,8 @@ def _half(*numerators) -> Poly:
     return Poly(tuple(Fraction(n, 2) for n in numerators))
 
 
-# distinguished elements of L, with their expected norms
+# distinguished elements of L, as representatives of degree < 6, with
+# their expected norms
 TABLE_ELEMENTS: dict[str, tuple[Poly, Fraction]] = {
     "u1": (_half(1, 2, -1, -1, 1), Fraction(1)),
     "u2": (_half(1, 4, -1, -1, 1), Fraction(1)),
@@ -52,16 +62,16 @@ TABLE_ELEMENTS: dict[str, tuple[Poly, Fraction]] = {
 }
 
 
-def element(name: str):
+def element(name: str) -> Poly:
     rep, _ = TABLE_ELEMENTS[name]
-    return RING(rep)
+    return rep
 
 
 def table1_check() -> Report:
     """Recompute the norm of every distinguished element."""
     rep = Report("norms of distinguished elements")
     for name, (poly, expected) in TABLE_ELEMENTS.items():
-        got = RING(poly).norm()
+        got = resultant(SEXTIC, poly)
         rep.add(f"norm-{name}", f"norm({name}) = {expected}", got == expected, value=got)
     return rep
 
@@ -71,14 +81,15 @@ def factorization_identities() -> Report:
     rep = Report("factorization of the ramified primes in L")
     u1, alpha = element("u1"), element("alpha")
     b1, b2, b3 = element("beta1"), element("beta2"), element("beta3")
-    rep.add("two-factors", "-alpha^2 * u1 = 2 in L",
-            -(alpha * alpha) * u1 == RING(2))
+    two = -(alpha * alpha) * u1
+    rep.add("two-factors", "-alpha^2 * u1 = 2 in L", two % SEXTIC == 2)
+    unit, alpha2_inv, _ = xgcd(alpha * alpha, SEXTIC)
     rep.add("u1-unit-shape", "u1 = -2 * alpha^-2 in L",
-            u1 == RING(-2) * (alpha * alpha).inverse())
+            unit == 1 and u1 % SEXTIC == -2 * alpha2_inv % SEXTIC)
     rep.add("p743-factors", "beta1^2 * beta2 * beta3 = 743 in L",
-            b1 * b1 * b2 * b3 == RING(743))
+            b1 * b1 * b2 * b3 % SEXTIC == 743)
     # norm multiplicativity sanity on the first identity
-    n = (-(alpha * alpha) * u1).norm()
+    n = resultant(SEXTIC, two)
     rep.add("norm-of-two", "norm(-alpha^2 u1) = 2^6", n == 64, value=n)
     return rep
 
@@ -90,36 +101,32 @@ _F743SQ = Fq(P743, 2)
 # ordered by (a, b) with the i-part normalized into [1, (p-1)/2]
 ROOT_IMAGES = (_F743SQ(330, 2), _F743SQ(458, 44))
 
-
-def _is_local_square(value) -> bool:
-    """A unit of the unramified quadratic extension is a square exactly when
-    its residue is, i.e. when the norm to F_p is a quadratic residue."""
-    n = value.norm()
-    return legendre_symbol(n.a, P743) == 1
+SHAPE_743 = [(1, 2), (2, 1), (2, 1)]
 
 
 def local_743_analysis() -> Report:
     rep = Report("743-adic analysis")
-    shape = sorted((f.degree, m) for f, m in factor_sextic_mod_p(SEXTIC, P743))
-    rep.add("l743-shape", "g mod 743 factors as linear^2 * quadratic * quadratic",
-            shape == [(1, 2), (2, 1), (2, 1)], value=shape)
-
     gp = FpPoly.from_poly(SEXTIC, P743)
+    # the shape certificate of the module docstring; b != 0 keeps each
+    # root image out of F_743, so its minimal polynomial
+    # (x - root)(x - conj(root)) = x^2 - 2a x + N(root) is irreducible
+    linear = fp_gcd(gp, gp.derivative())
+    quads = [FpPoly(P743, (root.norm(), -2 * root.a, 1)) for root in ROOT_IMAGES]
+    distinct = quads[0] != quads[1]
+    certified = (linear.degree == 1 and all(root.b for root in ROOT_IMAGES)
+                 and distinct and gp == linear * linear * quads[0] * quads[1])
+    rep.add("l743-shape", "g mod 743 factors as linear^2 * quadratic * quadratic",
+            certified, value=SHAPE_743 if certified else None)
+
     for i, root in enumerate(ROOT_IMAGES, start=1):
         rep.add(f"l743-root{i}", f"g({root}) = 0 in F_743(i)",
                 gp.eval_fq(root).is_zero(), value=str(root))
-    # the two roots generate distinct quadratic factors of g mod 743
-    quads = [f for f, m in factor_sextic_mod_p(SEXTIC, P743) if f.degree == 2]
-    gens = []
-    for root in ROOT_IMAGES:
-        owner = [q for q in quads if q.eval_fq(root).is_zero()]
-        gens.append(owner[0] if owner else None)
     rep.add("l743-distinct-factors", "the root images belong to the two distinct factors",
-            None not in gens and gens[0] != gens[1],
-            value=[list(q.coeffs) if q else None for q in gens])
+            distinct and all((gp % q).is_zero() for q in quads),
+            value=[list(q.coeffs) for q in quads])
 
     two_minus_t = [2 - root for root in ROOT_IMAGES]
-    squares = [_is_local_square(v) for v in two_minus_t]
+    squares = [not v.is_zero() and v.is_square() for v in two_minus_t]
     rep.add("l743-2mT", "2 - T is a square in exactly one unramified factor",
             squares.count(True) == 1, value=squares,
             note="square at the factor of 458+44i, not 330+2i; local independence "
@@ -127,14 +134,14 @@ def local_743_analysis() -> Report:
 
     u2_poly = TABLE_ELEMENTS["u2"][0]
     u2_images = [u2_poly(root) for root in ROOT_IMAGES]
-    u2_squares = [_is_local_square(v) for v in u2_images]
+    u2_squares = [not v.is_zero() and v.is_square() for v in u2_images]
     rep.add("l743-u2", "u2 is a square in neither unramified factor",
             u2_squares == [False, False], value=[str(v) for v in u2_images])
 
     rep.add("l743-legendre33", "the Legendre symbol (33/743) equals 1, so the curve "
             "has a local point with x = 2", legendre_symbol(33, P743) == 1)
 
-    count = local_two_torsion_count([(1, 2), (2, 1), (2, 1)])
+    count = local_two_torsion_count(SHAPE_743)
     rep.add("l743-2torsion", "the local 2-torsion group has order 3 + 1 = 4",
             count == 4, value=count)
     return rep

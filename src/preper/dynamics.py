@@ -94,14 +94,13 @@ class OrbitClass:
 class PreperGraph:
     """Finite rational preperiodic points of z**2 + c with edges x -> f(x).
 
-    The fixed point at infinity is not a vertex; includes_infinity records
-    that it exists so counts can add one for it.
+    The fixed point at infinity is never a vertex, but it always exists,
+    so size_with_infinity adds one for it.
     """
 
     c: Fraction
     vertices: frozenset[Fraction]
     edges: dict[Fraction, Fraction] = field(compare=False)
-    includes_infinity: bool = True
 
     def orbit_types(self) -> dict[Fraction, OrbitClass]:
         f = QuadMap(self.c)
@@ -109,7 +108,7 @@ class PreperGraph:
         return {v: orbit_classify(f, v, types) for v in self.vertices}
 
     def size_with_infinity(self) -> int:
-        return len(self.vertices) + (1 if self.includes_infinity else 0)
+        return len(self.vertices) + 1
 
 
 @dataclass(frozen=True, order=True)

@@ -1,5 +1,7 @@
-"""Exact arithmetic substrate: rationals, polynomials, finite fields, and
-residue algebra modulo a fixed sextic."""
+"""Exact arithmetic substrate: rationals, polynomials over Q and over F_p,
+curve function fields, and the finite fields F_p and F_{p^2}.  Arithmetic
+in a number field Q[T]/(g) is Poly arithmetic reduced mod g, with norms
+as resultants and inverses from xgcd."""
 
 from .integers import (
     format_rational,
@@ -15,14 +17,10 @@ from .finitefield import (
     FpPoly,
     Fq,
     FqElem,
-    factor_mod_p,
-    factor_sextic_mod_p,
     fp_gcd,
     fp_xgcd,
-    is_irreducible_mod_p,
     legendre_symbol,
 )
-from .residue import Residue, ResidueRing
 
 __all__ = [
     "BiPoly",
@@ -33,15 +31,10 @@ __all__ = [
     "FqElem",
     "Poly",
     "RationalMap",
-    "Residue",
-    "ResidueRing",
     "discriminant",
-    "factor_mod_p",
-    "factor_sextic_mod_p",
     "format_rational",
     "fp_gcd",
     "fp_xgcd",
-    "is_irreducible_mod_p",
     "is_perfect_square",
     "is_prime",
     "legendre_symbol",

@@ -1,5 +1,5 @@
 """Finite fields F_p and F_{p^2}, Legendre symbols, square tests, and
-factorization of small-degree polynomials mod p.
+polynomials over F_p with gcd and extended gcd.
 
 F_{p^2} is realized as F_p(i) with i**2 equal to a fixed non-residue: -1
 whenever p = 3 mod 4 (so printed values like 330+2i compare literally),
@@ -9,11 +9,6 @@ x**((p**2 - 1)/2) = N(x)**((p - 1)/2): Euler's criterion on one int.
 
 There is no GF(2**k) arithmetic: smoothness in characteristic 2 is
 decided by gcds of FpPoly over F_2 (see curves.good_reduction_model_check).
-
-Factorization targets degree <= 6 and p <= 743: square-free split by gcd
-with the derivative, root exhaustion plus distinct-degree decomposition
-(gcd with x**(p**k) - x), and a deterministic-trial equal-degree split.
-Irreducibility can be certified independently with is_irreducible_mod_p.
 """
 
 from __future__ import annotations
@@ -174,7 +169,7 @@ class FqElem:
         if self.field.k == 1:
             return FqElem(self.field, pow(self.a, p - 2, p))
         # (a + bi)^-1 = (a - bi) / (a^2 - n b^2)
-        dinv = pow(self._norm(), p - 2, p)
+        dinv = pow(self.norm(), p - 2, p)
         return FqElem(self.field, self.a * dinv, -self.b * dinv)
 
     def __truediv__(self, other):
@@ -186,23 +181,19 @@ class FqElem:
     def __rtruediv__(self, other):
         return self._lift(other) * self.inverse()
 
-    def _norm(self) -> int:
+    def norm(self) -> int:
         """Norm down to F_p as an int: a^2 - n*b^2 (= a^2 + b^2 for i^2 = -1)."""
         field = self.field
         if field.k == 1:
             return self.a
         return (self.a * self.a - field.nonresidue * self.b * self.b) % field.p
 
-    def norm(self) -> "FqElem":
-        """Norm down to the prime field, as an element of F_p."""
-        return self if self.field.k == 1 else Fq(self.field.p)(self._norm())
-
     def is_square(self) -> bool:
         """Euler's criterion on the norm: x^((p^k - 1)/2) = N(x)^((p - 1)/2)
         for k <= 2, so one modular power of an int decides.  Zero, and every
         element of F_2, count as squares."""
         p = self.field.p
-        n = self._norm()
+        n = self.norm()
         return p == 2 or n == 0 or pow(n, (p - 1) // 2, p) == 1
 
     def __repr__(self):
@@ -345,16 +336,6 @@ class FpPoly:
             out = out * xpr + self._f((c,))
         return out
 
-    def powmod(self, n: int, mod: "FpPoly") -> "FpPoly":
-        result = self._f((1,)) % mod
-        base = self % mod
-        while n:
-            if n & 1:
-                result = result * base % mod
-            base = base * base % mod
-            n >>= 1
-        return result
-
     def __repr__(self):
         return f"FpPoly({self.p}, {list(self.coeffs)})"
 
@@ -380,134 +361,3 @@ def fp_xgcd(a: FpPoly, b: FpPoly):
         inv = pow(r0.lc, -1, p)
         r0, s0, t0 = r0 * inv, s0 * inv, t0 * inv
     return r0, s0, t0
-
-
-def is_irreducible_mod_p(f: FpPoly) -> bool:
-    """Rabin criterion: x**(p**n) = x mod f and gcd(x**(p**(n/q)) - x, f) = 1
-    for every prime q dividing n = deg f."""
-    p, n = f.p, f.degree
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    x = FpPoly(p, (0, 1))
-    for q in range(2, n + 1):
-        if n % q == 0 and is_prime(q):
-            h = x.powmod(p ** (n // q), f) - x
-            if fp_gcd(h, f).degree != 0:
-                return False
-    return x.powmod(p ** n, f) == x % f
-
-
-def _trial_polys(p: int):
-    """Deterministic sequence of candidate splitting polynomials."""
-    for s in range(p):
-        yield FpPoly(p, (s, 1))
-    for s in range(p):
-        for r in range(1, p):
-            yield FpPoly(p, (s, r, 1))
-
-
-def _split_equal_degree(f: FpPoly, k: int) -> list[FpPoly]:
-    """Split a monic product of distinct irreducibles, all of degree k."""
-    p = f.p
-    if f.degree == k:
-        return [f]
-    if k == 1:
-        # roots by exhaustion
-        out = []
-        rem = f
-        for r in range(p):
-            if rem.degree >= 1 and rem(r) == 0:
-                lin = FpPoly(p, (-r, 1))
-                out.append(lin)
-                rem = rem // lin
-        return out
-    if p == 2:
-        out = []
-        rem = f
-        for cand in _irreducibles_f2(k):
-            while rem.degree >= k and (rem % cand).is_zero():
-                out.append(cand)
-                rem = rem // cand
-        if rem.degree > 0:
-            out.append(rem)
-        return out
-    exponent = (p ** k - 1) // 2
-    for trial in _trial_polys(p):
-        w = trial.powmod(exponent, f) - 1
-        d = fp_gcd(w, f)
-        if 0 < d.degree < f.degree:
-            return sorted(_split_equal_degree(d, k) + _split_equal_degree(f // d, k),
-                          key=lambda q: q.coeffs)
-    raise RuntimeError("equal-degree split exhausted its trial sequence")
-
-
-@lru_cache(maxsize=None)
-def _irreducibles_f2(degree: int) -> tuple[FpPoly, ...]:
-    out = []
-    for bits in range(1 << degree, 1 << (degree + 1)):
-        f = FpPoly(2, [(bits >> i) & 1 for i in range(degree + 1)])
-        if is_irreducible_mod_p(f):
-            out.append(f)
-    return tuple(out)
-
-
-def _factor_squarefree(f: FpPoly) -> list[FpPoly]:
-    """Monic square-free polynomial into monic irreducibles, sorted."""
-    p = f.p
-    x = FpPoly(p, (0, 1))
-    factors: list[FpPoly] = []
-    rem = f
-    k = 1
-    while rem.degree >= 2 * k:
-        gk = fp_gcd(x.powmod(p ** k, rem) - x, rem)
-        if gk.degree > 0:
-            factors.extend(_split_equal_degree(gk, k))
-            rem = rem // gk
-        k += 1
-    if rem.degree > 0:
-        factors.append(rem)
-    return sorted(factors, key=lambda q: (q.degree, q.coeffs))
-
-
-def factor_mod_p(f: FpPoly) -> list[tuple[FpPoly, int]]:
-    """Factor into (monic irreducible, multiplicity), deterministically sorted."""
-    if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    p = f.p
-    f = f.monic()
-    distinct: set[FpPoly] = set()
-    work = f
-    while work.degree > 0:
-        deriv = work.derivative()
-        if deriv.is_zero():
-            # work = h(x^p); pass to its p-th root
-            work = FpPoly(p, [work.coeffs[i] for i in range(0, len(work.coeffs), p)])
-            continue
-        d = fp_gcd(work, deriv)
-        if d.degree == 0:
-            distinct.update(_factor_squarefree(work))
-            break
-        distinct.update(_factor_squarefree(work // d))
-        work = d
-    result = []
-    for q in sorted(distinct, key=lambda q: (q.degree, q.coeffs)):
-        m, rem = 0, f
-        while True:
-            quo, r = divmod(rem, q)
-            if not r.is_zero():
-                break
-            m += 1
-            rem = quo
-        result.append((q, m))
-    return result
-
-
-def factor_sextic_mod_p(g, p: int) -> list[tuple[FpPoly, int]]:
-    """Factor a rational polynomial modulo p.  Requires p not dividing lc(g)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if g.lc.numerator % p == 0 or g.lc.denominator % p == 0:
-        raise ValueError(f"leading coefficient of g degenerates mod {p}")
-    return factor_mod_p(FpPoly.from_poly(g, p))

@@ -10,15 +10,18 @@ only a true division (in divmod, xgcd and the resultant) goes through
 ``Fraction``, since ``int / int`` would be a float.  There is no
 rational-function type: a quotient of polynomials is kept unreduced over
 a common denominator (see exactmath.bivariate), so the only gcd here is
-xgcd, which inverts residue classes modulo a fixed polynomial.
+xgcd.  Its one job is inversion in a number field Q[T]/(g): there an
+element is a Poly reduced mod g, and xgcd(a, g) = (1, s, t) makes s the
+inverse of a.
 
 The resultant follows the convention
 
     Res(p, q) = lc(p)**deg(q) * prod q(alpha_i)   over the roots alpha_i of p,
 
 which is the Sylvester determinant normalization.  With a monic modulus g
-this makes Res(g, a) the norm of the residue class of a, so the norm table
-checks downstream come out with no stray leading-coefficient powers.  The
+this makes Res(g, a) the norm of the class of a in Q[T]/(g), for any
+representative a, so the norm table checks downstream come out with no
+stray leading-coefficient powers.  The
 discriminant is disc(p) = (-1)**(n(n-1)/2) * Res(p, p') / lc(p).  Both
 are returned as a ``Fraction`` whatever the coefficient types.
 """

@@ -10,9 +10,11 @@ every vertex instead of one memoised orbit walk, the point-search
 oracle evaluates the polynomial at each Fraction instead of running
 integer Horner on scaled weights, the finite-field oracles find squares
 by squaring every element instead of Euler's criterion on the norm, the
-smoothness oracle enumerates points over F_{2^k} instead of taking one
+root oracle evaluates at every residue mod p instead of certifying the
+shape of g mod 743 by a gcd and a product, the smoothness oracle enumerates points over F_{2^k} instead of taking one
 gcd over F_2, and the 2-torsion oracle enumerates stable root pairs
-instead of counting them by formula.
+instead of counting them by formula.  Nothing here imports preper
+(tests/test_cli.py checks this).
 """
 
 from __future__ import annotations
@@ -263,6 +265,12 @@ def brute_fq_squares(p: int, k: int, n: int) -> set[tuple[int, int]]:
     """Every square of F_{p^k}, zero included, by squaring each element;
     F_{p^2} is built on the non-residue n (ignored when k = 1)."""
     return {fq_mul(x, x, p, n) for x in fq_elements(p, k)}
+
+
+def brute_roots_mod_p(coeffs, p: int) -> list[int]:
+    """Roots in F_p of the int polynomial with the given coefficients,
+    lowest degree first, by summing c*x**i at every residue x."""
+    return [x for x in range(p) if sum(c * x ** i for i, c in enumerate(coeffs)) % p == 0]
 
 
 def brute_count_points(coeffs, p: int, k: int) -> int:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import json
@@ -36,6 +37,20 @@ def test_cli_imports_only_the_standard_library():
     foreign = [m for m in loaded
                if m.split(".")[0] != "preper" and m.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_oracles_import_nothing_from_the_package():
+    # an oracle that reused the code it checks would agree with it by
+    # construction, so tests/oracles.py may not import preper at all
+    path = os.path.join(os.path.dirname(__file__), "oracles.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert "fractions" in imported  # the walk does see the module's imports
+    assert [m for m in imported if m.split(".")[0] == "preper"] == []
 
 
 def test_perfbench_targets_resolve_on_the_package(monkeypatch):

@@ -4,9 +4,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from oracles import count_stable_pairs_brute
+from oracles import brute_roots_mod_p, count_stable_pairs_brute
+from preper import descent
 from preper.descent import (
-    RING,
     SEXTIC,
     TABLE_ELEMENTS,
     element,
@@ -16,7 +16,7 @@ from preper.descent import (
     mordell_weil_report,
     table1_check,
 )
-from preper.exactmath import Fq, Poly
+from preper.exactmath import FpPoly, Fq, Poly, resultant
 
 F = Fraction
 
@@ -27,22 +27,22 @@ def test_table1_norms():
     expected = {"u1": 1, "u2": 1, "minus_one": 1, "alpha": 8,
                 "beta1": 743, "beta2": 743 ** 2, "beta3": 743 ** 2}
     for name, want in expected.items():
-        assert element(name).norm() == want
+        assert resultant(SEXTIC, element(name)) == want
 
 
 def test_factorization_identities():
     rep = factorization_identities()
     assert rep.ok
     alpha, u1 = element("alpha"), element("u1")
-    assert -(alpha * alpha) * u1 == RING(2)
+    assert -(alpha * alpha) * u1 % SEXTIC == 2
     b1, b2, b3 = element("beta1"), element("beta2"), element("beta3")
-    assert b1 * b1 * b2 * b3 == RING(743)
+    assert b1 * b1 * b2 * b3 % SEXTIC == 743
 
 
 def test_perturbed_alpha_breaks_identity():
     bad_rep, _ = TABLE_ELEMENTS["alpha"]
-    bad = RING(bad_rep + 1)
-    assert -(bad * bad) * element("u1") != RING(2)
+    bad = bad_rep + 1
+    assert -(bad * bad) * element("u1") % SEXTIC != 2
 
 
 def test_local_743_analysis():
@@ -55,10 +55,31 @@ def test_local_743_analysis():
 
 def test_root_images_are_roots():
     field = Fq(743, 2)
-    from preper.exactmath import FpPoly
     gp = FpPoly.from_poly(SEXTIC, 743)
     assert gp.eval_fq(field(330, 2)).is_zero()
     assert gp.eval_fq(field(458, 44)).is_zero()
+
+
+def test_743_certificate_agrees_with_root_exhaustion():
+    # g mod 743 = (x - r)^2 q1 q2 needs exactly one root r in F_743, a double
+    # one, and two quadratics with no root in F_743
+    g = list(SEXTIC.coeffs)
+    dg = [i * c for i, c in enumerate(g)][1:]
+    roots = brute_roots_mod_p(g, 743)
+    assert len(roots) == 1 and roots[0] in brute_roots_mod_p(dg, 743)
+    quads = local_743_analysis()["l743-distinct-factors"].value
+    assert len(quads) == 2 and quads[0] != quads[1]
+    for q in quads:
+        assert len(q) == 3 and brute_roots_mod_p(q, 743) == []
+
+
+@pytest.mark.parametrize("images", [((330, 2), (330, 2)), ((331, 2), (458, 44))])
+def test_743_shape_fails_on_wrong_root_images(monkeypatch, images):
+    field = Fq(743, 2)
+    monkeypatch.setattr(descent, "ROOT_IMAGES", tuple(field(a, b) for a, b in images))
+    rep = local_743_analysis()
+    assert rep["l743-shape"].status == "fail"
+    assert rep["l743-shape"].value is None
 
 
 def test_two_torsion_counts():
@@ -88,8 +109,8 @@ def test_norm_of_table_elements_stable_under_representative_shift():
     rng = random.Random(21)
     for name, (poly, want) in TABLE_ELEMENTS.items():
         noise = Poly([F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)])
-        shifted = RING(poly + SEXTIC * noise)
-        assert shifted.norm() == want
+        shifted = poly + SEXTIC * noise
+        assert resultant(SEXTIC, shifted) == want
 
 
 def test_mordell_weil_report_structure():

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from preper.exactmath import (
-    FpPoly,
     Fq,
     Poly,
-    ResidueRing,
     discriminant,
-    factor_mod_p,
-    factor_sextic_mod_p,
-    is_irreducible_mod_p,
     is_perfect_square,
     legendre_symbol,
     parse_rational,
@@ -213,89 +208,28 @@ def test_fq_arithmetic_and_norm():
     F = Fq(743, 2)
     assert F.nonresidue == 742  # i^2 = -1
     x = F(330, 2)
-    assert x.norm().a == (330 * 330 + 2 * 2) % 743
+    assert type(x.norm()) is int and x.norm() == (330 * 330 + 2 * 2) % 743
     assert (x * x.inverse()) == 1
     with pytest.raises(ZeroDivisionError):
         F.zero().inverse()
 
 
-def test_factor_sextic_shapes():
-    f3 = factor_sextic_mod_p(G, 3)
-    # root at x = 1: the factor x - 1 = x + 2 appears
-    assert any(f.coeffs == (2, 1) for f, _ in f3)
-    shape = sorted((f.degree, m) for f, m in factor_sextic_mod_p(G, 743))
-    assert shape == [(1, 2), (2, 1), (2, 1)]
-    x2p1 = factor_mod_p(FpPoly(5, (1, 0, 1)))
-    assert [(list(f.coeffs), m) for f, m in x2p1] == [([2, 1], 1), ([3, 1], 1)]
-
-
-@pytest.mark.parametrize("p", [p for p in range(2, 51) if all(p % q for q in range(2, p))] + [743])
-def test_factorization_remultiplies_and_is_irreducible(p):
-    factors = factor_sextic_mod_p(G, p)
-    prod = FpPoly(p, (1,))
-    for f, m in factors:
-        assert is_irreducible_mod_p(f)
-        if f.degree <= 3 and f.degree > 1:
-            assert all(f(r) != 0 for r in range(p))  # no roots, double check
-        for _ in range(m):
-            prod = prod * f
-    assert prod == FpPoly.from_poly(G, p).monic()
-
-
-def test_equal_degree_splitting_of_quadratic_products():
-    # three distinct irreducible quadratics mod 7, multiplied back together
-    quads = [FpPoly(7, (1, 0, 1)), FpPoly(7, (3, 1, 1)), FpPoly(7, (5, 2, 1))]
-    for q in quads:
-        assert is_irreducible_mod_p(q)
-    prod = quads[0] * quads[1] * quads[2]
-    factors = factor_mod_p(prod)
-    assert sorted(f.coeffs for f, _ in factors) == sorted(q.coeffs for q in quads)
-    assert all(m == 1 for _, m in factors)
-
-
-def test_equal_degree_splitting_of_cubic_products():
-    cubics = [FpPoly(5, (1, 1, 0, 1)), FpPoly(5, (1, 2, 0, 1))]
-    for q in cubics:
-        assert is_irreducible_mod_p(q)
-        assert all(q(r) != 0 for r in range(5))
-    factors = factor_mod_p(cubics[0] * cubics[1])
-    assert sorted(f.coeffs for f, _ in factors) == sorted(q.coeffs for q in cubics)
-
-
-def test_mixed_degree_factorization():
-    # irreducible quartic times irreducible quadratic over F_3
-    quartic = FpPoly(3, (2, 1, 0, 0, 1))
-    quad = FpPoly(3, (1, 0, 1))
-    assert is_irreducible_mod_p(quartic) and is_irreducible_mod_p(quad)
-    factors = factor_mod_p(quartic * quad)
-    assert [(f.degree, m) for f, m in factors] == [(2, 1), (4, 1)]
-
-
-def test_factorization_handles_repeated_and_pth_power_factors():
-    # (x^2 + 1)^3 mod 3 where x^2 + 1 = (x+1)(x+2) mod... no: x^2+1 irreducible mod 3
-    f = FpPoly(3, (1, 0, 1))
-    cube = f * f * f
-    assert factor_mod_p(cube) == [(f, 3)]
-    # x^6 + x^2 + 1 = (x^3 + x + 1)^2 over F_2
-    g2 = FpPoly(2, (1, 0, 1, 0, 0, 0, 1))
-    assert factor_mod_p(g2) == [(FpPoly(2, (1, 1, 0, 1)), 2)]
-
-
 def test_residue_norms_multiplicative_and_representative_independent():
-    ring = ResidueRing(G)
+    # arithmetic in L = Q[T]/(G) is Poly arithmetic mod G, and the norm of a
+    # class is the resultant Res(G, a) with G monic
     rng = random.Random(7)
     for _ in range(30):
-        a = ring(rand_poly(rng, 5))
-        b = ring(rand_poly(rng, 5))
-        assert (a * b).norm() == a.norm() * b.norm()
-        # adding a multiple of the modulus leaves the class and norm alone
-        shifted = ring(a.rep + G * rand_poly(rng, 2))
-        assert shifted == a and shifted.norm() == a.norm()
+        a, b = rand_poly(rng, 5), rand_poly(rng, 5)
+        assert resultant(G, a * b % G) == resultant(G, a) * resultant(G, b)
+        # adding a multiple of the modulus leaves the class and its norm alone
+        shifted = a + G * rand_poly(rng, 2)
+        assert shifted % G == a % G and resultant(G, shifted) == resultant(G, a)
 
 
 def test_residue_inverse_and_zero_division():
-    ring = ResidueRing(G)
-    t = ring.generator()
-    assert t * t.inverse() == ring.one()
-    with pytest.raises(ZeroDivisionError):
-        ring.zero().inverse()
+    t = Poly.x()
+    unit, inverse, _ = xgcd(t, G)
+    assert unit == 1 and t * inverse % G == 1
+    # zero has no inverse: its gcd with the modulus is the modulus itself
+    assert xgcd(Poly(), G)[0] == G
+    assert resultant(G, Poly()) == 0
