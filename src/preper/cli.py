@@ -39,7 +39,6 @@ from .curves import (
     CORRECTED_POINTS,
     CURVES,
     PRINTED_POINTS,
-    HyperellipticSextic,
     SearchBudgetError,
     elliptic_points_bounded,
     good_reduction_model_check,
@@ -186,7 +185,7 @@ def cmd_curve_points(args) -> int:
         print(f"error: unknown curve id {args.curve!r}; known: {sorted(CURVES)}",
               file=sys.stderr)
         return 2
-    if not isinstance(curve, HyperellipticSextic):
+    if curve.h or curve.g.degree not in (5, 6):
         print("error: bounded search is provided for the sextic models only",
               file=sys.stderr)
         return 2

@@ -141,7 +141,7 @@ def local_743_analysis() -> Report:
     rep.add("l743-legendre33", "the Legendre symbol (33/743) equals 1, so the curve "
             "has a local point with x = 2", legendre_symbol(33, P743) == 1)
 
-    count = local_two_torsion_count(SHAPE_743)
+    count = local_two_torsion_count(SHAPE_743) if certified else None
     rep.add("l743-2torsion", "the local 2-torsion group has order 3 + 1 = 4",
             count == 4, value=count)
     return rep

@@ -186,18 +186,12 @@ _ONE = Poly((1,))
 class CurveFunctionField:
     """Function field Q(x)[y] / (y**2 - s(x)*y - t(x)) of a plane curve.
 
-    For y**2 = f(x) curves take s = 0, t = f.  For a general Weierstrass
-    equation y**2 + a1*x*y + a3*y = x**3 + ... take s = -(a1*x + a3) and t
-    the cubic right side.
+    The curve y**2 + h(x)*y = g(x) has s = -h and t = g.
     """
 
     def __init__(self, s: Poly, t: Poly):
         self.s = s
         self.t = t
-
-    @classmethod
-    def hyperelliptic(cls, f: Poly) -> "CurveFunctionField":
-        return cls(Poly(), f)
 
     def x(self) -> "FieldElement":
         return FieldElement(self, Poly.x(), Poly(), _ONE)

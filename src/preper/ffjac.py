@@ -18,17 +18,19 @@ is the reduced class of the two off-cycle known points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .curves import C1_32, CurvePoint, HyperellipticSextic
+from .curves import C1_32, CurveModel, CurvePoint
 from .exactmath import FpPoly, Fq, discriminant, fp_xgcd
 from .report import Report
 
 COUNT_BUDGET = 10 ** 6
 
 
-def count_points(curve: HyperellipticSextic, p: int, k: int = 1) -> int:
-    """#C(F_{p^k}) on the smooth model, exhaustively."""
+def count_points(curve: CurveModel, p: int, k: int = 1) -> int:
+    """#C(F_{p^k}) on the smooth model y^2 = g(x), deg g in {5, 6},
+    exhaustively."""
+    if curve.h or curve.g.degree not in (5, 6):
+        raise ValueError(f"{curve.label} is not a model y^2 = g(x) with deg g in {{5, 6}}")
     if p ** k > COUNT_BUDGET:
         raise ValueError(f"field size {p**k} exceeds the enumeration budget")
     field = Fq(p, k)
@@ -49,9 +51,9 @@ def count_points(curve: HyperellipticSextic, p: int, k: int = 1) -> int:
     return count
 
 
-def jacobian_order(curve: HyperellipticSextic, p: int) -> int:
+def jacobian_order(curve: CurveModel, p: int) -> int:
     """#J(F_p) via the genus-2 zeta relation; needs good reduction at p."""
-    if p == 2 or discriminant(curve.g).numerator % p == 0:
+    if p == 2 or discriminant(curve.square()).numerator % p == 0:
         raise ValueError(f"{p} is a prime of bad reduction for {curve.label}")
     n1 = count_points(curve, p, 1)
     n2 = count_points(curve, p, 2)
@@ -97,12 +99,8 @@ class OddModel:
         if point.is_infinite:
             # y/x^3 tends to +-1; the image is (0, +-a^2)
             return (0, point.branch * a * a % p)
-        x = Fraction(point.x)
-        y = Fraction(point.y)
-        if (x.denominator % p == 0) or (y.denominator % p == 0):
-            raise ValueError("point does not reduce mod p")
-        xr = (x.numerator * pow(x.denominator, -1, p) - r) % p
-        yr = y.numerator * pow(y.denominator, -1, p) % p
+        x, yr = point.reduce(p)
+        xr = (x - r) % p
         if xr == 0:
             return None  # the moved Weierstrass point
         inv = pow(xr, -1, p)
@@ -120,10 +118,10 @@ class OddModel:
         return (x, y)
 
 
-def odd_model_transform(curve: HyperellipticSextic, p: int, r: int) -> OddModel:
+def odd_model_transform(curve: CurveModel, p: int, r: int) -> OddModel:
     """Move a root r of g mod p to infinity, producing a monic quintic."""
-    if curve.g.degree != 6:
-        raise ValueError("the transform expects a degree-6 model")
+    if curve.h or curve.g.degree != 6:
+        raise ValueError("the transform expects a model y^2 = g(x) with deg g = 6")
     gp = FpPoly.from_poly(curve.g, p)
     if gp(r) != 0:
         raise ValueError(f"{r} is not a root of g mod {p}")
@@ -283,15 +281,6 @@ KNOWN_POINTS = {
 }
 
 
-def _mod3_image(point: CurvePoint) -> tuple:
-    """Reduction of a known rational point to the sextic model mod 3."""
-    if point.is_infinite:
-        return ("inf", point.branch)
-    x = point.x.numerator * pow(point.x.denominator, -1, 3) % 3
-    y = point.y.numerator * pow(point.y.denominator, -1, 3) % 3
-    return (x, y)
-
-
 def verify_divisor_identities_mod3() -> Report:
     """Order-27 cyclicity, the 9D and 27D identities, and the reduction
     pattern of the eight known points."""
@@ -330,7 +319,7 @@ def verify_divisor_identities_mod3() -> Report:
             "reducing to twice a Weierstrass point",
             cantor_mul(27, D).is_identity())
 
-    images = {name: _mod3_image(pt) for name, pt in KNOWN_POINTS.items()}
+    images = {name: pt.reduce(3) for name, pt in KNOWN_POINTS.items()}
     collisions: dict[tuple, list[str]] = {}
     for name, img in images.items():
         collisions.setdefault(img, []).append(name)

@@ -245,6 +245,9 @@ def test_verify_theorems_suite():
     (("verify", "curves", "--height", "10001"), None),
     (("verify", "all", "--height", "10001"), None),
     (("scan", "--height", "1000000000"), None),
+    (("curve-points", "--curve", "e11"), None),
+    (("curve-points", "--curve", "q24"), None),
+    (("curve-points", "--curve", "conic_p1p2"), None),
 ])
 def test_usage_errors_exit_2_without_traceback(args, env):
     r = run_cli(*args, env=env)

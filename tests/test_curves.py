@@ -18,9 +18,8 @@ from preper.curves import (
     SEARCH_BUDGET,
     X1_13,
     X1_18,
+    CurveModel,
     CurvePoint,
-    EllipticModel,
-    HyperellipticSextic,
     SearchBudgetError,
     classify_c_from_curve_point,
     elliptic_add,
@@ -31,6 +30,7 @@ from preper.curves import (
     rational_points_bounded,
     verify_birational_pair,
     verify_point_list,
+    weierstrass,
     x1_13_discriminant_check,
 )
 from preper.exactmath import Fq, Poly, discriminant
@@ -120,16 +120,21 @@ def test_birational_pairs_exact(pair_id):
         assert not bad
 
 
+def _fq_eval(q: Poly, x, field):
+    """q(x) over F_p by Horner on the raw coefficients of q."""
+    acc = field.zero()
+    for c in reversed(q.coeffs):
+        acc = acc * x + field.from_rational(c)
+    return acc
+
+
 def _fq_points_on_quartic(q: Poly, field, rng, n):
     p = field.p
     assert p % 4 == 3  # so a square v has the root v^((p+1)/4)
     pts = []
     while len(pts) < n:
         x = field(rng.randrange(p))
-        acc = field.zero()
-        for c in reversed(q.coeffs):
-            acc = acc * x + field.from_rational(c)
-        v = acc.a
+        v = _fq_eval(q, x, field).a
         r = pow(v, (p + 1) // 4, p)
         if r * r % p == v:
             pts.append((x, field(r)))
@@ -145,7 +150,8 @@ def test_birational_pairs_at_random_finite_points(pair_id):
     field = Fq(10007)
     rng = random.Random(hash(pair_id) & 0xFFFF)
     checked = 0
-    for (x, y) in _fq_points_on_quartic(pair.source.q, field, rng, 24):
+    assert pair.source.h.is_zero()
+    for (x, y) in _fq_points_on_quartic(pair.source.g, field, rng, 24):
         try:
             X = pair.forward[0].eval(x, y)
             Y = pair.forward[1].eval(x, y)
@@ -153,10 +159,7 @@ def test_birational_pairs_at_random_finite_points(pair_id):
             bv = pair.backward[1].eval(X, Y)
         except ZeroDivisionError:
             continue
-        lhs = Y * Y + field.from_rational(E.a1) * X * Y + field.from_rational(E.a3) * Y
-        rhs = (X * X * X + field.from_rational(E.a2) * X * X
-               + field.from_rational(E.a4) * X + field.from_rational(E.a6))
-        assert lhs == rhs
+        assert Y * Y + _fq_eval(E.h, X, field) * Y == _fq_eval(E.g, X, field)
         assert bu == x and bv == y
         checked += 1
     assert checked >= 20
@@ -170,7 +173,7 @@ def test_birational_pairs_at_integer_points(pair_id):
     pair = BIRATIONAL_PAIRS[pair_id]
     checked = 0
     for u in range(-6, 7):
-        s = pair.source.q(u)
+        s = pair.source.g(u)
         t = isqrt(max(s, 0))
         if t * t != s:
             continue
@@ -294,7 +297,7 @@ def test_search_stability_under_doubling_small():
 
 def test_search_on_odd_degree_model():
     # y^2 = x^5 - x has only affine points in the search (no split infinity)
-    quintic = HyperellipticSextic("odd5", Poly((0, -1, 0, 0, 0, 1)))
+    quintic = CurveModel("odd5", Poly((0, -1, 0, 0, 0, 1)))
     pts = rational_points_bounded(quintic, 20)
     assert all(not p.is_infinite for p in pts)
     expected = brute_square_points((0, -1, 0, 0, 0, 1), 20)
@@ -314,7 +317,7 @@ def test_search_matches_oracle_on_random_models(coeffs, height):
     assume(coeffs[-1] != 0)
     g = Poly(tuple(coeffs))
     assume(discriminant(g) != 0)
-    curve = HyperellipticSextic("random", g)
+    curve = CurveModel("random", g)
     pts = rational_points_bounded(curve, height)
     affine = {(p.x, p.y) for p in pts if not p.is_infinite}
     assert affine == brute_square_points(coeffs, height)
@@ -325,14 +328,42 @@ def test_search_matches_oracle_on_random_models(coeffs, height):
 @given(a=st.lists(st.integers(-6, 6), min_size=5, max_size=5),
        height=st.integers(1, 40))
 @example(a=[0, 315, 0, -315, 0], height=40)
+@example(a=[0, 0, 0, 0, 0], height=5)  # y^2 = x^3, a cusp
+@example(a=[0, 1, 0, 0, 0], height=5)  # y^2 = x^3 + x^2, a node
 def test_elliptic_search_matches_oracle_on_random_models(a, height):
     a1, a2, a3, a4, a6 = a
-    E = EllipticModel("random", *map(F, a))
     # the quadratic formula in y: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2b4 x + b6
     b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    if -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6 == 0:
+        with pytest.raises(ValueError):
+            weierstrass("random", *a)
+        return
+    E = weierstrass("random", *a)
     expected = {(x, (s - a1 * x - a3) / 2)
                 for x, s in brute_square_points((b6, 2 * b4, b2, 4), height)}
     found = elliptic_points_bounded(E, height)
     assert found == expected
     for x, y in found:
         assert y * y + a1 * x * y + a3 * y == x ** 3 + a2 * x * x + a4 * x + a6
+
+
+def test_model_checks_reject_singular_models():
+    with pytest.raises(ValueError):
+        CurveModel("square", Poly((1, 0, 1)) ** 2)  # y^2 = (x^2 + 1)^2
+    with pytest.raises(ValueError):
+        CurveModel("flat", Poly((3,)))  # no discriminant at all
+    with pytest.raises(ValueError):
+        weierstrass("cusp", 0, 0, 0, 0, 0)  # y^2 = x^3
+    with pytest.raises(ValueError):
+        # y^2 + y = x^3 - 1/4 is (2y + 1)^2 = 4x^3
+        CurveModel("cusp4", Poly((F(-1, 4), 0, 0, 1)), Poly((1,)))
+
+
+def test_search_on_a_model_with_integral_square_only():
+    # y^2 + y = x^3 + x - 1/4: g is not integral but h^2 + 4g = 4x^3 + 4x is
+    E = CurveModel("quarter", Poly((F(-1, 4), 1, 0, 1)), Poly((1,)))
+    found = elliptic_points_bounded(E, 12)
+    assert found == {(x, (s - 1) / 2) for x, s in brute_square_points((0, 4, 0, 4), 12)}
+    assert (F(0), F(-1, 2)) in found
+    assert all(E.contains(P) for P in found)

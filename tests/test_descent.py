@@ -48,6 +48,7 @@ def test_perturbed_alpha_breaks_identity():
 def test_local_743_analysis():
     rep = local_743_analysis()
     assert rep.ok
+    assert rep["l743-2torsion"].value == 4
     # pin the computed direction: the square sits at the 458+44i factor
     note = rep["l743-2mT"].note
     assert "458+44i" in note
@@ -80,6 +81,9 @@ def test_743_shape_fails_on_wrong_root_images(monkeypatch, images):
     rep = local_743_analysis()
     assert rep["l743-shape"].status == "fail"
     assert rep["l743-shape"].value is None
+    # the 2-torsion count reads the certified shape, so it fails with it
+    assert rep["l743-2torsion"].status == "fail"
+    assert rep["l743-2torsion"].value is None
 
 
 def test_two_torsion_counts():

@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 
 from oracles import brute_count_points
-from preper.curves import C1_32, CurvePoint, HyperellipticSextic
+from preper.curves import C1_32, E11, Q24, CurvePoint, CurveModel
 from preper.exactmath import FpPoly, Poly
 from preper.ffjac import (
     KNOWN_POINTS,
@@ -31,10 +32,18 @@ def test_point_counts():
         count_points(C1_32, 1009, 2)  # over the enumeration budget
 
 
+def test_counts_refuse_models_that_are_not_genus_2():
+    for curve in (E11, Q24):
+        with pytest.raises(ValueError):
+            count_points(curve, 5)
+        with pytest.raises(ValueError):
+            jacobian_order(curve, 5)
+
+
 def test_count_hand_example():
     # y^2 = x^6 + 1 over F_3: affine solutions only at x = 0 (y = +-1),
     # plus two points at infinity since the leading coefficient is a square
-    curve = HyperellipticSextic("sixth", Poly((1, 0, 0, 0, 0, 0, 1)))
+    curve = CurveModel("sixth", Poly((1, 0, 0, 0, 0, 0, 1)))
     assert count_points(curve, 3) == 4
 
 
@@ -74,6 +83,12 @@ def test_odd_model_transform_roundtrip():
     assert model.to_odd(CurvePoint.affine(1, 0)) is None
     assert model.from_odd(None) == (1, 0)
     assert model.to_odd(CurvePoint.infinite(1))[0] == 0
+    # a point with 3 in a denominator has no reduction mod 3
+    with pytest.raises(ValueError, match="does not reduce mod 3"):
+        model.to_odd(CurvePoint.affine(F(1, 3), 1))
+    with pytest.raises(ValueError, match="does not reduce mod 3"):
+        CurvePoint.affine(1, F(2, 3)).reduce(3)
+    assert CurvePoint.affine(F(1, 2), F(-5, 4)).reduce(3) == (2, 1)
 
 
 def test_odd_model_requires_a_root():
@@ -160,7 +175,7 @@ def test_cantor_axioms_on_the_larger_f7_group():
 
 def test_odd_degree_model_counting():
     # y^2 = x^5 - x: genus 2, one point at infinity
-    quintic = HyperellipticSextic("odd5", Poly((0, -1, 0, 0, 0, 1)))
+    quintic = CurveModel("odd5", Poly((0, -1, 0, 0, 0, 1)))
     assert count_points(quintic, 3) == 4  # three Weierstrass points + infinity
     n1, n2 = count_points(quintic, 3), count_points(quintic, 3, 2)
     assert n2 >= n1 and (n2 - n1) % 2 == 0
@@ -173,7 +188,7 @@ def test_odd_degree_model_counting():
 def test_count_parity_and_growth_across_extensions():
     # affine points over F_p inject into F_{p^2}, and the new ones come in
     # Frobenius-conjugate pairs, so N2 >= N1 and N2 = N1 mod 2
-    curves = [C1_32, HyperellipticSextic("sixth", Poly((1, 0, 0, 0, 0, 0, 1)))]
+    curves = [C1_32, CurveModel("sixth", Poly((1, 0, 0, 0, 0, 0, 1)))]
     for curve in curves:
         for p in (3, 5, 7):
             n1 = count_points(curve, p)

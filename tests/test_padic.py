@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from preper.curves import HyperellipticSextic
+from preper.curves import CurveModel
 from preper.exactmath import Poly, valuation
 from preper.padic import (
     ELL1,
@@ -71,7 +71,7 @@ def test_branch_series_denominators_are_powers_of_two():
 def test_branch_series_rejects_singular_base():
     # y^2 = x^3 has g'(0) = 0 at the cusp-like base (0, 0): not even on a
     # smooth model; use a curve where g'(x0) = 0 at a valid point instead
-    curve = HyperellipticSextic("flat", Poly((4, 0, 0, 0, 0, 0, -1)))
+    curve = CurveModel("flat", Poly((4, 0, 0, 0, 0, 0, -1)))
     # g(x) = 4 - x^6, base (0, 2): g'(0) = 0
     with pytest.raises(SingularBranchError):
         branch_series(4, curve=curve, base=(F(0), F(2)))
