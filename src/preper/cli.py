@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -185,7 +186,7 @@ def cmd_curve_points(args) -> int:
         print(f"error: unknown curve id {args.curve!r}; known: {sorted(CURVES)}",
               file=sys.stderr)
         return 2
-    if curve.h or curve.g.degree not in (5, 6):
+    if not curve.is_plain_genus2():
         print("error: bounded search is provided for the sextic models only",
               file=sys.stderr)
         return 2
@@ -273,10 +274,8 @@ def curves_report(height: int) -> Report:
                 c.note = (c.note + "; " if c.note else "") + \
                     "documented discrepancy: printed list contains the off-curve point (-1,1)"
         rep.extend(sub)
-    corrected = verify_point_list(CURVES["e24"], CORRECTED_POINTS["e24"], found["e24"], height)
-    for c in corrected.checks:
-        c.id = c.id.replace("e24", "e24-corrected")
-    rep.extend(corrected)
+    rep.extend(verify_point_list(replace(CURVES["e24"], label="e24-corrected"),
+                                 CORRECTED_POINTS["e24"], found["e24"], height))
     rep.extend(verify_all_birational_pairs())
     rep.extend(x1_13_discriminant_check())
     rep.extend(good_reduction_model_check())

@@ -63,7 +63,8 @@ from .exactmath import (
     Poly,
     RationalMap,
     discriminant,
-    fp_gcd,
+    fp_residue,
+    fp_xgcd,
     is_perfect_square,
     sqrt_exact,
 )
@@ -108,6 +109,11 @@ class CurveModel:
         sq = self.square()
         return sq.degree == 6 and sqrt_exact(sq.lc) is not None
 
+    def is_plain_genus2(self) -> bool:
+        """y^2 = g(x) with deg g in {5, 6}: the genus-2 form that point
+        counting, the odd-degree transform and curve-points take."""
+        return not self.h and self.g.degree in (5, 6)
+
 
 def weierstrass(label: str, a1: int, a2: int, a3: int, a4: int, a6: int) -> CurveModel:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6."""
@@ -146,9 +152,10 @@ class CurvePoint:
         Raises ValueError when p divides a denominator."""
         if self.is_infinite:
             return ("inf", self.branch)
-        if self.x.denominator % p == 0 or self.y.denominator % p == 0:
-            raise ValueError(f"point {self} does not reduce mod {p}")
-        return tuple(c.numerator * pow(c.denominator, -1, p) % p for c in (self.x, self.y))
+        try:
+            return (fp_residue(self.x, p), fp_residue(self.y, p))
+        except ZeroDivisionError:
+            raise ValueError(f"point {self} does not reduce mod {p}") from None
 
     def __str__(self) -> str:
         if self.is_infinite:
@@ -602,7 +609,7 @@ def good_reduction_model_check(g: Poly | None = None) -> Report:
     for chart, (hs, qs) in enumerate(((hc, qc), (hc[3::-1], qc[6::-1])), start=1):
         H, Q = FpPoly(2, hs), FpPoly(2, qs)
         dH, dQ = H.derivative(), Q.derivative()
-        common = fp_gcd(H, dH * dH * Q + dQ * dQ)
+        common = fp_xgcd(H, dH * dH * Q + dQ * dQ)[0]
         if common.degree > 0:
             witness = [chart, list(common.coeffs)]
             break

@@ -34,6 +34,7 @@ included) assembled from the structural rules, not hard-coded codes.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
@@ -375,10 +376,12 @@ def scan(height: int, jobs: int = 1) -> ScanResult:
 
     The result is independent of the worker count: the pool returns chunk
     results in task order, so concatenating them is global iteration order.
+    The pool has at most one worker per CPU, whatever `jobs` asks for.
     Raises ScanBudgetError above SCAN_BUDGET.
     """
     if height > SCAN_BUDGET:
         raise ScanBudgetError(f"scan height {height} exceeds the scan budget of {SCAN_BUDGET}")
+    jobs = min(jobs, os.cpu_count() or 1)
     cs = c_values_up_to_height(height)
     if jobs <= 1 or len(cs) < 2 * jobs:
         records = _scan_chunk(cs)

@@ -17,7 +17,7 @@ from .finitefield import (
     FpPoly,
     Fq,
     FqElem,
-    fp_gcd,
+    fp_residue,
     fp_xgcd,
     legendre_symbol,
 )
@@ -33,7 +33,7 @@ __all__ = [
     "RationalMap",
     "discriminant",
     "format_rational",
-    "fp_gcd",
+    "fp_residue",
     "fp_xgcd",
     "is_perfect_square",
     "is_prime",

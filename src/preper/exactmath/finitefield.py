@@ -1,5 +1,6 @@
-"""Finite fields F_p and F_{p^2}, Legendre symbols, square tests, and
-polynomials over F_p with gcd and extended gcd.
+"""Finite fields F_p and F_{p^2}, Legendre symbols, square tests, the
+reduction of a rational mod p, and polynomials over F_p with one Euclid,
+the extended gcd fp_xgcd (its first entry is the monic gcd).
 
 F_{p^2} is realized as F_p(i) with i**2 equal to a fixed non-residue: -1
 whenever p = 3 mod 4 (so printed values like 330+2i compare literally),
@@ -28,6 +29,14 @@ def legendre_symbol(a: int, p: int) -> int:
         return 0
     r = pow(a, (p - 1) // 2, p)
     return -1 if r == p - 1 else 1
+
+
+def fp_residue(q, p: int) -> int:
+    """The residue in [0, p) of an int or Fraction q; raises
+    ZeroDivisionError when p divides the denominator."""
+    if q.denominator % p == 0:
+        raise ZeroDivisionError(f"{q} has no residue mod {p}")
+    return q.numerator * pow(q.denominator, -1, p) % p
 
 
 @lru_cache(maxsize=None)
@@ -81,13 +90,7 @@ class Fq:
                     yield self(a, b)
 
     def from_rational(self, q) -> "FqElem":
-        if isinstance(q, int):
-            return self(q)
-        if isinstance(q, Fraction):
-            if q.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator of {q} vanishes mod {self.p}")
-            return self(q.numerator) / self(q.denominator)
-        raise TypeError(f"cannot coerce {type(q).__name__} into {self!r}")
+        return self(fp_residue(q, self.p))
 
 
 class FqElem:
@@ -220,12 +223,7 @@ class FpPoly:
     @classmethod
     def from_poly(cls, poly, p: int) -> "FpPoly":
         """Reduce a rational Poly mod p; denominators must be units mod p."""
-        out = []
-        for c in poly.coeffs:
-            if c.denominator % p == 0:
-                raise ZeroDivisionError(f"coefficient {c} not p-integral at {p}")
-            out.append(c.numerator * pow(c.denominator, -1, p) % p)
-        return cls(p, out)
+        return cls(p, [fp_residue(c, p) for c in poly.coeffs])
 
     @property
     def degree(self) -> int:
@@ -338,12 +336,6 @@ class FpPoly:
 
     def __repr__(self):
         return f"FpPoly({self.p}, {list(self.coeffs)})"
-
-
-def fp_gcd(a: FpPoly, b: FpPoly) -> FpPoly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
 
 
 def fp_xgcd(a: FpPoly, b: FpPoly):

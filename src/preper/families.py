@@ -9,7 +9,8 @@ a corrupted FamilyPoint fails loudly rather than silently.
 
 The excluded parameter values are exactly where the displayed formulas
 degenerate (a denominator vanishes or promised points collide with a
-cycle), and the generators refuse them.
+cycle), and the generators refuse them.  `make_family_point` also refuses
+a parameter whose numerator or denominator reaches PARAMETER_BUDGET.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ from .dynamics import OrbitClass, QuadMap, orbit_classify
 from .report import Report
 
 FAMILY_IDS = ("p1", "p2", "p3", "p1and2", "t12", "t22", "t32")
+
+# bound on the numerator and denominator of a parameter: c and the points
+# have degree <= 6 in it, so at 600 digits they still print under CPython's
+# default 4300-digit limit on int-to-str conversion
+PARAMETER_BUDGET = 10**600
 
 
 class ExcludedParameterError(ValueError):
@@ -161,6 +167,10 @@ def make_family_point(family: str, parameter=None) -> FamilyPoint:
         raise ValueError(f"unknown family {family!r}; choose one of {FAMILY_IDS}") from None
     if parameter is None:
         raise ValueError(f"family {family!r} requires a rational parameter")
+    q = Fraction(parameter)
+    if max(abs(q.numerator), q.denominator) >= PARAMETER_BUDGET:
+        raise ValueError("the parameter has a numerator or denominator of more than "
+                         f"{len(str(PARAMETER_BUDGET)) - 1} digits")
     return gen(parameter)
 
 

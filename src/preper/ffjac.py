@@ -8,15 +8,17 @@ orders come from the genus-2 relation
 
 and, wherever g has a root r mod p, independently from brute enumeration
 of reduced Mumford divisors on the odd-degree model obtained by moving the
-Weierstrass point (r, 0) to infinity.  Group arithmetic (Cantor
-composition and reduction) is only performed on such odd models; over F_3
-this is enough to check the divisor-class identities: the reduction of
-[inf+ - inf-] generates a cyclic group of order 27 and its ninth multiple
-is the reduced class of the two off-cycle known points.
+Weierstrass point (r, 0) to infinity.  Divisor classes live only on such
+odd models and are built only by Cantor composition and reduction: the
+class of P = (x1, y1) is (x - x1, y1), and that of P1 + P2 is the
+cantor_add sum of two such classes.  Over F_3 this checks the identities:
+[inf+ - inf-] reduces to a generator of a cyclic group of order 27 whose
+ninth multiple is the class of the two off-cycle known points.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .curves import C1_32, CurveModel, CurvePoint
@@ -29,7 +31,7 @@ COUNT_BUDGET = 10 ** 6
 def count_points(curve: CurveModel, p: int, k: int = 1) -> int:
     """#C(F_{p^k}) on the smooth model y^2 = g(x), deg g in {5, 6},
     exhaustively."""
-    if curve.h or curve.g.degree not in (5, 6):
+    if not curve.is_plain_genus2():
         raise ValueError(f"{curve.label} is not a model y^2 = g(x) with deg g in {{5, 6}}")
     if p ** k > COUNT_BUDGET:
         raise ValueError(f"field size {p**k} exceeds the enumeration budget")
@@ -106,29 +108,16 @@ class OddModel:
         inv = pow(xr, -1, p)
         return (a * inv % p, a * a * yr * inv ** 3 % p)
 
-    def from_odd(self, uv: tuple[int, int] | None):
-        p, r, a = self.p, self.r, self.scale
-        if uv is None:
-            return (r % p, 0)
-        u, v = uv
-        if u == 0:
-            raise ValueError("x = 0 corresponds to the points at infinity")
-        x = (r + a * pow(u, -1, p)) % p
-        y = a * v * pow(u, -3, p) % p
-        return (x, y)
-
 
 def odd_model_transform(curve: CurveModel, p: int, r: int) -> OddModel:
     """Move a root r of g mod p to infinity, producing a monic quintic."""
-    if curve.h or curve.g.degree != 6:
+    if not curve.is_plain_genus2() or curve.g.degree != 6:
         raise ValueError("the transform expects a model y^2 = g(x) with deg g = 6")
     gp = FpPoly.from_poly(curve.g, p)
     if gp(r) != 0:
         raise ValueError(f"{r} is not a root of g mod {p}")
-    shifted = gp.shift(r)  # root now at 0
+    shifted = gp.shift(r)  # root now at 0: the constant term gp(r) vanishes
     a_coeffs = list(shifted.coeffs) + [0] * (7 - len(shifted.coeffs))
-    if a_coeffs[0] != 0:
-        raise ValueError("shift did not produce a vanishing constant term")
     # x^6 * shifted(1/x) = a1 x^5 + ... + a6, then rescale to monic:
     # with a = a1, (u, v) -> (a u, a^2 v) makes the quintic monic
     rev = [a_coeffs[6 - i] for i in range(6)]
@@ -151,7 +140,7 @@ class MumfordDivisor:
     v: FpPoly
 
     def __post_init__(self):
-        f, p = self.model.f, self.model.p
+        f = self.model.f
         if self.u.is_zero() or self.u.lc != 1 or self.u.degree > 2:
             raise ValueError("u must be monic of degree <= 2")
         if not self.v.is_zero() and self.v.degree >= self.u.degree:
@@ -162,66 +151,45 @@ class MumfordDivisor:
     def is_identity(self) -> bool:
         return self.u.degree == 0
 
-    def __str__(self):
-        return f"(u={list(self.u.coeffs)}, v={list(self.v.coeffs)})"
-
 
 def divisor_identity(model: OddModel) -> MumfordDivisor:
     return MumfordDivisor(model, FpPoly(model.p, (1,)), FpPoly(model.p))
 
 
+def _point_class(model: OddModel, x: int, y: int) -> MumfordDivisor:
+    """Class of P - infinity for the affine point P = (x, y): u = X - x, v = y."""
+    return MumfordDivisor(model, FpPoly(model.p, (-x, 1)), FpPoly(model.p, (y,)))
+
+
 def divisor_from_points(model: OddModel, points) -> MumfordDivisor:
-    """Class of sum(P_i) - n*infinity for up to two affine points."""
-    p, f = model.p, model.f
-    pts = list(points)
-    if len(pts) == 0:
+    """Class of sum(P_i) - n*infinity for affine points P_i, the cantor_add
+    sum of their one-point classes."""
+    classes = [_point_class(model, x, y) for x, y in points]
+    if not classes:
         return divisor_identity(model)
-    if len(pts) == 1:
-        (x, y), = pts
-        return MumfordDivisor(model, FpPoly(p, (-x, 1)), FpPoly(p, (y,)))
-    if len(pts) != 2:
-        raise ValueError("reduced divisors carry at most two affine points")
-    (x1, y1), (x2, y2) = pts
-    if x1 == x2 and (y1 + y2) % p == 0:
-        return divisor_identity(model)
-    u = FpPoly(p, (-x1, 1)) * FpPoly(p, (-x2, 1))
-    if x1 != x2:
-        lam = (y2 - y1) * pow((x2 - x1) % p, -1, p) % p
-        v = FpPoly(p, ((y1 - lam * x1) % p, lam))
-    else:
-        # tangent line at a doubled point: v(x1) = y1, and u | f - v^2
-        # slope = f'(x1) / (2 y1)
-        slope = f.derivative()(x1) * pow(2 * y1 % p, -1, p) % p
-        v = FpPoly(p, ((y1 - slope * x1) % p, slope))
-    return MumfordDivisor(model, u, v)
+    return functools.reduce(cantor_add, classes)
 
 
 def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor) -> MumfordDivisor:
     """Composition and reduction on a genus-2 odd model."""
     if d1.model != d2.model:
         raise ValueError("divisors live on different models")
-    model = d1.model
-    p, f = model.p, model.f
+    f = d1.model.f
     u1, v1, u2, v2 = d1.u, d1.v, d2.u, d2.v
     e, e1, e2 = fp_xgcd(u1, u2)
     d, c1, c2 = fp_xgcd(e, v1 + v2)
     s1, s2, s3 = c1 * e1, c1 * e2, c2
-    u = (u1 * u2) // (d * d)
+    u = (u1 * u2) // (d * d)  # monic, as u1, u2 and d are
     num = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)
     v = (num // d) % u
     while u.degree > 2:
-        u_next = (f - v * v) // u
-        u_next = u_next.monic()
-        v = (-v) % u_next
-        u = u_next
-    u = u.monic()
-    return MumfordDivisor(model, u, v % u if u.degree > 0 else FpPoly(p))
+        u = ((f - v * v) // u).monic()
+        v = (-v) % u
+    return MumfordDivisor(d1.model, u, v)
 
 
 def cantor_neg(d: MumfordDivisor) -> MumfordDivisor:
-    u = d.u
-    v = (-d.v) % u if u.degree > 0 else d.v
-    return MumfordDivisor(d.model, u, v)
+    return MumfordDivisor(d.model, d.u, (-d.v) % d.u)
 
 
 def cantor_mul(n: int, d: MumfordDivisor) -> MumfordDivisor:
@@ -255,7 +223,7 @@ def enumerate_jacobian(model: OddModel) -> list[MumfordDivisor]:
     for x in range(p):
         for y in range(p):
             if (y * y - f(x)) % p == 0:
-                out.append(MumfordDivisor(model, FpPoly(p, (-x, 1)), FpPoly(p, (y,))))
+                out.append(_point_class(model, x, y))
     for u1 in range(p):
         for u0 in range(p):
             u = FpPoly(p, (u0, u1, 1))

@@ -82,8 +82,3 @@ class Report:
             if c.id == check_id:
                 return c
         raise KeyError(check_id)
-
-    def as_dict(self) -> dict:
-        return {"title": self.title,
-                "checks": [c.as_dict() for c in self.checks],
-                "ok": self.ok}

@@ -10,6 +10,8 @@ every vertex instead of one memoised orbit walk, the point-search
 oracle evaluates the polynomial at each Fraction instead of running
 integer Horner on scaled weights, the finite-field oracles find squares
 by squaring every element instead of Euler's criterion on the norm, the
+divisor-class oracle builds a Mumford pair from the chord or tangent
+through its points instead of by Cantor composition, the
 root oracle evaluates at every residue mod p instead of certifying the
 shape of g mod 743 by a gcd and a product, the smoothness oracle enumerates points over F_{2^k} instead of taking one
 gcd over F_2, and the 2-torsion oracle enumerates stable root pairs
@@ -293,6 +295,41 @@ def brute_count_points(coeffs, p: int, k: int) -> int:
     if len(coeffs) - 1 == 6:
         return count + (2 if (coeffs[-1] % p, 0) in squares else 0)
     return count + 1
+
+
+# --- Mumford pairs by chord and tangent ----------------------------------------
+
+
+def chord_tangent_class(f, p: int, points) -> tuple[list[int], list[int]]:
+    """Reduced Mumford pair (u, v) of P1 + ... + Pn - n*inf, n <= 2, on
+    y^2 = f(x) over F_p, f of degree 5 with int coefficients lowest degree
+    first, p odd.  Built from the line through the points instead of by
+    composition: u = 1 for no points or for opposite points, otherwise
+    u = prod (x - xi), with v = y1 for one point, the chord through two
+    points with different x, and the tangent y1 + f'(x1)/(2 y1) (x - x1) at
+    a doubled point.  u and v are int lists, lowest degree first, with no
+    trailing zeros."""
+
+    def trim(cs):
+        cs = [c % p for c in cs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return cs
+
+    pts = [(x % p, y % p) for x, y in points]
+    if not pts or (len(pts) == 2 and pts[0][0] == pts[1][0]
+                   and (pts[0][1] + pts[1][1]) % p == 0):
+        return [1], []
+    if len(pts) == 1:
+        (x1, y1), = pts
+        return trim([-x1, 1]), trim([y1])
+    (x1, y1), (x2, y2) = pts
+    if x1 != x2:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p)
+    else:
+        df = sum(i * c * x1 ** (i - 1) for i, c in enumerate(f) if i)
+        slope = df * pow(2 * y1, -1, p)
+    return trim([x1 * x2, -x1 - x2, 1]), trim([y1 - slope * x1, slope])
 
 
 # --- smoothness in characteristic 2 by enumeration ---------------------------

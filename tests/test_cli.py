@@ -9,9 +9,17 @@ import sys
 import pytest
 
 import preper
+from preper import cli
 
 # the package the tests import, so the child runs it without an install
 SRC = os.path.dirname(os.path.dirname(preper.__file__))
+# the checkout these tests belong to, where perfbench/ lives
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# a family parameter at the budget (600-digit numerator and denominator)
+# and one just beyond it (601 digits)
+PARAM_600 = f"{10**599 + 1}/{10**599 + 3}"
+PARAM_601 = f"{10**600 + 1}/{10**600 + 3}"
 
 
 def run_python(*args, env=None):
@@ -68,6 +76,17 @@ def test_perfbench_targets_resolve_on_the_package(monkeypatch):
     assert missing == []
 
 
+@pytest.mark.parametrize("workload", ["census", "graph_tall", "curve_verify", "jacobian"])
+def test_traced_benchmark_reaches_every_expected_function(workload):
+    # a tiny traced run checks its outputs against the goldens and fails
+    # when a function that perfbench/layers.py::EXPECTED lists sees no call
+    r = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                        "--seed", "1", "--seconds", "0.1", "--trace", "1", "--size", "tiny"],
+                       cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert json.loads(r.stdout.strip().splitlines()[-1])["correct"] is True
+
+
 def test_graph_json_minus_29_16():
     r = run_cli("graph", "--c", "-29/16")
     assert r.returncode == 0
@@ -110,6 +129,14 @@ def test_family_command():
     assert r.returncode == 1
     r = run_cli("family", "bogus", "--param", "1")
     assert r.returncode == 2
+
+
+def test_family_accepts_a_parameter_at_the_budget(capsys):
+    # 600-digit numerator and denominator: c and every point still print
+    for family in ("p1", "p2", "p3", "p1and2", "t12", "t22"):
+        assert cli.main(["family", family, "--param", PARAM_600]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert d["ok"] is True and d["parameter"] == PARAM_600
 
 
 def test_curve_points_command():
@@ -248,6 +275,8 @@ def test_verify_theorems_suite():
     (("curve-points", "--curve", "e11"), None),
     (("curve-points", "--curve", "q24"), None),
     (("curve-points", "--curve", "conic_p1p2"), None),
+    *((("family", family, "--param", PARAM_601), None)
+      for family in ("p1", "p2", "p3", "p1and2", "t12", "t22")),
 ])
 def test_usage_errors_exit_2_without_traceback(args, env):
     r = run_cli(*args, env=env)

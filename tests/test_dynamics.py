@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import random
 from fractions import Fraction
 
@@ -235,6 +237,35 @@ def test_scan_worker_pool_matches_sequential():
     sequential = scan(20, jobs=1)
     assert pooled.census == sequential.census
     assert pooled.out_of_catalog == sequential.out_of_catalog
+
+
+def test_scan_asks_for_at_most_one_worker_per_cpu(monkeypatch):
+    # the pool is a fake, so no process starts: it records the worker count
+    # it is asked for and maps in this process
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert scan(40, jobs=150).census == scan(40).census
+    assert scan(100, jobs=600).census == scan(100).census
+    assert asked == [3, 3]
+    # an unknown CPU count means one worker, which needs no pool
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert scan(40, jobs=150).census == scan(40).census
+    assert asked == [3, 3]
 
 
 def test_scan_census_totals_match_parameter_count():

@@ -3,9 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import brute_count_points
+from oracles import brute_count_points, chord_tangent_class
 from preper.curves import C1_32, E11, Q24, CurvePoint, CurveModel
-from preper.exactmath import FpPoly, Poly
+from preper.exactmath import FpPoly, Poly, is_prime
 from preper.ffjac import (
     KNOWN_POINTS,
     cantor_add,
@@ -72,16 +72,17 @@ def test_torsion_report():
 def test_odd_model_transform_roundtrip():
     model = odd_model_transform(C1_32, 3, 1)
     assert model.f.degree == 5 and model.f.lc == 1
-    # round-trip every F_3 point of the odd model
-    rng = random.Random(31)
-    pts = [(x, y) for x in range(3) for y in range(3) if (y * y - model.f(x)) % 3 == 0]
-    for (x, y) in pts:
-        back = model.to_odd(CurvePoint.affine(*model.from_odd((x, y)))) if x else None
-        if x != 0:
-            assert back == (x, y)
+    # every affine F_3 point of c1_32 but the moved Weierstrass point (1, 0)
+    # lands on an affine point of v^2 = f(u) off u = 0, where inf+- land,
+    # and no two land on the same image
+    g3 = FpPoly.from_poly(C1_32.g, 3)
+    pts = [(x, y) for x in range(3) for y in range(3) if (y * y - g3(x)) % 3 == 0]
+    assert len(pts) == 5 and (1, 0) in pts
+    images = [model.to_odd(CurvePoint.affine(x, y)) for x, y in pts if (x, y) != (1, 0)]
+    assert all(u != 0 and (v * v - model.f(u)) % 3 == 0 for u, v in images)
+    assert len(set(images)) == len(images) == 4
     # the moved Weierstrass point and the points at infinity
     assert model.to_odd(CurvePoint.affine(1, 0)) is None
-    assert model.from_odd(None) == (1, 0)
     assert model.to_odd(CurvePoint.infinite(1))[0] == 0
     # a point with 3 in a denominator has no reduction mod 3
     with pytest.raises(ValueError, match="does not reduce mod 3"):
@@ -98,6 +99,24 @@ def test_odd_model_requires_a_root():
         odd_model_transform(C1_32, 5, 0)
     with pytest.raises(ValueError):
         odd_model_transform(C1_32, 3, 0)  # 0 is not a root mod 3
+
+
+def test_divisor_from_points_matches_chord_tangent_oracle():
+    # no points, every single point, and every ordered pair of affine points,
+    # doubled and opposite points included, on the odd model of c1_32 at
+    # every root of g mod p for the primes 3..53 (each root is simple): the
+    # Cantor sum of one-point classes against the chord or tangent
+    pairs = 0
+    for p in filter(is_prime, range(3, 54)):
+        gp = FpPoly.from_poly(C1_32.g, p)
+        for model in (odd_model_transform(C1_32, p, r) for r in range(p) if gp(r) == 0):
+            f = list(model.f.coeffs)
+            pts = [(x, y) for x in range(p) for y in range(p) if (y * y - model.f(x)) % p == 0]
+            for chosen in [[], *([P] for P in pts), *([P, Q] for P in pts for Q in pts)]:
+                D = divisor_from_points(model, chosen)
+                assert (list(D.u.coeffs), list(D.v.coeffs)) == chord_tangent_class(f, p, chosen)
+            pairs += len(pts) ** 2
+    assert pairs == 7358
 
 
 def test_cantor_group_axioms_over_f3():
