@@ -5,6 +5,11 @@ numeric output is exact 'p/q' text, reports are JSON with sorted keys, and
 exit codes follow a fixed contract: 0 success, 1 at least one check
 failed, 2 usage error.  PREPER_JOBS sets the default worker count for
 scan.
+
+Each command loads only the layers it runs: graph, scan and family need
+the dynamics and the families, while the curve registry, the Jacobian
+arithmetic over F_p, the 2-descent and the 3-adic layer are imported
+inside the commands that use them.
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ from fractions import Fraction
 
 from . import __version__
 from .dynamics import (
-    BoxBudgetError,
+    BudgetError,
     QuadMap,
-    ScanBudgetError,
     admissible_shapes,
     graph_shape,
     preper_points,
@@ -36,21 +40,6 @@ from .families import (
     validate_family,
 )
 from .report import PASS, SCHEMA_VERSION, Report, jsonable
-from .curves import (
-    CORRECTED_POINTS,
-    CURVES,
-    PRINTED_POINTS,
-    SearchBudgetError,
-    elliptic_points_bounded,
-    good_reduction_model_check,
-    rational_points_bounded,
-    verify_all_birational_pairs,
-    verify_point_list,
-    x1_13_discriminant_check,
-)
-from .descent import mordell_weil_report
-from .ffjac import COUNT_BUDGET, jacobian_order, jacobian_report
-from .padic import padic_report
 
 SUITES = ("all", "theorems", "curves", "descent", "jacobian", "padic")
 
@@ -181,6 +170,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_curve_points(args) -> int:
+    from .curves import CURVES, rational_points_bounded
+
     curve = CURVES.get(args.curve)
     if curve is None:
         print(f"error: unknown curve id {args.curve!r}; known: {sorted(CURVES)}",
@@ -204,7 +195,11 @@ def cmd_curve_points(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
-    if not is_prime(args.p) or args.p ** 2 > COUNT_BUDGET:
+    from .curves import CURVES
+    from .ffjac import COUNT_BUDGET, jacobian_order
+
+    # the size test first: Miller-Rabin on a huge argument takes seconds
+    if args.p ** 2 > COUNT_BUDGET or not is_prime(args.p):
         print(f"error: --p must be a prime with p^2 <= {COUNT_BUDGET}", file=sys.stderr)
         return 2
     try:
@@ -260,6 +255,18 @@ def theorems_report() -> Report:
 
 
 def curves_report(height: int) -> Report:
+    from .curves import (
+        CORRECTED_POINTS,
+        CURVES,
+        PRINTED_POINTS,
+        elliptic_points_bounded,
+        good_reduction_model_check,
+        rational_points_bounded,
+        verify_all_birational_pairs,
+        verify_point_list,
+        x1_13_discriminant_check,
+    )
+
     rep = Report("curve checks")
     for label, expected in EXPECTED_SEARCH.items():
         pts = rational_points_bounded(CURVES[label], height)
@@ -289,10 +296,16 @@ def build_suite_report(suite: str, height: int = 1000) -> Report:
     if suite in ("all", "curves"):
         rep.extend(curves_report(height))
     if suite in ("all", "descent"):
+        from .descent import mordell_weil_report
+
         rep.extend(mordell_weil_report())
     if suite in ("all", "jacobian"):
+        from .ffjac import jacobian_report
+
         rep.extend(jacobian_report())
     if suite in ("all", "padic"):
+        from .padic import padic_report
+
         rep.extend(padic_report())
     return rep
 
@@ -361,7 +374,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (BoxBudgetError, ScanBudgetError, SearchBudgetError) as e:
+    except BudgetError as e:
         # an argument that asks for more work than a budget allows is a usage error
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -68,6 +68,7 @@ from .exactmath import (
     is_perfect_square,
     sqrt_exact,
 )
+from .dynamics import BudgetError
 from .families import _period3_data
 from .report import Report
 
@@ -142,11 +143,6 @@ class CurvePoint:
     def is_infinite(self) -> bool:
         return self.branch != 0
 
-    def involution(self) -> "CurvePoint":
-        if self.is_infinite:
-            return CurvePoint.infinite(-self.branch)
-        return CurvePoint.affine(self.x, -self.y)
-
     def reduce(self, p: int) -> tuple:
         """(x mod p, y mod p) as ints, or ("inf", branch) at infinity.
         Raises ValueError when p divides a denominator."""
@@ -195,7 +191,7 @@ SEARCH_BUDGET = 10**4
 _SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
-class SearchBudgetError(ValueError):
+class SearchBudgetError(BudgetError):
     """The height bound of a point search exceeds SEARCH_BUDGET."""
 
 

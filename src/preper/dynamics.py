@@ -79,10 +79,6 @@ class OrbitClass:
     def divergent(cls) -> "OrbitClass":
         return cls("divergent")
 
-    @property
-    def is_divergent(self) -> bool:
-        return self.kind == "divergent"
-
     def __str__(self) -> str:
         if self.kind == "periodic":
             return f"periodic({self.period})"
@@ -126,11 +122,15 @@ class NotQuadraticError(ValueError):
     pass
 
 
-class BoxBudgetError(ValueError):
+class BudgetError(ValueError):
+    """An argument asks for more work than a budget allows."""
+
+
+class BoxBudgetError(BudgetError):
     """The candidate box of c holds more than BOX_BUDGET numerators."""
 
 
-class ScanBudgetError(ValueError):
+class ScanBudgetError(BudgetError):
     """The height of a scan exceeds SCAN_BUDGET."""
 
 

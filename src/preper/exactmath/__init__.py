@@ -1,7 +1,13 @@
 """Exact arithmetic substrate: rationals, polynomials over Q and over F_p,
 curve function fields, and the finite fields F_p and F_{p^2}.  Arithmetic
 in a number field Q[T]/(g) is Poly arithmetic reduced mod g, with norms
-as resultants and inverses from xgcd."""
+as resultants and inverses from xgcd.
+
+Only the integer helpers load with the package.  Poly, BiPoly, FpPoly and
+the other names below come from their submodule on first access (PEP 562),
+so a command that never touches a polynomial never imports one."""
+
+import importlib
 
 from .integers import (
     format_rational,
@@ -11,16 +17,32 @@ from .integers import (
     sqrt_exact,
     valuation,
 )
-from .polynomial import Poly, discriminant, resultant, xgcd
-from .bivariate import BiPoly, CurveFunctionField, FieldElement, RationalMap
-from .finitefield import (
-    FpPoly,
-    Fq,
-    FqElem,
-    fp_residue,
-    fp_xgcd,
-    legendre_symbol,
-)
+
+_SUBMODULE = {
+    "Poly": "polynomial",
+    "discriminant": "polynomial",
+    "resultant": "polynomial",
+    "xgcd": "polynomial",
+    "BiPoly": "bivariate",
+    "CurveFunctionField": "bivariate",
+    "FieldElement": "bivariate",
+    "RationalMap": "bivariate",
+    "FpPoly": "finitefield",
+    "Fq": "finitefield",
+    "FqElem": "finitefield",
+    "fp_residue": "finitefield",
+    "fp_xgcd": "finitefield",
+    "legendre_symbol": "finitefield",
+}
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BiPoly",

@@ -29,7 +29,7 @@ are returned as a ``Fraction`` whatever the coefficient types.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def _coerce(c) -> int | Fraction:
@@ -69,13 +69,6 @@ class Poly:
     @classmethod
     def x(cls) -> "Poly":
         return cls((0, 1))
-
-    @classmethod
-    def from_roots(cls, roots: Sequence) -> "Poly":
-        out = cls((1,))
-        for r in roots:
-            out = out * cls((-_coerce(r), 1))
-        return out
 
     @property
     def degree(self) -> int:

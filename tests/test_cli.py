@@ -47,6 +47,57 @@ def test_cli_imports_only_the_standard_library():
     assert foreign == []
 
 
+# the layers that graph, scan and family never run, so importing the
+# package or its command line must not load them
+HEAVY_MODULES = ("preper.curves", "preper.ffjac", "preper.descent", "preper.padic",
+                 "preper.exactmath.polynomial", "preper.exactmath.bivariate",
+                 "preper.exactmath.finitefield")
+
+
+@pytest.mark.parametrize("module", ["preper.cli", "preper"])
+def test_import_loads_only_the_layers_it_runs(module):
+    r = run_python("-c", f"import sys; import {module}; print(*sorted(sys.modules))")
+    assert r.returncode == 0, r.stderr
+    loaded = set(r.stdout.split())
+    assert module in loaded
+    assert sorted(loaded.intersection(HEAVY_MODULES)) == []
+
+
+# a child that reaches every name of preper.exactmath by ACCESS, checks that
+# each is its submodule's own object, and prints the names not loaded at import
+LAZY_PROBE = """
+import importlib
+import preper.exactmath as em
+def from_import(name):
+    scope = {}
+    exec("from preper.exactmath import " + name, scope)
+    return scope[name]
+lazy = [name for name in em.__all__ if name not in vars(em)]
+for name in em.__all__:
+    value = ACCESS
+    home = importlib.import_module(value.__module__)
+    assert home.__name__.startswith("preper.exactmath."), name
+    assert getattr(home, name) is value, name
+try:
+    em.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown name resolved")
+print(*lazy)
+"""
+
+
+@pytest.mark.parametrize("access", ["getattr(em, name)", "from_import(name)"])
+def test_exactmath_names_resolve_on_first_access(access):
+    r = run_python("-c", LAZY_PROBE.replace("ACCESS", access))
+    assert r.returncode == 0, r.stderr
+    assert set(r.stdout.split()) == {"BiPoly", "CurveFunctionField", "FieldElement", "FpPoly",
+                                     "Fq", "FqElem", "Poly", "RationalMap", "discriminant",
+                                     "fp_residue", "fp_xgcd", "legendre_symbol", "resultant",
+                                     "xgcd"}
+
+
 def test_oracles_import_nothing_from_the_package():
     # an oracle that reused the code it checks would agree with it by
     # construction, so tests/oracles.py may not import preper at all
@@ -153,6 +204,24 @@ def test_jacobian_command():
     assert json.loads(r.stdout)["order"] == 43
     r = run_cli("jacobian", "--p", "743")
     assert r.returncode == 1
+
+
+def test_jacobian_tests_the_size_of_p_before_its_primality(monkeypatch, capsys):
+    # 10^4299 + 7 has no prime factor below 41, so Miller-Rabin on it takes
+    # seconds; the size test refuses it first
+    calls = []
+    is_prime = cli.is_prime
+
+    def recorder(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(cli, "is_prime", recorder)
+    assert cli.main(["jacobian", "--p", str(10**4299 + 7)]) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: --p must be a prime")
+    assert cli.main(["jacobian", "--p", "4"]) == 2  # small enough, so tested for primality
+    assert calls == [4]
 
 
 def test_scan_determinism_across_jobs():

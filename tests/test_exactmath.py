@@ -148,10 +148,10 @@ def test_resultant_multiplicative_in_factors():
 
 
 def test_resultant_zero_iff_common_root():
-    p = Poly.from_roots([1, 2])
-    q = Poly.from_roots([2, 5])
+    p = Poly((2, -3, 1))  # (x - 1)(x - 2)
+    q = Poly((10, -7, 1))  # (x - 2)(x - 5)
     assert resultant(p, q) == 0
-    assert resultant(p, Poly.from_roots([3])) != 0
+    assert resultant(p, Poly((-3, 1))) != 0
     with pytest.raises(ValueError):
         resultant(Poly(), Poly())
 

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import brute_count_points, chord_tangent_class
+from preper import ffjac
 from preper.curves import C1_32, E11, Q24, CurvePoint, CurveModel
 from preper.exactmath import FpPoly, Poly, is_prime
 from preper.ffjac import (
@@ -219,3 +220,25 @@ def test_count_parity_and_growth_across_extensions():
 def test_full_jacobian_report():
     rep = jacobian_report()
     assert rep.ok, [c.id for c in rep.failures]
+
+
+def test_brute_vs_zeta_rows_come_from_enumeration(monkeypatch):
+    # the enumerated count of each brute-vs-zeta row must be the size of an
+    # enumeration the report really ran on that prime's odd model; a row
+    # that took the count from jacobian_order would agree with zeta anyway
+    recorded = []
+    enumerate_all = ffjac.enumerate_jacobian
+
+    def recorder(model):
+        classes = enumerate_all(model)
+        recorded.append((model, len(classes)))
+        return classes
+
+    monkeypatch.setattr(ffjac, "enumerate_jacobian", recorder)
+    rows = {c.id: c.value for c in jacobian_report().checks}
+    for p in (3, 7):
+        gp = FpPoly.from_poly(C1_32.g, p)
+        model = odd_model_transform(C1_32, p, next(r for r in range(p) if gp(r) == 0))
+        counts = [n for m, n in recorded if m == model]
+        assert counts, p
+        assert rows[f"brute-vs-zeta-{p}"]["enumerated"] in counts
