@@ -9,7 +9,9 @@ scan.
 Each command loads only the layers it runs: graph, scan and family need
 the dynamics and the families, while the curve registry, the Jacobian
 arithmetic over F_p, the 2-descent and the 3-adic layer are imported
-inside the commands that use them.
+inside the commands that use them.  The value classes of the dynamics,
+the families and the reports are plain classes, so graph, scan and
+family never load dataclasses either.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -49,7 +50,7 @@ EXPECTED_SEARCH = {"c1_32": 8, "x1_18": 6, "x1_13": 6}
 def _rational(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
@@ -255,6 +256,8 @@ def theorems_report() -> Report:
 
 
 def curves_report(height: int) -> Report:
+    from dataclasses import replace
+
     from .curves import (
         CORRECTED_POINTS,
         CURVES,

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -44,28 +43,64 @@ BOX_BUDGET = 10**6
 # largest height that scan accepts; it visits about 1.2 * height**1.5 values of c
 SCAN_BUDGET = 10**4
 
+# sets a slot of a frozen instance in its __init__, past _Frozen.__setattr__
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class QuadMap:
+
+class _Frozen:
+    """Base of the immutable value classes: each sets its slots once, in
+    its own __init__, and any later assignment raises AttributeError.
+    Each hashes the tuple of the fields it compares."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class QuadMap(_Frozen):
     """The polynomial z**2 + c."""
 
-    c: Fraction
+    __slots__ = ("c",)
+
+    def __init__(self, c: Fraction):
+        _set(self, "c", c)
 
     def __call__(self, x: Fraction) -> Fraction:
         return x * x + self.c
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.c == other.c
 
-@dataclass(frozen=True)
-class OrbitClass:
+    def __hash__(self):
+        return hash((self.c,))
+
+    def __repr__(self):
+        return f"QuadMap(c={self.c!r})"
+
+    def __reduce__(self):
+        return QuadMap, (self.c,)
+
+
+class OrbitClass(_Frozen):
     """Orbit type of a point: periodic(m), preperiodic(m, n), or divergent.
 
     m is the exact cycle length; n >= 1 is the number of steps before the
     orbit becomes periodic.
     """
 
-    kind: str  # "periodic" | "preperiodic" | "divergent"
-    period: int = 0
-    tail: int = 0
+    __slots__ = ("kind", "period", "tail")
+
+    def __init__(self, kind: str, period: int = 0, tail: int = 0):
+        # kind is "periodic" | "preperiodic" | "divergent"
+        _set(self, "kind", kind)
+        _set(self, "period", period)
+        _set(self, "tail", tail)
 
     @classmethod
     def periodic(cls, m: int) -> "OrbitClass":
@@ -77,7 +112,21 @@ class OrbitClass:
 
     @classmethod
     def divergent(cls) -> "OrbitClass":
-        return cls("divergent")
+        return _DIVERGENT
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.period, self.tail) == (other.kind, other.period, other.tail)
+
+    def __hash__(self):
+        return hash((self.kind, self.period, self.tail))
+
+    def __repr__(self):
+        return f"OrbitClass(kind={self.kind!r}, period={self.period!r}, tail={self.tail!r})"
+
+    def __reduce__(self):
+        return OrbitClass, (self.kind, self.period, self.tail)
 
     def __str__(self) -> str:
         if self.kind == "periodic":
@@ -87,17 +136,39 @@ class OrbitClass:
         return "divergent"
 
 
-@dataclass(frozen=True)
-class PreperGraph:
+# the one divergent class: it is immutable, so every divergent point shares it
+_DIVERGENT = OrbitClass("divergent")
+
+
+class PreperGraph(_Frozen):
     """Finite rational preperiodic points of z**2 + c with edges x -> f(x).
 
     The fixed point at infinity is never a vertex, but it always exists,
-    so size_with_infinity adds one for it.
+    so size_with_infinity adds one for it.  Equality and hashing look at
+    c and the vertices only: the edges follow from them.
     """
 
-    c: Fraction
-    vertices: frozenset[Fraction]
-    edges: dict[Fraction, Fraction] = field(compare=False)
+    __slots__ = ("c", "vertices", "edges")
+
+    def __init__(self, c: Fraction, vertices: frozenset[Fraction],
+                 edges: dict[Fraction, Fraction]):
+        _set(self, "c", c)
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.c, self.vertices) == (other.c, other.vertices)
+
+    def __hash__(self):
+        return hash((self.c, self.vertices))
+
+    def __repr__(self):
+        return f"PreperGraph(c={self.c!r}, vertices={self.vertices!r}, edges={self.edges!r})"
+
+    def __reduce__(self):
+        return PreperGraph, (self.c, self.vertices, self.edges)
 
     def orbit_types(self) -> dict[Fraction, OrbitClass]:
         f = QuadMap(self.c)
@@ -108,11 +179,40 @@ class PreperGraph:
         return len(self.vertices) + 1
 
 
-@dataclass(frozen=True, order=True)
-class GraphShape:
-    """Canonical code of a functional digraph up to isomorphism."""
+class GraphShape(_Frozen):
+    """Canonical code of a functional digraph up to isomorphism; shapes
+    order by their codes."""
 
-    code: str
+    __slots__ = ("code",)
+
+    def __init__(self, code: str):
+        _set(self, "code", code)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.code == other.code
+
+    def __lt__(self, other):
+        return self.code < other.code if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self.code <= other.code if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self.code > other.code if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self.code >= other.code if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.code,))
+
+    def __repr__(self):
+        return f"GraphShape(code={self.code!r})"
+
+    def __reduce__(self):
+        return GraphShape, (self.code,)
 
     def __str__(self) -> str:
         return self.code or "(empty)"
@@ -191,7 +291,7 @@ def orbit_classify(f: QuadMap, x: Fraction, types: dict | None = None) -> OrbitC
     c = f.c
     d = _denominator_root(c)
     if d is None or x.denominator != d:
-        return OrbitClass.divergent()
+        return _DIVERGENT
     u = c.numerator
 
     # an image sharing a prime p with d is no candidate either, but needs no
@@ -205,7 +305,7 @@ def orbit_classify(f: QuadMap, x: Fraction, types: dict | None = None) -> OrbitC
 
     kind = _walk(x.numerator, step, {} if types is None else types)
     if kind is None:
-        return OrbitClass.divergent()
+        return _DIVERGENT
     period, tail = kind
     return OrbitClass.preperiodic(period, tail) if tail else OrbitClass.periodic(period)
 
@@ -357,12 +457,31 @@ def c_values_up_to_height(height: int) -> list[Fraction]:
     return out
 
 
-@dataclass
 class ScanResult:
-    height: int
-    census: dict[GraphShape, tuple[int, list[Fraction]]]
-    out_of_catalog: list[tuple[Fraction, GraphShape]]
-    bound_violations: list[tuple[Fraction, int]]  # (c, size counting infinity)
+    """Census of a scan: per shape its count and up to three sample c, the
+    c whose shape is outside the catalog, and the c whose graph has more
+    than 9 points counting infinity, with that size."""
+
+    __slots__ = ("height", "census", "out_of_catalog", "bound_violations")
+
+    def __init__(self, height: int, census: dict[GraphShape, tuple[int, list[Fraction]]],
+                 out_of_catalog: list[tuple[Fraction, GraphShape]],
+                 bound_violations: list[tuple[Fraction, int]]):
+        self.height = height
+        self.census = census
+        self.out_of_catalog = out_of_catalog
+        self.bound_violations = bound_violations
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.height, self.census, self.out_of_catalog, self.bound_violations)
+                == (other.height, other.census, other.out_of_catalog, other.bound_violations))
+
+    def __repr__(self):
+        return (f"ScanResult(height={self.height!r}, census={self.census!r}, "
+                f"out_of_catalog={self.out_of_catalog!r}, "
+                f"bound_violations={self.bound_violations!r})")
 
 
 def _scan_chunk(cs) -> list[tuple[str, Fraction, int]]:

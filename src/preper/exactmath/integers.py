@@ -8,6 +8,7 @@ valuations, primality for the small moduli we use).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -80,15 +81,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# an integer or p/q literal: ASCII digits, an optional sign on each part
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse an exact 'p/q' or integer literal, no whitespace allowed."""
-    s = text.strip()
-    if not s or " " in s:
+    """Parse an exact 'p/q' or integer literal, no whitespace allowed
+    except around it; q = 0 raises ValueError."""
+    m = _RATIONAL.fullmatch(text.strip())
+    if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    if "/" in s:
-        num, _, den = s.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    num, den = m.groups()
+    q = 1 if den is None else int(den)
+    if q == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(num), q)
 
 
 def format_rational(q: Fraction) -> str:

@@ -52,6 +52,9 @@ def test_cli_imports_only_the_standard_library():
 HEAVY_MODULES = ("preper.curves", "preper.ffjac", "preper.descent", "preper.padic",
                  "preper.exactmath.polynomial", "preper.exactmath.bivariate",
                  "preper.exactmath.finitefield")
+# standard-library modules that cost start-up time and that graph, scan and
+# family never need: dataclasses alone imports inspect, ast, dis and tokenize
+HEAVY_STDLIB = ("dataclasses", "inspect")
 
 
 @pytest.mark.parametrize("module", ["preper.cli", "preper"])
@@ -61,6 +64,7 @@ def test_import_loads_only_the_layers_it_runs(module):
     loaded = set(r.stdout.split())
     assert module in loaded
     assert sorted(loaded.intersection(HEAVY_MODULES)) == []
+    assert sorted(loaded.intersection(HEAVY_STDLIB)) == []
 
 
 # a child that reaches every name of preper.exactmath by ACCESS, checks that
@@ -346,6 +350,7 @@ def test_verify_theorems_suite():
     (("curve-points", "--curve", "conic_p1p2"), None),
     *((("family", family, "--param", PARAM_601), None)
       for family in ("p1", "p2", "p3", "p1and2", "t12", "t22")),
+    (("graph", "--c", "\u0661\u0662"), None),  # Arabic-Indic digits, not an ASCII literal
 ])
 def test_usage_errors_exit_2_without_traceback(args, env):
     r = run_cli(*args, env=env)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,9 +11,11 @@ from preper.dynamics import (
     GraphShape,
     NotQuadraticError,
     OrbitClass,
+    PreperGraph,
     QuadMap,
     SCAN_BUDGET,
     ScanBudgetError,
+    ScanResult,
     _shape_of_edges,
     admissible_shapes,
     c_values_up_to_height,
@@ -23,6 +26,8 @@ from preper.dynamics import (
     scan,
 )
 from preper.exactmath import Poly
+from preper.families import FamilyPoint
+from preper.report import CheckResult, Report
 from oracles import brute_orbit_kind, brute_preperiodic_set, frac_compose, tortoise_shape_code
 
 F = Fraction
@@ -315,3 +320,70 @@ def test_mirror_count_rule():
             expected = periodic - (1 if (c, m) in ((F(-1), 2), (F(0), 1)) else 0)
             if periodic:
                 assert depth1 == expected, (c, m)
+
+
+GRAPH_2916 = preper_points(QuadMap(F(-29, 16)))
+POINTS_2916 = ((F(3, 4), OrbitClass.preperiodic(3, 2)), (F(-3, 4), OrbitClass.preperiodic(3, 2)))
+
+# per value class: an instance, an equal one that differs at most in the
+# fields equality ignores, an unequal one, and str of the first
+VALUE_CASES = {
+    "QuadMap": (QuadMap(F(1, 4)), QuadMap(F(1, 4)), QuadMap(F(-2)), "QuadMap(c=Fraction(1, 4))"),
+    "OrbitClass": (OrbitClass.preperiodic(3, 2), OrbitClass("preperiodic", 3, 2),
+                   OrbitClass.periodic(3), "type 3_2"),
+    "PreperGraph": (GRAPH_2916, PreperGraph(F(-29, 16), GRAPH_2916.vertices, {}),
+                    PreperGraph(F(-29, 16), frozenset(), {}), repr(GRAPH_2916)),
+    "GraphShape": (GraphShape(""), GraphShape(""), GraphShape("1:()"), "(empty)"),
+    "FamilyPoint": (FamilyPoint("t32", None, F(-29, 16), POINTS_2916),
+                    FamilyPoint("t32", None, F(-29, 16), POINTS_2916, {"rho": F(1)}),
+                    FamilyPoint("t32", None, F(-21, 16), POINTS_2916),
+                    "FamilyPoint(family='t32', parameter=None, c=Fraction(-29, 16), points=("
+                    "(Fraction(3, 4), OrbitClass(kind='preperiodic', period=3, tail=2)), "
+                    "(Fraction(-3, 4), OrbitClass(kind='preperiodic', period=3, tail=2))), aux={})"),
+    "ScanResult": (scan(2), scan(2), scan(3), repr(scan(2))),
+    "CheckResult": (CheckResult("a", "s", "pass"), CheckResult("a", "s", "pass", None, ""),
+                    CheckResult("a", "s", "fail"),
+                    "CheckResult(id='a', statement='s', status='pass', value=None, note='')"),
+    "Report": (Report("t"), Report("t", []), Report("t", [CheckResult("a", "s", "pass")]),
+               "Report(title='t', checks=[])"),
+}
+FROZEN = ("QuadMap", "OrbitClass", "PreperGraph", "GraphShape", "FamilyPoint")
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CASES))
+def test_value_classes_compare_hash_print_and_freeze(name):
+    a, same, different, text = VALUE_CASES[name]
+    assert type(a).__name__ == name
+    assert a == same and not a != same
+    assert a != different and not a == different
+    assert a != (a,)  # another type is never equal
+    assert str(a) == text
+    # repr is the constructor call, and a pickle round trip keeps the value
+    scope = {cls.__name__: cls for cls in (Fraction, GraphShape, OrbitClass, PreperGraph,
+                                            QuadMap, ScanResult, FamilyPoint, CheckResult, Report)}
+    assert eval(repr(a), scope) == a
+    assert pickle.loads(pickle.dumps(a)) == a
+    field = type(a).__slots__[0]
+    if name in FROZEN:
+        assert hash(a) == hash(same) and len({a, same, different}) == 2
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert a == same
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(same, field, None)
+        assert a != same
+        setattr(same, field, getattr(a, field))
+    if name == "OrbitClass":
+        assert OrbitClass.divergent() is OrbitClass.divergent()
+        assert str(OrbitClass.divergent()) == "divergent" and str(different) == "periodic(3)"
+    if name == "GraphShape":
+        assert a < different and a <= same and different > a and different >= a
+        assert not a < same and sorted([different, a]) == [a, different]
+        assert str(different) == "1:()"
+    if name == "FamilyPoint":
+        # a point built without aux gets a dict of its own
+        assert a.aux == {} and a.aux is not different.aux

@@ -52,8 +52,14 @@ def test_rational_arithmetic_is_exact_and_normalized():
 def test_parse_and_perfect_squares():
     assert parse_rational("-29/16") == Fraction(-29, 16)
     assert parse_rational("7") == 7
-    with pytest.raises(ValueError):
-        parse_rational("1 /2")
+    assert parse_rational(" +3/-4\n") == Fraction(-3, 4)
+    # only ASCII digits, an optional sign on each part and one slash
+    for text in ("1 /2", "1\t/2", "1/\n2", "1_0/3", "\u0661\u0662/\u0664", "\u0661\u0662",
+                 "", "/2", "1/", "1/2/3", "0x10", "1.5", "--1"):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            parse_rational(text)
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        parse_rational("1/0")
     assert is_perfect_square(144) and not is_perfect_square(145)
     assert not is_perfect_square(-4)
     assert sqrt_exact(Fraction(49, 4)) == Fraction(7, 2)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,6 +8,7 @@ from preper.dynamics import OrbitClass, QuadMap, orbit_classify, preper_points
 from preper.exactmath import Poly
 from preper.families import (
     ExcludedParameterError,
+    FamilyPoint,
     family_period1,
     family_period1and2,
     family_period2,
@@ -191,7 +191,7 @@ def test_cross_family_cycle_exclusions():
 
 def test_corrupted_family_point_fails_validation():
     fp = family_period3(F(1))
-    bad = dataclasses.replace(fp, c=fp.c + 1)
+    bad = FamilyPoint(fp.family, fp.parameter, fp.c + 1, fp.points, fp.aux)
     report = validate_family(bad)
     assert not report.ok
 
@@ -199,7 +199,7 @@ def test_corrupted_family_point_fails_validation():
 def test_reversed_3_cycle_yields_orientation_warning():
     fp = family_period3(F(1))
     x1, x2, x3 = fp.points
-    reversed_fp = dataclasses.replace(fp, points=(x1, x3, x2))
+    reversed_fp = FamilyPoint(fp.family, fp.parameter, fp.c, (x1, x3, x2), fp.aux)
     report = validate_family(reversed_fp)
     warning = "3-cycle realized in reverse orientation x1 -> x3 -> x2"
     assert report.ok
