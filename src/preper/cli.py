@@ -33,7 +33,7 @@ from .dynamics import (
     preper_points,
     scan,
 )
-from .exactmath import format_rational, is_prime, parse_rational
+from .exactmath import format_rational, is_prime, parse_integer, parse_rational
 from .families import (
     FAMILY_IDS,
     ExcludedParameterError,
@@ -54,9 +54,16 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+def _integer(text: str) -> int:
+    try:
+        return parse_integer(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _positive_int(text: str) -> int:
     try:
-        n = int(text)
+        n = parse_integer(text)
     except ValueError:
         n = 0
     if n < 1:
@@ -362,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_curve_points)
 
     p = sub.add_parser("jacobian", help="Jacobian order of c1_32 over F_p")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_integer, required=True)
     p.set_defaults(fn=cmd_jacobian)
 
     p = sub.add_parser("verify", help="run a verification suite")

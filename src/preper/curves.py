@@ -64,9 +64,9 @@ from .exactmath import (
     RationalMap,
     discriminant,
     fp_residue,
-    fp_xgcd,
     is_perfect_square,
     sqrt_exact,
+    xgcd,
 )
 from .dynamics import BudgetError
 from .families import _period3_data
@@ -605,7 +605,7 @@ def good_reduction_model_check(g: Poly | None = None) -> Report:
     for chart, (hs, qs) in enumerate(((hc, qc), (hc[3::-1], qc[6::-1])), start=1):
         H, Q = FpPoly(2, hs), FpPoly(2, qs)
         dH, dQ = H.derivative(), Q.derivative()
-        common = fp_xgcd(H, dH * dH * Q + dQ * dQ)[0]
+        common = xgcd(H, dH * dH * Q + dQ * dQ)[0]
         if common.degree > 0:
             witness = [chart, list(common.coeffs)]
             break

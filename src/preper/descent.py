@@ -33,7 +33,6 @@ from .exactmath import (
     FpPoly,
     Fq,
     Poly,
-    fp_xgcd,
     legendre_symbol,
     resultant,
     xgcd,
@@ -110,7 +109,7 @@ def local_743_analysis() -> Report:
     # the shape certificate of the module docstring; b != 0 keeps each
     # root image out of F_743, so its minimal polynomial
     # (x - root)(x - conj(root)) = x^2 - 2a x + N(root) is irreducible
-    linear = fp_xgcd(gp, gp.derivative())[0]
+    linear = xgcd(gp, gp.derivative())[0]
     quads = [FpPoly(P743, (root.norm(), -2 * root.a, 1)) for root in ROOT_IMAGES]
     distinct = quads[0] != quads[1]
     certified = (linear.degree == 1 and all(root.b for root in ROOT_IMAGES)

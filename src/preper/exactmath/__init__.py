@@ -1,7 +1,8 @@
-"""Exact arithmetic substrate: rationals, polynomials over Q and over F_p,
-curve function fields, and the finite fields F_p and F_{p^2}.  Arithmetic
-in a number field Q[T]/(g) is Poly arithmetic reduced mod g, with norms
-as resultants and inverses from xgcd.
+"""Exact arithmetic substrate: rationals, polynomials over Q, over F_p and
+over Q[x] (one ring arithmetic and one extended Euclid, xgcd, in
+polynomial.py), curve function fields, and the finite fields F_p and
+F_{p^2}.  Arithmetic in a number field Q[T]/(g) is Poly arithmetic
+reduced mod g, with norms as resultants and inverses from xgcd.
 
 Only the integer helpers load with the package.  Poly, BiPoly, FpPoly and
 the other names below come from their submodule on first access (PEP 562),
@@ -13,6 +14,7 @@ from .integers import (
     format_rational,
     is_perfect_square,
     is_prime,
+    parse_integer,
     parse_rational,
     sqrt_exact,
     valuation,
@@ -21,6 +23,7 @@ from .integers import (
 _SUBMODULE = {
     "Poly": "polynomial",
     "discriminant": "polynomial",
+    "fp_xgcd": "polynomial",
     "resultant": "polynomial",
     "xgcd": "polynomial",
     "BiPoly": "bivariate",
@@ -31,7 +34,6 @@ _SUBMODULE = {
     "Fq": "finitefield",
     "FqElem": "finitefield",
     "fp_residue": "finitefield",
-    "fp_xgcd": "finitefield",
     "legendre_symbol": "finitefield",
 }
 
@@ -60,6 +62,7 @@ __all__ = [
     "is_perfect_square",
     "is_prime",
     "legendre_symbol",
+    "parse_integer",
     "parse_rational",
     "resultant",
     "sqrt_exact",

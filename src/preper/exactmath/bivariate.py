@@ -1,9 +1,13 @@
 """Bivariate polynomials, rational maps, and curve function fields.
 
 A BiPoly is a polynomial in two variables (x, y) stored nested: a tuple of
-Polys in x indexed by the power of y.  RationalMap is a quotient of two
-BiPolys.  Identity verification for maps between curves happens inside
-CurveFunctionField, the quadratic extension of Q(x) cut out by a relation
+Polys in x indexed by the power of y, that is a polynomial in y over Q[x].
+Its ring arithmetic is the one dense-polynomial code of
+exactmath.polynomial, with Poly coefficients; BiPoly supplies only the
+wrapping of scalar coefficients in Poly, and it has no division.
+RationalMap is a quotient of two BiPolys.  Identity verification for maps
+between curves happens inside CurveFunctionField, the quadratic extension
+of Q(x) cut out by a relation
 
     y**2 = s(x)*y + t(x),
 
@@ -28,26 +32,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polynomial import Poly
+from .polynomial import Poly, _DensePoly, _trim
 
 
-class BiPoly:
-    """Polynomial in (x, y): ycoeffs[j] is the Poly-in-x multiplying y**j."""
+class BiPoly(_DensePoly):
+    """Polynomial in (x, y): coeffs[j] is the Poly-in-x multiplying y**j."""
 
-    __slots__ = ("ycoeffs",)
+    __slots__ = ()
+    _SCALARS = (int, Fraction, Poly)
 
-    def __init__(self, ycoeffs=()):
-        cs = [c if isinstance(c, Poly) else Poly((c,)) if isinstance(c, (int, Fraction)) else c
-              for c in ycoeffs]
-        for c in cs:
-            if not isinstance(c, Poly):
+    @staticmethod
+    def _normalize(coeffs) -> tuple:
+        cs = []
+        for c in coeffs:
+            if isinstance(c, (int, Fraction)):
+                c = Poly((c,))
+            elif not isinstance(c, Poly):
                 raise TypeError("BiPoly coefficients must be Poly in x")
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "ycoeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("BiPoly is immutable")
+            cs.append(c)
+        return _trim(cs)
 
     @classmethod
     def x(cls) -> "BiPoly":
@@ -61,81 +64,10 @@ class BiPoly:
     def const(cls, c) -> "BiPoly":
         return cls((Poly((c,)),))
 
-    def is_zero(self) -> bool:
-        return not self.ycoeffs
-
-    def _lift(self, other):
-        if isinstance(other, BiPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return BiPoly.const(other)
-        if isinstance(other, Poly):
-            return BiPoly((other,))
-        return None
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.ycoeffs == o.ycoeffs
-
-    def __hash__(self):
-        return hash(self.ycoeffs)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.ycoeffs), len(o.ycoeffs))
-        z = Poly()
-        a = list(self.ycoeffs) + [z] * (n - len(self.ycoeffs))
-        b = list(o.ycoeffs) + [z] * (n - len(o.ycoeffs))
-        return BiPoly(tuple(p + q for p, q in zip(a, b)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiPoly(tuple(-c for c in self.ycoeffs))
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return BiPoly()
-        out = [Poly()] * (len(self.ycoeffs) + len(o.ycoeffs) - 1)
-        for i, a in enumerate(self.ycoeffs):
-            if not a.is_zero():
-                for j, b in enumerate(o.ycoeffs):
-                    out[i + j] = out[i + j] + a * b
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative BiPoly power")
-        result, base = BiPoly.const(1), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def eval(self, xval, yval):
         """Horner in y then x over any commutative ring accepting Fractions."""
         acc = None
-        for c in reversed(self.ycoeffs):
+        for c in reversed(self.coeffs):
             cx = c(xval)
             acc = cx if acc is None else acc * yval + cx
         if acc is None:
@@ -145,7 +77,7 @@ class BiPoly:
     def __repr__(self):
         if self.is_zero():
             return "BiPoly(0)"
-        parts = [f"({c!r})*y^{j}" if j else f"({c!r})" for j, c in enumerate(self.ycoeffs)
+        parts = [f"({c!r})*y^{j}" if j else f"({c!r})" for j, c in enumerate(self.coeffs)
                  if not c.is_zero()]
         return " + ".join(parts)
 

@@ -1,6 +1,11 @@
 """Finite fields F_p and F_{p^2}, Legendre symbols, square tests, the
-reduction of a rational mod p, and polynomials over F_p with one Euclid,
-the extended gcd fp_xgcd (its first entry is the monic gcd).
+reduction of a rational mod p, and polynomials over F_p.
+
+FpPoly is the F_p[x] instance of the one dense-polynomial ring code in
+exactmath.polynomial.  Its arithmetic adds only reduction mod p, the
+modular inverse as the coefficient quotient, and the modulus check that
+makes F_3[x] and F_5[x] refuse to mix.  Its extended gcd is the one xgcd
+there, which exactmath also exports as fp_xgcd.
 
 F_{p^2} is realized as F_p(i) with i**2 equal to a fixed non-residue: -1
 whenever p = 3 mod 4 (so printed values like 330+2i compare literally),
@@ -18,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .integers import is_prime
+from .polynomial import _DensePoly, _trim
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -205,106 +211,42 @@ class FqElem:
         return f"{self.a}+{self.b}i"
 
 
-class FpPoly:
-    """Polynomial over F_p, coefficients lowest degree first as plain ints."""
+class FpPoly(_DensePoly):
+    """Polynomial over F_p, coefficients lowest degree first as ints in
+    [0, p); the ring arithmetic is _DensePoly's, reduced mod p."""
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p",)
+    _SCALARS = (int,)
 
     def __init__(self, p: int, coeffs=()):
-        cs = [c % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", _trim([c % p for c in coeffs]))
 
-    def __setattr__(self, *a):
-        raise AttributeError("FpPoly is immutable")
+    def _new(self, coeffs) -> "FpPoly":
+        return FpPoly(self.p, coeffs)
+
+    def _lift(self, other):
+        if isinstance(other, FpPoly):
+            if other.p != self.p:
+                raise ValueError(f"mixed moduli: F_{self.p}[x] and F_{other.p}[x]")
+            return other
+        return _DensePoly._lift(self, other)
+
+    def _quo(self, a: int, b: int) -> int:
+        return a * pow(b, -1, self.p) % self.p
 
     @classmethod
     def from_poly(cls, poly, p: int) -> "FpPoly":
         """Reduce a rational Poly mod p; denominators must be units mod p."""
         return cls(p, [fp_residue(c, p) for c in poly.coeffs])
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def lc(self) -> int:
-        return self.coeffs[-1]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = FpPoly(self.p, (other,))
-        if not isinstance(other, FpPoly):
-            return NotImplemented
-        return self.p == other.p and self.coeffs == other.coeffs
+        if isinstance(other, FpPoly) and other.p != self.p:
+            return False
+        return super().__eq__(other)
 
     def __hash__(self):
         return hash((self.p, self.coeffs))
-
-    def _f(self, coeffs):
-        return FpPoly(self.p, coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = self._f((other,))
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return self._f([x + y for x, y in zip(a, b)])
-
-    def __neg__(self):
-        return self._f([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = self._f((other,))
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self._f([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return self._f(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return self._f(out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "FpPoly"):
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        p = self.p
-        rem = list(self.coeffs)
-        q = [0] * max(1, len(rem) - len(other.coeffs) + 1)
-        inv = pow(other.lc, -1, p)
-        dd = other.degree
-        while rem and len(rem) - 1 >= dd:
-            c = rem[-1] * inv % p
-            k = len(rem) - 1 - dd
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = (rem[k + i] - c * b) % p
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return self._f(q), self._f(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -323,33 +265,14 @@ class FpPoly:
             return self
         return self * pow(self.lc, -1, self.p)
 
-    def derivative(self) -> "FpPoly":
-        return self._f([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def shift(self, r: int) -> "FpPoly":
         """p(x + r)."""
-        out = self._f(())
-        xpr = self._f((r, 1))
+        out = self._new(())
+        xpr = self._new((r, 1))
         for c in reversed(self.coeffs):
-            out = out * xpr + self._f((c,))
+            out = out * xpr + c
         return out
 
     def __repr__(self):
         return f"FpPoly({self.p}, {list(self.coeffs)})"
 
-
-def fp_xgcd(a: FpPoly, b: FpPoly):
-    """(g, s, t) with g = s*a + t*b, g monic (or zero)."""
-    p = a.p
-    r0, r1 = a, b
-    s0, s1 = FpPoly(p, (1,)), FpPoly(p)
-    t0, t1 = FpPoly(p), FpPoly(p, (1,))
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if not r0.is_zero() and r0.lc != 1:
-        inv = pow(r0.lc, -1, p)
-        r0, s0, t0 = r0 * inv, s0 * inv, t0 * inv
-    return r0, s0, t0

@@ -81,8 +81,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# an integer or p/q literal: ASCII digits, an optional sign on each part
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
+# an integer literal: ASCII digits with an optional sign; a rational
+# literal is one or p/q, a sign allowed on each part
+_INTEGER = r"[+-]?[0-9]+"
+_RATIONAL = re.compile(rf"({_INTEGER})(?:/({_INTEGER}))?")
+
+
+def parse_integer(text: str) -> int:
+    """Parse an integer literal, no whitespace allowed except around it."""
+    if re.fullmatch(_INTEGER, text.strip()) is None:
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -1,18 +1,32 @@
-"""Exact univariate polynomials over the rationals.
+"""Dense univariate polynomials: one ring arithmetic for Q[x], F_p[x] and
+Q[x][y], and one extended Euclid.
 
 Coefficients are stored lowest degree first, so ``coeffs[i]`` multiplies
 ``x**i`` and the leading coefficient sits at the end of the tuple.  The
 zero polynomial is the empty tuple.  Instances are immutable and hashable.
-A coefficient is an ``int`` when it is integral and a ``Fraction`` only
-when it is not: construction maps ``Fraction(n, 1)`` to ``n``.  Sums and
-products of integral polynomials therefore run on Python integers, and
-only a true division (in divmod, xgcd and the resultant) goes through
-``Fraction``, since ``int / int`` would be a float.  There is no
-rational-function type: a quotient of polynomials is kept unreduced over
-a common denominator (see exactmath.bivariate), so the only gcd here is
-xgcd.  Its one job is inversion in a number field Q[T]/(g): there an
-element is a Poly reduced mod g, and xgcd(a, g) = (1, s, t) makes s the
-inverse of a.
+
+The ring code is written once, in the private base class _DensePoly:
+sums, negation, products, powers, division with remainder, the
+derivative, equality and hashing, and xgcd.  A coefficient ring supplies
+only what differs: its constructor normalizes a coefficient list into
+the canonical tuple, _new builds a sibling in the same ring, _lift turns
+an operand into one (None for an operand of another ring, which the
+operators answer with NotImplemented), and _quo is the exact coefficient
+quotient that divmod and xgcd divide by.  Three rings use it: Poly here
+(Q[x]), FpPoly (F_p[x], in exactmath.finitefield) and BiPoly (Q[x][y], in
+exactmath.bivariate, which has no division).
+
+Over Q a coefficient is an ``int`` when it is integral and a ``Fraction``
+only when it is not: normalization maps ``Fraction(n, 1)`` to ``n``.
+Sums and products of integral polynomials therefore run on Python
+integers, and only a true division (in divmod, xgcd and the resultant)
+goes through ``Fraction``, since ``int / int`` would be a float.  There
+is no rational-function type: a quotient of polynomials is kept
+unreduced over a common denominator (see exactmath.bivariate), so the
+only gcd is xgcd.  Over Q its one job is inversion in a number field
+Q[T]/(g): there an element is a Poly reduced mod g, and
+xgcd(a, g) = (1, s, t) makes s the inverse of a.  Over F_p it is the gcd
+of Cantor composition and of the smoothness test at 2.
 
 The resultant follows the convention
 
@@ -29,6 +43,7 @@ are returned as a ``Fraction`` whatever the coefficient types.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable
 
 
@@ -51,24 +66,54 @@ def _div(a, b) -> int | Fraction:
     return _coerce(Fraction(a) / b)
 
 
-class Poly:
-    """Univariate polynomial with int or Fraction coefficients, lowest
-    degree first."""
+def _trim(cs: list) -> tuple:
+    """cs without its trailing zero coefficients, as a tuple."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _canonical(coeffs) -> tuple:
+    """Coefficients over Q in canonical form, trailing zeros dropped."""
+    cs = list(coeffs)
+    for i, c in enumerate(cs):
+        if type(c) is not int:
+            cs[i] = _coerce(c)
+    return _trim(cs)
+
+
+class _DensePoly:
+    """Ring arithmetic on a tuple of coefficients, lowest degree first.
+
+    A ring supplies _normalize(coeffs) -> tuple (or its own constructor),
+    the scalar types _SCALARS that lift to constants, and the exact
+    quotient _quo(a, b); it replaces _new and _lift when a sibling needs
+    more than its coefficients.  The shared code never asks which ring
+    it serves.
+    """
 
     __slots__ = ("coeffs",)
+    _SCALARS: tuple = (int, Fraction)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_coerce(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", self._normalize(coeffs))
 
     def __setattr__(self, *a):
-        raise AttributeError("Poly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
+    def _new(self, coeffs):
+        return type(self)(coeffs)
+
+    def _lift(self, other):
+        """other as a polynomial of this ring, or None."""
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, self._SCALARS):
+            return self._new((other,))
+        return None
+
+    def _quo(self, a, b):
+        raise TypeError(f"{type(self).__name__} has no exact division")
 
     @property
     def degree(self) -> int:
@@ -76,7 +121,7 @@ class Poly:
         return len(self.coeffs) - 1
 
     @property
-    def lc(self) -> int | Fraction:
+    def lc(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -87,61 +132,61 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __getitem__(self, i: int) -> int | Fraction:
+    def __getitem__(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
-        if not isinstance(other, Poly):
+        o = self._lift(other)
+        if o is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.coeffs == o.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
-        if not isinstance(other, Poly):
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+        return self._new([a + b for a, b in zip_longest(self.coeffs, o.coeffs, fillvalue=0)])
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+    def __neg__(self):
+        return self._new([-c for c in self.coeffs])
 
-    def __sub__(self, other) -> "Poly":
-        return self + (-other if isinstance(other, Poly) else Poly((-_coerce(other),)))
-
-    def __rsub__(self, other) -> "Poly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        if not isinstance(other, Poly):
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        bs = other.coeffs
+        return self._new([a - b for a, b in zip_longest(self.coeffs, o.coeffs, fillvalue=0)])
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        if not self.coeffs or not o.coeffs:
+            return self._new(())
+        bs = o.coeffs
         out = [0] * (len(self.coeffs) + len(bs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(bs, i):
                     out[j] += a * b
-        return Poly(out)
+        return self._new(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Poly":
+    def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result, base = Poly((1,)), self
+        result, base = self._new((1,)), self
         while n:
             if n & 1:
                 result = result * base
@@ -149,30 +194,66 @@ class Poly:
             n >>= 1
         return result
 
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
-        if other.is_zero():
+    def __divmod__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        if not o.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
+        *low, dlc = o.coeffs
         rem = list(self.coeffs)
-        q = [0] * max(1, len(rem) - len(other.coeffs) + 1)
-        dlc = other.lc
-        dd = other.degree
-        while len(rem) - 1 >= dd and rem:
-            c = _div(rem[-1], dlc)
-            k = len(rem) - 1 - dd
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] -= c * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(q), Poly(rem)
+        q = [0] * max(1, len(rem) - len(low))
+        # each step cancels the leading term of rem exactly, so pop it
+        for k in range(len(rem) - 1 - len(low), -1, -1):
+            c = q[k] = self._quo(rem.pop(), dlc)
+            if c:
+                for i, b in enumerate(low, k):
+                    rem[i] -= c * b
+        return self._new(q), self._new(rem)
 
-    def __floordiv__(self, other) -> "Poly":
+    def __floordiv__(self, other):
         return divmod(self, other)[0]
 
-    def __mod__(self, other) -> "Poly":
+    def __mod__(self, other):
         return divmod(self, other)[1]
+
+    def derivative(self):
+        return self._new([i * c for i, c in enumerate(self.coeffs)][1:])
+
+
+def xgcd(a, b):
+    """(g, s, t) with g = s*a + t*b and g monic (or zero), for a and b in
+    one ring with division: Q[x] or a single F_p[x]."""
+    r0, r1 = a, a._lift(b)
+    if r1 is None:
+        raise TypeError(f"xgcd of {type(a).__name__} and {type(b).__name__}")
+    s0, s1 = a._new((1,)), a._new(())
+    t0, t1 = s1, s0
+    while r1:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0:
+        inv = r0._quo(1, r0.lc)
+        r0, s0, t0 = r0 * inv, s0 * inv, t0 * inv
+    return r0, s0, t0
+
+
+fp_xgcd = xgcd  # the same function, under the name of the F_p gcd
+
+
+class Poly(_DensePoly):
+    """Univariate polynomial with int or Fraction coefficients, lowest
+    degree first."""
+
+    __slots__ = ()
+    _normalize = staticmethod(_canonical)
+    _quo = staticmethod(_div)
+
+    @classmethod
+    def x(cls) -> "Poly":
+        return cls((0, 1))
 
     def __call__(self, x):
         """Horner evaluation at a rational or at any ring element that
@@ -184,9 +265,6 @@ class Poly:
         if acc is None:
             return 0
         return acc
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs) if i >= 1])
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -202,22 +280,6 @@ class Poly:
             else:
                 terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
         return "Poly(" + " + ".join(terms) + ")"
-
-
-def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, s, t) with g = s*a + t*b and g monic (or zero)."""
-    r0, r1 = a, b
-    s0, s1 = Poly((1,)), Poly()
-    t0, t1 = Poly(), Poly((1,))
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if not r0.is_zero():
-        inv = _div(1, r0.lc)
-        r0, s0, t0 = r0 * inv, s0 * inv, t0 * inv
-    return r0, s0, t0
 
 
 def resultant(p: Poly, q: Poly) -> Fraction:

@@ -22,7 +22,7 @@ import functools
 from dataclasses import dataclass
 
 from .curves import C1_32, CurveModel, CurvePoint
-from .exactmath import FpPoly, Fq, discriminant, fp_xgcd
+from .exactmath import FpPoly, Fq, discriminant, xgcd
 from .report import Report
 
 COUNT_BUDGET = 10 ** 6
@@ -176,8 +176,8 @@ def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor) -> MumfordDivisor:
         raise ValueError("divisors live on different models")
     f = d1.model.f
     u1, v1, u2, v2 = d1.u, d1.v, d2.u, d2.v
-    e, e1, e2 = fp_xgcd(u1, u2)
-    d, c1, c2 = fp_xgcd(e, v1 + v2)
+    e, e1, e2 = xgcd(u1, u2)
+    d, c1, c2 = xgcd(e, v1 + v2)
     s1, s2, s3 = c1 * e1, c1 * e2, c2
     u = (u1 * u2) // (d * d)  # monic, as u1, u2 and d are
     num = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)

@@ -2,7 +2,10 @@
 
 These deliberately avoid the code paths they check: the polynomial
 oracles keep every coefficient a Fraction (the package's Poly keeps
-integral coefficients as int), the resultant oracle is a Sylvester
+integral coefficients as int), the F_p[x] oracles reduce every
+intermediate coefficient mod p and invert by Fermat's little theorem
+(the package shares one dense-polynomial code with Q[x] and reduces only
+when it builds a polynomial), the resultant oracle is a Sylvester
 determinant over Fractions, the orbit oracle is blunt
 bounded iteration with an escape cutoff instead of valuation reasoning,
 the shape oracle finds cycle vertices by a tortoise walk of |V| steps from
@@ -88,6 +91,56 @@ def frac_xgcd(a, b):
         inv = [1 / r0[-1]]
         r0, s0, t0 = frac_mul(r0, inv), frac_mul(s0, inv), frac_mul(t0, inv)
     return r0, s0, t0
+
+
+# --- int-only polynomial arithmetic over F_p ----------------------------------
+# int coefficient lists lowest degree first, reduced into [0, p) after every
+# operation, with no trailing zeros; inverses by Fermat's little theorem
+
+
+def fp_poly(coeffs, p: int) -> list[int]:
+    out = [c % p for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def fp_add(a, b, p: int) -> list[int]:
+    n = max(len(a), len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
+    return fp_poly([x + y for x, y in zip(a, b)], p)
+
+
+def fp_sub(a, b, p: int) -> list[int]:
+    return fp_add(a, [-c for c in b], p)
+
+
+def fp_mul(a, b, p: int) -> list[int]:
+    a, b = fp_poly(a, p), fp_poly(b, p)
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return fp_poly(out, p)
+
+
+def fp_divmod(a, b, p: int) -> tuple[list[int], list[int]]:
+    rem, b = fp_poly(a, p), fp_poly(b, p)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv = pow(b[-1], p - 2, p)
+    quo = [0] * max(1, len(rem) - len(b) + 1)
+    while len(rem) >= len(b):
+        c = rem[-1] * inv % p
+        k = len(rem) - len(b)
+        quo[k] = c
+        for i, y in enumerate(b):
+            rem[k + i] = (rem[k + i] - c * y) % p
+        rem = fp_poly(rem, p)
+    return fp_poly(quo, p), rem
 
 
 def frac_compose(outer, inner) -> list[Fraction]:

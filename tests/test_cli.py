@@ -351,6 +351,14 @@ def test_verify_theorems_suite():
     *((("family", family, "--param", PARAM_601), None)
       for family in ("p1", "p2", "p3", "p1and2", "t12", "t22")),
     (("graph", "--c", "\u0661\u0662"), None),  # Arabic-Indic digits, not an ASCII literal
+    # integer options take the integer part of the rational grammar only
+    (("scan", "--height", "\u0662"), None),
+    (("scan", "--height", "1_0"), None),
+    (("jacobian", "--p", "\u0665"), None),
+    (("jacobian", "--p", "1_3"), None),
+    (("curve-points", "--curve", "c1_32", "--height", "\u0663"), None),
+    (("verify", "theorems", "--height", "1_0"), None),
+    (("scan", "--height", "3"), {"PREPER_JOBS": "\u0662"}),
 ])
 def test_usage_errors_exit_2_without_traceback(args, env):
     r = run_cli(*args, env=env)

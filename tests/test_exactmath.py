@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -5,11 +6,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from preper.exactmath import (
+    BiPoly,
+    FpPoly,
     Fq,
     Poly,
     discriminant,
     is_perfect_square,
     legendre_symbol,
+    parse_integer,
     parse_rational,
     resultant,
     sqrt_exact,
@@ -18,6 +22,11 @@ from preper.exactmath import (
 )
 from oracles import (
     brute_fq_squares,
+    fp_add,
+    fp_divmod,
+    fp_mul,
+    fp_poly,
+    fp_sub,
     frac_add,
     frac_divmod,
     frac_mul,
@@ -239,3 +248,77 @@ def test_residue_inverse_and_zero_division():
     # zero has no inverse: its gcd with the modulus is the modulus itself
     assert xgcd(Poly(), G)[0] == G
     assert resultant(G, Poly()) == 0
+
+
+def test_parse_integer_takes_ascii_digits_only():
+    assert parse_integer(" +13\n") == 13 and parse_integer("-7") == -7
+    for text in ("\u0662", "\u0665", "1_0", "1/1", "", "+", "0x10", "1.0", "--1"):
+        with pytest.raises(ValueError, match="not an integer literal"):
+            parse_integer(text)
+
+
+def test_mixed_coefficient_rings_raise():
+    f3, f5 = FpPoly(3, (1, 1)), FpPoly(5, (4, 4))
+    for op in (operator.add, operator.sub, operator.mul, divmod, operator.floordiv,
+               operator.mod, xgcd):
+        for a, b in ((f3, f5), (f5, f3), (f3, FpPoly(5, ()))):
+            with pytest.raises(ValueError, match="mixed moduli"):
+                op(a, b)
+        # Q[x] and F_p[x] do not mix either way round
+        for a, b in ((f3, Poly((1, 2))), (Poly((1, 2)), f3)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    # equality still answers across moduli, and tells them apart
+    assert FpPoly(3, (1, 1)) != FpPoly(5, (1, 1)) and f3 == FpPoly(3, (4, 7))
+    for zero in (Poly(), FpPoly(3, ()), BiPoly()):
+        with pytest.raises(ValueError, match="no leading coefficient"):
+            zero.lc
+
+
+_fp_coeffs = st.lists(st.integers(-40, 40), max_size=7)  # degree <= 6
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7, 11, 13)), _fp_coeffs, _fp_coeffs)
+@example(5, [1, 2, 3, 4], [2, 4])        # non-monic divisor, two quotient terms
+@example(7, [3, 0, 0, 0, 0, 0, 6], [0, 5, 5])
+@example(3, [2, 2], [])                  # gcd 2 + 2x must come out monic
+def test_fp_poly_arithmetic_and_xgcd_match_int_oracle(p, a, b):
+    A, B = FpPoly(p, a), FpPoly(p, b)
+    assert list(A.coeffs) == fp_poly(a, p) and list(B.coeffs) == fp_poly(b, p)
+    a, b = fp_poly(a, p), fp_poly(b, p)
+    for got, want in ((A + B, fp_add(a, b, p)), (A - B, fp_sub(a, b, p)),
+                      (A * B, fp_mul(a, b, p)), (-A, fp_sub([], a, p))):
+        assert got.p == p and list(got.coeffs) == want
+    if b:
+        q, r = divmod(A, B)
+        assert (list(q.coeffs), list(r.coeffs)) == fp_divmod(a, b, p)
+    g, s, t = xgcd(A, B)
+    assert fp_add(fp_mul(s.coeffs, a, p), fp_mul(t.coeffs, b, p), p) == list(g.coeffs)
+    if not g:
+        assert not a and not b
+        return
+    assert g.lc == 1
+    for f in (a, b):
+        assert fp_divmod(f, g.coeffs, p)[1] == []
+
+
+def _bi_eval(rows, x, y):
+    """sum of c * x**i * y**j over rows[j][i] = c, by plain powers."""
+    return sum(Fraction(c) * x ** i * y ** j
+               for j, row in enumerate(rows) for i, c in enumerate(row))
+
+
+_bi_rows = st.lists(st.lists(_coefficients, max_size=3), max_size=3)
+_points = st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=3, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bi_rows, _bi_rows, st.integers(0, 3), _points)
+def test_bipoly_arithmetic_matches_evaluation(a_rows, b_rows, n, points):
+    a, b = (BiPoly([Poly(row) for row in rows]) for rows in (a_rows, b_rows))
+    for x, y in points:
+        va, vb = _bi_eval(a_rows, x, y), _bi_eval(b_rows, x, y)
+        for got, want in ((a + b, va + vb), (a - b, va - vb), (a * b, va * vb),
+                          (-a, -va), (a ** n, va ** n), (3 - a, 3 - va)):
+            assert _bi_eval([c.coeffs for c in got.coeffs], x, y) == want
