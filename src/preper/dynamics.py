@@ -16,12 +16,12 @@ escape bound |k|(|k| - d) <= |u|.  One walk, `_walk`, follows any step
 function until its orbit repeats and records the (period, tail) of every
 preperiodic point it meets, so classification, enumeration of the
 candidate box and the cycles of canonical shapes all share it, and walks
-that share a record never repeat an orbit.  The candidate box is finite
-and iteration inside it must repeat, so classification and full
-enumeration terminate unconditionally.  The box holds about 2*sqrt|u|
-numerators, and `preper_points` refuses one of more than BOX_BUDGET
-rather than run for hours on a short argument; `scan` likewise refuses a
-height above SCAN_BUDGET.
+that share a record never repeat an orbit.  The candidate box holds the
+2K + 1 numerators |k| <= K, where K = floor((d + sqrt(d**2 + 4|u|))/2) is
+the largest K with K(K - d) <= |u|; iteration inside it must repeat, so
+every walk terminates.  `preper_points` refuses a box of more than
+BOX_BUDGET numerators rather than run for hours on a short argument, and
+`scan` refuses a height above SCAN_BUDGET.
 
 Graphs are canonicalized as functional digraphs: rooted trees hang off
 cycle vertices, trees get sorted-parenthesis codes, cycles get the
@@ -38,7 +38,7 @@ import os
 from fractions import Fraction
 from math import gcd, isqrt
 
-# largest candidate box, 2*kmax + 1 numerators, that preper_points will walk
+# largest candidate box, 2*K + 1 numerators, that preper_points will walk
 BOX_BUDGET = 10**6
 # largest height that scan accepts; it visits about 1.2 * height**1.5 values of c
 SCAN_BUDGET = 10**4
@@ -317,22 +317,26 @@ def preper_points(f: QuadMap) -> PreperGraph:
     """
     c = f.c
     d = _denominator_root(c)
+    if d is None:
+        return PreperGraph(c=c, vertices=frozenset(), edges={})
+    # candidates k/d with gcd(k, d) = 1 and |k| <= K, orbit_classify's escape bound
+    u = c.numerator
+    K = (d + isqrt(d * d + 4 * abs(u))) // 2  # the largest K with K(K - d) <= |u|
+    if 2 * K + 1 > BOX_BUDGET:
+        raise BoxBudgetError(f"the candidate box of c = {c} holds {2 * K + 1} "
+                             f"numerators, more than the budget of {BOX_BUDGET}")
     types: dict[int, tuple[int, int]] = {}
-    if d is not None:
-        # candidates k/d with gcd(k, d) = 1 and k*k - k*d <= |c|*d*d
-        cn, cd = abs(c).numerator, abs(c).denominator
-        kmax = (d * (cd + isqrt(cd * cd + 4 * cd * cn))) // (2 * cd) + 1
-        if 2 * kmax + 1 > BOX_BUDGET:
-            raise BoxBudgetError(f"the candidate box of c = {c} holds {2 * kmax + 1} "
-                                 f"numerators, more than the budget of {BOX_BUDGET}")
-        for k in range(-kmax, kmax + 1):
-            if gcd(k, d) == 1:
-                orbit_classify(f, Fraction(k, d), types)
-    vertices = frozenset(Fraction(k, d) for k in types)
-    edges = {v: f(v) for v in vertices}
-    for v, w in edges.items():
-        assert w in vertices, f"image {w} of vertex {v} escaped the vertex set"
-    return PreperGraph(c=c, vertices=vertices, edges=edges)
+    for k in range(-K, K + 1):
+        if gcd(k, d) == 1:
+            orbit_classify(f, Fraction(k, d), types)
+    vertex = {k: Fraction(k, d) for k in types}
+    edges = {}
+    for k, v in vertex.items():
+        image, r = divmod(k * k + u, d)
+        if r or image not in vertex:
+            raise RuntimeError(f"image {v * v + c} of vertex {v} escaped the vertex set")
+        edges[v] = vertex[image]
+    return PreperGraph(c=c, vertices=frozenset(edges), edges=edges)
 
 
 # --- canonical shapes -------------------------------------------------------
@@ -342,30 +346,32 @@ def _shape_of_edges(edges: dict) -> GraphShape:
     """Canonical code of a functional digraph given as vertex -> image."""
     if not edges:
         return GraphShape("")
-    types: dict = {}
-    for v in edges:
-        _walk(v, edges.__getitem__, types)
-    cyclic = {v for v, (_period, tail) in types.items() if tail == 0}
-    children: dict = {v: [] for v in edges}
-    for v in edges:
-        if v not in cyclic:
-            children[edges[v]].append(v)
+    # vertices relabelled 0..n-1; minimal rotations and sorting make the code label-free
+    index = {v: i for i, v in enumerate(edges)}
+    image = [index[w] for w in edges.values()]
+    types: dict[int, tuple[int, int]] = {}
+    for i in range(len(image)):
+        _walk(i, image.__getitem__, types)
+    children: list[list[int]] = [[] for _ in image]
+    for i, j in enumerate(image):
+        if types[i][1]:
+            children[j].append(i)
 
-    def tree_code(v) -> str:
-        return "(" + "".join(sorted(tree_code(ch) for ch in children[v])) + ")"
+    def tree_code(i: int) -> str:
+        return "(" + "".join(sorted(tree_code(ch) for ch in children[i])) + ")"
 
     components = []
     done = set()
-    for v in sorted(cyclic, key=repr):
-        if v in done:
+    for i, (_period, tail) in types.items():
+        if tail or i in done:
             continue
-        cycle = [v]
-        while edges[cycle[-1]] != v:
-            cycle.append(edges[cycle[-1]])
+        cycle = [i]
+        while image[cycle[-1]] != i:
+            cycle.append(image[cycle[-1]])
         done.update(cycle)
-        codes = [tree_code(u) for u in cycle]
+        codes = [tree_code(j) for j in cycle]
         m = len(cycle)
-        best = min(tuple(codes[(i + j) % m] for j in range(m)) for i in range(m))
+        best = min(tuple(codes[(a + b) % m] for b in range(m)) for a in range(m))
         components.append(f"{m}:" + ",".join(best))
     return GraphShape(";".join(sorted(components)))
 
@@ -447,14 +453,8 @@ def c_values_up_to_height(height: int) -> list[Fraction]:
     in a fixed deterministic order."""
     if height < 1:
         raise ValueError("height bound must be >= 1")
-    out = []
-    v = 1
-    while v * v <= height:
-        for u in range(-height, height + 1):
-            if gcd(u, v) == 1:
-                out.append(Fraction(u, v * v))
-        v += 1
-    return out
+    return [Fraction(u, v * v) for v in range(1, isqrt(height) + 1)
+            for u in range(-height, height + 1) if gcd(u, v) == 1]
 
 
 class ScanResult:

@@ -8,6 +8,8 @@ intermediate coefficient mod p and invert by Fermat's little theorem
 when it builds a polynomial), the resultant oracle is a Sylvester
 determinant over Fractions, the orbit oracle is blunt
 bounded iteration with an escape cutoff instead of valuation reasoning,
+the box oracle walks a box one numerator wider on each side in Fractions
+(x -> x*x + c) instead of on numerators inside the exact box,
 the shape oracle finds cycle vertices by a tortoise walk of |V| steps from
 every vertex instead of one memoised orbit walk, the point-search
 oracle evaluates the polynomial at each Fraction instead of running
@@ -232,6 +234,33 @@ def brute_preperiodic_set(c: Fraction, numerator_bound: int = 400) -> set[Fracti
         if brute_orbit_kind(c, x) != "divergent":
             out.add(x)
     return out
+
+
+def box_preper_graph(c: Fraction) -> tuple[frozenset, dict]:
+    """Vertices and edges x -> x*x + c of the finite preperiodic points of
+    z**2 + c, from a candidate box with one numerator of slack on each
+    side: every k/d with gcd(k, d) = 1 and |k| <= kmax is iterated in
+    Fractions until its orbit repeats or leaves the candidates (another
+    denominator, or |x|(|x| - 1) > |c|, beyond which |x| only grows)."""
+    D = c.denominator
+    d = isqrt(D)
+    if d * d != D:
+        return frozenset(), {}
+    cn, cd = abs(c).numerator, abs(c).denominator
+    kmax = (d * (cd + isqrt(cd * cd + 4 * cd * cn))) // (2 * cd) + 1
+    vertices = set()
+    for k in range(-kmax, kmax + 1):
+        if gcd(k, d) != 1:
+            continue
+        x, seen = Fraction(k, d), set()
+        while x not in seen:
+            if x.denominator != d or abs(x) * (abs(x) - 1) > abs(c):
+                break
+            seen.add(x)
+            x = x * x + c
+        else:
+            vertices.add(Fraction(k, d))
+    return frozenset(vertices), {x: x * x + c for x in vertices}
 
 
 def brute_square_points(coeffs, height: int) -> set[tuple[Fraction, Fraction]]:

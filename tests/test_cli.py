@@ -250,6 +250,19 @@ def test_scan_height_300_census_bytes_are_pinned():
         "b3a562a8eebcfc550c322ef3389797a5a85209375dca5cb9561fca28e1ed82a5"
 
 
+@pytest.mark.parametrize("height", range(81, 91))
+def test_scan_matches_the_census_benchmark_golden(height, capsys):
+    # the census benchmark's heights, run in-process and compared, read-only,
+    # with the sha256 of the golden output (the report without timing_ms)
+    with open(os.path.join(ROOT, "perfbench", "golden", "census.json")) as fh:
+        golden = json.load(fh)["calls"][f"scan --height {height}"]
+    code = cli.main(["scan", "--height", str(height)])
+    payload = json.loads(capsys.readouterr().out)
+    del payload["timing_ms"]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert [code, hashlib.sha256(text.encode()).hexdigest()] == golden
+
+
 def test_verify_curves_height_40_bytes_are_pinned():
     # sha256 of the curves report with timing_ms removed: every search row,
     # point list row and function-field identity row, with its value and note

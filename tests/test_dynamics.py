@@ -2,12 +2,16 @@ import concurrent.futures
 import os
 import pickle
 import random
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from preper import dynamics
 from preper.dynamics import (
+    BoxBudgetError,
     GraphShape,
     NotQuadraticError,
     OrbitClass,
@@ -28,7 +32,13 @@ from preper.dynamics import (
 from preper.exactmath import Poly
 from preper.families import FamilyPoint
 from preper.report import CheckResult, Report
-from oracles import brute_orbit_kind, brute_preperiodic_set, frac_compose, tortoise_shape_code
+from oracles import (
+    box_preper_graph,
+    brute_orbit_kind,
+    brute_preperiodic_set,
+    frac_compose,
+    tortoise_shape_code,
+)
 
 F = Fraction
 
@@ -159,6 +169,70 @@ def test_preper_points_closure_and_soundness():
             assert orbit_classify(f, v).kind != "divergent"
 
 
+# c = u/d^2 with boxes of thousands of numerators, d large against sqrt|u|
+# included; a u sharing a factor with d reduces to another denominator
+wide_c = st.builds(lambda u, d: F(u, d * d), st.integers(-10**6, 10**6), st.integers(1, 60))
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=wide_c)
+def test_preper_points_matches_slack_box_oracle_on_vertices_and_edges(c):
+    g = preper_points(QuadMap(c))
+    vertices, edges = box_preper_graph(c)
+    assert g.vertices == vertices
+    assert g.edges == edges
+
+
+def box_size(c) -> int:
+    # the numerators preper_points counts for c, read from the refusal it
+    # gives under a budget of 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "BOX_BUDGET", 0)
+        with pytest.raises(BoxBudgetError) as err:
+            preper_points(QuadMap(c))
+    return int(re.search(r"holds (\d+) numerators", str(err.value)).group(1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ud=st.tuples(st.integers(-10**6, 10**6), st.integers(1, 60)).filter(
+    lambda ud: gcd(*ud) == 1))
+def test_candidate_box_is_the_exact_escape_bound(ud):
+    u, d = ud
+    size = box_size(F(u, d * d))
+    K = size // 2
+    assert size == 2 * K + 1
+    assert K * (K - d) <= abs(u) < (K + 1) * (K + 1 - d)
+
+
+@pytest.mark.parametrize("c", [F(-29, 16), F(0), F(10**6 + 1, 4), F(-98_765_431, 9679**2)])
+def test_box_budget_guards_the_exact_box(monkeypatch, c):
+    size = box_size(c)
+    monkeypatch.setattr(dynamics, "BOX_BUDGET", size - 1)
+    with pytest.raises(BoxBudgetError, match=f"holds {size} numerators"):
+        preper_points(QuadMap(c))
+    monkeypatch.setattr(dynamics, "BOX_BUDGET", size)
+    assert preper_points(QuadMap(c)).vertices == box_preper_graph(c)[0]
+
+
+@pytest.mark.parametrize("recorded, message", [
+    # 1/4 -> -7/4, which was never recorded
+    ([1], "image -7/4 of vertex 1/4"),
+    # 4 does not divide 2**2 - 29, so 1/2 -> -25/16 is no candidate, although
+    # the floor of (2**2 - 29)/4 is the recorded numerator -7
+    ([2, -7], "image -25/16 of vertex 1/2"),
+])
+def test_vertex_closure_failure_names_the_escaped_image(monkeypatch, recorded, message):
+    # an orbit walk that records a vertex without its image fails with an
+    # error that python -O keeps, not with a bare KeyError
+    def record(f, x, types):
+        types.update((k, (1, 0)) for k in recorded)
+        return OrbitClass.divergent()
+
+    monkeypatch.setattr(dynamics, "orbit_classify", record)
+    with pytest.raises(RuntimeError, match=re.escape(message + " escaped the vertex set")):
+        preper_points(QuadMap(F(-29, 16)))
+
+
 def test_shape_empty_graph():
     assert _shape_of_edges({}) == GraphShape("")
 
@@ -184,6 +258,19 @@ def test_shape_invariant_under_relabeling():
 def test_shape_matches_tortoise_oracle_on_random_graphs(images):
     edges = dict(enumerate(images))
     assert _shape_of_edges(edges).code == tortoise_shape_code(edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n), st.permutations(range(n)))))
+def test_shape_ignores_insertion_order_and_label_type(graph):
+    # the code depends on neither the order the vertices come in nor how
+    # their labels sort: str labels sort "10" before "2", Fractions by value
+    images, perm = graph
+    code = _shape_of_edges(dict(enumerate(images)))
+    assert _shape_of_edges({v: images[v] for v in perm}) == code
+    assert _shape_of_edges({str(perm[v]): str(perm[images[v]]) for v in perm}) == code
+    assert _shape_of_edges({F(perm[v] - 6, 7): F(perm[images[v]] - 6, 7) for v in perm}) == code
 
 
 def test_shape_distinguishes_rotation_direction():
