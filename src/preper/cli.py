@@ -9,9 +9,10 @@ scan.
 Each command loads only the layers it runs: graph, scan and family need
 the dynamics and the families, while the curve registry, the Jacobian
 arithmetic over F_p, the 2-descent and the 3-adic layer are imported
-inside the commands that use them.  The value classes of the dynamics,
-the families and the reports are plain classes, so graph, scan and
-family never load dataclasses either.
+inside the commands that use them.  Every value class of the package
+derives its equality, hashing, repr and pickling from preper.values, so
+no command loads the standard library's class generator or the inspect
+module that it imports.
 """
 
 from __future__ import annotations
@@ -263,12 +264,11 @@ def theorems_report() -> Report:
 
 
 def curves_report(height: int) -> Report:
-    from dataclasses import replace
-
     from .curves import (
         CORRECTED_POINTS,
         CURVES,
         PRINTED_POINTS,
+        CurveModel,
         elliptic_points_bounded,
         good_reduction_model_check,
         rational_points_bounded,
@@ -291,7 +291,8 @@ def curves_report(height: int) -> Report:
                 c.note = (c.note + "; " if c.note else "") + \
                     "documented discrepancy: printed list contains the off-curve point (-1,1)"
         rep.extend(sub)
-    rep.extend(verify_point_list(replace(CURVES["e24"], label="e24-corrected"),
+    e24 = CURVES["e24"]
+    rep.extend(verify_point_list(CurveModel("e24-corrected", e24.g, e24.h),
                                  CORRECTED_POINTS["e24"], found["e24"], height))
     rep.extend(verify_all_birational_pairs())
     rep.extend(x1_13_discriminant_check())

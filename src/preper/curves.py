@@ -52,7 +52,6 @@ map verifies and is also registered).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt
 
@@ -71,17 +70,18 @@ from .exactmath import (
 from .dynamics import BudgetError
 from .families import _period3_data
 from .report import Report
+from .values import Value, set_field
 
 
-@dataclass(frozen=True)
-class CurveModel:
+class CurveModel(Value):
     """The plane curve y^2 + h(x) y = g(x), coefficients lowest degree first."""
 
-    label: str
-    g: Poly
-    h: Poly = Poly()
+    __slots__ = ("label", "g", "h")
 
-    def __post_init__(self):
+    def __init__(self, label: str, g: Poly, h: Poly = Poly()):
+        set_field(self, "label", label)
+        set_field(self, "g", g)
+        set_field(self, "h", h)
         if discriminant(self.square()) == 0:
             raise ValueError(f"singular model {self.label}: h^2 + 4g has a repeated root")
 
@@ -121,13 +121,15 @@ def weierstrass(label: str, a1: int, a2: int, a3: int, a4: int, a6: int) -> Curv
     return CurveModel(label, Poly((a6, a4, a2, 1)), Poly((a3, a1)))
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(Value):
     """Affine (x, y) or a point at infinity labelled by the sign of y/x^3."""
 
-    x: Fraction | None
-    y: Fraction | None
-    branch: int = 0  # +1 / -1 for infinite points, 0 for affine
+    __slots__ = ("x", "y", "branch")
+
+    def __init__(self, x: Fraction | None, y: Fraction | None, branch: int = 0):
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "branch", branch)  # +1 / -1 for infinite points, 0 for affine
 
     @classmethod
     def affine(cls, x, y) -> "CurvePoint":
@@ -265,7 +267,8 @@ def _affine_points(curve: CurveModel, height: int) -> set[tuple[Fraction, Fracti
     for x, s in _square_values(curve.square().coeffs, height):
         hx = curve.h(x)
         for y in ((s - hx) / 2, (-s - hx) / 2):
-            assert curve.contains((x, y))
+            if not curve.contains((x, y)):
+                raise ArithmeticError(f"search value ({x}, {y}) is off {curve.label}")
             pts.add((x, y))
     return pts
 
@@ -315,19 +318,6 @@ def elliptic_add(E: CurveModel, P, Q):
         lam = Fraction(y2 - y1, x2 - x1)
     x3 = lam * lam + E.h[1] * lam - E.g[2] - x1 - x2
     return elliptic_neg(E, (x3, y1 + lam * (x3 - x1)))
-
-
-def elliptic_mul(E: CurveModel, n: int, P):
-    if n < 0:
-        return elliptic_mul(E, -n, elliptic_neg(E, P))
-    R = None
-    B = P
-    while n:
-        if n & 1:
-            R = elliptic_add(E, R, B)
-        B = elliptic_add(E, B, B)
-        n >>= 1
-    return R
 
 
 # printed rational point lists; e24 as printed contains an off-curve point
@@ -381,15 +371,22 @@ _V = BiPoly.y()
 _ONE = BiPoly.const(1)
 
 
-@dataclass(frozen=True)
-class BirationalPair:
-    pair_id: str
-    source: CurveModel
-    target: CurveModel | str  # "p1" for the projective line
-    forward: tuple[RationalMap, RationalMap]
-    backward: tuple[RationalMap, RationalMap]
-    note: str = ""
-    printed_forward: tuple[RationalMap, RationalMap] | None = None
+class BirationalPair(Value):
+    __slots__ = ("pair_id", "source", "target", "forward", "backward", "note",
+                 "printed_forward")
+
+    def __init__(self, pair_id: str, source: CurveModel,
+                 target: CurveModel | str,  # "p1" for the projective line
+                 forward: tuple[RationalMap, RationalMap],
+                 backward: tuple[RationalMap, RationalMap], note: str = "",
+                 printed_forward: tuple[RationalMap, RationalMap] | None = None):
+        set_field(self, "pair_id", pair_id)
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "forward", forward)
+        set_field(self, "backward", backward)
+        set_field(self, "note", note)
+        set_field(self, "printed_forward", printed_forward)
 
 
 BIRATIONAL_PAIRS: dict[str, BirationalPair] = {}

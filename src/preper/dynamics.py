@@ -36,58 +36,29 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd, isqrt
+
+from .values import Value, set_field
 
 # largest candidate box, 2*K + 1 numerators, that preper_points will walk
 BOX_BUDGET = 10**6
 # largest height that scan accepts; it visits about 1.2 * height**1.5 values of c
 SCAN_BUDGET = 10**4
 
-# sets a slot of a frozen instance in its __init__, past _Frozen.__setattr__
-_set = object.__setattr__
-
-
-class _Frozen:
-    """Base of the immutable value classes: each sets its slots once, in
-    its own __init__, and any later assignment raises AttributeError.
-    Each hashes the tuple of the fields it compares."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class QuadMap(_Frozen):
+class QuadMap(Value):
     """The polynomial z**2 + c."""
 
     __slots__ = ("c",)
 
     def __init__(self, c: Fraction):
-        _set(self, "c", c)
+        set_field(self, "c", c)
 
     def __call__(self, x: Fraction) -> Fraction:
         return x * x + self.c
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.c == other.c
 
-    def __hash__(self):
-        return hash((self.c,))
-
-    def __repr__(self):
-        return f"QuadMap(c={self.c!r})"
-
-    def __reduce__(self):
-        return QuadMap, (self.c,)
-
-
-class OrbitClass(_Frozen):
+class OrbitClass(Value):
     """Orbit type of a point: periodic(m), preperiodic(m, n), or divergent.
 
     m is the exact cycle length; n >= 1 is the number of steps before the
@@ -98,9 +69,9 @@ class OrbitClass(_Frozen):
 
     def __init__(self, kind: str, period: int = 0, tail: int = 0):
         # kind is "periodic" | "preperiodic" | "divergent"
-        _set(self, "kind", kind)
-        _set(self, "period", period)
-        _set(self, "tail", tail)
+        set_field(self, "kind", kind)
+        set_field(self, "period", period)
+        set_field(self, "tail", tail)
 
     @classmethod
     def periodic(cls, m: int) -> "OrbitClass":
@@ -114,20 +85,6 @@ class OrbitClass(_Frozen):
     def divergent(cls) -> "OrbitClass":
         return _DIVERGENT
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.period, self.tail) == (other.kind, other.period, other.tail)
-
-    def __hash__(self):
-        return hash((self.kind, self.period, self.tail))
-
-    def __repr__(self):
-        return f"OrbitClass(kind={self.kind!r}, period={self.period!r}, tail={self.tail!r})"
-
-    def __reduce__(self):
-        return OrbitClass, (self.kind, self.period, self.tail)
-
     def __str__(self) -> str:
         if self.kind == "periodic":
             return f"periodic({self.period})"
@@ -140,7 +97,7 @@ class OrbitClass(_Frozen):
 _DIVERGENT = OrbitClass("divergent")
 
 
-class PreperGraph(_Frozen):
+class PreperGraph(Value):
     """Finite rational preperiodic points of z**2 + c with edges x -> f(x).
 
     The fixed point at infinity is never a vertex, but it always exists,
@@ -149,26 +106,13 @@ class PreperGraph(_Frozen):
     """
 
     __slots__ = ("c", "vertices", "edges")
+    _compare = ("c", "vertices")
 
     def __init__(self, c: Fraction, vertices: frozenset[Fraction],
                  edges: dict[Fraction, Fraction]):
-        _set(self, "c", c)
-        _set(self, "vertices", vertices)
-        _set(self, "edges", edges)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.c, self.vertices) == (other.c, other.vertices)
-
-    def __hash__(self):
-        return hash((self.c, self.vertices))
-
-    def __repr__(self):
-        return f"PreperGraph(c={self.c!r}, vertices={self.vertices!r}, edges={self.edges!r})"
-
-    def __reduce__(self):
-        return PreperGraph, (self.c, self.vertices, self.edges)
+        set_field(self, "c", c)
+        set_field(self, "vertices", vertices)
+        set_field(self, "edges", edges)
 
     def orbit_types(self) -> dict[Fraction, OrbitClass]:
         f = QuadMap(self.c)
@@ -179,40 +123,18 @@ class PreperGraph(_Frozen):
         return len(self.vertices) + 1
 
 
-class GraphShape(_Frozen):
+@total_ordering
+class GraphShape(Value):
     """Canonical code of a functional digraph up to isomorphism; shapes
     order by their codes."""
 
     __slots__ = ("code",)
 
     def __init__(self, code: str):
-        _set(self, "code", code)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.code == other.code
+        set_field(self, "code", code)
 
     def __lt__(self, other):
         return self.code < other.code if other.__class__ is self.__class__ else NotImplemented
-
-    def __le__(self, other):
-        return self.code <= other.code if other.__class__ is self.__class__ else NotImplemented
-
-    def __gt__(self, other):
-        return self.code > other.code if other.__class__ is self.__class__ else NotImplemented
-
-    def __ge__(self, other):
-        return self.code >= other.code if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.code,))
-
-    def __repr__(self):
-        return f"GraphShape(code={self.code!r})"
-
-    def __reduce__(self):
-        return GraphShape, (self.code,)
 
     def __str__(self) -> str:
         return self.code or "(empty)"
@@ -457,12 +379,13 @@ def c_values_up_to_height(height: int) -> list[Fraction]:
             for u in range(-height, height + 1) if gcd(u, v) == 1]
 
 
-class ScanResult:
+class ScanResult(Value):
     """Census of a scan: per shape its count and up to three sample c, the
     c whose shape is outside the catalog, and the c whose graph has more
     than 9 points counting infinity, with that size."""
 
     __slots__ = ("height", "census", "out_of_catalog", "bound_violations")
+    _mutable = True
 
     def __init__(self, height: int, census: dict[GraphShape, tuple[int, list[Fraction]]],
                  out_of_catalog: list[tuple[Fraction, GraphShape]],
@@ -471,17 +394,6 @@ class ScanResult:
         self.census = census
         self.out_of_catalog = out_of_catalog
         self.bound_violations = bound_violations
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.height, self.census, self.out_of_catalog, self.bound_violations)
-                == (other.height, other.census, other.out_of_catalog, other.bound_violations))
-
-    def __repr__(self):
-        return (f"ScanResult(height={self.height!r}, census={self.census!r}, "
-                f"out_of_catalog={self.out_of_catalog!r}, "
-                f"bound_violations={self.bound_violations!r})")
 
 
 def _scan_chunk(cs) -> list[tuple[str, Fraction, int]]:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ..values import Value, set_field
 from .polynomial import Poly, _DensePoly, _trim
 
 
@@ -82,7 +83,7 @@ class BiPoly(_DensePoly):
         return " + ".join(parts)
 
 
-class RationalMap:
+class RationalMap(Value):
     """Quotient of two bivariate polynomials, one coordinate of a curve map."""
 
     __slots__ = ("num", "den")
@@ -94,11 +95,8 @@ class RationalMap:
             den = BiPoly.const(den) if not isinstance(den, Poly) else BiPoly((den,))
         if den.is_zero():
             raise ZeroDivisionError("rational map with zero denominator")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalMap is immutable")
+        set_field(self, "num", num)
+        set_field(self, "den", den)
 
     def eval(self, xval, yval):
         """Evaluate num/den at ring elements; division must exist in the ring."""
@@ -132,7 +130,7 @@ class CurveFunctionField:
         return FieldElement(self, Poly(), _ONE, _ONE)
 
 
-class FieldElement:
+class FieldElement(Value):
     """(a(x) + b(x)*y) / d(x) with d nonzero, reduced by the relation.
 
     The triple is never normalized, so one element has many triples;
@@ -142,13 +140,10 @@ class FieldElement:
     __slots__ = ("field", "a", "b", "d")
 
     def __init__(self, field: CurveFunctionField, a: Poly, b: Poly, d: Poly):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FieldElement is immutable")
+        set_field(self, "field", field)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "d", d)
 
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()

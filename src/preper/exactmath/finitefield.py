@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from ..values import Value, set_field
 from .integers import is_prime
 from .polynomial import _DensePoly, _trim
 
@@ -99,18 +100,15 @@ class Fq:
         return self(fp_residue(q, self.p))
 
 
-class FqElem:
+class FqElem(Value):
     """Element a + b*i of F_{p^k}; immutable and hashable."""
 
     __slots__ = ("field", "a", "b")
 
     def __init__(self, field: Fq, a: int, b: int = 0):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "a", a % field.p)
-        object.__setattr__(self, "b", b % field.p)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FqElem is immutable")
+        set_field(self, "field", field)
+        set_field(self, "a", a % field.p)
+        set_field(self, "b", b % field.p)
 
     def _lift(self, other):
         if isinstance(other, FqElem):
@@ -171,25 +169,6 @@ class FqElem:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "FqElem":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        p = self.field.p
-        if self.field.k == 1:
-            return FqElem(self.field, pow(self.a, p - 2, p))
-        # (a + bi)^-1 = (a - bi) / (a^2 - n b^2)
-        dinv = pow(self.norm(), p - 2, p)
-        return FqElem(self.field, self.a * dinv, -self.b * dinv)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self._lift(other) * self.inverse()
-
     def norm(self) -> int:
         """Norm down to F_p as an int: a^2 - n*b^2 (= a^2 + b^2 for i^2 = -1)."""
         field = self.field
@@ -216,11 +195,12 @@ class FpPoly(_DensePoly):
     [0, p); the ring arithmetic is _DensePoly's, reduced mod p."""
 
     __slots__ = ("p",)
+    _fields = ("p", "coeffs")
     _SCALARS = (int,)
 
     def __init__(self, p: int, coeffs=()):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", _trim([c % p for c in coeffs]))
+        set_field(self, "p", p)
+        set_field(self, "coeffs", _trim([c % p for c in coeffs]))
 
     def _new(self, coeffs) -> "FpPoly":
         return FpPoly(self.p, coeffs)

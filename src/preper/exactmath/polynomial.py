@@ -46,6 +46,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable
 
+from ..values import Value, set_field
+
 
 def _coerce(c) -> int | Fraction:
     """An integral coefficient as int, a proper fraction as Fraction."""
@@ -82,7 +84,7 @@ def _canonical(coeffs) -> tuple:
     return _trim(cs)
 
 
-class _DensePoly:
+class _DensePoly(Value):
     """Ring arithmetic on a tuple of coefficients, lowest degree first.
 
     A ring supplies _normalize(coeffs) -> tuple (or its own constructor),
@@ -96,10 +98,7 @@ class _DensePoly:
     _SCALARS: tuple = (int, Fraction)
 
     def __init__(self, coeffs: Iterable = ()):
-        object.__setattr__(self, "coeffs", self._normalize(coeffs))
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        set_field(self, "coeffs", self._normalize(coeffs))
 
     def _new(self, coeffs):
         return type(self)(coeffs)

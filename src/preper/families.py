@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dynamics import OrbitClass, QuadMap, _Frozen, _set, orbit_classify
+from .dynamics import OrbitClass, QuadMap, orbit_classify
 from .report import Report
+from .values import Value, set_field
 
 FAMILY_IDS = ("p1", "p2", "p3", "p1and2", "t12", "t22", "t32")
 
@@ -32,37 +33,22 @@ class ExcludedParameterError(ValueError):
     pass
 
 
-class FamilyPoint(_Frozen):
+class FamilyPoint(Value):
     """A map z**2 + c of a family with its promised points and their orbit
     types; aux holds the implied parameters and takes no part in equality
     or hashing."""
 
     __slots__ = ("family", "parameter", "c", "points", "aux")
+    _compare = ("family", "parameter", "c", "points")
 
     def __init__(self, family: str, parameter: Fraction | None, c: Fraction,
                  points: tuple[tuple[Fraction, OrbitClass], ...],
                  aux: dict[str, Fraction] | None = None):
-        _set(self, "family", family)
-        _set(self, "parameter", parameter)
-        _set(self, "c", c)
-        _set(self, "points", points)
-        _set(self, "aux", {} if aux is None else aux)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.family, self.parameter, self.c, self.points)
-                == (other.family, other.parameter, other.c, other.points))
-
-    def __hash__(self):
-        return hash((self.family, self.parameter, self.c, self.points))
-
-    def __repr__(self):
-        return (f"FamilyPoint(family={self.family!r}, parameter={self.parameter!r}, "
-                f"c={self.c!r}, points={self.points!r}, aux={self.aux!r})")
-
-    def __reduce__(self):
-        return FamilyPoint, (self.family, self.parameter, self.c, self.points, self.aux)
+        set_field(self, "family", family)
+        set_field(self, "parameter", parameter)
+        set_field(self, "c", c)
+        set_field(self, "points", points)
+        set_field(self, "aux", {} if aux is None else aux)
 
 
 def family_period1(rho) -> FamilyPoint:

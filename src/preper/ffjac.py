@@ -19,11 +19,11 @@ ninth multiple is the class of the two off-cycle known points.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .curves import C1_32, CurveModel, CurvePoint
 from .exactmath import FpPoly, Fq, discriminant, xgcd
 from .report import Report
+from .values import Value, set_field
 
 COUNT_BUDGET = 10 ** 6
 
@@ -59,9 +59,10 @@ def jacobian_order(curve: CurveModel, p: int) -> int:
         raise ValueError(f"{p} is a prime of bad reduction for {curve.label}")
     n1 = count_points(curve, p, 1)
     n2 = count_points(curve, p, 2)
-    order = (n1 * n1 + n2) // 2 - p
-    assert (n1 * n1 + n2) % 2 == 0
-    return order
+    half, odd = divmod(n1 * n1 + n2, 2)
+    if odd:
+        raise ArithmeticError(f"N1^2 + N2 = {n1 * n1 + n2} is odd at p = {p}")
+    return half - p
 
 
 def torsion_triviality_report() -> Report:
@@ -84,16 +85,18 @@ def torsion_triviality_report() -> Report:
 # --- odd-degree models and Mumford arithmetic -------------------------------
 
 
-@dataclass(frozen=True)
-class OddModel:
+class OddModel(Value):
     """y^2 = f(x) with f monic of degree 5 over F_p, plus the point map from
     the parent sextic model: (x, y) -> (a/(x-r), a^2 y/(x-r)^3), with the
     Weierstrass point (r, 0) sent to infinity and inf+- sent to x = 0."""
 
-    p: int
-    f: FpPoly
-    r: int
-    scale: int  # a = g'(r), the leading coefficient before rescaling
+    __slots__ = ("p", "f", "r", "scale")
+
+    def __init__(self, p: int, f: FpPoly, r: int, scale: int):
+        set_field(self, "p", p)
+        set_field(self, "f", f)
+        set_field(self, "r", r)
+        set_field(self, "scale", scale)  # a = g'(r), the leading coefficient before rescaling
 
     def to_odd(self, point: CurvePoint) -> tuple[int, int] | None:
         """Image of a point of the sextic model; None is the point at infinity."""
@@ -130,16 +133,16 @@ def odd_model_transform(curve: CurveModel, p: int, r: int) -> OddModel:
     return OddModel(p=p, f=f, r=r % p, scale=a % p)
 
 
-@dataclass(frozen=True)
-class MumfordDivisor:
+class MumfordDivisor(Value):
     """Reduced divisor class (u, v) on an odd model: u monic, deg u <= 2,
     deg v < deg u, and u | f - v^2."""
 
-    model: OddModel
-    u: FpPoly
-    v: FpPoly
+    __slots__ = ("model", "u", "v")
 
-    def __post_init__(self):
+    def __init__(self, model: OddModel, u: FpPoly, v: FpPoly):
+        set_field(self, "model", model)
+        set_field(self, "u", u)
+        set_field(self, "v", v)
         f = self.model.f
         if self.u.is_zero() or self.u.lc != 1 or self.u.degree > 2:
             raise ValueError("u must be monic of degree <= 2")

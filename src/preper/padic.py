@@ -21,23 +21,25 @@ downstream of them is recomputed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curves import C1_32
 from .exactmath import Poly, valuation
 from .report import Report
+from .values import Value, set_field
 
 
 # --- exact branch series ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BranchSeries:
+class BranchSeries(Value):
     """Truncated expansion x = xi(t) along a branch of y^2 = g(x)."""
 
-    coeffs: tuple[Fraction, ...]  # xi mod t^(order+1)
-    order: int
+    __slots__ = ("coeffs", "order")
+
+    def __init__(self, coeffs: tuple[Fraction, ...], order: int):
+        set_field(self, "coeffs", coeffs)  # xi mod t^(order+1)
+        set_field(self, "order", order)
 
 
 def _truncate(s: Poly, order: int) -> Poly:
@@ -98,8 +100,7 @@ def branch_series(order: int, curve=C1_32, base=(Fraction(1), Fraction(-3))) -> 
 # --- congruence series ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PadicSeries:
+class PadicSeries(Value):
     """Finitely many coefficients known mod p**r plus a tail valuation floor.
 
     coeffs maps index -> (residue, r) meaning the coefficient is congruent
@@ -107,19 +108,20 @@ class PadicSeries:
     least tail_floor.
     """
 
-    p: int
-    coeffs: dict[int, tuple[int, int]] = field(default_factory=dict)
-    tail_floor: int = 0
+    __slots__ = ("p", "coeffs", "tail_floor")
 
-    def __post_init__(self):
-        if self.tail_floor < 0:
+    def __init__(self, p: int, coeffs: dict[int, tuple[int, int]] | None = None,
+                 tail_floor: int = 0):
+        if tail_floor < 0:
             raise ValueError("tail valuation floor must be non-negative")
         norm = {}
-        for i, (res, r) in self.coeffs.items():
+        for i, (res, r) in (coeffs or {}).items():
             if r <= 0:
                 raise ValueError("modulus exponent must be positive")
-            norm[int(i)] = (res % self.p ** r, r)
-        object.__setattr__(self, "coeffs", norm)
+            norm[int(i)] = (res % p ** r, r)
+        set_field(self, "p", p)
+        set_field(self, "coeffs", norm)
+        set_field(self, "tail_floor", tail_floor)
 
     def scale(self, scalar: int, known_mod: int) -> "PadicSeries":
         """Multiply by a constant known modulo p**known_mod."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactmath import format_rational
+from .values import Value
 
 PASS = "pass"
 FAIL = "fail"
@@ -33,8 +34,9 @@ def jsonable(value):
     return str(value)
 
 
-class CheckResult:
+class CheckResult(Value):
     __slots__ = ("id", "statement", "status", "value", "note")
+    _mutable = True
 
     def __init__(self, id: str, statement: str, status: str, value: object = None,
                  note: str = ""):
@@ -44,16 +46,6 @@ class CheckResult:
         self.value = value
         self.note = note
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.id, self.statement, self.status, self.value, self.note)
-                == (other.id, other.statement, other.status, other.value, other.note))
-
-    def __repr__(self):
-        return (f"CheckResult(id={self.id!r}, statement={self.statement!r}, "
-                f"status={self.status!r}, value={self.value!r}, note={self.note!r})")
-
     def as_dict(self) -> dict:
         d = {"id": self.id, "statement": self.statement, "status": self.status,
              "value": jsonable(self.value)}
@@ -62,20 +54,13 @@ class CheckResult:
         return d
 
 
-class Report:
+class Report(Value):
     __slots__ = ("title", "checks")
+    _mutable = True
 
     def __init__(self, title: str, checks: list[CheckResult] | None = None):
         self.title = title
         self.checks = [] if checks is None else checks
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.title, self.checks) == (other.title, other.checks)
-
-    def __repr__(self):
-        return f"Report(title={self.title!r}, checks={self.checks!r})"
 
     def add(self, id: str, statement: str, ok: bool, value=None, note: str = "") -> CheckResult:
         r = CheckResult(id, statement, PASS if ok else FAIL, value, note)

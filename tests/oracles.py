@@ -8,7 +8,8 @@ intermediate coefficient mod p and invert by Fermat's little theorem
 when it builds a polynomial), the resultant oracle is a Sylvester
 determinant over Fractions, the orbit oracle is blunt
 bounded iteration with an escape cutoff instead of valuation reasoning,
-the box oracle walks a box one numerator wider on each side in Fractions
+the F_p elements that rational maps are evaluated at divide by Fermat's
+little theorem (the package's F_{p^2} elements have no division), the box oracle walks a box one numerator wider on each side in Fractions
 (x -> x*x + c) instead of on numerators inside the exact box,
 the shape oracle finds cycle vertices by a tortoise walk of |V| steps from
 every vertex instead of one memoised orbit walk, the point-search
@@ -349,6 +350,52 @@ def brute_fq_squares(p: int, k: int, n: int) -> set[tuple[int, int]]:
     """Every square of F_{p^k}, zero included, by squaring each element;
     F_{p^2} is built on the non-residue n (ignored when k = 1)."""
     return {fq_mul(x, x, p, n) for x in fq_elements(p, k)}
+
+
+class ModP:
+    """An element of F_p with all four field operations, so rational maps
+    can be evaluated at points over F_p without the package's F_{p^2}
+    type.  The other operand may be an int, a Fraction or a ModP."""
+
+    __slots__ = ("v", "p")
+
+    def __init__(self, v, p: int):
+        self.p = p
+        self.v = v.v if isinstance(v, ModP) else v.numerator * pow(v.denominator, -1, p) % p
+
+    def _of(self, other) -> int:
+        return ModP(other, self.p).v
+
+    def __add__(self, other):
+        return ModP(self.v + self._of(other), self.p)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ModP(-self.v, self.p)
+
+    def __sub__(self, other):
+        return ModP(self.v - self._of(other), self.p)
+
+    def __rsub__(self, other):
+        return ModP(self._of(other) - self.v, self.p)
+
+    def __mul__(self, other):
+        return ModP(self.v * self._of(other), self.p)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        d = self._of(other)
+        if d == 0:
+            raise ZeroDivisionError("division by zero in F_p")
+        return ModP(self.v * pow(d, self.p - 2, self.p), self.p)
+
+    def __rtruediv__(self, other):
+        return ModP(other, self.p) / self
+
+    def __eq__(self, other):
+        return self.v == self._of(other)
 
 
 def brute_roots_mod_p(coeffs, p: int) -> list[int]:

@@ -116,6 +116,35 @@ def test_oracles_import_nothing_from_the_package():
     assert [m for m in imported if m.split(".")[0] == "preper"] == []
 
 
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so a self-check of the package
+    # must raise an error of its own instead
+    pkg = os.path.dirname(preper.__file__)
+    parsed, found = [], []
+    for folder, _dirs, files in os.walk(pkg):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                parsed.append(os.path.relpath(path, pkg))
+                with open(path, encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), filename=path)
+                found += [f"{parsed[-1]}:{node.lineno}"
+                          for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert "cli.py" in parsed  # the walk does see the package
+    assert found == []
+
+
+def test_no_layer_loads_dataclasses_or_inspect():
+    # every value class derives its methods from preper.values, so even the
+    # commands that load every layer never import dataclasses or inspect
+    layers = ("preper.cli", "preper.curves", "preper.ffjac", "preper.descent", "preper.padic")
+    r = run_python("-c", f"import sys; import {', '.join(layers)}; print(*sorted(sys.modules))")
+    assert r.returncode == 0, r.stderr
+    loaded = set(r.stdout.split())
+    assert loaded.issuperset(layers)
+    assert sorted(loaded.intersection(HEAVY_STDLIB)) == []
+
+
 def test_perfbench_targets_resolve_on_the_package(monkeypatch):
     # the traced benchmark wraps every (module, attribute) of layers.TARGETS,
     # so deleting or renaming one of them must fail here first

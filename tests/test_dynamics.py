@@ -1,4 +1,5 @@
 import concurrent.futures
+import copy
 import os
 import pickle
 import random
@@ -29,8 +30,18 @@ from preper.dynamics import (
     preper_points,
     scan,
 )
-from preper.exactmath import Poly
+from preper.curves import BIRATIONAL_PAIRS, C1_32, E40, BirationalPair, CurveModel, CurvePoint
+from preper.exactmath import BiPoly, FpPoly, Fq, Poly, RationalMap
 from preper.families import FamilyPoint
+from preper.ffjac import (
+    KNOWN_POINTS,
+    MumfordDivisor,
+    OddModel,
+    divisor_from_points,
+    divisor_identity,
+    odd_model_transform,
+)
+from preper.padic import BranchSeries, PadicSeries, branch_series
 from preper.report import CheckResult, Report
 from oracles import (
     box_preper_graph,
@@ -411,6 +422,14 @@ def test_mirror_count_rule():
 
 GRAPH_2916 = preper_points(QuadMap(F(-29, 16)))
 POINTS_2916 = ((F(3, 4), OrbitClass.preperiodic(3, 2)), (F(-3, 4), OrbitClass.preperiodic(3, 2)))
+ODD_3 = odd_model_transform(C1_32, 3, 1)
+Q24_E24 = BIRATIONAL_PAIRS["q24_e24"]
+
+
+def _rebuilt(maps):
+    # equal maps that are other objects: RationalMap compares by value
+    return tuple(RationalMap(m.num, m.den) for m in maps)
+
 
 # per value class: an instance, an equal one that differs at most in the
 # fields equality ignores, an unequal one, and str of the first
@@ -433,8 +452,33 @@ VALUE_CASES = {
                     "CheckResult(id='a', statement='s', status='pass', value=None, note='')"),
     "Report": (Report("t"), Report("t", []), Report("t", [CheckResult("a", "s", "pass")]),
                "Report(title='t', checks=[])"),
+    "CurveModel": (E40, CurveModel("e40", Poly((1, -2, 0, 1))), CurveModel("e40", C1_32.g),
+                   "CurveModel(label='e40', g=Poly(1 + -2*x + x^3), h=Poly(0))"),
+    "CurvePoint": (CurvePoint.affine(1, 3), CurvePoint(F(1), F(3)), CurvePoint.infinite(1),
+                   "(1,3)"),
+    "BirationalPair": (Q24_E24,
+                       BirationalPair("q24_e24", Q24_E24.source, Q24_E24.target,
+                                      _rebuilt(Q24_E24.forward), _rebuilt(Q24_E24.backward)),
+                       BirationalPair("q24_e24", Q24_E24.source, Q24_E24.target,
+                                      Q24_E24.backward, Q24_E24.forward),
+                       repr(Q24_E24)),
+    "OddModel": (ODD_3, OddModel(3, FpPoly(3, (4, 3, 1, 2, 5, 1)), 1, 1),
+                 OddModel(3, ODD_3.f, 1, 2),
+                 "OddModel(p=3, f=FpPoly(3, [1, 0, 1, 2, 2, 1]), r=1, scale=1)"),
+    "MumfordDivisor": (divisor_identity(ODD_3), MumfordDivisor(ODD_3, FpPoly(3, (1,)), FpPoly(3)),
+                       divisor_from_points(ODD_3, [ODD_3.to_odd(KNOWN_POINTS["inf+"])]),
+                       "MumfordDivisor(model=OddModel(p=3, f=FpPoly(3, [1, 0, 1, 2, 2, 1]), "
+                       "r=1, scale=1), u=FpPoly(3, [1]), v=FpPoly(3, []))"),
+    "BranchSeries": (branch_series(2), BranchSeries((F(1), F(-3, 8), F(-31, 512)), 2),
+                     branch_series(3),
+                     "BranchSeries(coeffs=(Fraction(1, 1), Fraction(-3, 8), Fraction(-31, 512)), "
+                     "order=2)"),
+    "PadicSeries": (PadicSeries(3, {0: (4, 1)}, 1), PadicSeries(3, {0: (1, 1)}, 1),
+                    PadicSeries(3, {}, 1), "PadicSeries(p=3, coeffs={0: (1, 1)}, tail_floor=1)"),
 }
-FROZEN = ("QuadMap", "OrbitClass", "PreperGraph", "GraphShape", "FamilyPoint")
+MUTABLE = ("ScanResult", "CheckResult", "Report")
+# the fields of these print as something other than a constructor call
+NO_EVAL = ("CurveModel", "BirationalPair")
 
 
 @pytest.mark.parametrize("name", sorted(VALUE_CASES))
@@ -446,24 +490,31 @@ def test_value_classes_compare_hash_print_and_freeze(name):
     assert a != (a,)  # another type is never equal
     assert str(a) == text
     # repr is the constructor call, and a pickle round trip keeps the value
-    scope = {cls.__name__: cls for cls in (Fraction, GraphShape, OrbitClass, PreperGraph,
-                                            QuadMap, ScanResult, FamilyPoint, CheckResult, Report)}
-    assert eval(repr(a), scope) == a
+    scope = {cls.__name__: cls for cls in (
+        Fraction, GraphShape, OrbitClass, PreperGraph, QuadMap, ScanResult, FamilyPoint,
+        CheckResult, Report, CurvePoint, FpPoly, OddModel, MumfordDivisor, BranchSeries,
+        PadicSeries)}
+    if name not in NO_EVAL:
+        assert eval(repr(a), scope) == a
     assert pickle.loads(pickle.dumps(a)) == a
     field = type(a).__slots__[0]
-    if name in FROZEN:
-        assert hash(a) == hash(same) and len({a, same, different}) == 2
-        with pytest.raises(AttributeError):
-            setattr(a, field, None)
-        with pytest.raises(AttributeError):
-            delattr(a, field)
-        assert a == same
-    else:
+    if name in MUTABLE:
         with pytest.raises(TypeError):
             hash(a)
         setattr(same, field, None)
         assert a != same
         setattr(same, field, getattr(a, field))
+    else:
+        if name == "PadicSeries":  # frozen, but its coeffs are a dict
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(same) and len({a, same, different}) == 2
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert a == same
     if name == "OrbitClass":
         assert OrbitClass.divergent() is OrbitClass.divergent()
         assert str(OrbitClass.divergent()) == "divergent" and str(different) == "periodic(3)"
@@ -474,3 +525,26 @@ def test_value_classes_compare_hash_print_and_freeze(name):
     if name == "FamilyPoint":
         # a point built without aux gets a dict of its own
         assert a.aux == {} and a.aux is not different.aux
+
+
+_FIELD = C1_32.function_field()
+ROUND_TRIP_CASES = {
+    "Poly": Poly((F(1, 2), -3, 0, 7)),
+    "FpPoly": FpPoly(7, (3, 0, 5)),
+    "BiPoly": BiPoly((Poly((1, 2)), Poly((F(-1, 3),)))),
+    "FqElem": Fq(743, 2)(330, 2),
+    "FieldElement": (_FIELD.x() + _FIELD.y()) / (_FIELD.x() + 1),
+    "RationalMap": Q24_E24.forward[1],
+    "C1_32": C1_32,
+    "OddModel": ODD_3,
+    "MumfordDivisor": divisor_from_points(ODD_3, [ODD_3.to_odd(KNOWN_POINTS["R+"])]),
+    "BirationalPair": Q24_E24,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_CASES))
+@pytest.mark.parametrize("trip", [lambda v: pickle.loads(pickle.dumps(v)), copy.copy,
+                                  copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+def test_exact_values_survive_pickle_and_copy(name, trip):
+    value = ROUND_TRIP_CASES[name]
+    assert trip(value) == value

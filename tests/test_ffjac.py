@@ -217,6 +217,14 @@ def test_count_parity_and_growth_across_extensions():
             assert (n2 - n1) % 2 == 0
 
 
+def test_jacobian_order_refuses_an_odd_count_sum(monkeypatch):
+    # N1^2 + N2 is even on every genus-2 curve; an odd sum from a faulty
+    # count is an error that python -O keeps, not a truncated order
+    monkeypatch.setattr(ffjac, "count_points", lambda curve, p, k=1: {1: 7, 2: 12}[k])
+    with pytest.raises(ArithmeticError, match="N1\\^2 \\+ N2 = 61 is odd at p = 3"):
+        jacobian_order(C1_32, 3)
+
+
 def test_full_jacobian_report():
     rep = jacobian_report()
     assert rep.ok, [c.id for c in rep.failures]
