@@ -267,8 +267,8 @@ def curves_report(height: int) -> Report:
     from .curves import (
         CORRECTED_POINTS,
         CURVES,
+        E24_CORRECTED,
         PRINTED_POINTS,
-        CurveModel,
         elliptic_points_bounded,
         good_reduction_model_check,
         rational_points_bounded,
@@ -291,9 +291,7 @@ def curves_report(height: int) -> Report:
                 c.note = (c.note + "; " if c.note else "") + \
                     "documented discrepancy: printed list contains the off-curve point (-1,1)"
         rep.extend(sub)
-    e24 = CURVES["e24"]
-    rep.extend(verify_point_list(CurveModel("e24-corrected", e24.g, e24.h),
-                                 CORRECTED_POINTS["e24"], found["e24"], height))
+    rep.extend(verify_point_list(E24_CORRECTED, CORRECTED_POINTS["e24"], found["e24"], height))
     rep.extend(verify_all_birational_pairs())
     rep.extend(x1_13_discriminant_check())
     rep.extend(good_reduction_model_check())

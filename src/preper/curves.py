@@ -33,15 +33,19 @@ infinity, elliptic_points_bounded as (x, y) pairs.  The kernel is a
 residue sieve in the manner of Stoll's ratpoints (Bruin & Stoll,
 Experiment. Math. 2008): for each b, the numerators a form a bitset that
 is ANDed with one mask per small odd prime p, holding the a at which
-b^e f(a/b) is a square mod p.  A mask depends only on (p, b mod p), so a
-call builds at most 158 of them (the sum of the primes 3..31), and only a
-few numerators in a thousand survive to the exact test.  The sieve drops
-only non-residues, so the search stays exhaustive.  Heights above
-SEARCH_BUDGET are refused.  Membership is an exact square test, so every
-reported point satisfies its curve equation on the nose.  Map
-verification happens in the curve function field (see exactmath.bivariate):
-compositions are literal identities of field elements modulo the curve
-relation.
+b^e f(a/b) is a square mod p.  A call tabulates once per prime p in 3..31
+whether f(x) is a square mod p for x in F_p; the mask for b = r mod p
+reads that table at a/r (r^e is a nonzero square), and only a few
+numerators in a thousand survive to the exact test.  For odd deg f = n,
+b^(n+1) f(a/b) = b F(a, b) with F = c_n a^n mod every prime of b, so a
+row b is skipped unless it is a square once the primes of c_n are
+removed: about sqrt(H) of the H rows remain for a cubic.  Both filters
+drop only what provably holds no point, so the search stays exhaustive.
+Heights above SEARCH_BUDGET are refused.  Membership is an exact square
+test, so every reported point satisfies its curve equation on the nose.
+Map verification happens in the curve function field (see
+exactmath.bivariate): compositions are literal identities of field
+elements modulo the curve relation.
 
 Two printed claims do not survive verification and are reported as
 documented discrepancies rather than patched silently: the point (-1, 1)
@@ -197,21 +201,51 @@ class SearchBudgetError(BudgetError):
     """The height bound of a point search exceeds SEARCH_BUDGET."""
 
 
-def _residue_mask(coeffs, e: int, p: int, r: int, height: int) -> int:
-    """Bitset over a in [-height, height], bit a + height, of the a at which
-    sum c_i a^i r^(e-i), that is b^e f(a/b) for b = r mod p, is a square
-    mod p (zero included).  Periodic in a, so one p-bit tile is repeated."""
+def _residue_masks(coeffs, p: int, height: int) -> list[int]:
+    """The masks of one sieve prime p, indexed by r = b mod p: bitsets over
+    a in [-height, height], bit a + height, of the a at which b^e f(a/b)
+    is a square mod p (zero included).  All come from one table, the x in
+    F_p at which f(x) is a square mod p: for r != 0 the value is
+    r^e f(a/r), a nonzero square times f(a/r), and for r = 0 only the term
+    c_e a^e is left.  Periodic in a, so one p-bit tile is repeated."""
+    deg = len(coeffs) - 1
     squares = {x * x % p for x in range(p)}
-    ws = [coeffs[i] * r ** (e - i) % p for i in range(len(coeffs) - 1, -1, -1)]
-    tile = 0
-    for j in range(p):
-        a, n = (j - height) % p, 0
-        for w in ws:
-            n = n * a + w
-        if n % p in squares:
-            tile |= 1 << j
+    table = []
+    for x in range(p):
+        n = 0
+        for c in reversed(coeffs):
+            n = (n * x + c) % p
+        if n in squares:
+            table.append(x)
+    # r = 0 leaves c_e a^e: zero for odd deg, else c_deg times the square a^deg
+    if deg % 2 or coeffs[deg] % p in squares:
+        zero = (1 << p) - 1
+    else:
+        zero = 1 << height % p
     reps = -(-(2 * height + 1) // p)
-    return tile * ((1 << p * reps) - 1) // ((1 << p) - 1)
+    repeat = ((1 << p * reps) - 1) // ((1 << p) - 1)
+    # f(a/r) is read at x = a/r, so the bit of a = x r is set
+    return [zero * repeat] + [sum(1 << (x * r + height) % p for x in table) * repeat
+                              for r in range(1, p)]
+
+
+def _rows(coeffs, height: int):
+    """The denominators b in [1, height] whose row can hold a point.  For
+    odd deg = n, b^(n+1) f(a/b) = b F(a, b) with F = c_n a^n mod every
+    prime p | b, so v_p(b) is even wherever p does not divide c_n: b must
+    be a square once the primes of c_n are removed."""
+    deg = len(coeffs) - 1
+    if deg % 2 == 0:
+        return range(1, height + 1)
+    rows = []
+    for b in range(1, height + 1):
+        core, g = b, int_gcd(b, coeffs[deg])
+        while g > 1:
+            core //= g
+            g = int_gcd(core, g)
+        if isqrt(core) ** 2 == core:
+            rows.append(b)
+    return rows
 
 
 def _square_values(coeffs, height: int):
@@ -219,12 +253,12 @@ def _square_values(coeffs, height: int):
     and s^2 = f(x), where f has the given integral coefficients (lowest
     degree first).  The one search loop behind every curve model.
 
-    For each b the numerators a in [-height, height] form a bitset, which
-    is ANDed with one _residue_mask per sieve prime p; a mask depends only
-    on (p, b mod p) and is built once per call.  Only the surviving a, in
-    increasing order, are tested exactly, so the values and their order
-    are those of the unsieved loop.  Raises SearchBudgetError above
-    SEARCH_BUDGET."""
+    Only the rows b of _rows are visited.  In each, the numerators a in
+    [-height, height] form a bitset, which is ANDed with the mask of
+    (p, b mod p) for every sieve prime p, from _residue_masks.  Only the
+    surviving a, in increasing order, are tested exactly, so the values
+    and their order are those of the unsieved loop.  Raises
+    SearchBudgetError above SEARCH_BUDGET."""
     if height < 1:
         raise ValueError("height bound must be >= 1")
     if height > SEARCH_BUDGET:
@@ -236,14 +270,11 @@ def _square_values(coeffs, height: int):
     deg = len(coeffs) - 1
     e = deg + deg % 2  # even, so f(a/b) is a square iff b^e f(a/b) is
     full = (1 << (2 * height + 1)) - 1
-    masks = {}
-    for b in range(1, height + 1):
+    masks = [(p, _residue_masks(coeffs, p, height)) for p in _SIEVE_PRIMES]
+    for b in _rows(coeffs, height):
         row = full
-        for p in _SIEVE_PRIMES:
-            r = b % p
-            if (p, r) not in masks:
-                masks[p, r] = _residue_mask(coeffs, e, p, r, height)
-            row &= masks[p, r]
+        for p, by_r in masks:
+            row &= by_r[b % p]
         # b^e * f(a/b) = Horner in a with weights c_i * b^(e-i)
         lead, *weights = [coeffs[i] * b ** (e - i) for i in range(deg, -1, -1)]
         scale = b ** (e // 2)
@@ -332,6 +363,8 @@ PRINTED_POINTS = {
 # e24 with the off-curve entry (-1, 1) replaced by the curve point (1, -1);
 # bounded search plus closure confirm this 4-element group
 CORRECTED_POINTS = dict(PRINTED_POINTS, e24=[None, (0, 0), (1, 1), (1, -1)])
+# the e24 model under the label that the corrected list is reported with
+E24_CORRECTED = CurveModel("e24-corrected", E24.g, E24.h)
 
 
 def _as_points(raw):

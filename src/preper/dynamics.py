@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
-from functools import total_ordering
+from functools import cache, total_ordering
 from math import gcd, isqrt
 
 from .values import Value, set_field
@@ -326,9 +326,10 @@ def _build_graph(components) -> GraphShape:
     return _shape_of_edges(edges)
 
 
+@cache
 def admissible_shapes() -> frozenset[GraphShape]:
     """All graph shapes consistent with the classification theorems for
-    cycles of length at most 3.
+    cycles of length at most 3, built once and then shared.
 
     Cycle content is limited to: up to two fixed points, at most one
     2-cycle (possibly alongside the fixed points), or a single 3-cycle

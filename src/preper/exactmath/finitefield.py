@@ -56,8 +56,12 @@ def _nonresidue(p: int) -> int:
     return n
 
 
-class Fq:
-    """Field F_{p^k} for k in {1, 2}; degree-2 elements are a + b*i."""
+class Fq(Value):
+    """Field F_{p^k} for k in {1, 2}; degree-2 elements are a + b*i.
+    Compared, hashed and pickled by (p, k); nonresidue is derived."""
+
+    __slots__ = ("p", "k", "nonresidue")
+    _fields = ("p", "k")
 
     def __init__(self, p: int, k: int = 1):
         if not is_prime(p):
@@ -66,15 +70,9 @@ class Fq:
             raise ValueError("extension degree must be 1 or 2")
         if k == 2 and p == 2:
             raise ValueError("F_4 via a quadratic non-residue is not available")
-        self.p = p
-        self.k = k
-        self.nonresidue = _nonresidue(p) if k == 2 else None
-
-    def __eq__(self, other):
-        return isinstance(other, Fq) and (self.p, self.k) == (other.p, other.k)
-
-    def __hash__(self):
-        return hash((self.p, self.k))
+        set_field(self, "p", p)
+        set_field(self, "k", k)
+        set_field(self, "nonresidue", _nonresidue(p) if k == 2 else None)
 
     def __repr__(self):
         return f"Fq({self.p})" if self.k == 1 else f"Fq({self.p}, 2)"
@@ -112,7 +110,7 @@ class FqElem(Value):
 
     def _lift(self, other):
         if isinstance(other, FqElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("mixed finite fields")
             return other
         if isinstance(other, int):

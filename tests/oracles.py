@@ -14,7 +14,9 @@ little theorem (the package's F_{p^2} elements have no division), the box oracle
 the shape oracle finds cycle vertices by a tortoise walk of |V| steps from
 every vertex instead of one memoised orbit walk, the point-search
 oracle evaluates the polynomial at each Fraction instead of running
-integer Horner on scaled weights, the finite-field oracles find squares
+integer Horner on scaled weights, the sieve-mask oracle runs Horner on
+b^e f(a/b) mod p for each residue r of b instead of reading one table
+of f mod p at a/r, the finite-field oracles find squares
 by squaring every element instead of Euler's criterion on the norm, the
 divisor-class oracle builds a Mumford pair from the chord or tangent
 through its points instead of by Cantor composition, the
@@ -282,6 +284,24 @@ def brute_square_points(coeffs, height: int) -> set[tuple[Fraction, Fraction]]:
                 out.add((x, Fraction(rn, rd)))
                 out.add((x, -Fraction(rn, rd)))
     return out
+
+
+def residue_mask(coeffs, e: int, p: int, r: int, height: int) -> int:
+    """Bitset over a in [-height, height], bit a + height, of the a at which
+    sum c_i a^i r^(e-i), that is b^e f(a/b) for b = r mod p, is a square
+    mod p (zero included), by Horner in a for each of the p residues of a.
+    Periodic in a, so one p-bit tile is repeated."""
+    squares = {x * x % p for x in range(p)}
+    ws = [coeffs[i] * r ** (e - i) % p for i in range(len(coeffs) - 1, -1, -1)]
+    tile = 0
+    for j in range(p):
+        a, n = (j - height) % p, 0
+        for w in ws:
+            n = n * a + w
+        if n % p in squares:
+            tile |= 1 << j
+    reps = -(-(2 * height + 1) // p)
+    return tile * ((1 << p * reps) - 1) // ((1 << p) - 1)
 
 
 def tortoise_shape_code(edges: dict) -> str:

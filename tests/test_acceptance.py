@@ -217,6 +217,11 @@ def test_criterion_10_bounded_searches_stable():
             first = rational_points_bounded(CURVES[label], 1000)
             assert len(first) == n, (label, len(first))
             assert rational_points_bounded(CURVES[label], 2000) == first
+        # the elliptic models: the affine points of the corrected group
+        for label, group in CORRECTED_POINTS.items():
+            first = elliptic_points_bounded(CURVES[label], 1000)
+            assert first == {(F(x), F(y)) for x, y in group[1:]}, label
+            assert elliptic_points_bounded(CURVES[label], 2000) == first
 
 
 def test_criterion_11_birational_identities():

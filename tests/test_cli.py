@@ -304,6 +304,21 @@ def test_verify_curves_height_40_bytes_are_pinned():
         "081bc11fbaa11784d4033cd0218ad3e94bc7c070251184e4317e176b78a5ec4a"
 
 
+def test_curves_report_builds_no_curve_model(monkeypatch):
+    # every model it reports on, e24-corrected included, is built once at
+    # import; a CurveModel construction is what takes a discriminant
+    from preper import curves
+
+    first = cli.curves_report(50)
+    calls = []
+    monkeypatch.setattr(curves, "discriminant", lambda f: calls.append(f) or 1)
+    second = cli.curves_report(50)
+    assert calls == []
+    assert [c.as_dict() for c in second.checks] == [c.as_dict() for c in first.checks]
+    assert [c.id for c in second.checks if c.id.startswith("e24-corrected")] == [
+        "e24-corrected-on-curve", "e24-corrected-closure", "e24-corrected-search"]
+
+
 def test_verify_all_height_57_bytes_are_pinned():
     # sha256 of the whole verify report with timing_ms removed, including the
     # descent norms, the padic rows and the jacobian orders, whose JSON bytes

@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import ModP, brute_char2_smooth, brute_square_points
+from oracles import ModP, brute_char2_smooth, brute_square_points, residue_mask
 from preper import curves
 from preper.curves import (
     BIRATIONAL_PAIRS,
@@ -379,3 +379,51 @@ def test_search_on_a_model_with_integral_square_only():
     assert found == {(x, (s - 1) / 2) for x, s in brute_square_points((0, 4, 0, 4), 12)}
     assert (F(0), F(-1, 2)) in found
     assert all(E.contains(P) for P in found)
+
+
+def _search_matches_oracle(coeffs, height):
+    """_square_values finds the oracle's points, each x once, in the order
+    of the plain loop over b and then a."""
+    found = list(curves._square_values(coeffs, height))
+    xs = [x for x, _ in found]
+    assert xs == sorted(set(xs), key=lambda x: (x.denominator, x.numerator))
+    assert all(s >= 0 for _, s in found)
+    assert {(x, t) for x, s in found for t in (s, -s)} == brute_square_points(coeffs, height)
+
+
+# the odd-degree row filter removes the primes of c_n from b before asking
+# for a square, so leading coefficients with square, non-square and
+# repeated prime factors all occur
+@settings(max_examples=80, deadline=None)
+@given(deg=st.sampled_from((1, 3, 5)),
+       lead=st.sampled_from((1, -1, 2, 3, 4, -6, 12, 18, -45)),
+       rest=st.lists(st.integers(-6, 6), min_size=5, max_size=5),
+       height=st.integers(1, 40))
+# y^2 = 3x^3 + 1 has points over x = -2/3 and x = 40/3: the row b = 3 is no
+# square, but 3 divides c_3
+@example(deg=3, lead=3, rest=[1, 0, 0, 0, 0], height=40)
+def test_search_matches_oracle_on_odd_degree_models(deg, lead, rest, height):
+    _search_matches_oracle([*rest[:deg], lead], height)
+
+
+# at a prime where c_n is a non-residue, the rows b = 0 mod p keep only
+# the numerators a = 0 mod p
+@settings(max_examples=60, deadline=None)
+@given(deg=st.sampled_from((2, 4, 6)), lead=st.sampled_from((3, -5)),
+       rest=st.lists(st.integers(-6, 6), min_size=6, max_size=6),
+       height=st.integers(1, 40))
+@example(deg=6, lead=3, rest=[1, 0, 0, 0, 0, 0], height=40)
+def test_search_matches_oracle_on_even_degree_models(deg, lead, rest, height):
+    _search_matches_oracle([*rest[:deg], lead], height)
+
+
+@pytest.mark.parametrize("height", [1, 7, 40, 395])
+def test_residue_masks_match_the_horner_masks(height):
+    # one table per prime, read at a/r, gives the mask of every (p, b mod p)
+    for curve in CURVES.values():
+        coeffs = [int(c) for c in curve.square().coeffs]
+        deg = len(coeffs) - 1
+        for p in curves._SIEVE_PRIMES:
+            masks = curves._residue_masks(coeffs, p, height)
+            assert masks == [residue_mask(coeffs, deg + deg % 2, p, r, height)
+                             for r in range(p)], (curve.label, p)

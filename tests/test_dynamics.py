@@ -303,6 +303,15 @@ def test_admissible_catalog_contents():
     assert graph_shape(preper_points(QuadMap(F(-29, 16)))) in cat
 
 
+def test_admissible_catalog_is_built_once():
+    # graph calls it on every command: the second call is the first one's set
+    assert admissible_shapes() is admissible_shapes()
+    assert sorted(s.code for s in admissible_shapes()) == [
+        "", "1:((()()));1:(())", "1:((()));1:(())", "1:(())", "1:(());1:(())",
+        "1:(());1:(());2:(()),(())", "1:(());1:()", "2:((()())),(())", "2:(()),(())",
+        "2:(()),()", "3:((()())),(()),(())", "3:(()),(()),(())"]
+
+
 def test_catalog_is_realized_by_explicit_values():
     cs = [F(1), F(1, 4), F(0), F(-3, 4), F(-2), F(-10, 9),
           F(-1), F(-7, 4), F(-37, 9), F(-21, 16), F(-301, 144), F(-29, 16)]
@@ -532,6 +541,7 @@ ROUND_TRIP_CASES = {
     "Poly": Poly((F(1, 2), -3, 0, 7)),
     "FpPoly": FpPoly(7, (3, 0, 5)),
     "BiPoly": BiPoly((Poly((1, 2)), Poly((F(-1, 3),)))),
+    "Fq": Fq(743, 2),
     "FqElem": Fq(743, 2)(330, 2),
     "FieldElement": (_FIELD.x() + _FIELD.y()) / (_FIELD.x() + 1),
     "RationalMap": Q24_E24.forward[1],

@@ -1,4 +1,5 @@
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -225,6 +226,23 @@ def test_fq_arithmetic_and_norm():
     x = F(330, 2)
     assert type(x.norm()) is int and x.norm() == (330 * 330 + 2 * 2) % 743
     assert 2 - x == F(-328, -2) and (x - x).is_zero()
+
+
+def test_fq_is_a_frozen_value():
+    # an element hashes by its field's p, so the field must not change
+    F = Fq(7)
+    x = F(3)
+    s = {x}
+    with pytest.raises(AttributeError):
+        F.p = 11
+    with pytest.raises(AttributeError):
+        del F.k
+    assert x in s and F(3) in s
+    assert repr(F) == "Fq(7)" and repr(Fq(743, 2)) == "Fq(743, 2)"
+    assert Fq(7) == F and hash(Fq(7)) == hash(F) and Fq(7) != Fq(7, 2) != Fq(11, 2)
+    assert pickle.loads(pickle.dumps(Fq(743, 2))).nonresidue == 742
+    with pytest.raises(ValueError, match="mixed finite fields"):
+        x + Fq(11)(3)
 
 
 def test_residue_norms_multiplicative_and_representative_independent():
