@@ -1,8 +1,16 @@
 """Point counts and Jacobian arithmetic for c1_32 over small finite fields.
 
-Counting is plain exhaustion with a quadratic-residue test per x, plus two
-points at infinity when the leading coefficient is a square.  Jacobian
-orders come from the genus-2 relation
+Counting is exhaustion on plain ints.  A table of the squares of F_p,
+built by squaring every residue, decides each value of g: a root gives
+one point, a nonzero square two.  Over F_{p^2} = F_p(i), i**2 = n the
+least non-residue, every pair (a, b) standing for a + b*i is run through
+Horner on int pairs, (A, B) <- (A*a + n*B*b + c, A*b + B*a) mod p, and a
+nonzero A + B*i is a square exactly when its norm A**2 - n*B**2 is a
+square in F_p (Euler's criterion on the norm, see exactmath.finitefield).
+A sextic has two points at infinity when its leading coefficient is a
+square: over F_p a table lookup, over F_{p^2} always, since every element
+of F_p is a square there; a quintic has one.  Jacobian orders come from
+the genus-2 relation
 
     #J(F_p) = (N1**2 + N2)/2 - p,   N1 = #C(F_p), N2 = #C(F_{p^2}),
 
@@ -21,7 +29,7 @@ from __future__ import annotations
 import functools
 
 from .curves import C1_32, CurveModel, CurvePoint
-from .exactmath import FpPoly, Fq, discriminant, xgcd
+from .exactmath import FpPoly, discriminant, fp_residue, is_prime, xgcd
 from .report import Report
 from .values import Value, set_field
 
@@ -30,27 +38,48 @@ COUNT_BUDGET = 10 ** 6
 
 def count_points(curve: CurveModel, p: int, k: int = 1) -> int:
     """#C(F_{p^k}) on the smooth model y^2 = g(x), deg g in {5, 6},
-    exhaustively."""
+    exhaustively, for a prime p and k in {1, 2}; k = 2 needs p odd."""
     if not curve.is_plain_genus2():
         raise ValueError(f"{curve.label} is not a model y^2 = g(x) with deg g in {{5, 6}}")
+    if k not in (1, 2):
+        raise ValueError("extension degree must be 1 or 2")
+    # the size test first: Miller-Rabin on a huge p takes seconds
     if p ** k > COUNT_BUDGET:
         raise ValueError(f"field size {p**k} exceeds the enumeration budget")
-    field = Fq(p, k)
-    gp = FpPoly.from_poly(curve.g, p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if k == 2 and p == 2:
+        raise ValueError("F_4 via a quadratic non-residue is not available")
+    coeffs = FpPoly.from_poly(curve.g, p).coeffs[::-1]  # highest degree first
+    square = [False] * p
+    for v in range(p):
+        square[v * v % p] = True
     count = 0
-    for x in field.elements():
-        v = gp.eval_fq(x)
-        if v.is_zero():
-            count += 1
-        elif v.is_square():
-            count += 2
-    if curve.g.degree == 6:
-        lc = field.from_rational(curve.g.lc)
-        if lc.is_square():
-            count += 2
+    if k == 1:
+        for x in range(p):
+            v = 0
+            for c in coeffs:
+                v = (v * x + c) % p
+            if not v:
+                count += 1
+            elif square[v]:
+                count += 2
+        at_infinity = square[fp_residue(curve.g.lc, p)]
     else:
-        count += 1
-    return count
+        n = square.index(False)  # F_{p^2} = F_p(i) with i^2 = n
+        for a in range(p):
+            for b in range(p):
+                A = B = 0
+                for c in coeffs:
+                    A, B = (A * a + n * B * b + c) % p, (A * b + B * a) % p
+                if not (A or B):
+                    count += 1
+                elif square[(A * A - n * B * B) % p]:
+                    count += 2
+        at_infinity = True  # every element of F_p is a square in F_{p^2}
+    if curve.g.degree == 5:
+        return count + 1
+    return count + 2 * at_infinity
 
 
 def jacobian_order(curve: CurveModel, p: int) -> int:

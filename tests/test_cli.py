@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from oracles import brute_count_points
 import preper
 from preper import cli
 
@@ -134,6 +135,34 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_only_descent_uses_the_f_p2_element_type():
+    # point counting over F_{p^2} runs on int pairs; Fq, FqElem and
+    # FpPoly.eval_fq are left for the 743 rows of descent alone
+    pkg = os.path.dirname(preper.__file__)
+    allowed = {os.path.join("exactmath", "finitefield.py"),
+               os.path.join("exactmath", "__init__.py"), "descent.py"}
+    names = {"Fq", "FqElem", "eval_fq"}
+    seen, found = set(), []
+    for folder, _dirs, files in os.walk(pkg):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            rel = os.path.relpath(path, pkg)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            for node in ast.walk(tree):
+                used = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if used in names:
+                    seen.add(rel)
+                    if rel not in allowed:
+                        found.append(f"{rel}:{node.lineno}: {used}")
+    assert "descent.py" in seen  # the walk does see the remaining caller
+    assert found == []
+
+
 def test_no_layer_loads_dataclasses_or_inspect():
     # every value class derives its methods from preper.values, so even the
     # commands that load every layer never import dataclasses or inspect
@@ -237,6 +266,20 @@ def test_jacobian_command():
     assert json.loads(r.stdout)["order"] == 43
     r = run_cli("jacobian", "--p", "743")
     assert r.returncode == 1
+
+
+@pytest.mark.parametrize("label, p", [("x1_13", 17), ("x1_18", 11)])
+def test_jacobian_command_on_the_other_genus_2_models(label, p):
+    from preper.curves import CURVES
+    coeffs = [int(c) for c in CURVES[label].g.coeffs]
+    n1, n2 = (brute_count_points(coeffs, p, k) for k in (1, 2))
+    r = run_cli("jacobian", "--curve", label, "--p", str(p))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"schema_version": 1, "command": "jacobian",
+                                    "curve": label, "p": p, "order": (n1 * n1 + n2) // 2 - p}
+    r = run_cli("jacobian", "--curve", label, "--p", {"x1_13": "13", "x1_18": "3"}[label])
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.strip().endswith(f"is a prime of bad reduction for {label}")
 
 
 def test_jacobian_tests_the_size_of_p_before_its_primality(monkeypatch, capsys):
@@ -416,6 +459,10 @@ def test_verify_theorems_suite():
     (("curve-points", "--curve", "c1_32", "--height", "\u0663"), None),
     (("verify", "theorems", "--height", "1_0"), None),
     (("scan", "--height", "3"), {"PREPER_JOBS": "\u0662"}),
+    (("jacobian", "--curve", "nope", "--p", "5"), None),
+    (("jacobian", "--curve", "e11", "--p", "5"), None),
+    (("jacobian", "--curve", "q24", "--p", "5"), None),
+    (("jacobian", "--curve", "conic_p1p2", "--p", "5"), None),
 ])
 def test_usage_errors_exit_2_without_traceback(args, env):
     r = run_cli(*args, env=env)

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
 from oracles import brute_count_points, chord_tangent_class
 from preper import ffjac
-from preper.curves import C1_32, E11, Q24, CurvePoint, CurveModel
-from preper.exactmath import FpPoly, Poly, is_prime
+from preper.curves import C1_32, E11, Q24, X1_13, X1_18, CurvePoint, CurveModel
+from preper.exactmath import FpPoly, Poly, discriminant, is_prime
 from preper.ffjac import (
     KNOWN_POINTS,
     cantor_add,
@@ -48,12 +49,87 @@ def test_count_hand_example():
     assert count_points(curve, 3) == 4
 
 
+SEXTICS = (C1_32, X1_13, X1_18)
+
+
+def is_good(curve, p):
+    return is_prime(p) and p != 2 and discriminant(curve.square()).numerator % p != 0
+
+
 @pytest.mark.parametrize("k", (1, 2))
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
 def test_count_points_matches_int_oracle(p, k):
-    # the oracle builds F_{p^2} on the least non-residue, not on i^2 = -1,
-    # and finds squares by squaring every element
-    assert count_points(C1_32, p, k) == brute_count_points([1, 2, 5, 2, -2, 0, 1], p, k)
+    # the oracle finds squares by squaring every element of F_{p^k}, where
+    # the package reads the norm; each sextic at each of its good primes
+    checked = 0
+    for curve in SEXTICS:
+        if is_good(curve, p):
+            coeffs = [int(c) for c in curve.g.coeffs]
+            assert count_points(curve, p, k) == brute_count_points(coeffs, p, k), curve.label
+            checked += 1
+    assert checked == 3 - (p in (3, 13))
+
+
+def test_count_points_matches_int_oracle_on_non_monic_models():
+    # 3 is a non-square mod 5, 7 and 17 and a square mod 11 and 13, so the
+    # two points at infinity of 3x^6 + x + 1 come and go over F_p and are
+    # always there over F_{p^2}; the quintic has one whatever its leading
+    # coefficient
+    for coeffs in ([1, 1, 0, 0, 0, 0, 3], [2, 0, 1, 0, 0, -1]):
+        curve = CurveModel("off-monic", Poly(coeffs))
+        for p in (5, 7, 11, 13, 17):
+            for k in (1, 2):
+                assert count_points(curve, p, k) == brute_count_points(coeffs, p, k), (coeffs, p, k)
+
+
+def test_counts_and_orders_obey_hasse_weil():
+    # genus 2: |N1 - p - 1| <= 4 sqrt(p), |N2 - p^2 - 1| <= 4p and
+    # (sqrt(p) - 1)^4 <= #J <= (sqrt(p) + 1)^4, the last as
+    # |#J - (p^2 + 6p + 1)| <= 4 (p + 1) sqrt(p); both sides of each
+    # square-root bound are compared as ints through isqrt
+    checked = 0
+    for curve in SEXTICS:
+        for p in filter(lambda p: is_good(curve, p), range(3, 150)):
+            n1, n2 = count_points(curve, p, 1), count_points(curve, p, 2)
+            assert abs(n1 - p - 1) <= isqrt(16 * p), (curve.label, p, n1)
+            assert abs(n2 - p * p - 1) <= 4 * p, (curve.label, p, n2)
+            order = (n1 * n1 + n2) // 2 - p  # jacobian_order's relation
+            assert abs(order - p * p - 6 * p - 1) <= isqrt(16 * p * (p + 1) ** 2), \
+                (curve.label, p, order)
+            checked += 1
+    assert checked == 3 * 34 - 2
+
+
+def test_count_points_refuses_a_composite_p():
+    for p in (1, 4, 9, 15):
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="is not prime"):
+                count_points(C1_32, p, k)
+
+
+def test_count_points_refuses_extension_degrees_other_than_1_and_2():
+    for k in (0, 3, -1):
+        with pytest.raises(ValueError, match="extension degree"):
+            count_points(C1_32, 3, k)
+
+
+def test_count_points_refuses_f4():
+    with pytest.raises(ValueError, match="F_4"):
+        count_points(C1_32, 2, 2)
+
+
+def test_count_points_refuses_fields_above_the_budget():
+    for p, k in ((1009, 2), (1000003, 1)):
+        with pytest.raises(ValueError, match="exceeds the enumeration budget"):
+            count_points(C1_32, p, k)
+
+
+def test_count_points_over_f2():
+    # every element of F_2 is a square.  c1_32 reads y^2 = x^6 + x^2 + 1
+    # mod 2, which is 1 at both x: two points over each and two at infinity.
+    # x^5 - x vanishes at both x: one point over each and one at infinity
+    assert count_points(C1_32, 2) == 6
+    assert count_points(CurveModel("odd5", Poly((0, -1, 0, 0, 0, 1))), 2) == 3
 
 
 def test_jacobian_orders():
