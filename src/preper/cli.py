@@ -178,27 +178,17 @@ def cmd_family(args) -> int:
     return 0 if payload["ok"] else 1
 
 
-def _genus2_curve(curve_id: str, refusal: str):
-    """The registered model curve_id when it is y^2 = g(x) with deg g in
-    {5, 6}; otherwise None, after printing the usage error."""
-    from .curves import CURVES
-
-    curve = CURVES.get(curve_id)
-    if curve is None:
-        print(f"error: unknown curve id {curve_id!r}; known: {sorted(CURVES)}",
-              file=sys.stderr)
-        return None
-    if not curve.is_plain_genus2():
-        print(f"error: {refusal}", file=sys.stderr)
-        return None
-    return curve
-
-
 def cmd_curve_points(args) -> int:
-    from .curves import rational_points_bounded
+    from .curves import CURVES, rational_points_bounded
 
-    curve = _genus2_curve(args.curve, "bounded search is provided for the sextic models only")
+    curve = CURVES.get(args.curve)
     if curve is None:
+        print(f"error: unknown curve id {args.curve!r}; known: {sorted(CURVES)}",
+              file=sys.stderr)
+        return 2
+    if not curve.is_plain_genus2():
+        print("error: bounded search is provided for the sextic models only",
+              file=sys.stderr)
         return 2
     pts = rational_points_bounded(curve, args.height)
     payload = {
@@ -214,22 +204,20 @@ def cmd_curve_points(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
+    from .curves import CURVES
     from .ffjac import COUNT_BUDGET, jacobian_order
 
-    curve = _genus2_curve(args.curve, "Jacobian orders are provided for the genus-2 models only")
-    if curve is None:
-        return 2
     # the size test first: Miller-Rabin on a huge argument takes seconds
     if args.p ** 2 > COUNT_BUDGET or not is_prime(args.p):
         print(f"error: --p must be a prime with p^2 <= {COUNT_BUDGET}", file=sys.stderr)
         return 2
     try:
-        order = jacobian_order(curve, args.p)
+        order = jacobian_order(CURVES["c1_32"], args.p)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     _emit({"schema_version": SCHEMA_VERSION, "command": "jacobian",
-           "curve": args.curve, "p": args.p, "order": order})
+           "curve": "c1_32", "p": args.p, "order": order})
     return 0
 
 
@@ -379,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=_positive_int, default=1000)
     p.set_defaults(fn=cmd_curve_points)
 
-    p = sub.add_parser("jacobian", help="Jacobian order of a genus-2 model over F_p")
-    p.add_argument("--curve", default="c1_32")
+    p = sub.add_parser("jacobian", help="Jacobian order of c1_32 over F_p")
     p.add_argument("--p", type=_integer, required=True)
     p.set_defaults(fn=cmd_jacobian)
 

@@ -50,16 +50,14 @@ def count_points(curve: CurveModel, p: int, k: int = 1) -> int:
         raise ValueError(f"{p} is not prime")
     if k == 2 and p == 2:
         raise ValueError("F_4 via a quadratic non-residue is not available")
-    coeffs = FpPoly.from_poly(curve.g, p).coeffs[::-1]  # highest degree first
+    gp = FpPoly.from_poly(curve.g, p)
     square = [False] * p
     for v in range(p):
         square[v * v % p] = True
     count = 0
     if k == 1:
         for x in range(p):
-            v = 0
-            for c in coeffs:
-                v = (v * x + c) % p
+            v = gp(x)
             if not v:
                 count += 1
             elif square[v]:
@@ -67,6 +65,7 @@ def count_points(curve: CurveModel, p: int, k: int = 1) -> int:
         at_infinity = square[fp_residue(curve.g.lc, p)]
     else:
         n = square.index(False)  # F_{p^2} = F_p(i) with i^2 = n
+        coeffs = gp.coeffs[::-1]  # highest degree first
         for a in range(p):
             for b in range(p):
                 A = B = 0

@@ -8,7 +8,6 @@ import sys
 
 import pytest
 
-from oracles import brute_count_points
 import preper
 from preper import cli
 
@@ -268,20 +267,6 @@ def test_jacobian_command():
     assert r.returncode == 1
 
 
-@pytest.mark.parametrize("label, p", [("x1_13", 17), ("x1_18", 11)])
-def test_jacobian_command_on_the_other_genus_2_models(label, p):
-    from preper.curves import CURVES
-    coeffs = [int(c) for c in CURVES[label].g.coeffs]
-    n1, n2 = (brute_count_points(coeffs, p, k) for k in (1, 2))
-    r = run_cli("jacobian", "--curve", label, "--p", str(p))
-    assert r.returncode == 0, r.stderr
-    assert json.loads(r.stdout) == {"schema_version": 1, "command": "jacobian",
-                                    "curve": label, "p": p, "order": (n1 * n1 + n2) // 2 - p}
-    r = run_cli("jacobian", "--curve", label, "--p", {"x1_13": "13", "x1_18": "3"}[label])
-    assert r.returncode == 1 and r.stdout == ""
-    assert r.stderr.strip().endswith(f"is a prime of bad reduction for {label}")
-
-
 def test_jacobian_tests_the_size_of_p_before_its_primality(monkeypatch, capsys):
     # 10^4299 + 7 has no prime factor below 41, so Miller-Rabin on it takes
     # seconds; the size test refuses it first
@@ -459,10 +444,6 @@ def test_verify_theorems_suite():
     (("curve-points", "--curve", "c1_32", "--height", "\u0663"), None),
     (("verify", "theorems", "--height", "1_0"), None),
     (("scan", "--height", "3"), {"PREPER_JOBS": "\u0662"}),
-    (("jacobian", "--curve", "nope", "--p", "5"), None),
-    (("jacobian", "--curve", "e11", "--p", "5"), None),
-    (("jacobian", "--curve", "q24", "--p", "5"), None),
-    (("jacobian", "--curve", "conic_p1p2", "--p", "5"), None),
 ])
 def test_usage_errors_exit_2_without_traceback(args, env):
     r = run_cli(*args, env=env)
