@@ -80,13 +80,18 @@ from .values import Value, set_field
 class CurveModel(Value):
     """The plane curve y^2 + h(x) y = g(x), coefficients lowest degree first."""
 
-    __slots__ = ("label", "g", "h")
+    # disc, the discriminant of square(), is kept from the singularity test
+    # for the good-reduction test of ffjac; it is no field, so equality,
+    # hashing, repr and pickling see only (label, g, h)
+    __slots__ = ("label", "g", "h", "disc")
+    _fields = ("label", "g", "h")
 
     def __init__(self, label: str, g: Poly, h: Poly = Poly()):
         set_field(self, "label", label)
         set_field(self, "g", g)
         set_field(self, "h", h)
-        if discriminant(self.square()) == 0:
+        set_field(self, "disc", discriminant(self.square()))
+        if self.disc == 0:
             raise ValueError(f"singular model {self.label}: h^2 + 4g has a repeated root")
 
     def square(self) -> Poly:

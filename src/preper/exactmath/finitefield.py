@@ -13,7 +13,8 @@ otherwise the least positive non-residue.  An element x is a square
 exactly when its norm N(x) = x**(p+1) is a square in F_p, because
 x**((p**2 - 1)/2) = N(x)**((p - 1)/2): Euler's criterion on one int.
 Fq and FqElem now serve only the 743 rows of descent; point counting
-over F_{p^2} (ffjac.count_points) walks pairs of ints instead.
+over F_{p^2} (ffjac.count_points) reads the norm of g over each conjugate
+pair as one int instead.
 
 There is no GF(2**k) arithmetic: smoothness in characteristic 2 is
 decided by gcds of FpPoly over F_2 (see curves.good_reduction_model_check).

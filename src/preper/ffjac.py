@@ -1,12 +1,19 @@
 """Point counts and Jacobian arithmetic for c1_32 over small finite fields.
 
-Counting is exhaustion on plain ints.  A table of the squares of F_p,
-built by squaring every residue, decides each value of g: a root gives
-one point, a nonzero square two.  Over F_{p^2} = F_p(i), i**2 = n the
-least non-residue, every pair (a, b) standing for a + b*i is run through
-Horner on int pairs, (A, B) <- (A*a + n*B*b + c, A*b + B*a) mod p, and a
-nonzero A + B*i is a square exactly when its norm A**2 - n*B**2 is a
-square in F_p (Euler's criterion on the norm, see exactmath.finitefield).
+Counting runs on plain ints.  A table of the squares of F_p, built by
+squaring every residue, decides each value of g: a root gives one point,
+a nonzero square two.  Over F_{p^2} an x in F_p gives one point at a root
+of g and two elsewhere, since every element of F_p is a square in
+F_{p^2}.  The x outside F_p are counted one conjugate pair {x, conj(x)}
+at a time.  Such a pair is the pair of roots of X^2 - s X + m with
+s = x + conj(x), m = x conj(x) and s^2 - 4m = nu a non-residue, so
+m = (s^2 - nu)/4.  Its norm g(x) g(conj(x)) is R_s(m), a polynomial of
+degree <= 6 in m whose coefficients _norm_form builds once per s from the
+power sums x^k + conj(x)^k.  One int Horner of R_s at m then decides the
+whole pair: norm 0 adds 2 points, a nonzero square adds 4 (g(x) is then a
+square in F_{p^2}, by Euler's criterion on the norm, see
+exactmath.finitefield), and a non-square adds none.  That is p(p-1)/2
+single-int Horners for the p^2 elements of F_{p^2}.
 A sextic has two points at infinity when its leading coefficient is a
 square: over F_p a table lookup, over F_{p^2} always, since every element
 of F_p is a square there; a quintic has one.  Jacobian orders come from
@@ -29,7 +36,7 @@ from __future__ import annotations
 import functools
 
 from .curves import C1_32, CurveModel, CurvePoint
-from .exactmath import FpPoly, discriminant, fp_residue, is_prime, xgcd
+from .exactmath import FpPoly, fp_residue, is_prime, xgcd
 from .report import Report
 from .values import Value, set_field
 
@@ -37,8 +44,10 @@ COUNT_BUDGET = 10 ** 6
 
 
 def count_points(curve: CurveModel, p: int, k: int = 1) -> int:
-    """#C(F_{p^k}) on the smooth model y^2 = g(x), deg g in {5, 6},
-    exhaustively, for a prime p and k in {1, 2}; k = 2 needs p odd."""
+    """#C(F_{p^k}) on the smooth model y^2 = g(x), deg g in {5, 6}, for a
+    prime p and k in {1, 2}; k = 2 needs p odd.  Over F_p every x is
+    tried; over F_{p^2} each conjugate pair of x outside F_p is decided by
+    one Horner on its norm (see the module docstring)."""
     if not curve.is_plain_genus2():
         raise ValueError(f"{curve.label} is not a model y^2 = g(x) with deg g in {{5, 6}}")
     if k not in (1, 2):
@@ -64,26 +73,54 @@ def count_points(curve: CurveModel, p: int, k: int = 1) -> int:
                 count += 2
         at_infinity = square[fp_residue(curve.g.lc, p)]
     else:
-        n = square.index(False)  # F_{p^2} = F_p(i) with i^2 = n
-        coeffs = gp.coeffs[::-1]  # highest degree first
-        for a in range(p):
-            for b in range(p):
-                A = B = 0
-                for c in coeffs:
-                    A, B = (A * a + n * B * b + c) % p, (A * b + B * a) % p
-                if not (A or B):
-                    count += 1
-                elif square[(A * A - n * B * B) % p]:
-                    count += 2
+        for x in range(p):
+            count += 2 if gp(x) else 1  # every element of F_p is a square in F_{p^2}
+        pair_points = [2] + [4 if square[v] else 0 for v in range(1, p)]  # by the norm
+        nonresidues = [v for v in range(1, p) if not square[v]]
+        quarter = pow(4, -1, p)
+        for s in range(p):
+            r0, r1, r2, r3, r4, r5, r6 = _norm_form(gp.coeffs, s, p)
+            top = s * s * quarter % p
+            # m = (s^2 - nu)/4 = s^2/4 - nu/4, and nu/4 runs over the
+            # non-residues as nu does
+            count += sum([pair_points[
+                ((((((r6 * m + r5) * m + r4) * m + r3) * m + r2) * m + r1) * m + r0) % p]
+                for m in [top - nu for nu in nonresidues]])
         at_infinity = True  # every element of F_p is a square in F_{p^2}
     if curve.g.degree == 5:
         return count + 1
     return count + 2 * at_infinity
 
 
+def _norm_form(g, s: int, p: int) -> list[int]:
+    """The norm R_s(m) = g(x) g(conj(x)) over the pair with x + conj(x) = s
+    and x conj(x) = m, as its 7 coefficients in m mod p, lowest degree
+    first, for g given by its coefficients mod p, lowest degree first:
+
+        R_s(m) = sum_i g_i^2 m^i + sum_{i<j} g_i g_j m^i P_{j-i},
+
+    with the power sums P_k = x^k + conj(x)^k, P_0 = 2, P_1 = s and
+    P_k = s P_{k-1} - m P_{k-2}, themselves polynomials in m."""
+    sums = [[2], [s]]
+    for _ in range(2, len(g)):
+        prev, prev2 = sums[-1], sums[-2]
+        nxt = [s * c for c in prev] + [0] * (len(prev2) + 1 - len(prev))
+        for i, c in enumerate(prev2):
+            nxt[i + 1] -= c
+        sums.append(nxt)
+    norm = [0] * 7
+    for i, gi in enumerate(g):
+        norm[i] += gi * gi
+        for j in range(i + 1, len(g)):
+            gij = gi * g[j]
+            for t, c in enumerate(sums[j - i]):
+                norm[i + t] += gij * c
+    return [c % p for c in norm]
+
+
 def jacobian_order(curve: CurveModel, p: int) -> int:
     """#J(F_p) via the genus-2 zeta relation; needs good reduction at p."""
-    if p == 2 or discriminant(curve.square()).numerator % p == 0:
+    if p == 2 or curve.disc.numerator % p == 0:
         raise ValueError(f"{p} is a prime of bad reduction for {curve.label}")
     n1 = count_points(curve, p, 1)
     n2 = count_points(curve, p, 2)

@@ -135,7 +135,7 @@ def test_package_has_no_assert_statements():
 
 
 def test_only_descent_uses_the_f_p2_element_type():
-    # point counting over F_{p^2} runs on int pairs; Fq, FqElem and
+    # point counting over F_{p^2} runs on ints; Fq, FqElem and
     # FpPoly.eval_fq are left for the 743 rows of descent alone
     pkg = os.path.dirname(preper.__file__)
     allowed = {os.path.join("exactmath", "finitefield.py"),

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import brute_count_points, chord_tangent_class
 from preper import ffjac
@@ -80,6 +81,65 @@ def test_count_points_matches_int_oracle_on_non_monic_models():
         for p in (5, 7, 11, 13, 17):
             for k in (1, 2):
                 assert count_points(curve, p, k) == brute_count_points(coeffs, p, k), (coeffs, p, k)
+
+
+@st.composite
+def _models_mod_p(draw):
+    """A prime 3..29 and an integral quintic or sextic g, drawn plain, with
+    a leading coefficient divisible by p, with a double root mod p, or
+    divisible by p throughout."""
+    p = draw(st.sampled_from([q for q in range(3, 30) if is_prime(q)]))
+    degree = draw(st.sampled_from((5, 6)))
+    kind = draw(st.sampled_from(("plain", "lc 0 mod p", "double root mod p", "0 mod p")))
+    coeffs = draw(st.lists(st.integers(-30, 30), min_size=degree + 1, max_size=degree + 1))
+    coeffs[-1] = coeffs[-1] or 1  # the degree over Q, kept by every kind below
+    if kind == "lc 0 mod p":
+        coeffs[-1] = p * draw(st.sampled_from((-2, -1, 1, 2)))
+    elif kind == "double root mod p":
+        # (x - r)^2 q(x) + p e(x), with q the top degree - 1 drawn coefficients
+        r = draw(st.integers(0, p - 1))
+        g = Poly((-r, 1)) * Poly((-r, 1)) * Poly(coeffs[2:]) + Poly(coeffs[:degree]) * p
+        coeffs = [int(c) for c in g.coeffs]
+    elif kind == "0 mod p":
+        coeffs = [p * c for c in coeffs]
+    return p, coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_models_mod_p())
+def test_count_points_over_fp2_matches_brute_force(model):
+    # one Horner on the norm per conjugate pair against squaring every
+    # element of F_{p^2}, on models whose reduction mod p drops in degree,
+    # has a repeated root or vanishes
+    p, coeffs = model
+    g = Poly(coeffs)
+    assume(discriminant(g) != 0)  # a model singular over Q is no curve
+    curve = CurveModel("random", g)
+    assert count_points(curve, p, 2) == brute_count_points(coeffs, p, 2)
+
+
+def test_count_and_order_at_the_largest_prime_the_budget_admits():
+    # 997^2 <= COUNT_BUDGET < 1009^2; the order is the value of the
+    # element-by-element walk over F_{997^2}
+    assert 997 ** 2 <= ffjac.COUNT_BUDGET < 1009 ** 2
+    n2 = count_points(C1_32, 997, 2)
+    assert abs(n2 - 997 ** 2 - 1) <= 4 * 997
+    assert jacobian_order(C1_32, 997) == 987336
+
+
+def test_jacobian_order_takes_no_discriminant(monkeypatch):
+    # the model keeps the discriminant its singularity test took, and
+    # every discriminant is a resultant of g and g'
+    from preper.exactmath import polynomial
+
+    assert C1_32.disc == discriminant(C1_32.square())
+    first = jacobian_order(C1_32, 11)
+    calls = []
+    monkeypatch.setattr(polynomial, "resultant", lambda f, g: calls.append((f, g)) or 1)
+    assert jacobian_order(C1_32, 11) == first
+    with pytest.raises(ValueError, match="bad reduction"):
+        jacobian_order(C1_32, 743)
+    assert calls == []
 
 
 def test_counts_and_orders_obey_hasse_weil():
