@@ -14,7 +14,8 @@ an operand into one (None for an operand of another ring, which the
 operators answer with NotImplemented), and _quo is the exact coefficient
 quotient that divmod and xgcd divide by.  Three rings use it: Poly here
 (Q[x]), FpPoly (F_p[x], in exactmath.finitefield) and BiPoly (Q[x][y], in
-exactmath.bivariate, which has no division).
+exactmath.bivariate, which has no coefficient quotient and so divides
+only by a monic polynomial).
 
 Over Q a coefficient is an ``int`` when it is integral and a ``Fraction``
 only when it is not: normalization maps ``Fraction(n, 1)`` to ``n``.
@@ -194,6 +195,10 @@ class _DensePoly(Value):
         return result
 
     def __divmod__(self, other):
+        """(quotient, remainder).  A monic divisor needs no coefficient
+        quotient: each quotient digit is then the leading coefficient of
+        the running remainder as it stands, reduced only when the result
+        is built."""
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -202,9 +207,10 @@ class _DensePoly(Value):
         *low, dlc = o.coeffs
         rem = list(self.coeffs)
         q = [0] * max(1, len(rem) - len(low))
+        monic = dlc == 1
         # each step cancels the leading term of rem exactly, so pop it
         for k in range(len(rem) - 1 - len(low), -1, -1):
-            c = q[k] = self._quo(rem.pop(), dlc)
+            c = q[k] = rem.pop() if monic else self._quo(rem.pop(), dlc)
             if c:
                 for i, b in enumerate(low, k):
                     rem[i] -= c * b

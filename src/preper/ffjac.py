@@ -8,9 +8,11 @@ F_{p^2}.  The x outside F_p are counted one conjugate pair {x, conj(x)}
 at a time.  Such a pair is the pair of roots of X^2 - s X + m with
 s = x + conj(x), m = x conj(x) and s^2 - 4m = nu a non-residue, so
 m = (s^2 - nu)/4.  Its norm g(x) g(conj(x)) is R_s(m), a polynomial of
-degree <= 6 in m whose coefficients _norm_form builds once per s from the
-power sums x^k + conj(x)^k.  One int Horner of R_s at m then decides the
-whole pair: norm 0 adds 2 points, a nonzero square adds 4 (g(x) is then a
+degree <= 6 in m.  Its seven coefficients are polynomials in s, built
+once a call by running the power-sum recurrence for x^k + conj(x)^k over
+Z[s, m] (_norm_table); reduced mod p, they give R_s for each s by seven
+small Horners in s.  One int Horner of R_s at m then decides the whole
+pair: norm 0 adds 2 points, a nonzero square adds 4 (g(x) is then a
 square in F_{p^2}, by Euler's criterion on the norm, see
 exactmath.finitefield), and a non-square adds none.  That is p(p-1)/2
 single-int Horners for the p^2 elements of F_{p^2}.
@@ -26,7 +28,10 @@ of reduced Mumford divisors on the odd-degree model obtained by moving the
 Weierstrass point (r, 0) to infinity.  Divisor classes live only on such
 odd models and are built only by Cantor composition and reduction: the
 class of P = (x1, y1) is (x - x1, y1), and that of P1 + P2 is the
-cantor_add sum of two such classes.  Over F_3 this checks the identities:
+cantor_add sum of two such classes.  Composition follows Cantor's cases
+(Cantor, Math. Comp. 48, 1987): a doubling needs one gcd, of u and 2v;
+coprime u1, u2 need one, of u1 and u2; any other pair needs that gcd and
+one more with v1 + v2.  Over F_3 this checks the identities:
 [inf+ - inf-] reduces to a generator of a cyclic group of order 27 whose
 ninth multiple is the class of the two off-cycle known points.
 """
@@ -47,7 +52,9 @@ def count_points(curve: CurveModel, p: int, k: int = 1) -> int:
     """#C(F_{p^k}) on the smooth model y^2 = g(x), deg g in {5, 6}, for a
     prime p and k in {1, 2}; k = 2 needs p odd.  Over F_p every x is
     tried; over F_{p^2} each conjugate pair of x outside F_p is decided by
-    one Horner on its norm (see the module docstring)."""
+    one Horner on its norm R_s(m), whose coefficients are read for each s
+    from one table of seven polynomials in s, built from g mod p and
+    reduced mod p once a call (see the module docstring)."""
     if not curve.is_plain_genus2():
         raise ValueError(f"{curve.label} is not a model y^2 = g(x) with deg g in {{5, 6}}")
     if k not in (1, 2):
@@ -78,8 +85,10 @@ def count_points(curve: CurveModel, p: int, k: int = 1) -> int:
         pair_points = [2] + [4 if square[v] else 0 for v in range(1, p)]  # by the norm
         nonresidues = [v for v in range(1, p) if not square[v]]
         quarter = pow(4, -1, p)
+        # highest power of s first, for Horner
+        rows = [[c % p for c in reversed(row)] for row in _norm_table(gp.coeffs)]
         for s in range(p):
-            r0, r1, r2, r3, r4, r5, r6 = _norm_form(gp.coeffs, s, p)
+            r0, r1, r2, r3, r4, r5, r6 = [_horner(row, s, p) for row in rows]
             top = s * s * quarter % p
             # m = (s^2 - nu)/4 = s^2/4 - nu/4, and nu/4 runs over the
             # non-residues as nu does
@@ -92,30 +101,43 @@ def count_points(curve: CurveModel, p: int, k: int = 1) -> int:
     return count + 2 * at_infinity
 
 
-def _norm_form(g, s: int, p: int) -> list[int]:
+def _norm_table(g) -> list[list]:
     """The norm R_s(m) = g(x) g(conj(x)) over the pair with x + conj(x) = s
-    and x conj(x) = m, as its 7 coefficients in m mod p, lowest degree
-    first, for g given by its coefficients mod p, lowest degree first:
+    and x conj(x) = m, as 7 polynomials in s: row t holds the coefficient
+    of m^t, lowest power of s first, for g given by its coefficients,
+    lowest degree first:
 
         R_s(m) = sum_i g_i^2 m^i + sum_{i<j} g_i g_j m^i P_{j-i},
 
     with the power sums P_k = x^k + conj(x)^k, P_0 = 2, P_1 = s and
-    P_k = s P_{k-1} - m P_{k-2}, themselves polynomials in m."""
-    sums = [[2], [s]]
+    P_k = s P_{k-1} - m P_{k-2}.  P_k = sum_l c_l s^(k-2l) m^l, so each
+    is kept as its list of c_l; the term m^i P_{j-i} puts c_l on
+    s^(j-i-2l) m^(i+l), and j - l <= 6 bounds row t = i + l to degree
+    6 - t in s."""
+    sums = [[2], [1]]
     for _ in range(2, len(g)):
         prev, prev2 = sums[-1], sums[-2]
-        nxt = [s * c for c in prev] + [0] * (len(prev2) + 1 - len(prev))
-        for i, c in enumerate(prev2):
-            nxt[i + 1] -= c
+        nxt = prev + [0] * (len(prev2) + 1 - len(prev))
+        for l, c in enumerate(prev2):
+            nxt[l + 1] -= c
         sums.append(nxt)
-    norm = [0] * 7
+    table = [[0] * (7 - t) for t in range(7)]
     for i, gi in enumerate(g):
-        norm[i] += gi * gi
+        table[i][0] += gi * gi
         for j in range(i + 1, len(g)):
             gij = gi * g[j]
-            for t, c in enumerate(sums[j - i]):
-                norm[i + t] += gij * c
-    return [c % p for c in norm]
+            for l, c in enumerate(sums[j - i]):
+                table[i + l][j - i - 2 * l] += gij * c
+    return table
+
+
+def _horner(coeffs, x: int, p: int) -> int:
+    """The polynomial with the given coefficients, highest degree first, at
+    x, mod p."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc % p
 
 
 def jacobian_order(curve: CurveModel, p: int) -> int:
@@ -239,17 +261,33 @@ def divisor_from_points(model: OddModel, points) -> MumfordDivisor:
 
 
 def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor) -> MumfordDivisor:
-    """Composition and reduction on a genus-2 odd model."""
+    """Composition and reduction on a genus-2 odd model.
+
+    Composition by Cantor's cases: with d = gcd(u1, u2, v1 + v2) =
+    s1 u1 + s2 u2 + s3 (v1 + v2), the sum is u = u1 u2 / d^2 and
+    v = (s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f)) / d mod u.  A doubling
+    takes one xgcd(u, 2v), coprime u1 and u2 one xgcd(u1, u2) and d = 1,
+    and any other pair an xgcd(u1, u2) and then one with v1 + v2.  One
+    reduction loop follows every case."""
     if d1.model != d2.model:
         raise ValueError("divisors live on different models")
     f = d1.model.f
     u1, v1, u2, v2 = d1.u, d1.v, d2.u, d2.v
-    e, e1, e2 = xgcd(u1, u2)
-    d, c1, c2 = xgcd(e, v1 + v2)
-    s1, s2, s3 = c1 * e1, c1 * e2, c2
-    u = (u1 * u2) // (d * d)  # monic, as u1, u2 and d are
-    num = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)
-    v = (num // d) % u
+    if u1 == u2 and v1 == v2:
+        d, s1, s3 = xgcd(u1, v1 + v1)
+        u = (u1 * u1) // (d * d)
+        v = ((s1 * u1 * v1 + s3 * (v1 * v1 + f)) // d) % u
+    else:
+        e, e1, e2 = xgcd(u1, u2)
+        if e.degree == 0:
+            u = u1 * u2
+            v = (e1 * u1 * v2 + e2 * u2 * v1) % u
+        else:
+            d, c1, c2 = xgcd(e, v1 + v2)
+            s1, s2, s3 = c1 * e1, c1 * e2, c2
+            u = (u1 * u2) // (d * d)  # monic, as u1, u2 and d are
+            num = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)
+            v = (num // d) % u
     while u.degree > 2:
         u = ((f - v * v) // u).monic()
         v = (-v) % u
@@ -268,8 +306,9 @@ def cantor_mul(n: int, d: MumfordDivisor) -> MumfordDivisor:
     while n:
         if n & 1:
             acc = cantor_add(acc, base)
-        base = cantor_add(base, base)
         n >>= 1
+        if n:  # no doubling past the top bit
+            base = cantor_add(base, base)
     return acc
 
 

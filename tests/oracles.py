@@ -19,7 +19,9 @@ b^e f(a/b) mod p for each residue r of b instead of reading one table
 of f mod p at a/r, the finite-field oracles find squares
 by squaring every element instead of Euler's criterion on the norm, the
 divisor-class oracle builds a Mumford pair from the chord or tangent
-through its points instead of by Cantor composition, the
+through its points instead of by Cantor composition, the Cantor oracle
+composes every pair by the general two-gcd formula on int lists instead
+of by the cases doubling, coprime and general, the
 root oracle evaluates at every residue mod p instead of certifying the
 shape of g mod 743 by a gcd and a product, the smoothness oracle enumerates points over F_{2^k} instead of taking one
 gcd over F_2, and the 2-torsion oracle enumerates stable root pairs
@@ -146,6 +148,21 @@ def fp_divmod(a, b, p: int) -> tuple[list[int], list[int]]:
             rem[k + i] = (rem[k + i] - c * y) % p
         rem = fp_poly(rem, p)
     return fp_poly(quo, p), rem
+
+
+def fp_xgcd(a, b, p: int):
+    """(g, s, t) with g = s*a + t*b over F_p and g monic (or zero)."""
+    r0, r1 = fp_poly(a, p), fp_poly(b, p)
+    s0, s1, t0, t1 = [1], [], [], [1]
+    while r1:
+        q, r = fp_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, fp_sub(s0, fp_mul(q, s1, p), p)
+        t0, t1 = t1, fp_sub(t0, fp_mul(q, t1, p), p)
+    if r0:
+        inv = [pow(r0[-1], p - 2, p)]
+        r0, s0, t0 = fp_mul(r0, inv, p), fp_mul(s0, inv, p), fp_mul(t0, inv, p)
+    return r0, s0, t0
 
 
 def frac_compose(outer, inner) -> list[Fraction]:
@@ -479,6 +496,29 @@ def chord_tangent_class(f, p: int, points) -> tuple[list[int], list[int]]:
         df = sum(i * c * x1 ** (i - 1) for i, c in enumerate(f) if i)
         slope = df * pow(2 * y1, -1, p)
     return trim([x1 * x2, -x1 - x2, 1]), trim([y1 - slope * x1, slope])
+
+
+def cantor_compose(f, p: int, d1, d2) -> tuple[list[int], list[int]]:
+    """Reduced Mumford pair of D1 + D2 on y^2 = f(x) over F_p, f monic of
+    degree 5 as an int list, lowest degree first, each D a pair (u, v) of
+    such lists.  Composition by Cantor's general formula whatever the
+    operands: e = gcd(u1, u2) = e1 u1 + e2 u2, d = gcd(e, v1 + v2) =
+    c1 e + c2 (v1 + v2), u = u1 u2 / d^2 and
+    v = (c1 e1 u1 v2 + c1 e2 u2 v1 + c2 (v1 v2 + f)) / d mod u, then
+    reduction u <- (f - v^2)/u made monic, v <- -v mod u while deg u > 2."""
+    (u1, v1), (u2, v2) = d1, d2
+    e, e1, e2 = fp_xgcd(u1, u2, p)
+    d, c1, c2 = fp_xgcd(e, fp_add(v1, v2, p), p)
+    u = fp_divmod(fp_mul(u1, u2, p), fp_mul(d, d, p), p)[0]
+    num = fp_add(fp_add(fp_mul(fp_mul(c1, e1, p), fp_mul(u1, v2, p), p),
+                        fp_mul(fp_mul(c1, e2, p), fp_mul(u2, v1, p), p), p),
+                 fp_mul(c2, fp_add(fp_mul(v1, v2, p), f, p), p), p)
+    v = fp_divmod(fp_divmod(num, d, p)[0], u, p)[1]
+    while len(u) > 3:
+        u = fp_divmod(fp_sub(f, fp_mul(v, v, p), p), u, p)[0]
+        u = fp_mul(u, [pow(u[-1], p - 2, p)], p)
+        v = fp_divmod([-c for c in v], u, p)[1]
+    return u, v
 
 
 # --- smoothness in characteristic 2 by enumeration ---------------------------

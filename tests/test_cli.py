@@ -10,6 +10,7 @@ import pytest
 
 import preper
 from preper import cli
+from preper.exactmath import is_prime
 
 # the package the tests import, so the child runs it without an install
 SRC = os.path.dirname(os.path.dirname(preper.__file__))
@@ -317,6 +318,19 @@ def test_scan_matches_the_census_benchmark_golden(height, capsys):
     payload = json.loads(capsys.readouterr().out)
     del payload["timing_ms"]
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert [code, hashlib.sha256(text.encode()).hexdigest()] == golden
+
+
+@pytest.mark.parametrize("p", list(filter(is_prime, range(7, 114))))
+def test_jacobian_matches_the_jacobian_benchmark_golden(p, capsys):
+    # every prime of the jacobian benchmark's golden file, run in-process
+    # and compared, read-only, with the sha256 of the golden output (the
+    # report carries no timing_ms)
+    with open(os.path.join(ROOT, "perfbench", "golden", "jacobian.json")) as fh:
+        golden = json.load(fh)["calls"][f"jacobian --p {p}"]
+    code = cli.main(["jacobian", "--p", str(p)])
+    text = capsys.readouterr().out.strip()
+    assert "timing_ms" not in json.loads(text)
     assert [code, hashlib.sha256(text.encode()).hexdigest()] == golden
 
 

@@ -1,14 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import brute_count_points, chord_tangent_class
+from oracles import brute_count_points, cantor_compose, chord_tangent_class
 from preper import ffjac
 from preper.curves import C1_32, E11, Q24, X1_13, X1_18, CurvePoint, CurveModel
-from preper.exactmath import FpPoly, Poly, discriminant, is_prime
+from preper.exactmath import FpPoly, Poly, discriminant, is_prime, xgcd
 from preper.ffjac import (
     KNOWN_POINTS,
     cantor_add,
@@ -140,6 +141,20 @@ def test_jacobian_order_takes_no_discriminant(monkeypatch):
     with pytest.raises(ValueError, match="bad reduction"):
         jacobian_order(C1_32, 743)
     assert calls == []
+
+
+def test_count_points_builds_one_norm_table_per_call(monkeypatch):
+    # the seven coefficients of R_s(m) are read from one table of
+    # polynomials in s a call, not rebuilt for every s; counts over F_p
+    # take no table
+    expected = {p: count_points(C1_32, p, 2) for p in (3, 23, 97)}
+    calls = []
+    build = ffjac._norm_table
+    monkeypatch.setattr(ffjac, "_norm_table", lambda g: calls.append(g) or build(g))
+    assert {p: count_points(C1_32, p, 2) for p in expected} == expected
+    assert len(calls) == len(expected)
+    count_points(C1_32, 23, 1)
+    assert len(calls) == len(expected)
 
 
 def test_counts_and_orders_obey_hasse_weil():
@@ -317,6 +332,37 @@ def test_mismatched_models_refuse_to_add():
         cantor_add(divisor_identity(m3), divisor_identity(m7))
 
 
+def _mumford_pair(d):
+    return list(d.u.coeffs), list(d.v.coeffs)
+
+
+def _cantor_case(a, b) -> str:
+    """Which of Cantor's compositions a + b takes, read off the operands."""
+    if a.is_identity() or b.is_identity():
+        return "identity operand"
+    if a == b:
+        return f"doubling at degree {a.u.degree}"
+    if b == cantor_neg(a):
+        return "D + (-D)"
+    return "coprime" if xgcd(a.u, b.u)[0].degree == 0 else "common factor"
+
+
+def _compare_with_cantor_oracle(model, pairs):
+    """cantor_add against the general two-gcd oracle on each ordered pair;
+    the cases the pairs took, counted."""
+    f, p = list(model.f.coeffs), model.p
+    cases = Counter()
+    for a, b in pairs:
+        assert _mumford_pair(cantor_add(a, b)) == \
+            cantor_compose(f, p, _mumford_pair(a), _mumford_pair(b)), (p, a, b)
+        cases[_cantor_case(a, b)] += 1
+    return cases
+
+
+CANTOR_CASES = {"identity operand", "doubling at degree 1", "doubling at degree 2",
+                "D + (-D)", "coprime", "common factor"}
+
+
 def test_cantor_axioms_on_the_larger_f7_group():
     model = odd_model_transform(C1_32, 7, 4)
     els = enumerate_jacobian(model)
@@ -327,6 +373,28 @@ def test_cantor_axioms_on_the_larger_f7_group():
         assert cantor_add(a, b) == cantor_add(b, a)
         assert 84 % divisor_order(a, 90) == 0
         assert cantor_add(a, cantor_neg(a)).is_identity()
+    # composition by cases against the general formula on all 84^2
+    # ordered pairs, each case taken
+    cases = _compare_with_cantor_oracle(model, [(a, b) for a in els for b in els])
+    assert set(cases) == CANTOR_CASES and sum(cases.values()) == 84 ** 2, cases
+    # seeded pairs on the odd model at each certifiable prime 23..97: one-
+    # and two-point classes, their doubles, negatives and the identity
+    primes = 0
+    for p in filter(is_prime, range(23, 98)):
+        gp = FpPoly.from_poly(C1_32.g, p)
+        root = next((r for r in range(p) if gp(r) == 0), None)
+        if root is None:
+            continue
+        model = odd_model_transform(C1_32, p, root)
+        rng = random.Random(p)
+        pts = [(x, y) for x in range(p) for y in range(p) if (y * y - model.f(x)) % p == 0]
+        classes = [divisor_from_points(model, rng.sample(pts, k)) for k in (1, 1, 2, 2, 2)]
+        classes += [cantor_add(d, d) for d in classes[:2]] + [cantor_neg(classes[2])]
+        classes.append(divisor_identity(model))
+        cases = _compare_with_cantor_oracle(model, [(a, b) for a in classes for b in classes])
+        assert set(cases) >= CANTOR_CASES - {"common factor"}, (p, cases)
+        primes += 1
+    assert primes == 10
 
 
 def test_odd_degree_model_counting():
