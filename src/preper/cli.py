@@ -6,6 +6,12 @@ exit codes follow a fixed contract: 0 success, 1 at least one check
 failed, 2 usage error.  PREPER_JOBS sets the default worker count for
 scan.
 
+main builds the argument parser on its first call and reuses it for
+every later call in the process; importing the module builds none.
+PREPER_JOBS is read on every call that parses a scan without --jobs, so
+a change to the environment between two calls takes effect, and a bad
+value is the same usage error as a bad --jobs.
+
 Each command loads only the layers it runs: graph, scan and family need
 the dynamics and the families, while the curve registry, the Jacobian
 arithmetic over F_p, the 2-descent and the 3-adic layer are imported
@@ -18,6 +24,7 @@ module that it imports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -70,6 +77,18 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return n
+
+
+class _EnvJobs(str):
+    """The --jobs default: a marker that _jobs replaces by PREPER_JOBS."""
+
+
+def _jobs(text: str) -> int:
+    # argparse converts a string default when the call parses, so the
+    # environment is read then, not when the parser was built
+    if isinstance(text, _EnvJobs):
+        text = os.environ.get("PREPER_JOBS", "1")
+    return _positive_int(text)
 
 
 def _emit(payload: dict) -> None:
@@ -352,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="census of graph shapes for all c up to a height")
     p.add_argument("--height", type=_positive_int, required=True)
-    p.add_argument("--jobs", type=_positive_int,
-                   default=os.environ.get("PREPER_JOBS", "1"))
+    p.add_argument("--jobs", type=_jobs, default=_EnvJobs("PREPER_JOBS"))
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("family", help="generate and validate a parametrized family point")
@@ -379,8 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every main call in the process, built by the first."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except BudgetError as e:

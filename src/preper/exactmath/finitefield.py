@@ -204,7 +204,15 @@ class FpPoly(_DensePoly):
         set_field(self, "coeffs", _trim([c % p for c in coeffs]))
 
     def _new(self, coeffs) -> "FpPoly":
-        return FpPoly(self.p, coeffs)
+        # every sum, product, quotient and remainder builds its result
+        # here, so the sibling skips the constructor call and its frame:
+        # the coefficients are reduced and trimmed in one pass and the two
+        # slots set directly, as __init__ would set them
+        p = self.p
+        new = object.__new__(FpPoly)
+        set_field(new, "p", p)
+        set_field(new, "coeffs", _trim([c % p for c in coeffs]))
+        return new
 
     def _lift(self, other):
         if isinstance(other, FpPoly):

@@ -31,7 +31,13 @@ class of P = (x1, y1) is (x - x1, y1), and that of P1 + P2 is the
 cantor_add sum of two such classes.  Composition follows Cantor's cases
 (Cantor, Math. Comp. 48, 1987): a doubling needs one gcd, of u and 2v;
 coprime u1, u2 need one, of u1 and u2; any other pair needs that gcd and
-one more with v1 + v2.  Over F_3 this checks the identities:
+one more with v1 + v2.  The two common cases use one Bezout cofactor
+each: coprime u1, u2 with e1 u1 + e2 u2 = 1 give
+v = v1 + e1 u1 (v2 - v1) mod u1 u2, and a doubling with gcd(u, 2v) = 1
+and s1 u + s3 2v = 1 gives v = v + s3 (f - v^2) mod u^2.  The identity
+is the neutral element outright: adding it returns the other operand,
+and cantor_mul starts from the lowest set bit of n.  Over F_3 this
+checks the identities:
 [inf+ - inf-] reduces to a generator of a cyclic group of order 27 whose
 ninth multiple is the class of the two off-cycle known points.
 """
@@ -265,23 +271,35 @@ def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor) -> MumfordDivisor:
 
     Composition by Cantor's cases: with d = gcd(u1, u2, v1 + v2) =
     s1 u1 + s2 u2 + s3 (v1 + v2), the sum is u = u1 u2 / d^2 and
-    v = (s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f)) / d mod u.  A doubling
-    takes one xgcd(u, 2v), coprime u1 and u2 one xgcd(u1, u2) and d = 1,
-    and any other pair an xgcd(u1, u2) and then one with v1 + v2.  One
-    reduction loop follows every case."""
+    v = (s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f)) / d mod u.  The identity
+    as either operand returns the other one.  A doubling takes one
+    xgcd(u, 2v); when it is 1 = s1 u + s3 2v, s1 u = 1 - 2 s3 v turns v
+    into v + s3 (f - v^2).  Coprime u1 and u2 take one xgcd(u1, u2), and
+    e2 u2 = 1 - e1 u1 turns v into v1 + e1 u1 (v2 - v1).  Any other pair,
+    and a doubling with a common factor of u and 2v, take the general
+    formula, an xgcd(u1, u2) and then one with v1 + v2.  One reduction
+    loop follows every case."""
     if d1.model != d2.model:
         raise ValueError("divisors live on different models")
+    if d1.is_identity():
+        return d2
+    if d2.is_identity():
+        return d1
     f = d1.model.f
     u1, v1, u2, v2 = d1.u, d1.v, d2.u, d2.v
     if u1 == u2 and v1 == v2:
         d, s1, s3 = xgcd(u1, v1 + v1)
-        u = (u1 * u1) // (d * d)
-        v = ((s1 * u1 * v1 + s3 * (v1 * v1 + f)) // d) % u
+        if d.degree == 0:
+            u = u1 * u1
+            v = (v1 + s3 * (f - v1 * v1)) % u
+        else:
+            u = (u1 * u1) // (d * d)
+            v = ((s1 * u1 * v1 + s3 * (v1 * v1 + f)) // d) % u
     else:
         e, e1, e2 = xgcd(u1, u2)
         if e.degree == 0:
             u = u1 * u2
-            v = (e1 * u1 * v2 + e2 * u2 * v1) % u
+            v = (v1 + e1 * u1 * (v2 - v1)) % u
         else:
             d, c1, c2 = xgcd(e, v1 + v2)
             s1, s2, s3 = c1 * e1, c1 * e2, c2
@@ -299,16 +317,24 @@ def cantor_neg(d: MumfordDivisor) -> MumfordDivisor:
 
 
 def cantor_mul(n: int, d: MumfordDivisor) -> MumfordDivisor:
+    """n * d by doubling and adding, from the lowest set bit of n: the sum
+    starts as that multiple of d itself, never as the identity plus it,
+    and no doubling goes past the top bit."""
     if n < 0:
         return cantor_mul(-n, cantor_neg(d))
-    acc = divisor_identity(d.model)
+    if n == 0:
+        return divisor_identity(d.model)
     base = d
+    while not n & 1:
+        base = cantor_add(base, base)
+        n >>= 1
+    acc = base
+    n >>= 1
     while n:
+        base = cantor_add(base, base)
         if n & 1:
             acc = cantor_add(acc, base)
         n >>= 1
-        if n:  # no doubling past the top bit
-            base = cantor_add(base, base)
     return acc
 
 

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -286,6 +288,36 @@ def test_jacobian_tests_the_size_of_p_before_its_primality(monkeypatch, capsys):
     assert calls == [4]
 
 
+def test_preper_jobs_is_read_on_every_call(monkeypatch, capsys):
+    # main reuses the parser of its first call, so PREPER_JOBS must still
+    # be read when each later call parses, not when the parser was built
+    seen = []
+    scan = cli.scan
+
+    def recorder(height, jobs):
+        seen.append(jobs)
+        return scan(height, jobs=jobs)
+
+    monkeypatch.setattr(cli, "scan", recorder)
+
+    def census(*argv):
+        assert cli.main(["scan", "--height", "3", *argv]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        del payload["timing_ms"]
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    monkeypatch.delenv("PREPER_JOBS", raising=False)
+    serial = census()
+    monkeypatch.setenv("PREPER_JOBS", "0")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--height", "3"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err.strip().splitlines()[-1]
+    monkeypatch.setenv("PREPER_JOBS", "2")
+    assert census() == census("--jobs", "1") == serial
+    assert seen == [1, 2, 1]
+
+
 def test_scan_determinism_across_jobs():
     a = run_cli("scan", "--height", "12", "--jobs", "1")
     b = run_cli("scan", "--height", "12", "--jobs", "4")
@@ -332,6 +364,41 @@ def test_jacobian_matches_the_jacobian_benchmark_golden(p, capsys):
     text = capsys.readouterr().out.strip()
     assert "timing_ms" not in json.loads(text)
     assert [code, hashlib.sha256(text.encode()).hexdigest()] == golden
+
+
+def test_graph_tall_calls_match_their_benchmark_golden_in_one_process(capsys):
+    # every family call and every graph of a non-square denominator of the
+    # graph_tall benchmark's golden file, compared, read-only, with the
+    # sha256 of the golden output (these reports carry no timing_ms).  One
+    # process runs them all, each also with its option value as a separate
+    # argument (which the negative-number matcher lets through), between a
+    # usage error and jacobian --p 7: the parser that main reuses carries
+    # nothing from one call to the next
+    with open(os.path.join(ROOT, "perfbench", "golden", "graph_tall.json")) as fh:
+        golden = json.load(fh)["calls"]
+    with open(os.path.join(ROOT, "perfbench", "golden", "jacobian.json")) as fh:
+        jacobian_7 = json.load(fh)["calls"]["jacobian --p 7"]
+
+    def run(argv):
+        code = cli.main(argv)
+        return [code, hashlib.sha256(capsys.readouterr().out.strip().encode()).hexdigest()]
+
+    def non_square(key):
+        den = Fraction(key[len("graph --c="):]).denominator
+        return isqrt(den) ** 2 != den
+
+    keys = [k for k in golden if k.startswith("family ")
+            or k.startswith("graph --c=") and non_square(k)]
+    assert len(keys) == 72 + 64
+    for key in keys:
+        argv = key.split()
+        assert run(argv) == golden[key], key
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["graph", "--c", "1/0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1].startswith("preper graph: error:")
+        assert run(["jacobian", "--p", "7"]) == jacobian_7
+        assert run([*argv[:-1], *argv[-1].split("=", 1)]) == golden[key], key
 
 
 def test_verify_curves_height_40_bytes_are_pinned():

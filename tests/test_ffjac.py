@@ -397,6 +397,31 @@ def test_cantor_axioms_on_the_larger_f7_group():
     assert primes == 10
 
 
+def test_cantor_mul_equals_repeated_addition():
+    # n * D against the n-fold cantor_add sum for n in -5..40 (0 gives the
+    # identity, 1 gives D): sampled elements of the F_7 group, its one
+    # nonzero class with v = 0 (a 2-torsion point, whose doubling takes the
+    # common-factor path), and one- and two-point classes on the odd model
+    # at p = 23
+    model = odd_model_transform(C1_32, 7, 4)
+    els = enumerate_jacobian(model)
+    rng = random.Random(7)
+    divisors = rng.sample(els, 6) + [d for d in els if d.v.is_zero() and not d.is_identity()]
+    model = odd_model_transform(C1_32, 23, 6)
+    pts = [(x, y) for x in range(23) for y in range(23) if (y * y - model.f(x)) % 23 == 0]
+    divisors += [divisor_from_points(model, rng.sample(pts, k)) for k in (1, 1, 2, 2)]
+    assert len(divisors) == 11
+    for d in divisors:
+        multiples = {0: divisor_identity(d.model)}
+        for n in range(1, 41):
+            multiples[n] = cantor_add(multiples[n - 1], d)
+        for n in range(-1, -6, -1):
+            multiples[n] = cantor_add(multiples[n + 1], cantor_neg(d))
+        assert multiples[1] == d
+        for n in range(-5, 41):
+            assert cantor_mul(n, d) == multiples[n], (d, n)
+
+
 def test_odd_degree_model_counting():
     # y^2 = x^5 - x: genus 2, one point at infinity
     quintic = CurveModel("odd5", Poly((0, -1, 0, 0, 0, 1)))
