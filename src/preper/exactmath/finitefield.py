@@ -249,11 +249,6 @@ class FpPoly(_DensePoly):
             acc = acc * x + c
         return acc
 
-    def monic(self) -> "FpPoly":
-        if self.is_zero() or self.lc == 1:
-            return self
-        return self * pow(self.lc, -1, self.p)
-
     def shift(self, r: int) -> "FpPoly":
         """p(x + r)."""
         out = self._new(())

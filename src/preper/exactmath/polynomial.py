@@ -7,7 +7,7 @@ zero polynomial is the empty tuple.  Instances are immutable and hashable.
 
 The ring code is written once, in the private base class _DensePoly:
 sums, negation, products, powers, division with remainder, the
-derivative, equality and hashing, and xgcd.  A coefficient ring supplies
+derivative and monic, equality and hashing, and xgcd.  A ring supplies
 only what differs: its constructor normalizes a coefficient list into
 the canonical tuple, _new builds a sibling in the same ring, _lift turns
 an operand into one (None for an operand of another ring, which the
@@ -24,10 +24,10 @@ integers, and only a true division (in divmod, xgcd and the resultant)
 goes through ``Fraction``, since ``int / int`` would be a float.  There
 is no rational-function type: a quotient of polynomials is kept
 unreduced over a common denominator (see exactmath.bivariate), so the
-only gcd is xgcd.  Over Q its one job is inversion in a number field
-Q[T]/(g): there an element is a Poly reduced mod g, and
-xgcd(a, g) = (1, s, t) makes s the inverse of a.  Over F_p it is the gcd
-of Cantor composition and of the smoothness test at 2.
+only gcd is xgcd.  It is the gcd of Cantor composition, over Q and over
+F_p (see ffjac).  Over Q it also inverts in a number field Q[T]/(g):
+there an element is a Poly reduced mod g, and xgcd(a, g) = (1, s, t)
+makes s the inverse of a.  Over F_2 it decides the smoothness test at 2.
 
 The resultant follows the convention
 
@@ -224,6 +224,12 @@ class _DensePoly(Value):
 
     def derivative(self):
         return self._new([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def monic(self):
+        """This polynomial over its leading coefficient; zero stays zero."""
+        if not self.coeffs or self.coeffs[-1] == 1:
+            return self
+        return self * self._quo(1, self.coeffs[-1])
 
 
 def xgcd(a, b):

@@ -1,4 +1,5 @@
-"""Point counts and Jacobian arithmetic for c1_32 over small finite fields.
+"""Point counts of genus-2 curves over small finite fields, and one
+Jacobian group law, Cantor's algorithm, over Q and F_p in genus 1 and 2.
 
 Counting runs on plain ints.  A table of the squares of F_p, built by
 squaring every residue, decides each value of g: a root gives one point,
@@ -16,23 +17,25 @@ pair: norm 0 adds 2 points, a nonzero square adds 4 (g(x) is then a
 square in F_{p^2}, by Euler's criterion on the norm, see
 exactmath.finitefield), and a non-square adds none.  That is p(p-1)/2
 single-int Horners for the p^2 elements of F_{p^2}.
-A sextic has two points at infinity when its leading coefficient is a
-square: over F_p a table lookup, over F_{p^2} always, since every element
-of F_p is a square there; a quintic has one.  Jacobian orders come from
+At infinity y^2 = g6, the x^6 coefficient of g mod p: one point when it
+is 0 (a quintic, or p divides the leading coefficient), two when it is a
+square (over F_{p^2} always), and none otherwise.  Jacobian orders come from
 the genus-2 relation
 
     #J(F_p) = (N1**2 + N2)/2 - p,   N1 = #C(F_p), N2 = #C(F_{p^2}),
 
 and, wherever g has a root r mod p, independently from brute enumeration
 of reduced Mumford divisors on the odd-degree model obtained by moving the
-Weierstrass point (r, 0) to infinity.  Divisor classes live only on such
-odd models and are built only by Cantor composition and reduction: the
-class of P = (x1, y1) is (x - x1, y1), and that of P1 + P2 is the
-cantor_add sum of two such classes.  Composition follows Cantor's cases
-(Cantor, Math. Comp. 48, 1987): a doubling needs one gcd, of u and 2v;
-coprime u1, u2 need one, of u1 and u2; any other pair needs that gcd and
-one more with v1 + v2.  The two common cases use one Bezout cofactor
-each: coprime u1, u2 with e1 u1 + e2 u2 = 1 give
+Weierstrass point (r, 0) to infinity.  Divisor classes live on y^2 = f(x)
+with f monic of degree 2g + 1, over Q or F_p: such an odd model, or a
+MonicModel, as for the completed square of an elliptic curve (curves).
+One Cantor code serves every ring and genus: the class of P = (x1, y1) is
+(x - x1, y1), that of P1 + P2 is the cantor_add sum of two such classes,
+and reduction stops at deg u <= g = deg f // 2.  Composition follows
+Cantor's cases (Cantor, Math. Comp. 48, 1987): a doubling needs one gcd,
+of u and 2v; coprime u1, u2 need one, of u1 and u2; any other pair needs
+that gcd and one more with v1 + v2.  The two common cases use one Bezout
+cofactor each: coprime u1, u2 with e1 u1 + e2 u2 = 1 give
 v = v1 + e1 u1 (v2 - v1) mod u1 u2, and a doubling with gcd(u, 2v) = 1
 and s1 u + s3 2v = 1 gives v = v + s3 (f - v^2) mod u^2.  The identity
 is the neutral element outright: adding it returns the other operand,
@@ -47,7 +50,7 @@ from __future__ import annotations
 import functools
 
 from .curves import C1_32, CurveModel, CurvePoint
-from .exactmath import FpPoly, fp_residue, is_prime, xgcd
+from .exactmath import FpPoly, is_prime, xgcd
 from .report import Report
 from .values import Value, set_field
 
@@ -84,7 +87,6 @@ def count_points(curve: CurveModel, p: int, k: int = 1) -> int:
                 count += 1
             elif square[v]:
                 count += 2
-        at_infinity = square[fp_residue(curve.g.lc, p)]
     else:
         for x in range(p):
             count += 2 if gp(x) else 1  # every element of F_p is a square in F_{p^2}
@@ -101,10 +103,8 @@ def count_points(curve: CurveModel, p: int, k: int = 1) -> int:
             count += sum([pair_points[
                 ((((((r6 * m + r5) * m + r4) * m + r3) * m + r2) * m + r1) * m + r0) % p]
                 for m in [top - nu for nu in nonresidues]])
-        at_infinity = True  # every element of F_p is a square in F_{p^2}
-    if curve.g.degree == 5:
-        return count + 1
-    return count + 2 * at_infinity
+    g6 = gp[6]  # y^2 = g6 at infinity; F_p is all squares in F_{p^2}
+    return count + (2 * (k == 2 or square[g6]) if g6 else 1)
 
 
 def _norm_table(g) -> list[list]:
@@ -226,19 +226,28 @@ def odd_model_transform(curve: CurveModel, p: int, r: int) -> OddModel:
     return OddModel(p=p, f=f, r=r % p, scale=a % p)
 
 
+class MonicModel(Value):
+    """y^2 = f(x), f monic of odd degree over Q or F_p, with no point map."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        set_field(self, "f", f)
+
+
 class MumfordDivisor(Value):
-    """Reduced divisor class (u, v) on an odd model: u monic, deg u <= 2,
-    deg v < deg u, and u | f - v^2."""
+    """Reduced divisor class (u, v) on a model y^2 = f(x) of genus
+    g = deg f // 2: u monic, deg u <= g, deg v < deg u, and u | f - v^2."""
 
     __slots__ = ("model", "u", "v")
 
-    def __init__(self, model: OddModel, u: FpPoly, v: FpPoly):
+    def __init__(self, model, u, v):
         set_field(self, "model", model)
         set_field(self, "u", u)
         set_field(self, "v", v)
         f = self.model.f
-        if self.u.is_zero() or self.u.lc != 1 or self.u.degree > 2:
-            raise ValueError("u must be monic of degree <= 2")
+        if self.u.is_zero() or self.u.lc != 1 or self.u.degree > f.degree // 2:
+            raise ValueError("u must be monic of degree <= the genus")
         if not self.v.is_zero() and self.v.degree >= self.u.degree:
             raise ValueError("v must have degree below deg u")
         if not ((f - self.v * self.v) % self.u).is_zero():
@@ -248,26 +257,27 @@ class MumfordDivisor(Value):
         return self.u.degree == 0
 
 
-def divisor_identity(model: OddModel) -> MumfordDivisor:
-    return MumfordDivisor(model, FpPoly(model.p, (1,)), FpPoly(model.p))
+def divisor_identity(model) -> MumfordDivisor:
+    return MumfordDivisor(model, model.f._new((1,)), model.f._new(()))
 
 
-def _point_class(model: OddModel, x: int, y: int) -> MumfordDivisor:
+def point_class(model, x, y) -> MumfordDivisor:
     """Class of P - infinity for the affine point P = (x, y): u = X - x, v = y."""
-    return MumfordDivisor(model, FpPoly(model.p, (-x, 1)), FpPoly(model.p, (y,)))
+    return MumfordDivisor(model, model.f._new((-x, 1)), model.f._new((y,)))
 
 
 def divisor_from_points(model: OddModel, points) -> MumfordDivisor:
     """Class of sum(P_i) - n*infinity for affine points P_i, the cantor_add
     sum of their one-point classes."""
-    classes = [_point_class(model, x, y) for x, y in points]
+    classes = [point_class(model, x, y) for x, y in points]
     if not classes:
         return divisor_identity(model)
     return functools.reduce(cantor_add, classes)
 
 
 def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor) -> MumfordDivisor:
-    """Composition and reduction on a genus-2 odd model.
+    """Composition and reduction on a model y^2 = f(x) of genus
+    g = deg f // 2, over Q or F_p.
 
     Composition by Cantor's cases: with d = gcd(u1, u2, v1 + v2) =
     s1 u1 + s2 u2 + s3 (v1 + v2), the sum is u = u1 u2 / d^2 and
@@ -278,7 +288,8 @@ def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor) -> MumfordDivisor:
     e2 u2 = 1 - e1 u1 turns v into v1 + e1 u1 (v2 - v1).  Any other pair,
     and a doubling with a common factor of u and 2v, take the general
     formula, an xgcd(u1, u2) and then one with v1 + v2.  One reduction
-    loop follows every case."""
+    loop, down to deg u <= g, follows every case.  The sum is symmetric
+    in d1 and d2, as u = u1 u2 / d^2 and the CRT solution v are."""
     if d1.model != d2.model:
         raise ValueError("divisors live on different models")
     if d1.is_identity():
@@ -286,6 +297,7 @@ def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor) -> MumfordDivisor:
     if d2.is_identity():
         return d1
     f = d1.model.f
+    genus = f.degree // 2
     u1, v1, u2, v2 = d1.u, d1.v, d2.u, d2.v
     if u1 == u2 and v1 == v2:
         d, s1, s3 = xgcd(u1, v1 + v1)
@@ -306,7 +318,7 @@ def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor) -> MumfordDivisor:
             u = (u1 * u2) // (d * d)  # monic, as u1, u2 and d are
             num = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)
             v = (num // d) % u
-    while u.degree > 2:
+    while u.degree > genus:
         u = ((f - v * v) // u).monic()
         v = (-v) % u
     return MumfordDivisor(d1.model, u, v)
@@ -356,7 +368,7 @@ def enumerate_jacobian(model: OddModel) -> list[MumfordDivisor]:
     for x in range(p):
         for y in range(p):
             if (y * y - f(x)) % p == 0:
-                out.append(_point_class(model, x, y))
+                out.append(point_class(model, x, y))
     for u1 in range(p):
         for u0 in range(p):
             u = FpPoly(p, (u0, u1, 1))

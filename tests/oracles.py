@@ -21,7 +21,9 @@ by squaring every element instead of Euler's criterion on the norm, the
 divisor-class oracle builds a Mumford pair from the chord or tangent
 through its points instead of by Cantor composition, the Cantor oracle
 composes every pair by the general two-gcd formula on int lists instead
-of by the cases doubling, coprime and general, the
+of by the cases doubling, coprime and general, the elliptic-curve
+oracle adds rational points by chord and tangent instead of by Cantor
+composition on the completed square, the
 root oracle evaluates at every residue mod p instead of certifying the
 shape of g mod 743 by a gcd and a product, the smoothness oracle enumerates points over F_{2^k} instead of taking one
 gcd over F_2, and the 2-torsion oracle enumerates stable root pairs
@@ -444,8 +446,10 @@ def brute_roots_mod_p(coeffs, p: int) -> list[int]:
 def brute_count_points(coeffs, p: int, k: int) -> int:
     """#C(F_{p^k}) for y^2 = g(x), g of degree 5 or 6 with int coefficients
     lowest degree first, p odd: one point over each root of g, two over each
-    nonzero square value, and at infinity one point (degree 5) or two when
-    the leading coefficient is a square (degree 6)."""
+    nonzero square value, and at infinity the solutions of y^2 = g6, the
+    x^6 coefficient mod p: one point when it is 0 (a quintic, or a sextic
+    whose leading coefficient p divides), two when it is a nonzero square
+    and none when it is not."""
     n = least_nonresidue(p) if k == 2 else 0
     squares = brute_fq_squares(p, k, n)
     count = 0
@@ -458,9 +462,53 @@ def brute_count_points(coeffs, p: int, k: int) -> int:
             count += 1
         elif acc in squares:
             count += 2
-    if len(coeffs) - 1 == 6:
-        return count + (2 if (coeffs[-1] % p, 0) in squares else 0)
-    return count + 1
+    g6 = (coeffs[6] % p if len(coeffs) > 6 else 0, 0)
+    return count + len([y for y in fq_elements(p, k) if fq_mul(y, y, p, n) == g6])
+
+
+# --- the elliptic group law by chord and tangent -----------------------------
+# a = (a1, a2, a3, a4, a6) is y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6;
+# a point is a pair of Fractions, and None is the point at infinity
+
+
+def elliptic_on_curve(a, P) -> bool:
+    if P is None:
+        return True
+    a1, a2, a3, a4, a6 = a
+    x, y = P
+    return y * y + a1 * x * y + a3 * y == x ** 3 + a2 * x * x + a4 * x + a6
+
+
+def elliptic_neg(a, P):
+    if P is None:
+        return None
+    a1, _a2, a3, _a4, _a6 = a
+    x, y = P
+    return (x, -y - a1 * x - a3)
+
+
+def elliptic_add(a, P, Q):
+    """P + Q by the chord through P and Q, or the tangent at P = Q: with
+    slope lam and y = lam x + nu the line, the third point of the line has
+    x3 = lam^2 + a1 lam - a2 - x1 - x2, and P + Q is its negative."""
+    for R in (P, Q):
+        if not elliptic_on_curve(a, R):
+            raise ValueError(f"point {R} is not on the curve {a}")
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    if Q == elliptic_neg(a, P):
+        return None
+    a1, a2, a3, a4, _a6 = (Fraction(c) for c in a)
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
+    else:
+        lam = Fraction(y2 - y1) / (x2 - x1)
+    nu = y1 - lam * x1
+    x3 = lam * lam + a1 * lam - a2 - x1 - x2
+    return (x3, -(lam + a1) * x3 - nu - a3)
 
 
 # --- Mumford pairs by chord and tangent ----------------------------------------

@@ -202,6 +202,29 @@ def test_traced_benchmark_reaches_every_expected_function(workload):
     assert json.loads(r.stdout.strip().splitlines()[-1])["correct"] is True
 
 
+def test_bench_tool_writes_nothing_when_a_run_is_not_correct(monkeypatch, capsys):
+    # tools/bench.py runs every workload before it decides; one run that is
+    # not correct leaves no BENCH file and exits 1, before the tier-1 run
+    spec = importlib.util.spec_from_file_location("bench_tool",
+                                                  os.path.join(ROOT, "tools", "bench.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    calls = []
+
+    def fake_run(root, workload, trace):
+        calls.append((workload, trace))
+        return {"workload": workload, "trace": trace, "correct": workload != "curve_verify"}
+
+    monkeypatch.setattr(bench, "perfbench_run", fake_run)
+    monkeypatch.setattr(bench, "git", lambda root, *args: "")
+    monkeypatch.setattr(bench, "tier1", lambda root: pytest.fail("tier-1 ran"))
+    monkeypatch.setattr(sys, "argv", ["bench.py", "--pr", "0", "--checkout", ROOT])
+    assert bench.main() == 1
+    assert calls == [(w, 0) for w in bench.WORKLOADS] + [("census", 1), ("jacobian", 1)]
+    assert not os.path.exists(os.path.join(ROOT, "BENCH_0.json"))
+    assert "not correct: curve_verify --trace 0" in capsys.readouterr().err
+
+
 def test_graph_json_minus_29_16():
     r = run_cli("graph", "--c", "-29/16")
     assert r.returncode == 0

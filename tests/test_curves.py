@@ -5,6 +5,7 @@ from math import isqrt
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import oracles
 from oracles import ModP, brute_char2_smooth, brute_square_points, residue_mask
 from preper import curves
 from preper.curves import (
@@ -14,6 +15,7 @@ from preper.curves import (
     CURVES,
     E11,
     E24,
+    E24_CORRECTED,
     E40,
     PRINTED_POINTS,
     SEARCH_BUDGET,
@@ -23,10 +25,9 @@ from preper.curves import (
     CurvePoint,
     SearchBudgetError,
     classify_c_from_curve_point,
-    elliptic_add,
-    elliptic_neg,
     elliptic_points_bounded,
     good_reduction_model_check,
+    point_classes,
     rational_points_bounded,
     verify_birational_pair,
     verify_point_list,
@@ -34,6 +35,7 @@ from preper.curves import (
     x1_13_discriminant_check,
 )
 from preper.exactmath import Poly, discriminant
+from preper.ffjac import cantor_add, cantor_neg
 
 F = Fraction
 
@@ -72,21 +74,85 @@ def test_points_satisfy_equation_and_involution():
 
 
 def test_elliptic_group_law_basics():
-    P = (F(0), F(0))
-    assert elliptic_add(E11, P, None) == P
-    assert elliptic_add(E11, None, P) == P
-    five = [None, (F(0), F(0)), (F(0), F(-1)), (F(1), F(0)), (F(1), F(-1))]
-    s = elliptic_add(E11, (F(0), F(0)), (F(1), F(0)))
-    assert s in five
-    # closure of the full 5-point group
+    # Cantor's algorithm on the completed square: the identity is neutral,
+    # and the five points of e11 are closed under negation and addition
+    five = point_classes(E11, [None, (F(0), F(0)), (F(0), F(-1)), (F(1), F(0)), (F(1), F(-1))])
+    O, P = five[:2]
+    assert O.is_identity() and not P.is_identity()
+    assert cantor_add(P, O) == P == cantor_add(O, P)
+    assert cantor_add(P, five[3]) in five
     for A in five:
-        assert elliptic_neg(E11, A) in five
+        assert cantor_neg(A) in five
         for B in five:
-            assert elliptic_add(E11, A, B) in five
+            assert cantor_add(A, B) in five
     # (1, 0) is 2-torsion on e40: the tangent there is vertical
-    assert elliptic_add(E40, (F(1), F(0)), (F(1), F(0))) is None
+    T, = point_classes(E40, [(F(1), F(0))])
+    assert cantor_add(T, T).is_identity()
     with pytest.raises(ValueError):
-        elliptic_add(E40, (F(2), F(2)), None)
+        point_classes(E40, [(F(2), F(2))])
+
+
+def _a_invariants(E):
+    """(a1, a2, a3, a4, a6) of a model built by weierstrass()."""
+    return (E.h[1], E.g[2], E.h[0], E.g[1], E.g[0])
+
+
+@st.composite
+def _curves_through_two_points(draw):
+    """A Weierstrass curve through two drawn rational points P and Q with
+    different x: a1, a2 and a3 are drawn, and a4 and a6 solve the two
+    linear equations that put P and Q on the curve."""
+    small = st.builds(F, st.integers(-5, 5), st.integers(1, 3))
+    a1, a2, a3 = (draw(st.integers(-3, 3)) for _ in range(3))
+    P, Q = (draw(st.tuples(small, small)) for _ in range(2))
+    assume(P[0] != Q[0])
+    r1, r2 = ((y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x) for x, y in (P, Q))
+    a4 = (r1 - r2) / (P[0] - Q[0])
+    a6 = r1 - a4 * P[0]
+    g, h = Poly((a6, a4, a2, 1)), Poly((a3, a1))
+    assume(discriminant(h * h + g * 4) != 0)  # a singular cubic has no group law here
+    return CurveModel("random", g, h), P, Q
+
+
+@settings(max_examples=60, deadline=None)
+@given(_curves_through_two_points())
+@example((E40, (F(1), F(0)), (F(0), F(1))))  # P of order 2: doubling gives the identity
+@example((E11, (F(0), F(0)), (F(1), F(-1))))  # inside the 5-point group
+def test_cantor_sums_over_q_match_chord_and_tangent(curve):
+    # the Cantor sum of every ordered pair among O, P, Q, -P, -Q, P + Q,
+    # P - Q and 2P against the chord-and-tangent oracle, which also checks
+    # that each sum is symmetric in its operands
+    E, P, Q = curve
+    a = _a_invariants(E)
+    assert oracles.elliptic_on_curve(a, P) and oracles.elliptic_on_curve(a, Q)
+    nP, nQ = oracles.elliptic_neg(a, P), oracles.elliptic_neg(a, Q)
+    points = [None, P, Q, nP, nQ, oracles.elliptic_add(a, P, Q), oracles.elliptic_add(a, P, nQ),
+              oracles.elliptic_add(a, P, P)]
+    classes = point_classes(E, points)
+    for A, DA in zip(points, classes):
+        assert cantor_neg(DA) == point_classes(E, [oracles.elliptic_neg(a, A)])[0]
+        for B, DB in zip(points, classes):
+            total = cantor_add(DA, DB)
+            assert total == cantor_add(DB, DA), (A, B)
+            assert total == point_classes(E, [oracles.elliptic_add(a, A, B)])[0], (A, B)
+
+
+@pytest.mark.parametrize("label", ["e11", "e15", "e17", "e40", "e24-corrected"])
+def test_closure_row_fails_without_any_one_point(label):
+    # a group less one point that is not the identity is not closed: the
+    # negative of the missing point, or two points that sum to it, remain
+    E, points = ((E24_CORRECTED, CORRECTED_POINTS["e24"]) if label == "e24-corrected"
+                 else (CURVES[label], PRINTED_POINTS[label]))
+    found = elliptic_points_bounded(E, 20)
+    assert verify_point_list(E, points, found, 20).ok
+    dropped = 0
+    for i, P in enumerate(points):
+        if P is None:
+            continue
+        rep = verify_point_list(E, points[:i] + points[i + 1:], found, 20)
+        assert rep[f"{label}-closure"].status == "fail", P
+        dropped += 1
+    assert dropped == len(points) - 1
 
 
 def test_verify_point_lists_printed():

@@ -35,6 +35,7 @@ from preper.exactmath import BiPoly, FpPoly, Fq, Poly, RationalMap
 from preper.families import FamilyPoint
 from preper.ffjac import (
     KNOWN_POINTS,
+    MonicModel,
     MumfordDivisor,
     OddModel,
     divisor_from_points,
@@ -474,6 +475,8 @@ VALUE_CASES = {
     "OddModel": (ODD_3, OddModel(3, FpPoly(3, (4, 3, 1, 2, 5, 1)), 1, 1),
                  OddModel(3, ODD_3.f, 1, 2),
                  "OddModel(p=3, f=FpPoly(3, [1, 0, 1, 2, 2, 1]), r=1, scale=1)"),
+    "MonicModel": (MonicModel(FpPoly(7, (1, 5, 0, 1))), MonicModel(FpPoly(7, (8, -2, 7, 8))),
+                   MonicModel(FpPoly(5, (1, 3, 0, 1))), "MonicModel(f=FpPoly(7, [1, 5, 0, 1]))"),
     "MumfordDivisor": (divisor_identity(ODD_3), MumfordDivisor(ODD_3, FpPoly(3, (1,)), FpPoly(3)),
                        divisor_from_points(ODD_3, [ODD_3.to_odd(KNOWN_POINTS["inf+"])]),
                        "MumfordDivisor(model=OddModel(p=3, f=FpPoly(3, [1, 0, 1, 2, 2, 1]), "
@@ -501,8 +504,8 @@ def test_value_classes_compare_hash_print_and_freeze(name):
     # repr is the constructor call, and a pickle round trip keeps the value
     scope = {cls.__name__: cls for cls in (
         Fraction, GraphShape, OrbitClass, PreperGraph, QuadMap, ScanResult, FamilyPoint,
-        CheckResult, Report, CurvePoint, FpPoly, OddModel, MumfordDivisor, BranchSeries,
-        PadicSeries)}
+        CheckResult, Report, CurvePoint, FpPoly, OddModel, MonicModel, MumfordDivisor,
+        BranchSeries, PadicSeries)}
     if name not in NO_EVAL:
         assert eval(repr(a), scope) == a
     assert pickle.loads(pickle.dumps(a)) == a

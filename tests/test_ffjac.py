@@ -12,6 +12,8 @@ from preper.curves import C1_32, E11, Q24, X1_13, X1_18, CurvePoint, CurveModel
 from preper.exactmath import FpPoly, Poly, discriminant, is_prime, xgcd
 from preper.ffjac import (
     KNOWN_POINTS,
+    MonicModel,
+    MumfordDivisor,
     cantor_add,
     cantor_mul,
     cantor_neg,
@@ -23,6 +25,7 @@ from preper.ffjac import (
     jacobian_order,
     jacobian_report,
     odd_model_transform,
+    point_class,
     torsion_triviality_report,
     verify_divisor_identities_mod3,
 )
@@ -117,6 +120,17 @@ def test_count_points_over_fp2_matches_brute_force(model):
     assume(discriminant(g) != 0)  # a model singular over Q is no curve
     curve = CurveModel("random", g)
     assert count_points(curve, p, 2) == brute_count_points(coeffs, p, 2)
+
+
+def test_a_sextic_whose_leading_coefficient_p_divides_has_one_point_at_infinity():
+    # mod 3, 3x^6 + x^5 + x^3 + 1 is a quintic, so its model has one point at
+    # infinity over F_3 and over F_9, and the zeta order at 3 is the size of
+    # the class group enumerated on the odd model at the root 1
+    curve = CurveModel("lc-3", Poly((1, 0, 0, 1, 0, 1, 3)))
+    assert curve.disc.numerator % 3 != 0
+    assert (count_points(curve, 3, 1), count_points(curve, 3, 2)) == (4, 10)
+    assert jacobian_order(curve, 3) == len(enumerate_jacobian(odd_model_transform(curve, 3, 1))) \
+        == 10
 
 
 def test_count_and_order_at_the_largest_prime_the_budget_admits():
@@ -284,8 +298,36 @@ def test_cantor_group_axioms_over_f3():
         assert 27 % divisor_order(d, 30) == 0
     for _ in range(60):
         a, b, c = (els[rng.randrange(len(els))] for _ in range(3))
-        assert cantor_add(a, b) == cantor_add(b, a)
         assert cantor_add(cantor_add(a, b), c) == cantor_add(a, cantor_add(b, c))
+    # every pair commutes, so a loop over the unordered pairs i <= j meets
+    # every sum
+    for i, a in enumerate(els):
+        for b in els[i + 1:]:
+            assert cantor_add(a, b) == cantor_add(b, a)
+
+
+def test_genus_1_classes_over_f7_form_the_point_group():
+    # the same cantor_add on y^2 = x^3 - 2x + 1 over F_7, a monic cubic, so
+    # genus 1: the classes of its points and the identity are closed, with
+    # deg u <= 1 throughout
+    model = MonicModel(FpPoly(7, (1, -2, 0, 1)))
+    points = [divisor_identity(model)] + [point_class(model, x, y) for x in range(7)
+                                          for y in range(7) if (y * y - model.f(x)) % 7 == 0]
+    assert len(points) == 12
+    for a in points:
+        assert cantor_neg(a) in points
+        for b in points:
+            assert cantor_add(a, b) in points and cantor_add(a, b).u.degree <= 1
+    assert 12 % divisor_order(points[1], 20) == 0
+    # the chord pair of two points with different x satisfies u | f - v^2,
+    # but deg u = 2 is above the genus, so it is no reduced class
+    (x1, y1), (x2, y2) = [(-d.u[0] % 7, d.v[0]) for d in (points[1], points[-1])]
+    assert x1 != x2
+    slope = (y2 - y1) * pow(x2 - x1, -1, 7)
+    u, v = FpPoly(7, (x1 * x2, -x1 - x2, 1)), FpPoly(7, (y1 - slope * x1, slope))
+    assert ((model.f - v * v) % u).is_zero()
+    with pytest.raises(ValueError, match="genus"):
+        MumfordDivisor(model, u, v)
 
 
 def test_enumeration_matches_zeta_at_3_and_7():

@@ -1,0 +1,112 @@
+"""Write BENCH_<pr>.json: the benchmark and the tier-1 suite of one checkout.
+
+    python3 tools/bench.py --pr N [--checkout DIR]
+
+writes DIR/BENCH_N.json.  It runs, one after another and from the root
+of the checkout (by default the one this script lives in), with seed 1:
+  perfbench/run.py --seconds 25 --trace 0 for every workload,
+  perfbench/run.py --seconds 25 --trace 1 for census and jacobian,
+  the tier-1 suite, PYTHONPATH=src python -m pytest -q
+  --continue-on-collection-errors, once.
+The file holds the detail line and the result line that run.py printed
+for each run, the seed, the checkout's `git rev-parse HEAD` and whether
+its tree had uncommitted changes, nproc, the Python version, and the
+tier-1 counts, exit code and wall time.  When a run is not correct the
+script writes nothing and exits 1.  It changes nothing under perfbench/.
+The whole run takes about five minutes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+WORKLOADS = ("census", "graph_tall", "curve_verify", "jacobian")
+TRACED = ("census", "jacobian")
+SECONDS = 25
+SEED = 1  # one seed for every file, so that files compare
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+
+
+def perfbench_run(root: Path, workload: str, trace: int) -> dict:
+    """One run.py call: its detail and result lines, parsed, and whether
+    the run is correct."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+            "--seconds", str(SECONDS), "--trace", str(trace)]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    run = {"workload": workload, "trace": trace, "exit": proc.returncode}
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        run["stderr"] = proc.stderr[-2000:]
+        run["correct"] = False
+        return run
+    run["detail"], run["result"] = json.loads(lines[-2]), json.loads(lines[-1])
+    run["correct"] = run["result"]["correct"] is True
+    return run
+
+
+def tier1(root: Path) -> dict:
+    """The tier-1 suite once: the counts of its summary line, its exit code
+    and its wall time."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=env,
+                          capture_output=True, text=True)
+    wall = time.monotonic() - start
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary)}
+    return {"command": "PYTHONPATH=src python " + " ".join(TIER1), "exit": proc.returncode,
+            "counts": counts, "summary": summary, "wall_s": round(wall, 2)}
+
+
+def git(root: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--pr", type=int, required=True)
+    ap.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent)
+    args = ap.parse_args()
+    root = args.checkout.resolve()
+    out = root / f"BENCH_{args.pr}.json"
+    if not (root / "perfbench" / "run.py").is_file():
+        print(f"error: no perfbench/run.py in {root}", file=sys.stderr)
+        return 2
+
+    bench = {
+        "pr": args.pr,
+        "seed": SEED,
+        "head": git(root, "rev-parse", "HEAD"),
+        "uncommitted_changes": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "seconds": SECONDS,
+        "runs": [],
+    }
+    runs = bench["runs"]
+    for workload, trace in [(w, 0) for w in WORKLOADS] + [(w, 1) for w in TRACED]:
+        run = perfbench_run(root, workload, trace)
+        print(f"{workload} --trace {trace}: {'correct' if run['correct'] else 'NOT correct'}",
+              file=sys.stderr)
+        runs.append(run)
+    bad = [f"{r['workload']} --trace {r['trace']}" for r in runs if not r["correct"]]
+    if bad:
+        print(f"error: not correct: {', '.join(bad)}; nothing written", file=sys.stderr)
+        return 1
+    bench["tier1"] = tier1(root)
+    out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
