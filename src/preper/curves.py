@@ -364,8 +364,10 @@ def verify_point_list(E: CurveModel, claimed, found, height: int) -> Report:
     """Check a claimed full rational point list: curve membership, closure
     under negation and addition, and no extra points among `found`, the
     result of elliptic_points_bounded(E, height).  Closure is checked on
-    point_classes by Cantor sums, over the unordered pairs: they commute."""
-    from .ffjac import cantor_add, cantor_neg
+    point_classes by Cantor sums, over the unordered pairs: they commute.
+    A finite set closed under addition is a subgroup, so it holds the
+    negatives too, and no negation is computed."""
+    from .ffjac import cantor_add
     claimed = _as_points(claimed)
     rep = Report(f"point list on {E.label}")
     off = [P for P in claimed if not E.contains(P)]
@@ -375,8 +377,8 @@ def verify_point_list(E: CurveModel, claimed, found, height: int) -> Report:
     good = [P for P in claimed if E.contains(P)]
     classes = point_classes(E, good)
     members = set(classes)
-    closed = all(cantor_neg(D) in members for D in classes) and all(
-        cantor_add(D, D2) in members for i, D in enumerate(classes) for D2 in classes[i:])
+    closed = all(cantor_add(D, D2) in members
+                 for i, D in enumerate(classes) for D2 in classes[i:])
     rep.add(f"{E.label}-closure", "on-curve sublist is closed under negation and addition",
             closed, value=len(good))
     extra = [P for P in found if P not in good]
