@@ -46,8 +46,8 @@ test, so every reported point satisfies its curve equation on the nose.
 Map verification happens in the curve function field (see
 exactmath.bivariate): compositions are literal identities of field
 elements modulo the curve relation.  The group law of an elliptic curve
-is the one Cantor composition of ffjac, on the completed square
-Y^2 = (h^2 + 4g)/4 with Y = (2y + h)/2 (point_classes).
+is the one Cantor composition of ffjac, on the integral monic model
+X = 4x, W = 4(2y + h) of the completed square (point_classes).
 
 Two printed claims do not survive verification and are reported as
 documented discrepancies rather than patched silently: the point (-1, 1)
@@ -217,13 +217,8 @@ def _residue_masks(coeffs, p: int, height: int) -> list[int]:
     c_e a^e is left.  Periodic in a, so one p-bit tile is repeated."""
     deg = len(coeffs) - 1
     squares = {x * x % p for x in range(p)}
-    table = []
-    for x in range(p):
-        n = 0
-        for c in reversed(coeffs):
-            n = (n * x + c) % p
-        if n in squares:
-            table.append(x)
+    fp = FpPoly(p, coeffs)
+    table = [x for x in range(p) if fp(x) in squares]
     # r = 0 leaves c_e a^e: zero for odd deg, else c_deg times the square a^deg
     if deg % 2 or coeffs[deg] % p in squares:
         zero = (1 << p) - 1
@@ -330,14 +325,15 @@ def elliptic_points_bounded(E: CurveModel, height: int):
 # --- elliptic group law -----------------------------------------------------
 
 def point_classes(E: CurveModel, points) -> list:
-    """The Jacobian class of each point of a Weierstrass model E on
-    Y^2 = f(x), f = (h^2 + 4g)/4 monic: (X - x, (2y + h(x))/2) for (x, y),
-    the identity u = 1 for None.  Raises ValueError for a point off E."""
+    """The Jacobian class of each point of a Weierstrass model E, on
+    W^2 = 16 square(X/4) = X^3 + s2 X^2 + 4 s1 X + 16 s0 with X = 4x:
+    (X - 4x, 4(2y + h(x))) for (x, y), u = 1 for None; ValueError off E."""
     from .ffjac import MonicModel, divisor_identity, point_class  # ffjac imports curves
 
-    model = MonicModel(E.square() * Fraction(1, 4))
+    s0, s1, s2, _ = E.square().coeffs
+    model = MonicModel(Poly((16 * s0, 4 * s1, s2, 1)))
     return [divisor_identity(model) if P is None
-            else point_class(model, P[0], Fraction(2 * P[1] + E.h(P[0]), 2)) for P in points]
+            else point_class(model, 4 * P[0], 4 * (2 * P[1] + E.h(P[0]))) for P in points]
 
 
 # printed rational point lists; e24 as printed contains an off-curve point

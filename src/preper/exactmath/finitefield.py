@@ -249,14 +249,6 @@ class FpPoly(_DensePoly):
             acc = acc * x + c
         return acc
 
-    def shift(self, r: int) -> "FpPoly":
-        """p(x + r)."""
-        out = self._new(())
-        xpr = self._new((r, 1))
-        for c in reversed(self.coeffs):
-            out = out * xpr + c
-        return out
-
     def __repr__(self):
         return f"FpPoly({self.p}, {list(self.coeffs)})"
 

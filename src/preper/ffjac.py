@@ -3,20 +3,20 @@ Jacobian group law, Cantor's algorithm, over Q and F_p in genus 1 and 2.
 
 Counting runs on plain ints.  A table of the squares of F_p, built by
 squaring every residue, decides each value of g: a root gives one point,
-a nonzero square two.  Over F_{p^2} an x in F_p gives one point at a root
-of g and two elsewhere, since every element of F_p is a square in
-F_{p^2}.  The x outside F_p are counted one conjugate pair {x, conj(x)}
-at a time.  Such a pair is the pair of roots of X^2 - s X + m with
-s = x + conj(x), m = x conj(x) and s^2 - 4m = nu a non-residue, so
-m = (s^2 - nu)/4.  Its norm g(x) g(conj(x)) is R_s(m), a polynomial of
-degree <= 6 in m.  Its seven coefficients are polynomials in s, built
-once a call by running the power-sum recurrence for x^k + conj(x)^k over
-Z[s, m] (_norm_table); reduced mod p, they give R_s for each s by seven
-small Horners in s.  One int Horner of R_s at m then decides the whole
-pair: norm 0 adds 2 points, a nonzero square adds 4 (g(x) is then a
-square in F_{p^2}, by Euler's criterion on the norm, see
-exactmath.finitefield), and a non-square adds none.  That is p(p-1)/2
-single-int Horners for the p^2 elements of F_{p^2}.
+a nonzero square two.  Over F_{p^2} = F_p(i), i^2 = n a non-residue, the
+count goes by the Taylor expansion c(T) = g(a + T) mod p at each a in
+F_p, whose coefficients c_j(a) = sum_i C(i, j) g_i a^(i-j) are seven
+polynomials in a, built once a call (_taylor_rows).  c_0(a) = g(a)
+decides x = a, which gives one point at a root of g and two elsewhere,
+since every element of F_p is a square in F_{p^2}.  The conjugate pair
+a +- b i, b != 0, has the norm g(a + bi) g(a - bi) = c(bi) c(-bi), and
+c(T) c(-T) is even in T: a polynomial R_a(nu) of degree <= 6 in
+nu = T^2 = b^2 n, with r_t = sum_{i+j=2t} (-1)^i c_i c_j.  As b runs over
+1..(p-1)/2, nu runs over the non-residues once each.  One int Horner of
+R_a at nu then decides the whole pair: norm 0 adds 2 points, a nonzero
+square adds 4 (g(x) is then a square in F_{p^2}, by Euler's criterion on
+the norm, see exactmath.finitefield), and a non-square adds none.  That
+is p(p-1)/2 single-int Horners for the p^2 elements of F_{p^2}.
 At infinity y^2 = g6, the x^6 coefficient of g mod p: one point when it
 is 0 (a quintic, or p divides the leading coefficient), two when it is a
 square (over F_{p^2} always), and none otherwise.  Jacobian orders come from
@@ -26,9 +26,10 @@ the genus-2 relation
 
 and, wherever g has a root r mod p, independently from brute enumeration
 of reduced Mumford divisors on the odd-degree model obtained by moving the
-Weierstrass point (r, 0) to infinity.  Divisor classes live on y^2 = f(x)
-with f monic of degree 2g + 1, over Q or F_p: such an odd model, or a
-MonicModel, as for the completed square of an elliptic curve (curves).
+Weierstrass point (r, 0) to infinity, read from the Taylor rows at a = r.
+Divisor classes live on y^2 = f(x) with f monic of degree 2g + 1, over Q
+or F_p: such an odd model, or a MonicModel, as for the integral model of
+the completed square of an elliptic curve (curves).
 One Cantor code serves every ring and genus: the class of P = (x1, y1) is
 (x - x1, y1), that of P1 + P2 is the cantor_add sum of two such classes,
 and reduction stops at deg u <= g = deg f // 2.  Composition follows
@@ -48,6 +49,7 @@ ninth multiple is the class of the two off-cycle known points.
 from __future__ import annotations
 
 import functools
+from math import comb
 
 from .curves import C1_32, CurveModel, CurvePoint
 from .exactmath import FpPoly, is_prime, xgcd
@@ -60,10 +62,9 @@ COUNT_BUDGET = 10 ** 6
 def count_points(curve: CurveModel, p: int, k: int = 1) -> int:
     """#C(F_{p^k}) on the smooth model y^2 = g(x), deg g in {5, 6}, for a
     prime p and k in {1, 2}; k = 2 needs p odd.  Over F_p every x is
-    tried; over F_{p^2} each conjugate pair of x outside F_p is decided by
-    one Horner on its norm R_s(m), whose coefficients are read for each s
-    from one table of seven polynomials in s, built from g mod p and
-    reduced mod p once a call (see the module docstring)."""
+    tried; over F_{p^2} the Taylor rows of g at each a in F_p decide x = a,
+    and each conjugate pair a +- T by one Horner on its norm c(T) c(-T)
+    (see the module docstring)."""
     if not curve.is_plain_genus2():
         raise ValueError(f"{curve.label} is not a model y^2 = g(x) with deg g in {{5, 6}}")
     if k not in (1, 2):
@@ -88,53 +89,33 @@ def count_points(curve: CurveModel, p: int, k: int = 1) -> int:
             elif square[v]:
                 count += 2
     else:
-        for x in range(p):
-            count += 2 if gp(x) else 1  # every element of F_p is a square in F_{p^2}
         pair_points = [2] + [4 if square[v] else 0 for v in range(1, p)]  # by the norm
         nonresidues = [v for v in range(1, p) if not square[v]]
-        quarter = pow(4, -1, p)
-        # highest power of s first, for Horner
-        rows = [[c % p for c in reversed(row)] for row in _norm_table(gp.coeffs)]
-        for s in range(p):
-            r0, r1, r2, r3, r4, r5, r6 = [_horner(row, s, p) for row in rows]
-            top = s * s * quarter % p
-            # m = (s^2 - nu)/4 = s^2/4 - nu/4, and nu/4 runs over the
-            # non-residues as nu does
+        rows = _taylor_rows(gp.coeffs)
+        for a in range(p):
+            c0, c1, c2, c3, c4, c5, c6 = [_horner(row, a, p) for row in rows]
+            count += 2 if c0 else 1  # every element of F_p is a square in F_{p^2}
+            # r_t = sum_{i+j=2t} (-1)^i c_i c_j, written out for speed
+            r0 = c0 * c0 % p
+            r1 = (2 * c0 * c2 - c1 * c1) % p
+            r2 = (2 * (c0 * c4 - c1 * c3) + c2 * c2) % p
+            r3 = (2 * (c0 * c6 - c1 * c5 + c2 * c4) - c3 * c3) % p
+            r4 = (2 * (c2 * c6 - c3 * c5) + c4 * c4) % p
+            r5 = (2 * c4 * c6 - c5 * c5) % p
+            r6 = c6 * c6 % p
             count += sum([pair_points[
-                ((((((r6 * m + r5) * m + r4) * m + r3) * m + r2) * m + r1) * m + r0) % p]
-                for m in [top - nu for nu in nonresidues]])
+                ((((((r6 * nu + r5) * nu + r4) * nu + r3) * nu + r2) * nu + r1) * nu + r0) % p]
+                for nu in nonresidues])
     g6 = gp[6]  # y^2 = g6 at infinity; F_p is all squares in F_{p^2}
     return count + (2 * (k == 2 or square[g6]) if g6 else 1)
 
 
-def _norm_table(g) -> list[list]:
-    """The norm R_s(m) = g(x) g(conj(x)) over the pair with x + conj(x) = s
-    and x conj(x) = m, as 7 polynomials in s: row t holds the coefficient
-    of m^t, lowest power of s first, for g given by its coefficients,
-    lowest degree first:
-
-        R_s(m) = sum_i g_i^2 m^i + sum_{i<j} g_i g_j m^i P_{j-i},
-
-    with the power sums P_k = x^k + conj(x)^k, P_0 = 2, P_1 = s and
-    P_k = s P_{k-1} - m P_{k-2}.  P_k = sum_l c_l s^(k-2l) m^l, so each
-    is kept as its list of c_l; the term m^i P_{j-i} puts c_l on
-    s^(j-i-2l) m^(i+l), and j - l <= 6 bounds row t = i + l to degree
-    6 - t in s."""
-    sums = [[2], [1]]
-    for _ in range(2, len(g)):
-        prev, prev2 = sums[-1], sums[-2]
-        nxt = prev + [0] * (len(prev2) + 1 - len(prev))
-        for l, c in enumerate(prev2):
-            nxt[l + 1] -= c
-        sums.append(nxt)
-    table = [[0] * (7 - t) for t in range(7)]
-    for i, gi in enumerate(g):
-        table[i][0] += gi * gi
-        for j in range(i + 1, len(g)):
-            gij = gi * g[j]
-            for l, c in enumerate(sums[j - i]):
-                table[i + l][j - i - 2 * l] += gij * c
-    return table
+def _taylor_rows(g) -> list[list[int]]:
+    """The Taylor coefficients c_0..c_6 of g(a + T) = sum_j c_j(a) T^j as
+    polynomials in a, c_j(a) = sum_i C(i, j) g_i a^(i-j), for g given by
+    its coefficients, lowest degree first; each row is highest power of a
+    first, for _horner, and is empty above deg g."""
+    return [[comb(i, j) * g[i] for i in range(len(g) - 1, j - 1, -1)] for j in range(7)]
 
 
 def _horner(coeffs, x: int, p: int) -> int:
@@ -212,11 +193,10 @@ def odd_model_transform(curve: CurveModel, p: int, r: int) -> OddModel:
     gp = FpPoly.from_poly(curve.g, p)
     if gp(r) != 0:
         raise ValueError(f"{r} is not a root of g mod {p}")
-    shifted = gp.shift(r)  # root now at 0: the constant term gp(r) vanishes
-    a_coeffs = list(shifted.coeffs) + [0] * (7 - len(shifted.coeffs))
-    # x^6 * shifted(1/x) = a1 x^5 + ... + a6, then rescale to monic:
-    # with a = a1, (u, v) -> (a u, a^2 v) makes the quintic monic
-    rev = [a_coeffs[6 - i] for i in range(6)]
+    # g(r + x) = a0 + a1 x + ... + a6 x^6 with a0 = gp(r) = 0, so
+    # x^6 g(r + 1/x) = a1 x^5 + ... + a6; with a = a1, (u, v) -> (a u, a^2 v)
+    # makes the quintic monic
+    rev = [_horner(row, r, p) for row in _taylor_rows(gp.coeffs)][6:0:-1]
     a = rev[-1]  # = a1 = g'(r) mod p, nonzero for a simple root
     if a == 0:
         raise ValueError(f"{r} is a repeated root of g mod {p}")
@@ -266,7 +246,7 @@ def point_class(model, x, y) -> MumfordDivisor:
     return MumfordDivisor(model, model.f._new((-x, 1)), model.f._new((y,)))
 
 
-def divisor_from_points(model: OddModel, points) -> MumfordDivisor:
+def divisor_from_points(model, points) -> MumfordDivisor:
     """Class of sum(P_i) - n*infinity for affine points P_i, the cantor_add
     sum of their one-point classes."""
     classes = [point_class(model, x, y) for x, y in points]

@@ -112,9 +112,10 @@ def _models_mod_p(draw):
 @settings(max_examples=150, deadline=None)
 @given(_models_mod_p())
 def test_count_points_over_fp2_matches_brute_force(model):
-    # one Horner on the norm per conjugate pair against squaring every
-    # element of F_{p^2}, on models whose reduction mod p drops in degree,
-    # has a repeated root or vanishes
+    # the Taylor rows of g at each a in F_p, with one Horner on the norm
+    # c(T) c(-T) per conjugate pair, against squaring every element of
+    # F_{p^2}, on models whose reduction mod p drops in degree, has a
+    # repeated root or vanishes
     p, coeffs = model
     g = Poly(coeffs)
     assume(discriminant(g) != 0)  # a model singular over Q is no curve
@@ -155,20 +156,6 @@ def test_jacobian_order_takes_no_discriminant(monkeypatch):
     with pytest.raises(ValueError, match="bad reduction"):
         jacobian_order(C1_32, 743)
     assert calls == []
-
-
-def test_count_points_builds_one_norm_table_per_call(monkeypatch):
-    # the seven coefficients of R_s(m) are read from one table of
-    # polynomials in s a call, not rebuilt for every s; counts over F_p
-    # take no table
-    expected = {p: count_points(C1_32, p, 2) for p in (3, 23, 97)}
-    calls = []
-    build = ffjac._norm_table
-    monkeypatch.setattr(ffjac, "_norm_table", lambda g: calls.append(g) or build(g))
-    assert {p: count_points(C1_32, p, 2) for p in expected} == expected
-    assert len(calls) == len(expected)
-    count_points(C1_32, 23, 1)
-    assert len(calls) == len(expected)
 
 
 def test_counts_and_orders_obey_hasse_weil():
@@ -256,6 +243,42 @@ def test_odd_model_transform_roundtrip():
     with pytest.raises(ValueError, match="does not reduce mod 3"):
         CurvePoint.affine(1, F(2, 3)).reduce(3)
     assert CurvePoint.affine(F(1, 2), F(-5, 4)).reduce(3) == (2, 1)
+
+
+@st.composite
+def _sextics_with_a_root_mod_p(draw):
+    """A prime 3..37 and an integral sextic g with good reduction there,
+    its constant term moved so that g has a drawn root mod p."""
+    p = draw(st.sampled_from([q for q in range(3, 38) if is_prime(q)]))
+    coeffs = draw(st.lists(st.integers(-30, 30), min_size=7, max_size=7))
+    coeffs[-1] = coeffs[-1] or 1
+    r = draw(st.integers(0, p - 1))
+    coeffs[0] -= Poly(coeffs)(r) % p
+    assume(discriminant(Poly(coeffs)) != 0)  # a model singular over Q is no curve
+    curve = CurveModel("random", Poly(coeffs))
+    assume(is_good(curve, p))
+    return curve, p
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sextics_with_a_root_mod_p())
+def test_odd_model_keeps_the_point_count_at_every_root(model):
+    # moving a root r to infinity keeps #C(F_p): the affine points of the
+    # odd model plus its one point at infinity; to_odd sends every affine
+    # point of the sextic but (r, 0) to a distinct affine point of it
+    curve, p = model
+    gp = FpPoly.from_poly(curve.g, p)
+    sextic = [(x, y) for x in range(p) for y in range(p) if (y * y - gp(x)) % p == 0]
+    n1 = count_points(curve, p, 1)
+    for r in [x for x in range(p) if gp(x) == 0]:
+        odd = odd_model_transform(curve, p, r)
+        f = odd.f
+        assert f.degree == 5 and f.lc == 1
+        assert sum((v * v - f(u)) % p == 0 for u in range(p) for v in range(p)) + 1 == n1
+        images = [odd.to_odd(CurvePoint.affine(x, y)) for x, y in sextic if (x, y) != (r, 0)]
+        assert all((v * v - f(u)) % p == 0 for u, v in images)
+        assert len(set(images)) == len(images)
+        assert odd.to_odd(CurvePoint.affine(r, 0)) is None
 
 
 def test_odd_model_requires_a_root():
