@@ -408,12 +408,15 @@ def scan(height: int, jobs: int = 1) -> ScanResult:
 
     The result is independent of the worker count: the pool returns chunk
     results in task order, so concatenating them is global iteration order.
-    The pool has at most one worker per CPU, whatever `jobs` asks for.
+    The pool has at most one worker per CPU the process may run on,
+    whatever `jobs` asks for.
     Raises ScanBudgetError above SCAN_BUDGET.
     """
     if height > SCAN_BUDGET:
         raise ScanBudgetError(f"scan height {height} exceeds the scan budget of {SCAN_BUDGET}")
-    jobs = min(jobs, os.cpu_count() or 1)
+    # the CPUs this process may run on, where the platform can tell
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    jobs = min(jobs, cpus)
     cs = c_values_up_to_height(height)
     if jobs <= 1 or len(cs) < 2 * jobs:
         records = _scan_chunk(cs)

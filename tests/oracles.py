@@ -26,8 +26,12 @@ oracle adds rational points by chord and tangent instead of by Cantor
 composition on the completed square, the
 root oracle evaluates at every residue mod p instead of certifying the
 shape of g mod 743 by a gcd and a product, the smoothness oracle enumerates points over F_{2^k} instead of taking one
-gcd over F_2, and the 2-torsion oracle enumerates stable root pairs
-instead of counting them by formula.  Nothing here imports preper
+gcd over F_2, the 2-torsion oracle enumerates stable root pairs
+instead of counting them by formula, the branch-series oracle runs
+Newton iteration with a series inverse instead of reading off one
+coefficient at a time, and the congruence-series oracles track a
+precision per coefficient and a tail floor instead of one precision per
+series.  Nothing here imports preper
 (tests/test_cli.py checks this).
 """
 
@@ -634,3 +638,88 @@ def count_stable_pairs_brute(local_degrees) -> int:
         if all({act(s, pair[0]), act(s, pair[1])} == set(pair) for s in shifts):
             stable += 1
     return stable
+
+
+# --- 3-adic branch series and congruence series -------------------------------
+
+
+def newton_branch(g, x0, y0, order: int) -> list[Fraction]:
+    """x(t) mod t^(order+1) with x(0) = x0 and g(x(t)) = (t + y0)^2, by
+    Newton iteration x <- x - (g(x) - (t + y0)^2) / g'(x) on truncated
+    Fraction series, with 1/g'(x) expanded term by term."""
+    g = frac_poly(g)
+    dg = frac_poly(i * c for i, c in enumerate(g))[1:]
+
+    def trunc(s) -> list[Fraction]:
+        s = [Fraction(c) for c in s[: order + 1]]
+        return s + [Fraction(0)] * (order + 1 - len(s))
+
+    def at(poly, xs) -> list[Fraction]:
+        acc: list[Fraction] = []
+        for c in reversed(poly):
+            acc = trunc(frac_add(frac_mul(acc, xs), [c]))
+        return trunc(acc)
+
+    def inverse(s) -> list[Fraction]:
+        out = [1 / s[0]]
+        for n in range(1, order + 1):
+            out.append(-sum(s[k] * out[n - k] for k in range(1, n + 1)) / s[0])
+        return out
+
+    target = trunc([y0 * y0, 2 * y0, 1])
+    xs = trunc([x0])
+    for _ in range((order + 1).bit_length() + 1):  # each step doubles the valid order
+        fx = frac_sub(at(g, xs), target)
+        xs = trunc(frac_sub(xs, trunc(frac_mul(fx, inverse(at(dg, xs))))))
+    return xs
+
+
+# A congruence series with a precision per coefficient: {index: (residue, r)}
+# says the coefficient is residue mod p**r, and every unlisted coefficient
+# has valuation at least the tail floor.  The package keeps one precision
+# for a whole series; on such series these must agree with it.
+
+
+def tracked_scale(coeffs: dict, floor: int, p: int, scalar: int, known_mod: int):
+    """(coeffs, floor) times a scalar known mod p**known_mod."""
+    out = {}
+    for i, (res, r) in coeffs.items():
+        r2 = min(r, known_mod)
+        out[i] = (res * scalar % p ** r2, r2)
+    return out, min(floor, known_mod)
+
+
+def tracked_sub(a: dict, a_floor: int, b: dict, b_floor: int, p: int):
+    """The difference, known at each index to the lesser precision; an
+    unlisted coefficient is 0 mod p**floor, and an index known mod p**0 is
+    dropped."""
+    out = {}
+    for i in sorted(set(a) | set(b)):
+        x, rx = a.get(i, (0, a_floor))
+        y, ry = b.get(i, (0, b_floor))
+        r = min(rx, ry)
+        if r:
+            out[i] = ((x - y) % p ** r, r)
+    return out, min(a_floor, b_floor)
+
+
+def tracked_strassman_bound(coeffs: dict, floor: int, p: int):
+    """The largest index of minimal valuation, or None unless the minimum
+    is exactly known and no zero residue or the tail floor could undercut
+    it."""
+    exact, floors = {}, {}
+    for i, (res, r) in coeffs.items():
+        if res % p ** r == 0:
+            floors[i] = r
+        else:
+            v = 0
+            while res % p == 0:
+                res //= p
+                v += 1
+            exact[i] = v
+    if not exact:
+        return None
+    m = min(exact.values())
+    if m >= floor or any(f <= m for f in floors.values()):
+        return None
+    return max(i for i, v in exact.items() if v == m)

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from oracles import newton_branch, tracked_scale, tracked_strassman_bound, tracked_sub
 from preper.curves import CurveModel
-from preper.exactmath import Poly, valuation
+from preper.exactmath import Poly, discriminant, valuation
 from preper.padic import (
     ELL1,
     ELL2,
@@ -79,35 +81,90 @@ def test_branch_series_rejects_singular_base():
         branch_series(4, base=(F(1), F(2)))  # not on the curve
 
 
+@st.composite
+def _branch_curves(draw):
+    # an integral g of degree 5 or 6 through a drawn base point (x0, y0):
+    # the constant term is set so that g(x0) = y0^2
+    degree = draw(st.sampled_from((5, 6)))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=degree + 1, max_size=degree + 1))
+    assume(coeffs[-1] != 0)
+    x0, y0 = draw(st.integers(-4, 4)), draw(st.integers(-6, 6))
+    coeffs[0] += y0 * y0 - Poly(coeffs)(x0)
+    g = Poly(coeffs)
+    assume(g.derivative()(x0) != 0)
+    assume(discriminant(g) != 0)  # a singular model is no curve
+    return CurveModel("random", g), (x0, y0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_branch_curves())
+def test_branch_series_matches_newton_iteration(model):
+    # the branch is unique, so every order is a prefix of the order-8 series
+    curve, base = model
+    newton = newton_branch(curve.g.coeffs, *base, 8)
+    for order in range(9):
+        assert list(branch_series(order, curve, base).coeffs) == newton[: order + 1], order
+
+
 def test_chabauty_determinant_exact_congruence():
     delta = chabauty_determinant(L1_SERIES, L2_SERIES, ELL1, ELL2)
-    assert delta.coeffs == {1: (54, 4), 2: (0, 4), 3: (27, 4)}
-    assert delta.tail_floor == 4
+    assert delta.coeffs == ((1, 54), (2, 0), (3, 27))
+    assert (delta.p, delta.r) == (3, 4)
 
 
 def test_chabauty_determinant_degenerate_rows():
     zero = chabauty_determinant(L1_SERIES, L2_SERIES, 0, 0)
-    assert all(res == 0 for res, _ in zero.coeffs.values())
+    assert all(res == 0 for _, res in zero.coeffs)
     same = chabauty_determinant(L1_SERIES, L1_SERIES, 5, 5)
-    assert all(res == 0 for res, _ in same.coeffs.values())
+    assert all(res == 0 for _, res in same.coeffs)
 
 
 def test_chabauty_determinant_precision_soundness():
     # shifting the inputs by multiples of 3^4 cannot change the output
-    shifted_l1 = PadicSeries(3, {i: ((r + 81 * 7) % 3 ** 4, e)
-                                 for i, (r, e) in L1_SERIES.coeffs.items()}, tail_floor=4)
+    shifted_l1 = PadicSeries(3, 4, {i: res + 81 * 7 for i, res in L1_SERIES.coeffs})
     a = chabauty_determinant(L1_SERIES, L2_SERIES, ELL1, ELL2)
     b = chabauty_determinant(shifted_l1, L2_SERIES, ELL1 + 81, ELL2)
     assert a.coeffs == b.coeffs
 
 
 def test_chabauty_determinant_rejects_mixed_precision():
-    short = PadicSeries(3, {1: (66, 2)}, tail_floor=2)
+    # the subtraction refuses series mod different powers or primes
+    short = PadicSeries(3, 2, {1: 66})
     with pytest.raises(PrecisionMismatchError):
         chabauty_determinant(short, L2_SERIES, ELL1, ELL2)
     with pytest.raises(PrecisionMismatchError):
-        chabauty_determinant(L1_SERIES, PadicSeries(5, {1: (1, 4)}, tail_floor=4),
-                             ELL1, ELL2)
+        chabauty_determinant(L1_SERIES, PadicSeries(5, 4, {1: 1}), ELL1, ELL2)
+    with pytest.raises(PrecisionMismatchError):
+        L1_SERIES - short
+    with pytest.raises(ValueError):
+        PadicSeries(3, 0, {1: 1})  # mod 3^0 nothing is known
+
+
+@st.composite
+def _single_precision_rows(draw):
+    p = draw(st.sampled_from((3, 5, 7)))
+    r = draw(st.integers(1, 5))
+    residues = st.integers(-3 * p ** r, 3 * p ** r)
+    l1, l2 = (draw(st.dictionaries(st.integers(0, 9), residues, max_size=6)) for _ in "12")
+    ell1, ell2 = draw(st.integers(-300, 300)), draw(st.integers(-300, 300))
+    return p, r, l1, l2, ell1, ell2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_single_precision_rows())
+def test_determinant_and_strassman_match_per_coefficient_precision(rows):
+    # on series known to one precision, the package agrees with the oracle
+    # that tracks a precision per coefficient and a tail floor
+    p, r, l1, l2, ell1, ell2 = rows
+    tracked = {name: ({i: (res, r) for i, res in s.items()}, r)
+               for name, s in (("l1", l1), ("l2", l2))}
+    coeffs, floor = tracked_sub(*tracked_scale(*tracked["l1"], p, ell2, r),
+                                *tracked_scale(*tracked["l2"], p, ell1, r), p)
+    assert floor == r and all(known == r for _, known in coeffs.values())
+    delta = chabauty_determinant(PadicSeries(p, r, l1), PadicSeries(p, r, l2), ell1, ell2)
+    assert delta.coeffs == tuple((i, res) for i, (res, _) in sorted(coeffs.items()))
+    assert strassman_bound(delta) == tracked_strassman_bound(coeffs, floor, p)
+    assert strassman_bound(PadicSeries(p, r, l1)) == tracked_strassman_bound(*tracked["l1"], p)
 
 
 def test_strassman_bounds():
@@ -119,36 +176,16 @@ def test_strassman_bounds():
 
 def test_strassman_indeterminate_cases():
     # nothing certified: all residues vanish to stated precision
-    s = PadicSeries(3, {1: (0, 2), 2: (0, 2)}, tail_floor=2)
-    assert strassman_bound(s) is INDETERMINATE
-    # minimal valuation not below the tail floor
-    s = PadicSeries(3, {1: (3, 2)}, tail_floor=1)
-    assert strassman_bound(s) is INDETERMINATE
-    # a zero residue with low precision could undercut the minimum
-    s = PadicSeries(3, {1: (3, 2), 5: (0, 1)}, tail_floor=3)
+    s = PadicSeries(3, 2, {1: 0, 2: 0})
     assert strassman_bound(s) is INDETERMINATE
 
 
 def test_strassman_monotone_in_precision():
-    base = PadicSeries(3, {1: (3, 2), 3: (9, 3)}, tail_floor=1)
-    assert strassman_bound(base) is INDETERMINATE  # floor equals the minimum
-    better_floor = PadicSeries(3, base.coeffs, tail_floor=2)
-    assert strassman_bound(better_floor) == 1
-    even_better = PadicSeries(3, base.coeffs, tail_floor=5)
-    assert strassman_bound(even_better) == 1  # more precision never raises it
-
-
-def test_subtraction_claims_no_precision_beyond_the_tail_floor():
-    # with tail_floor 0 an unlisted coefficient is unknown, so index 2 of
-    # the difference is unknown too and is dropped, not reported as 6 mod 9
-    diff = PadicSeries(3, {1: (1, 2)}) - PadicSeries(3, {1: (1, 2), 2: (3, 2)}, tail_floor=3)
-    assert diff.coeffs == {1: (0, 2)}
-    assert diff.tail_floor == 0
-    # an unlisted coefficient counts as 0 mod p**tail_floor
-    diff = (PadicSeries(3, {1: (1, 3)}, tail_floor=2)
-            - PadicSeries(3, {2: (4, 3)}, tail_floor=1))
-    assert diff.coeffs == {1: (1, 1), 2: (5, 2)}
-    assert diff.tail_floor == 1
+    coeffs = {1: 3, 3: 9}
+    # mod 3 both residues vanish, so no valuation is known exactly
+    assert strassman_bound(PadicSeries(3, 1, coeffs)) is INDETERMINATE
+    for r in (2, 3, 5):
+        assert strassman_bound(PadicSeries(3, r, coeffs)) == 1  # more precision never raises it
 
 
 def test_zero_accounting():
