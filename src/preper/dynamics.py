@@ -12,7 +12,9 @@ Every rational preperiodic point of z**2 + c is constrained two ways:
 With c = u/d**2 and x = k/d both tests are integer tests, so orbits are
 walked on numerators alone: k -> (k**2 + u)/d, and the orbit has left the
 candidates as soon as d does not divide k**2 + u or the image breaks the
-escape bound |k|(|k| - d) <= |u|.  One walk, `_walk`, follows any step
+escape bound |k|(|k| - d) <= |u|.  That per-map state, d, u and the step,
+lives on the QuadMap, derived once when the map is built; every call on
+the map reads it from there.  One walk, `_walk`, follows any step
 function until its orbit repeats and records the (period, tail) of every
 preperiodic point it meets, so classification, enumeration of the
 candidate box and the cycles of canonical shapes all share it, and walks
@@ -47,12 +49,41 @@ BOX_BUDGET = 10**6
 SCAN_BUDGET = 10**4
 
 class QuadMap(Value):
-    """The polynomial z**2 + c."""
+    """The polynomial z**2 + c, with the integer state of its orbit walk.
 
-    __slots__ = ("c",)
+    c = u/d**2 is the only field.  d (None when the denominator of c is not
+    a square), u and step, the numerator step k -> (k**2 + u)/d that returns
+    None once the orbit leaves the candidates, are derived once here for
+    every orbit_classify and preper_points call on this map; they are no
+    fields, so equality, hashing, repr and pickling see only c, and an
+    unpickled or copied map derives them again.
+    """
+
+    __slots__ = ("c", "d", "u", "step")
+    _fields = ("c",)
 
     def __init__(self, c: Fraction):
         set_field(self, "c", c)
+        D = c.denominator
+        d = isqrt(D)
+        u = c.numerator
+        if d * d != D:
+            d = step = None
+        else:
+            bound = abs(u)
+
+            # an image sharing a prime p with d is no candidate either, but
+            # needs no test: u is coprime to d, so p cannot divide
+            # image**2 + u and the next step leaves
+            def step(k: int) -> int | None:
+                image, r = divmod(k * k + u, d)
+                if r or abs(image) * (abs(image) - d) > bound:
+                    return None
+                return image
+
+        set_field(self, "d", d)
+        set_field(self, "u", u)
+        set_field(self, "step", step)
 
     def __call__(self, x: Fraction) -> Fraction:
         return x * x + self.c
@@ -169,13 +200,6 @@ def normalize_quadratic(a: Fraction, b: Fraction, c0: Fraction):
     return c, (a, b / 2)
 
 
-def _denominator_root(c: Fraction) -> int | None:
-    """d with d**2 = denominator(c), or None when there is no such d."""
-    D = c.denominator
-    d = isqrt(D)
-    return d if d * d == D else None
-
-
 def _walk(start, step, types: dict):
     """(period, tail) of start under step, or None when step returns None
     (the orbit left the candidates).
@@ -183,8 +207,13 @@ def _walk(start, step, types: dict):
     Every preperiodic point visited gets its (period, tail) in types, and
     the walk stops at the first point already there.
     """
-    path: list = []
-    y = start
+    if start in types:
+        return types[start]
+    # most candidates leave at once; they return before a path is built
+    y = step(start)
+    if y is None:
+        return None
+    path = [start]
     while y not in types:
         if y in path:
             i = path.index(y)
@@ -206,26 +235,15 @@ def _walk(start, step, types: dict):
 def orbit_classify(f: QuadMap, x: Fraction, types: dict | None = None) -> OrbitClass:
     """Exact orbit type of x under z**2 + c; always terminates.
 
-    Calls that pass the same `types` dict, which must all be for the same
-    f, share what earlier walks found; its keys are the numerators k of
-    the preperiodic points k/d met so far.
+    The walk runs on numerators with the step that f derived when it was
+    built.  Calls that pass the same `types` dict, which must all be for
+    the same f, share what earlier walks found; its keys are the
+    numerators k of the preperiodic points k/d met so far.
     """
-    c = f.c
-    d = _denominator_root(c)
+    d = f.d
     if d is None or x.denominator != d:
         return _DIVERGENT
-    u = c.numerator
-
-    # an image sharing a prime p with d is no candidate either, but needs no
-    # test: u is coprime to d, so p cannot divide image**2 + u and the next
-    # step leaves
-    def step(k: int) -> int | None:
-        image, r = divmod(k * k + u, d)
-        if r or abs(image) * (abs(image) - d) > abs(u):
-            return None
-        return image
-
-    kind = _walk(x.numerator, step, {} if types is None else types)
+    kind = _walk(x.numerator, f.step, {} if types is None else types)
     if kind is None:
         return _DIVERGENT
     period, tail = kind
@@ -235,22 +253,25 @@ def orbit_classify(f: QuadMap, x: Fraction, types: dict | None = None) -> OrbitC
 def preper_points(f: QuadMap) -> PreperGraph:
     """The complete graph of finite rational preperiodic points of f.
 
-    Raises BoxBudgetError when the candidate box exceeds BOX_BUDGET.
+    d and u come from f, which derived them once; every coprime box
+    numerator that no earlier walk recorded gets one orbit_classify call
+    on the shared memo.  Raises BoxBudgetError when the candidate box
+    exceeds BOX_BUDGET.
     """
-    c = f.c
-    d = _denominator_root(c)
+    c, d, u = f.c, f.d, f.u
     if d is None:
         return PreperGraph(c=c, vertices=frozenset(), edges={})
     # candidates k/d with gcd(k, d) = 1 and |k| <= K, orbit_classify's escape bound
-    u = c.numerator
     K = (d + isqrt(d * d + 4 * abs(u))) // 2  # the largest K with K(K - d) <= |u|
     if 2 * K + 1 > BOX_BUDGET:
         raise BoxBudgetError(f"the candidate box of c = {c} holds {2 * K + 1} "
                              f"numerators, more than the budget of {BOX_BUDGET}")
     types: dict[int, tuple[int, int]] = {}
     for k in range(-K, K + 1):
-        if gcd(k, d) == 1:
+        if k not in types and gcd(k, d) == 1:
             orbit_classify(f, Fraction(k, d), types)
+    if not types:
+        return PreperGraph(c=c, vertices=frozenset(), edges={})
     vertex = {k: Fraction(k, d) for k in types}
     edges = {}
     for k, v in vertex.items():
@@ -428,21 +449,22 @@ def scan(height: int, jobs: int = 1) -> ScanResult:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = [r for part in pool.map(_scan_chunk, tasks) for r in part]
 
-    catalog = admissible_shapes()
-    census: dict[GraphShape, tuple[int, list[Fraction]]] = {}
-    out_of_catalog = []
+    # tallied by code string; one GraphShape per distinct code
+    catalog = {shape.code for shape in admissible_shapes()}
+    tally: dict[str, tuple[int, list[Fraction]]] = {}
+    outside = []
     bound_violations = []
     for code, c, size in records:
-        shape = GraphShape(code)
-        count, samples = census.get(shape, (0, []))
+        count, samples = tally.get(code, (0, []))
         if len(samples) < 3:
             samples = samples + [c]
-        census[shape] = (count + 1, samples)
-        if shape not in catalog:
-            out_of_catalog.append((c, shape))
+        tally[code] = (count + 1, samples)
+        if code not in catalog:
+            outside.append((c, code))
         if size > 9:
             bound_violations.append((c, size))
-    ordered = dict(sorted(census.items()))
-    return ScanResult(height=height, census=ordered,
-                      out_of_catalog=out_of_catalog,
+    shapes = {code: GraphShape(code) for code in tally}
+    census = {shapes[code]: tally[code] for code in sorted(tally)}
+    return ScanResult(height=height, census=census,
+                      out_of_catalog=[(c, shapes[code]) for c, code in outside],
                       bound_violations=bound_violations)

@@ -47,11 +47,22 @@ def _truncate(s: Poly, order: int) -> Poly:
     return Poly(s.coeffs[: order + 1])
 
 
+def _mul_truncated(a: Poly, b: Poly, order: int) -> Poly:
+    """a * b mod t^(order+1), forming only the coefficients up to t^order."""
+    bs = b.coeffs
+    out = [0] * (order + 1)
+    for i, x in enumerate(a.coeffs[: order + 1]):
+        if x:
+            for j, y in enumerate(bs[: order + 1 - i], i):
+                out[j] += x * y
+    return Poly(out)
+
+
 def _eval_poly_series(poly: Poly, xs: Poly, order: int) -> Poly:
-    """poly(xs) mod t^(order+1), by Horner with truncation at every step."""
+    """poly(xs) mod t^(order+1), by Horner on truncated products."""
     acc = Poly()
     for c in reversed(poly.coeffs):
-        acc = _truncate(acc * xs + c, order)
+        acc = _mul_truncated(acc, xs, order) + c
     return acc
 
 

@@ -225,6 +225,32 @@ def test_bench_tool_writes_nothing_when_a_run_is_not_correct(monkeypatch, capsys
     assert "not correct: curve_verify --trace 0" in capsys.readouterr().err
 
 
+def test_bench_tool_runs_perfbench_on_a_fresh_bytecode_cache(monkeypatch):
+    # each measured run.py call may write bytecode, into a directory of its
+    # own that a tiny run of the same workload filled just before
+    spec = importlib.util.spec_from_file_location("bench_tool",
+                                                  os.path.join(ROOT, "tools", "bench.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    calls = []
+
+    def fake_run(argv, env, **kwargs):
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        cache = env["PYTHONPYCACHEPREFIX"]
+        assert os.path.isdir(cache) and os.listdir(cache) == ([] if "tiny" in argv else ["warm"])
+        open(os.path.join(cache, "warm"), "w").close()
+        calls.append((cache, "tiny" in argv))
+        return subprocess.CompletedProcess(argv, 1, "", "")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    for _ in range(2):
+        assert bench.perfbench_run(ROOT, "census", 0)["correct"] is False
+    (a, tiny_a), (b, tiny_b), (c, tiny_c), (d, tiny_d) = calls
+    assert (tiny_a, tiny_b, tiny_c, tiny_d) == (True, False, True, False)
+    assert a == b != c == d and not any(os.path.exists(x) for x in (a, c))
+
+
 def test_graph_json_minus_29_16():
     r = run_cli("graph", "--c", "-29/16")
     assert r.returncode == 0

@@ -5,10 +5,10 @@ import pickle
 import random
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from preper import dynamics
 from preper.dynamics import (
@@ -193,6 +193,29 @@ def test_preper_points_matches_slack_box_oracle_on_vertices_and_edges(c):
     vertices, edges = box_preper_graph(c)
     assert g.vertices == vertices
     assert g.edges == edges
+
+
+# c = -29/16 walks -7 -> 5 -> -1 -> -7 first, so -5 and -1 are recorded before
+# their turn; -21/16 and -2 record fixed points and tails the same way
+@example(c=F(-29, 16))
+@example(c=F(-21, 16))
+@example(c=F(-2))
+@settings(max_examples=60, deadline=None)
+@given(c=wide_c)
+def test_preper_points_classifies_each_unrecorded_numerator_once(c):
+    real, calls, d = dynamics.orbit_classify, [], isqrt(c.denominator)
+
+    def spy(f, x, types=None):
+        assert x.denominator == d and gcd(x.numerator, d) == 1
+        assert x.numerator not in types
+        calls.append(x.numerator)
+        return real(f, x, types)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "orbit_classify", spy)
+        g = preper_points(QuadMap(c))
+    assert g.vertices == box_preper_graph(c)[0]
+    assert len(calls) == len(set(calls))
 
 
 def box_size(c) -> int:
@@ -540,6 +563,31 @@ def test_value_classes_compare_hash_print_and_freeze(name):
     if name == "FamilyPoint":
         # a point built without aux gets a dict of its own
         assert a.aux == {} and a.aux is not different.aux
+
+
+@pytest.mark.parametrize("trip", [lambda v: pickle.loads(pickle.dumps(v)), copy.copy,
+                                  copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+def test_quad_map_rebuilds_its_walk_state_outside_the_value(trip):
+    f = QuadMap(F(-29, 16))
+    assert repr(f) == "QuadMap(c=Fraction(-29, 16))"
+    assert (f.d, f.u, f.step(3), f.step(2)) == (4, -29, -5, None)
+    assert (QuadMap(F(1, 2)).d, QuadMap(F(1, 2)).step) == (None, None)
+    g = trip(f)
+    assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+    # the copy derives its own state from c
+    assert (g.d, g.u) == (4, -29) and g.step is not f.step and g.step(3) == -5
+    assert [orbit_classify(g, x) for x in (F(3, 4), F(1, 4), F(1, 3))] == \
+        [orbit_classify(f, x) for x in (F(3, 4), F(1, 4), F(1, 3))]
+    assert preper_points(g) == preper_points(f)
+    assert preper_points(g).edges == preper_points(f).edges
+    # derived slots are not settable, and equality and hashing ignore them
+    for name in ("d", "u", "step"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    object.__setattr__(g, "d", None)
+    assert g == f and hash(g) == hash(f)
 
 
 _FIELD = C1_32.function_field()

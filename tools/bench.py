@@ -8,10 +8,15 @@ of the checkout (by default the one this script lives in), with seed 1:
   perfbench/run.py --seconds 25 --trace 1 for census and jacobian,
   the tier-1 suite, PYTHONPATH=src python -m pytest -q
   --continue-on-collection-errors, once.
+Each run.py call runs with PYTHONDONTWRITEBYTECODE removed and
+PYTHONPYCACHEPREFIX set to a fresh temporary directory, which a
+--size tiny run of the same workload fills first, so no earlier
+measurement's cache is reused and setup_s and peak_rss_mb are measured
+warm-cached whatever the checkout holds.
 The file holds the detail line and the result line that run.py printed
-for each run, the seed, the checkout's `git rev-parse HEAD` and whether
-its tree had uncommitted changes, nproc, the Python version, and the
-tier-1 counts, exit code and wall time.  When a run is not correct the
+for each run, those bytecode-cache settings, the seed, the checkout's
+`git rev-parse HEAD` and whether its tree had uncommitted changes, nproc,
+the Python version, and the tier-1 counts, exit code and wall time.  When a run is not correct the
 script writes nothing and exits 1.  It changes nothing under perfbench/.
 The whole run takes about five minutes.
 """
@@ -25,6 +30,7 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -33,14 +39,28 @@ TRACED = ("census", "jacobian")
 SECONDS = 25
 SEED = 1  # one seed for every file, so that files compare
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+# how every run.py call caches bytecode, recorded in the BENCH file
+BYTECODE_CACHE = {"PYTHONDONTWRITEBYTECODE": "removed",
+                  "PYTHONPYCACHEPREFIX": "a fresh temporary directory per run, filled by a "
+                                         "--size tiny run of the same workload first"}
 
 
 def perfbench_run(root: Path, workload: str, trace: int) -> dict:
     """One run.py call: its detail and result lines, parsed, and whether
     the run is correct."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
-            "--seconds", str(SECONDS), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+            "--trace", str(trace)]
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env["PYTHONPYCACHEPREFIX"] = cache
+        # the prefix also holds the standard library's bytecode, so the
+        # worker would compile every module the import probe did not load
+        # and count that in peak_rss_mb; a tiny run compiles them first
+        subprocess.run([*argv, "--seconds", "0.1", "--size", "tiny"], cwd=root, env=env,
+                       capture_output=True)
+        proc = subprocess.run([*argv, "--seconds", str(SECONDS)], cwd=root, env=env,
+                              capture_output=True, text=True)
     run = {"workload": workload, "trace": trace, "exit": proc.returncode}
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -90,6 +110,7 @@ def main() -> int:
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "seconds": SECONDS,
+        "bytecode_cache": BYTECODE_CACHE,
         "runs": [],
     }
     runs = bench["runs"]
