@@ -16,8 +16,9 @@ warm-cached whatever the checkout holds.
 The file holds the detail line and the result line that run.py printed
 for each run, those bytecode-cache settings, the seed, the checkout's
 `git rev-parse HEAD` and whether its tree had uncommitted changes, nproc,
-the Python version, and the tier-1 counts, exit code and wall time.  When a run is not correct the
-script writes nothing and exits 1.  It changes nothing under perfbench/.
+the Python version, and the tier-1 counts, exit code and wall time.
+When a run is not correct the script writes nothing and exits 1.  It
+changes nothing under perfbench/.
 The whole run takes about five minutes.
 """
 
