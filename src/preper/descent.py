@@ -31,7 +31,7 @@ from fractions import Fraction
 from .curves import C1_32
 from .exactmath import (
     FpPoly,
-    Fq,
+    FqElem,
     Poly,
     legendre_symbol,
     resultant,
@@ -94,11 +94,10 @@ def factorization_identities() -> Report:
 
 
 P743 = 743
-_F743SQ = Fq(P743, 2)
 
 # residue-field images of T in the two unramified quadratic factors,
 # ordered by (a, b) with the i-part normalized into [1, (p-1)/2]
-ROOT_IMAGES = (_F743SQ(330, 2), _F743SQ(458, 44))
+ROOT_IMAGES = (FqElem(P743, (330, 2)), FqElem(P743, (458, 44)))
 
 SHAPE_743 = [(1, 2), (2, 1), (2, 1)]
 

@@ -1,8 +1,9 @@
 """Exact arithmetic substrate: rationals, polynomials over Q, over F_p and
 over Q[x] (one ring arithmetic and one extended Euclid, xgcd, in
 polynomial.py), curve function fields, and the finite fields F_p and
-F_{p^2}.  Arithmetic in a number field Q[T]/(g) is Poly arithmetic
-reduced mod g, with norms as resultants and inverses from xgcd.
+F_{p^2} = F_p(i) for p = 3 mod 4, one more instance of that ring code.
+Arithmetic in a number field Q[T]/(g) is Poly arithmetic reduced mod g,
+with norms as resultants and inverses from xgcd.
 
 Only the integer helpers load with the package.  Poly, BiPoly, FpPoly and
 the other names below come from their submodule on first access (PEP 562),
@@ -31,7 +32,6 @@ _SUBMODULE = {
     "FieldElement": "bivariate",
     "RationalMap": "bivariate",
     "FpPoly": "finitefield",
-    "Fq": "finitefield",
     "FqElem": "finitefield",
     "fp_residue": "finitefield",
     "legendre_symbol": "finitefield",
@@ -51,7 +51,6 @@ __all__ = [
     "CurveFunctionField",
     "FieldElement",
     "FpPoly",
-    "Fq",
     "FqElem",
     "Poly",
     "RationalMap",

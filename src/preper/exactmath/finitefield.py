@@ -7,13 +7,14 @@ modular inverse as the coefficient quotient, and the modulus check that
 makes F_3[x] and F_5[x] refuse to mix.  Its extended gcd is the one xgcd
 there, which exactmath also exports as fp_xgcd.
 
-F_{p^2} is realized as F_p(i) with i**2 equal to a fixed non-residue: -1
-whenever p = 3 mod 4 (so printed values like 330+2i compare literally),
-otherwise the least positive non-residue.  An element x is a square
-exactly when its norm N(x) = x**(p+1) is a square in F_p, because
-x**((p**2 - 1)/2) = N(x)**((p - 1)/2): Euler's criterion on one int.
-Fq and FqElem now serve only the 743 rows of descent; point counting
-over F_{p^2} (ffjac.count_points) reads the norm of g over each conjugate
+FqElem is one more instance of that ring code: F_{p^2} as
+F_p(i) = F_p[i]/(i**2 + 1) for a prime p = 3 mod 4, where -1 is a
+non-residue, so printed values like 330+2i compare literally.  It is an
+FpPoly whose _new folds every result to degree below 2.  An element x is
+a square exactly when its norm N(x) = x**(p+1) is a square in F_p,
+because x**((p**2 - 1)/2) = N(x)**((p - 1)/2): Euler's criterion on one
+int.  FqElem serves only the 743 rows of descent; point counting over
+F_{p^2} (ffjac.count_points) reads the norm of g over each conjugate
 pair as one int instead.
 
 There is no GF(2**k) arithmetic: smoothness in characteristic 2 is
@@ -23,9 +24,8 @@ decided by gcds of FpPoly over F_2 (see curves.good_reduction_model_check).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from ..values import Value, set_field
+from ..values import set_field
 from .integers import is_prime
 from .polynomial import _DensePoly, _trim
 
@@ -47,148 +47,6 @@ def fp_residue(q, p: int) -> int:
     if q.denominator % p == 0:
         raise ZeroDivisionError(f"{q} has no residue mod {p}")
     return q.numerator * pow(q.denominator, -1, p) % p
-
-
-@lru_cache(maxsize=None)
-def _nonresidue(p: int) -> int:
-    if p % 4 == 3:
-        return p - 1  # i^2 = -1
-    n = 2
-    while legendre_symbol(n, p) != -1:
-        n += 1
-    return n
-
-
-class Fq(Value):
-    """Field F_{p^k} for k in {1, 2}; degree-2 elements are a + b*i.
-    Compared, hashed and pickled by (p, k); nonresidue is derived."""
-
-    __slots__ = ("p", "k", "nonresidue")
-    _fields = ("p", "k")
-
-    def __init__(self, p: int, k: int = 1):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if k not in (1, 2):
-            raise ValueError("extension degree must be 1 or 2")
-        if k == 2 and p == 2:
-            raise ValueError("F_4 via a quadratic non-residue is not available")
-        set_field(self, "p", p)
-        set_field(self, "k", k)
-        set_field(self, "nonresidue", _nonresidue(p) if k == 2 else None)
-
-    def __repr__(self):
-        return f"Fq({self.p})" if self.k == 1 else f"Fq({self.p}, 2)"
-
-    def __call__(self, a: int, b: int = 0) -> "FqElem":
-        if b % self.p and self.k == 1:
-            raise ValueError("prime field element cannot have an i part")
-        return FqElem(self, a, b)
-
-    def zero(self) -> "FqElem":
-        return self(0)
-
-    def elements(self):
-        if self.k == 1:
-            for a in range(self.p):
-                yield self(a)
-        else:
-            for a in range(self.p):
-                for b in range(self.p):
-                    yield self(a, b)
-
-    def from_rational(self, q) -> "FqElem":
-        return self(fp_residue(q, self.p))
-
-
-class FqElem(Value):
-    """Element a + b*i of F_{p^k}; immutable and hashable."""
-
-    __slots__ = ("field", "a", "b")
-
-    def __init__(self, field: Fq, a: int, b: int = 0):
-        set_field(self, "field", field)
-        set_field(self, "a", a % field.p)
-        set_field(self, "b", b % field.p)
-
-    def _lift(self, other):
-        if isinstance(other, FqElem):
-            if other.field is not self.field and other.field != self.field:
-                raise ValueError("mixed finite fields")
-            return other
-        if isinstance(other, int):
-            return self.field(other)
-        if isinstance(other, Fraction):
-            return self.field.from_rational(other)
-        return None
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.k, self.a, self.b))
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return FqElem(self.field, self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FqElem(self.field, -self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        if self.field.k == 1:
-            return FqElem(self.field, self.a * o.a)
-        n = self.field.nonresidue
-        return FqElem(self.field,
-                      self.a * o.a + n * self.b * o.b,
-                      self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def norm(self) -> int:
-        """Norm down to F_p as an int: a^2 - n*b^2 (= a^2 + b^2 for i^2 = -1)."""
-        field = self.field
-        if field.k == 1:
-            return self.a
-        return (self.a * self.a - field.nonresidue * self.b * self.b) % field.p
-
-    def is_square(self) -> bool:
-        """Euler's criterion on the norm: x^((p^k - 1)/2) = N(x)^((p - 1)/2)
-        for k <= 2, so one modular power of an int decides.  Zero, and every
-        element of F_2, count as squares."""
-        p = self.field.p
-        n = self.norm()
-        return p == 2 or n == 0 or pow(n, (p - 1) // 2, p) == 1
-
-    def __repr__(self):
-        if self.field.k == 1:
-            return f"{self.a}"
-        return f"{self.a}+{self.b}i"
 
 
 class FpPoly(_DensePoly):
@@ -244,7 +102,7 @@ class FpPoly(_DensePoly):
         return acc
 
     def eval_fq(self, x: FqElem) -> FqElem:
-        acc = x.field.zero()
+        acc = x._new(())
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -252,3 +110,48 @@ class FpPoly(_DensePoly):
     def __repr__(self):
         return f"FpPoly({self.p}, {list(self.coeffs)})"
 
+
+class FqElem(FpPoly):
+    """Element a + b*i of F_p(i) = F_p[i]/(i**2 + 1), p a prime = 3 mod 4:
+    an FpPoly of degree below 2 whose every result is folded back by
+    i**2 = -1.  An int or Fraction lifts through fp_residue."""
+
+    __slots__ = ()
+    _SCALARS = (int, Fraction)
+
+    def __init__(self, p: int, coeffs=()):
+        if p % 4 != 3 or not is_prime(p):
+            raise ValueError(f"F_{p}(i) needs a prime p = 3 mod 4")
+        set_field(self, "p", p)
+        set_field(self, "coeffs", self._new(coeffs).coeffs)
+
+    def _new(self, coeffs) -> "FqElem":
+        p, folded = self.p, [0, 0]
+        for k, c in enumerate(coeffs):
+            folded[k & 1] += -c if k & 2 else c  # i**k = (-1)**(k//2) * i**(k%2)
+        new = object.__new__(FqElem)
+        set_field(new, "p", p)
+        set_field(new, "coeffs", _trim([c % p if type(c) is int else fp_residue(c, p)
+                                        for c in folded]))
+        return new
+
+    @property
+    def a(self) -> int:
+        return self[0]
+
+    @property
+    def b(self) -> int:
+        return self[1]
+
+    def norm(self) -> int:
+        """Norm down to F_p as an int: a^2 + b^2."""
+        return (self.a * self.a + self.b * self.b) % self.p
+
+    def is_square(self) -> bool:
+        """Euler's criterion on the norm: x^((p^2 - 1)/2) = N(x)^((p - 1)/2),
+        so one modular power of an int decides.  Zero counts as a square."""
+        n = self.norm()
+        return n == 0 or pow(n, (self.p - 1) // 2, self.p) == 1
+
+    def __repr__(self):
+        return f"{self.a}+{self.b}i"

@@ -12,10 +12,11 @@ only what differs: its constructor normalizes a coefficient list into
 the canonical tuple, _new builds a sibling in the same ring, _lift turns
 an operand into one (None for an operand of another ring, which the
 operators answer with NotImplemented), and _quo is the exact coefficient
-quotient that divmod and xgcd divide by.  Three rings use it: Poly here
-(Q[x]), FpPoly (F_p[x], in exactmath.finitefield) and BiPoly (Q[x][y], in
-exactmath.bivariate, which has no coefficient quotient and so divides
-only by a monic polynomial).
+quotient that divmod and xgcd divide by.  Four rings use it: Poly here
+(Q[x]), FpPoly (F_p[x], in exactmath.finitefield), its quotient FqElem
+(F_p(i) = F_p[i]/(i**2 + 1), whose _new folds by i**2 = -1) and BiPoly
+(Q[x][y], in exactmath.bivariate, which has no coefficient quotient and
+so divides only by a monic polynomial).
 
 Over Q a coefficient is an ``int`` when it is integral and a ``Fraction``
 only when it is not: normalization maps ``Fraction(n, 1)`` to ``n``.
@@ -91,8 +92,8 @@ class _DensePoly(Value):
     A ring supplies _normalize(coeffs) -> tuple (or its own constructor),
     the scalar types _SCALARS that lift to constants, and the exact
     quotient _quo(a, b); it replaces _new and _lift when a sibling needs
-    more than its coefficients.  The shared code never asks which ring
-    it serves.
+    more than its coefficients (FpPoly its modulus, FqElem also the fold
+    by i**2 = -1).  The shared code never asks which ring it serves.
     """
 
     __slots__ = ("coeffs",)

@@ -164,17 +164,16 @@ class OddModel(Value):
     the parent sextic model: (x, y) -> (a/(x-r), a^2 y/(x-r)^3), with the
     Weierstrass point (r, 0) sent to infinity and inf+- sent to x = 0."""
 
-    __slots__ = ("p", "f", "r", "scale")
+    __slots__ = ("f", "r", "scale")
 
-    def __init__(self, p: int, f: FpPoly, r: int, scale: int):
-        set_field(self, "p", p)
+    def __init__(self, f: FpPoly, r: int, scale: int):
         set_field(self, "f", f)
         set_field(self, "r", r)
         set_field(self, "scale", scale)  # a = g'(r), the leading coefficient before rescaling
 
     def to_odd(self, point: CurvePoint) -> tuple[int, int] | None:
         """Image of a point of the sextic model; None is the point at infinity."""
-        p, r, a = self.p, self.r, self.scale
+        p, r, a = self.f.p, self.r, self.scale
         if point.is_infinite:
             # y/x^3 tends to +-1; the image is (0, +-a^2)
             return (0, point.branch * a * a % p)
@@ -203,7 +202,7 @@ def odd_model_transform(curve: CurveModel, p: int, r: int) -> OddModel:
     monic = [rev[i] * pow(a, 4 - i, p) % p if i < 5 else 1 for i in range(6)]
     # monic[i] multiplies x^i: f(x) = x^5 + sum rev[i] a^(4-i) x^i
     f = FpPoly(p, monic)
-    return OddModel(p=p, f=f, r=r % p, scale=a % p)
+    return OddModel(f=f, r=r % p, scale=a % p)
 
 
 class MonicModel(Value):
@@ -343,7 +342,7 @@ def enumerate_jacobian(model: OddModel) -> list[MumfordDivisor]:
     """All reduced Mumford pairs: the identity, one per affine point, and
     every (monic quadratic u, v) with u | f - v^2.  Independent of any
     point counting, this is the brute-force class-group oracle."""
-    p, f = model.p, model.f
+    p, f = model.f.p, model.f
     out = [divisor_identity(model)]
     for x in range(p):
         for y in range(p):

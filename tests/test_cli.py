@@ -100,7 +100,7 @@ def test_exactmath_names_resolve_on_first_access(access):
     r = run_python("-c", LAZY_PROBE.replace("ACCESS", access))
     assert r.returncode == 0, r.stderr
     assert set(r.stdout.split()) == {"BiPoly", "CurveFunctionField", "FieldElement", "FpPoly",
-                                     "Fq", "FqElem", "Poly", "RationalMap", "discriminant",
+                                     "FqElem", "Poly", "RationalMap", "discriminant",
                                      "fp_residue", "fp_xgcd", "legendre_symbol", "resultant",
                                      "xgcd"}
 
@@ -138,12 +138,12 @@ def test_package_has_no_assert_statements():
 
 
 def test_only_descent_uses_the_f_p2_element_type():
-    # point counting over F_{p^2} runs on ints; Fq, FqElem and
+    # point counting over F_{p^2} runs on ints; FqElem and
     # FpPoly.eval_fq are left for the 743 rows of descent alone
     pkg = os.path.dirname(preper.__file__)
     allowed = {os.path.join("exactmath", "finitefield.py"),
                os.path.join("exactmath", "__init__.py"), "descent.py"}
-    names = {"Fq", "FqElem", "eval_fq"}
+    names = {"FqElem", "eval_fq"}
     seen, found = set(), []
     for folder, _dirs, files in os.walk(pkg):
         for name in sorted(files):
@@ -202,13 +202,18 @@ def test_traced_benchmark_reaches_every_expected_function(workload):
     assert json.loads(r.stdout.strip().splitlines()[-1])["correct"] is True
 
 
-def test_bench_tool_writes_nothing_when_a_run_is_not_correct(monkeypatch, capsys):
-    # tools/bench.py runs every workload before it decides; one run that is
-    # not correct leaves no BENCH file and exits 1, before the tier-1 run
+def load_bench_tool():
     spec = importlib.util.spec_from_file_location("bench_tool",
                                                   os.path.join(ROOT, "tools", "bench.py"))
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_tool_writes_nothing_when_a_run_is_not_correct(monkeypatch, capsys):
+    # tools/bench.py runs every workload before it decides; one run that is
+    # not correct leaves no BENCH file and exits 1, before the tier-1 run
+    bench = load_bench_tool()
     calls = []
 
     def fake_run(root, workload, trace):
@@ -228,10 +233,7 @@ def test_bench_tool_writes_nothing_when_a_run_is_not_correct(monkeypatch, capsys
 def test_bench_tool_runs_perfbench_on_a_fresh_bytecode_cache(monkeypatch):
     # each measured run.py call may write bytecode, into a directory of its
     # own that a tiny run of the same workload filled just before
-    spec = importlib.util.spec_from_file_location("bench_tool",
-                                                  os.path.join(ROOT, "tools", "bench.py"))
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = load_bench_tool()
     calls = []
 
     def fake_run(argv, env, **kwargs):
@@ -249,6 +251,24 @@ def test_bench_tool_runs_perfbench_on_a_fresh_bytecode_cache(monkeypatch):
     (a, tiny_a), (b, tiny_b), (c, tiny_c), (d, tiny_d) = calls
     assert (tiny_a, tiny_b, tiny_c, tiny_d) == (True, False, True, False)
     assert a == b != c == d and not any(os.path.exists(x) for x in (a, c))
+
+
+def test_bench_tool_counts_cpus_where_affinity_is_unknown(monkeypatch, tmp_path):
+    # without os.sched_getaffinity the file records os.cpu_count(), as
+    # dynamics.scan does, instead of raising AttributeError
+    bench = load_bench_tool()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("")
+    monkeypatch.setattr(bench, "perfbench_run", lambda root, workload, trace: {
+        "workload": workload, "trace": trace, "correct": True})
+    monkeypatch.setattr(bench, "tier1", lambda root: {"exit": 0})
+    monkeypatch.setattr(bench, "git", lambda root, *args: "")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(sys, "argv", ["bench.py", "--pr", "0", "--checkout", str(tmp_path)])
+    assert bench.main() == 0
+    written = json.loads((tmp_path / "BENCH_0.json").read_text(encoding="utf-8"))
+    assert written["nproc"] == 3 and len(written["runs"]) == 6 and written["tier1"] == {"exit": 0}
 
 
 def test_graph_json_minus_29_16():

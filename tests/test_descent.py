@@ -16,7 +16,7 @@ from preper.descent import (
     mordell_weil_report,
     table1_check,
 )
-from preper.exactmath import FpPoly, Fq, Poly, resultant
+from preper.exactmath import FpPoly, FqElem, Poly, resultant
 
 F = Fraction
 
@@ -55,10 +55,9 @@ def test_local_743_analysis():
 
 
 def test_root_images_are_roots():
-    field = Fq(743, 2)
     gp = FpPoly.from_poly(SEXTIC, 743)
-    assert gp.eval_fq(field(330, 2)).is_zero()
-    assert gp.eval_fq(field(458, 44)).is_zero()
+    assert gp.eval_fq(FqElem(743, (330, 2))).is_zero()
+    assert gp.eval_fq(FqElem(743, (458, 44))).is_zero()
 
 
 def test_743_certificate_agrees_with_root_exhaustion():
@@ -76,8 +75,7 @@ def test_743_certificate_agrees_with_root_exhaustion():
 
 @pytest.mark.parametrize("images", [((330, 2), (330, 2)), ((331, 2), (458, 44))])
 def test_743_shape_fails_on_wrong_root_images(monkeypatch, images):
-    field = Fq(743, 2)
-    monkeypatch.setattr(descent, "ROOT_IMAGES", tuple(field(a, b) for a, b in images))
+    monkeypatch.setattr(descent, "ROOT_IMAGES", tuple(FqElem(743, image) for image in images))
     rep = local_743_analysis()
     assert rep["l743-shape"].status == "fail"
     assert rep["l743-shape"].value is None

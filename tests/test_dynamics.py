@@ -31,7 +31,7 @@ from preper.dynamics import (
     scan,
 )
 from preper.curves import BIRATIONAL_PAIRS, C1_32, E40, BirationalPair, CurveModel, CurvePoint
-from preper.exactmath import BiPoly, FpPoly, Fq, Poly, RationalMap
+from preper.exactmath import BiPoly, FpPoly, FqElem, Poly, RationalMap
 from preper.families import FamilyPoint
 from preper.ffjac import (
     KNOWN_POINTS,
@@ -502,14 +502,14 @@ VALUE_CASES = {
                        BirationalPair("q24_e24", Q24_E24.source, Q24_E24.target,
                                       Q24_E24.backward, Q24_E24.forward),
                        repr(Q24_E24)),
-    "OddModel": (ODD_3, OddModel(3, FpPoly(3, (4, 3, 1, 2, 5, 1)), 1, 1),
-                 OddModel(3, ODD_3.f, 1, 2),
-                 "OddModel(p=3, f=FpPoly(3, [1, 0, 1, 2, 2, 1]), r=1, scale=1)"),
+    "OddModel": (ODD_3, OddModel(FpPoly(3, (4, 3, 1, 2, 5, 1)), 1, 1),
+                 OddModel(ODD_3.f, 1, 2),
+                 "OddModel(f=FpPoly(3, [1, 0, 1, 2, 2, 1]), r=1, scale=1)"),
     "MonicModel": (MonicModel(FpPoly(7, (1, 5, 0, 1))), MonicModel(FpPoly(7, (8, -2, 7, 8))),
                    MonicModel(FpPoly(5, (1, 3, 0, 1))), "MonicModel(f=FpPoly(7, [1, 5, 0, 1]))"),
     "MumfordDivisor": (divisor_identity(ODD_3), MumfordDivisor(ODD_3, FpPoly(3, (1,)), FpPoly(3)),
                        divisor_from_points(ODD_3, [ODD_3.to_odd(KNOWN_POINTS["inf+"])]),
-                       "MumfordDivisor(model=OddModel(p=3, f=FpPoly(3, [1, 0, 1, 2, 2, 1]), "
+                       "MumfordDivisor(model=OddModel(f=FpPoly(3, [1, 0, 1, 2, 2, 1]), "
                        "r=1, scale=1), u=FpPoly(3, [1]), v=FpPoly(3, []))"),
     "BranchSeries": (branch_series(2), BranchSeries((F(1), F(-3, 8), F(-31, 512)), 2),
                      branch_series(3),
@@ -595,8 +595,7 @@ ROUND_TRIP_CASES = {
     "Poly": Poly((F(1, 2), -3, 0, 7)),
     "FpPoly": FpPoly(7, (3, 0, 5)),
     "BiPoly": BiPoly((Poly((1, 2)), Poly((F(-1, 3),)))),
-    "Fq": Fq(743, 2),
-    "FqElem": Fq(743, 2)(330, 2),
+    "FqElem": FqElem(743, (330, 2)),
     "FieldElement": (_FIELD.x() + _FIELD.y()) / (_FIELD.x() + 1),
     "RationalMap": Q24_E24.forward[1],
     "C1_32": C1_32,

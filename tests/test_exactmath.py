@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from preper.exactmath import (
     BiPoly,
     FpPoly,
-    Fq,
+    FqElem,
     Poly,
     discriminant,
     is_perfect_square,
@@ -28,6 +28,7 @@ from oracles import (
     fp_mul,
     fp_poly,
     fp_sub,
+    fq_mul,
     frac_add,
     frac_divmod,
     frac_mul,
@@ -211,38 +212,70 @@ def test_legendre_symbol_multiplicative():
             assert legendre_symbol(a, p) * legendre_symbol(b, p) == legendre_symbol(a * b, p)
 
 
-@given(st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)),
-       st.sampled_from((1, 2)))
-@settings(max_examples=40, deadline=None)
-def test_is_square_matches_squaring_every_element(p, k):
-    field = Fq(p, k)
-    squares = brute_fq_squares(p, k, field.nonresidue or 0)
-    assert {(x.a, x.b) for x in field.elements() if x.is_square()} == squares
+FQ_PRIMES = (3, 7, 11, 19, 23, 31, 43, 47, 59)  # the primes p = 3 mod 4 below 60
+
+
+def test_is_square_matches_squaring_every_element():
+    for p in FQ_PRIMES:
+        squares = brute_fq_squares(p, 2, p - 1)
+        elements = (FqElem(p, (a, b)) for a in range(p) for b in range(p))
+        assert {(x.a, x.b) for x in elements if x.is_square()} == squares, p
+
+
+_pairs = st.tuples(st.integers(-100, 100), st.integers(-100, 100))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FQ_PRIMES), _pairs, _pairs, st.lists(st.integers(-100, 100), max_size=7))
+def test_fq_elem_matches_the_pair_oracle(p, x, y, coeffs):
+    # F_p(i) is FpPoly's ring code folded by i^2 = -1; the oracle multiplies
+    # pairs (a, b) with i^2 = p - 1
+    X, Y = FqElem(p, x), FqElem(p, y)
+    x, y = (x[0] % p, x[1] % p), (y[0] % p, y[1] % p)
+
+    def pair(e):
+        assert type(e) is FqElem and e.p == p
+        return e.a, e.b
+
+    assert pair(X) == x
+    assert pair(X + Y) == ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
+    assert pair(X - Y) == ((x[0] - y[0]) % p, (x[1] - y[1]) % p)
+    assert pair(X * Y) == fq_mul(x, y, p, p - 1) and X * Y == FqElem(p, fq_mul(x, y, p, p - 1))
+    assert pair(2 - X) == ((2 - x[0]) % p, -x[1] % p)
+    assert pair(Fraction(1, 2) * X) == fq_mul(((p + 1) // 2, 0), x, p, p - 1)
+    acc = (0, 0)
+    for c in reversed(coeffs):
+        acc = fq_mul(acc, x, p, p - 1)
+        acc = ((acc[0] + c) % p, acc[1])
+    assert pair(FpPoly(p, coeffs).eval_fq(X)) == acc
+    assert FqElem(p, (1, 0, 1)).is_zero()  # 1 + i^2
 
 
 def test_fq_arithmetic_and_norm():
-    F = Fq(743, 2)
-    assert F.nonresidue == 742  # i^2 = -1
-    x = F(330, 2)
+    x = FqElem(743, (330, 2))
+    assert (x.a, x.b) == (330, 2) and FqElem(743, (0, 1)) ** 2 == -1  # i^2 = -1
     assert type(x.norm()) is int and x.norm() == (330 * 330 + 2 * 2) % 743
-    assert 2 - x == F(-328, -2) and (x - x).is_zero()
+    assert 2 - x == FqElem(743, (-328, -2)) and (x - x).is_zero()
+    # only a prime p = 3 mod 4 has -1 as a non-residue
+    for p in (2, 13, 15):
+        with pytest.raises(ValueError, match=f"F_{p}"):
+            FqElem(p, (1, 1))
 
 
 def test_fq_is_a_frozen_value():
-    # an element hashes by its field's p, so the field must not change
-    F = Fq(7)
-    x = F(3)
+    # an element hashes by its p and coefficients, so neither may change
+    x = FqElem(7, (3,))
     s = {x}
     with pytest.raises(AttributeError):
-        F.p = 11
+        x.p = 11
     with pytest.raises(AttributeError):
-        del F.k
-    assert x in s and F(3) in s
-    assert repr(F) == "Fq(7)" and repr(Fq(743, 2)) == "Fq(743, 2)"
-    assert Fq(7) == F and hash(Fq(7)) == hash(F) and Fq(7) != Fq(7, 2) != Fq(11, 2)
-    assert pickle.loads(pickle.dumps(Fq(743, 2))).nonresidue == 742
-    with pytest.raises(ValueError, match="mixed finite fields"):
-        x + Fq(11)(3)
+        del x.coeffs
+    assert x in s and FqElem(7, (3, 0)) in s and FqElem(7, (10, 7)) in s
+    assert repr(x) == "3+0i" and repr(FqElem(743, (330, 2))) == "330+2i"
+    assert x != FqElem(11, (3,)) and x != FqElem(7, (3, 1))
+    assert pickle.loads(pickle.dumps(FqElem(743, (330, 2)))) == FqElem(743, (330, 2))
+    with pytest.raises(ValueError, match="mixed moduli"):
+        x + FqElem(11, (3,))
 
 
 def test_residue_norms_multiplicative_and_representative_independent():

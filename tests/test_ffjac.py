@@ -415,7 +415,7 @@ def _cantor_case(a, b) -> str:
 def _compare_with_cantor_oracle(model, pairs):
     """cantor_add against the general two-gcd oracle on each ordered pair;
     the cases the pairs took, counted."""
-    f, p = list(model.f.coeffs), model.p
+    f, p = list(model.f.coeffs), model.f.p
     cases = Counter()
     for a, b in pairs:
         assert _mumford_pair(cantor_add(a, b)) == \

@@ -108,7 +108,9 @@ def main() -> int:
         "seed": SEED,
         "head": git(root, "rev-parse", "HEAD"),
         "uncommitted_changes": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
-        "nproc": len(os.sched_getaffinity(0)),
+        # the CPUs this process may run on, where the platform can tell
+        "nproc": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count()),
         "python": platform.python_version(),
         "seconds": SECONDS,
         "bytecode_cache": BYTECODE_CACHE,
