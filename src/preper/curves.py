@@ -487,7 +487,12 @@ def verify_birational_pair(pair_id: str) -> Report:
 
 def verify_map_pair(pair: BirationalPair) -> Report:
     """Check a forward/backward map pair between two curve models, as exact
-    identities modulo the source and target curve relations."""
+    identities modulo the source and target curve relations.
+
+    A roundtrip row, maps(P) == targets, is checked cross-multiplied,
+    num(P) == target * den(P) for each coordinate, so no element with a
+    y-part is ever inverted; a den(P) that is zero in the function field
+    raises ZeroDivisionError, as RationalMap.eval does."""
     pair_id = pair.pair_id
     rep = Report(f"birational pair {pair_id}")
     src = pair.source.function_field()
@@ -495,6 +500,12 @@ def verify_map_pair(pair: BirationalPair) -> Report:
 
     def push(maps, xval, yval):
         return maps[0].eval(xval, yval), maps[1].eval(xval, yval)
+
+    def maps_to(maps, xval, yval, targets):
+        sides = [(m.num.eval(xval, yval), m.den.eval(xval, yval)) for m in maps]
+        if any(den == 0 for _, den in sides):
+            raise ZeroDivisionError("map denominator vanishes on the curve")
+        return all(num == t * den for (num, den), t in zip(sides, targets))
 
     if pair.target == "p1":
         # backward parametrization lands on the conic, as functions of a free
@@ -505,11 +516,10 @@ def verify_map_pair(pair: BirationalPair) -> Report:
         rep.add(f"{pair_id}-back-on-source", "parametrization satisfies the conic relation",
                 pair.source.equation().eval(sigma_m, rho_m).is_zero())
         rep.add(f"{pair_id}-roundtrip-line", "forward(backward) is the identity on the line",
-                pair.forward[0].eval(sigma_m, rho_m) == m)
+                maps_to(pair.forward[:1], sigma_m, rho_m, [m]))
         mu = pair.forward[0].eval(u, v)
-        su, sv = push(pair.backward, mu, mu)  # backward depends on mu only
         rep.add(f"{pair_id}-roundtrip-source", "backward(forward) is the identity on the conic",
-                su == u and sv == v)
+                maps_to(pair.backward, mu, mu, [u, v]))  # backward depends on mu only
         return rep
 
     tgt_field = pair.target.function_field()
@@ -524,16 +534,14 @@ def verify_map_pair(pair: BirationalPair) -> Report:
                 "forward map as printed satisfies the target equation",
                 eqn.eval(Xp, Yp).is_zero(),
                 note="documented discrepancy: " + pair.note)
-    bu, bv = push(pair.backward, X, Y)
     rep.add(f"{pair_id}-roundtrip-source", "backward(forward) is the identity on the source",
-            bu == u and bv == v)
+            maps_to(pair.backward, X, Y, [u, v]))
     tx, ty = tgt_field.x(), tgt_field.y()
     su, sv = push(pair.backward, tx, ty)
     rep.add(f"{pair_id}-back-on-source", "backward map satisfies the source equation identically",
             pair.source.equation().eval(su, sv).is_zero())
-    fx, fy = push(pair.forward, su, sv)
     rep.add(f"{pair_id}-roundtrip-target", "forward(backward) is the identity on the target",
-            fx == tx and fy == ty)
+            maps_to(pair.forward, su, sv, [tx, ty]))
     rep.add(f"{pair_id}-denominators", "denominators vanish only at finitely many points",
             True, value=_denominator_labels([*pair.forward, *pair.backward]))
     return rep

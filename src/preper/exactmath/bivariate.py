@@ -16,7 +16,14 @@ triple of polynomials (a, b, d) over a common denominator, meaning
 (a(x) + b(x)*y) / d(x) with d nonzero.  Sums cross-multiply (or just add
 when the denominators are equal), products multiply the denominators, and
 the inverse multiplies by the conjugate, a + b*s - b*y, over the norm
-a**2 + a*b*s - b**2*t.  No gcd is taken and nothing is normalized, so two
+a**2 + a*b*s - b**2*t.  An element of Q(x) itself (b = 0) inverts to
+(d, 0, a), and an operand from Q(x) skips the y-part products: an int,
+Fraction or Poly c gives (a + c*d, b, d) and (c*a, c*b, d), and an element
+(a2, 0, d2) the product (a*a2, b*a2, d*d2).  Every registered map has a
+denominator in x alone, and curves.verify_map_pair checks its roundtrips
+cross-multiplied, so a verification inverts only elements of Q(x); through
+the norm a**2 instead of a, backward(forward) on q17 would reach degree 58,
+not 27.  No gcd is taken and nothing is normalized, so two
 triples of one element compare equal by cross-multiplication:
 a1*d2 == a2*d1 and b1*d2 == b2*d1.  Equality of two map compositions
 modulo a curve equation is then an exact polynomial identity, with no
@@ -111,6 +118,7 @@ class RationalMap(Value):
 
 
 _ONE = Poly((1,))
+_BASE = (int, Fraction, Poly)  # the operands that lie in Q(x) with denominator 1
 
 
 class CurveFunctionField:
@@ -164,6 +172,8 @@ class FieldElement(Value):
         return self.a * o.d == o.a * self.d and self.b * o.d == o.b * self.d
 
     def __add__(self, other):
+        if isinstance(other, _BASE):  # a + c*d over the same d
+            return FieldElement(self.field, self.a + self.d * other, self.b, self.d)
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -187,9 +197,14 @@ class FieldElement(Value):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, _BASE):
+            return FieldElement(self.field, self.a * other, self.b * other, self.d)
         o = self._lift(other)
         if o is None:
             return NotImplemented
+        e, q = (o, self) if self.b.is_zero() else (self, o)
+        if q.b.is_zero():  # (a1 + b1 y) a2 / (d1 d2), with a2/d2 in Q(x)
+            return FieldElement(self.field, e.a * q.a, e.b * q.a, e.d * q.d)
         # (a1 + b1 y)(a2 + b2 y) with y^2 = s y + t
         bb = self.b * o.b
         return FieldElement(self.field, self.a * o.a + bb * self.field.t,
@@ -198,11 +213,14 @@ class FieldElement(Value):
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        # the conjugate of y is s - y, and (a + b y)(a + b s - b y) is the norm
+        # the conjugate of y is s - y, and (a + b y)(a + b s - b y) is the norm;
+        # on Q(x) (b = 0) the norm is a**2, and d/a is the inverse
         a, b, s = self.a, self.b, self.field.s
-        norm = a * a + a * b * s - b * b * self.field.t
+        norm = a if b.is_zero() else a * a + a * b * s - b * b * self.field.t
         if norm.is_zero():
             raise ZeroDivisionError("element is a zero divisor in the function field")
+        if b.is_zero():
+            return FieldElement(self.field, self.d, b, a)
         return FieldElement(self.field, self.d * (a + b * s), -(self.d * b), norm)
 
     def __truediv__(self, other):

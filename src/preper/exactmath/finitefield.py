@@ -10,7 +10,9 @@ there, which exactmath also exports as fp_xgcd.
 FqElem is one more instance of that ring code: F_{p^2} as
 F_p(i) = F_p[i]/(i**2 + 1) for a prime p = 3 mod 4, where -1 is a
 non-residue, so printed values like 330+2i compare literally.  It is an
-FpPoly whose _new folds every result to degree below 2.  An element x is
+FpPoly whose _new folds every result to degree below 2; the two rings
+still refuse to mix (a TypeError, and unequal under ==), since a subclass
+operand would otherwise lift silently into F_p[x].  An element x is
 a square exactly when its norm N(x) = x**(p+1) is a square in F_p,
 because x**((p**2 - 1)/2) = N(x)**((p - 1)/2): Euler's criterion on one
 int.  FqElem serves only the 743 rows of descent; point counting over
@@ -74,6 +76,9 @@ class FpPoly(_DensePoly):
 
     def _lift(self, other):
         if isinstance(other, FpPoly):
+            if type(other) is not type(self):  # F_p[x] and F_p(i) do not mix
+                raise TypeError(f"mixed rings: {type(self).__name__} and "
+                                f"{type(other).__name__}")
             if other.p != self.p:
                 raise ValueError(f"mixed moduli: F_{self.p}[x] and F_{other.p}[x]")
             return other
@@ -88,7 +93,7 @@ class FpPoly(_DensePoly):
         return cls(p, [fp_residue(c, p) for c in poly.coeffs])
 
     def __eq__(self, other):
-        if isinstance(other, FpPoly) and other.p != self.p:
+        if isinstance(other, FpPoly) and (type(other) is not type(self) or other.p != self.p):
             return False
         return super().__eq__(other)
 

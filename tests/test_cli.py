@@ -435,6 +435,20 @@ def test_jacobian_matches_the_jacobian_benchmark_golden(p, capsys):
     assert [code, hashlib.sha256(text.encode()).hexdigest()] == golden
 
 
+@pytest.mark.parametrize("height", [4, 5, 6, 395])
+def test_verify_curves_matches_the_curve_verify_benchmark_golden(height, capsys):
+    # the curve_verify benchmark's warm-up, tiny heights and one full height,
+    # run in-process and compared, read-only, with the sha256 of the golden
+    # output (the report without timing_ms)
+    with open(os.path.join(ROOT, "perfbench", "golden", "curve_verify.json")) as fh:
+        golden = json.load(fh)["calls"][f"verify curves --height {height}"]
+    code = cli.main(["verify", "curves", "--height", str(height)])
+    payload = json.loads(capsys.readouterr().out)
+    del payload["timing_ms"]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert [code, hashlib.sha256(text.encode()).hexdigest()] == golden
+
+
 def test_graph_tall_calls_match_their_benchmark_golden_in_one_process(capsys):
     # every family call and every graph of a non-square denominator of the
     # graph_tall benchmark's golden file, compared, read-only, with the

@@ -18,9 +18,11 @@ from preper.curves import (
     E24_CORRECTED,
     E40,
     PRINTED_POINTS,
+    Q24,
     SEARCH_BUDGET,
     X1_13,
     X1_18,
+    BirationalPair,
     CurveModel,
     CurvePoint,
     SearchBudgetError,
@@ -30,11 +32,12 @@ from preper.curves import (
     point_classes,
     rational_points_bounded,
     verify_birational_pair,
+    verify_map_pair,
     verify_point_list,
     weierstrass,
     x1_13_discriminant_check,
 )
-from preper.exactmath import Poly, discriminant
+from preper.exactmath import BiPoly, FieldElement, Poly, RationalMap, discriminant
 from preper.ffjac import cantor_add, cantor_neg
 
 F = Fraction
@@ -270,8 +273,6 @@ def test_birational_pairs_at_integer_points(pair_id):
 
 def test_verify_map_pair_rejects_a_wrong_map():
     # perturbing one forward coefficient must break the on-target identity
-    from preper.curves import BirationalPair, Q24, verify_map_pair
-    from preper.exactmath import BiPoly, RationalMap
     U, V = BiPoly.x(), BiPoly.y()
     good = BIRATIONAL_PAIRS["q24_e24"]
     bad = BirationalPair(
@@ -298,8 +299,6 @@ _nonzero_polys = _small_polys.filter(lambda p: not p.is_zero())
 @given(a=_small_polys, b=_small_polys, d=_nonzero_polys, m=_nonzero_polys,
        a2=_small_polys, b2=_small_polys, d2=_nonzero_polys)
 def test_field_element_arithmetic_on_q24(a, b, d, m, a2, b2, d2):
-    from preper.curves import Q24
-    from preper.exactmath import FieldElement
     field = Q24.function_field()
     x = FieldElement(field, a, b, d)
     # the same value over another denominator compares equal
@@ -312,6 +311,120 @@ def test_field_element_arithmetic_on_q24(a, b, d, m, a2, b2, d2):
     if not y.is_zero():
         assert (x * y) / y == x
         assert y * y.inverse() == 1
+
+
+_base_operands = st.one_of(st.integers(-9, 9), _small_polys,
+                          st.fractions(-4, 4, max_denominator=6))
+
+
+def _generic_sum(x, a2, b2, d2):
+    """The triple of x + (a2 + b2 y)/d2 by cross-multiplication."""
+    return x.a * d2 + a2 * x.d, x.b * d2 + b2 * x.d, x.d * d2
+
+
+def _generic_product(x, a2, b2, d2):
+    """The triple of x * (a2 + b2 y)/d2, reduced by y^2 = s y + t."""
+    s, t = x.field.s, x.field.t
+    return (x.a * a2 + x.b * b2 * t, x.a * b2 + x.b * a2 + x.b * b2 * s, x.d * d2)
+
+
+def _is_triple(e, a, b, d) -> bool:
+    """e equals (a + b y)/d, compared by cross-multiplication."""
+    return e.a * d == a * e.d and e.b * d == b * e.d
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=_small_polys, b=_small_polys, d=_nonzero_polys, c=_base_operands,
+       a2=_small_polys, d2=_nonzero_polys)
+def test_field_element_base_field_operands_match_the_generic_triples(a, b, d, c, a2, d2):
+    field = Q24.function_field()
+    x = FieldElement(field, a, b, d)
+    # an int, Fraction or Poly c is (c, 0, 1); the fast paths keep d
+    lifted = (c if isinstance(c, Poly) else Poly((c,)), Poly(), Poly((1,)))
+    for e in (x + c, c + x):
+        assert _is_triple(e, *_generic_sum(x, *lifted)) and e.d == d
+    for e in (x * c, c * x):
+        assert _is_triple(e, *_generic_product(x, *lifted)) and e.d == d
+    # an element of Q(x), b = 0, multiplies without the y-part product
+    q = FieldElement(field, a2, Poly(), d2)
+    for e in (x * q, q * x):
+        assert _is_triple(e, *_generic_product(x, a2, Poly(), d2)) and e.d == d * d2
+    e = x + q
+    assert _is_triple(e, *_generic_sum(x, a2, Poly(), d2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_small_polys, d=_nonzero_polys)
+def test_inverse_on_q_of_x_swaps_the_triple(a, d):
+    q = FieldElement(Q24.function_field(), a, Poly(), d)
+    if a.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            q.inverse()
+        return
+    inv = q.inverse()
+    assert (inv.a, inv.b, inv.d) == (d, Poly(), a)
+    assert q * inv == 1 and inv * q == 1 and 1 / q == inv
+
+
+def test_q17_backward_of_forward_stays_small():
+    # backward-y(forward) on q17: degree 27 with the Q(x) inverse d/a, 58
+    # when a/d was inverted through the norm a^2 as (d*a, 0, a^2)
+    pair = BIRATIONAL_PAIRS["q17_e17"]
+    field = pair.source.function_field()
+    X, Y = (m.eval(field.x(), field.y()) for m in pair.forward)
+    e = pair.backward[1].eval(X, Y)
+    assert max(e.a.degree, e.b.degree, e.d.degree) <= 27
+
+
+def test_roundtrip_row_with_a_vanishing_denominator_raises():
+    # the roundtrip rows cross-multiply, num(P) == target * den(P), so a
+    # den(P) that is zero on the curve must raise, not pass as 0 == 0
+    good = BIRATIONAL_PAIRS["q24_e24"]
+    bad = BirationalPair(
+        "q24_e24_zero_den", good.source, good.target, forward=good.forward,
+        backward=(good.backward[0], RationalMap(BiPoly.x(), good.target.equation())))
+    with pytest.raises(ZeroDivisionError, match="vanishes on the curve"):
+        verify_map_pair(bad)
+
+
+def _bumped(bp):
+    """Every copy of the BiPoly bp with one nonzero coefficient raised by 1."""
+    for j, row in enumerate(bp.coeffs):
+        for i, c in enumerate(row.coeffs):
+            if c:
+                rows = list(bp.coeffs)
+                rows[j] = Poly(row.coeffs[:i] + (c + 1,) + row.coeffs[i + 1:])
+                yield BiPoly(rows)
+
+
+@pytest.mark.parametrize("pair_id", sorted(BIRATIONAL_PAIRS))
+def test_every_coefficient_mutation_fails_an_identity_row(pair_id):
+    # raising any one nonzero coefficient of a numerator or denominator that
+    # a row reads must make a row fail that passes on the true pair, or raise
+    # ZeroDivisionError; the conic's constant forward[1] is read by no row
+    pair = BIRATIONAL_PAIRS[pair_id]
+    failing = {c.id for c in verify_map_pair(pair).failures}
+    mutants = 0
+    for side in ("forward", "backward"):
+        maps = getattr(pair, side)
+        for k, m in enumerate(maps):
+            if pair.target == "p1" and (side, k) == ("forward", 1):
+                continue
+            for mutant in [*(RationalMap(n, m.den) for n in _bumped(m.num)),
+                           *(RationalMap(m.num, d) for d in _bumped(m.den))]:
+                mutants += 1
+                changed = list(maps)
+                changed[k] = mutant
+                bad = BirationalPair(
+                    pair_id, pair.source, pair.target,
+                    **{"forward": pair.forward, "backward": pair.backward, side: tuple(changed)},
+                    note=pair.note, printed_forward=pair.printed_forward)
+                try:
+                    rep = verify_map_pair(bad)
+                except ZeroDivisionError:
+                    continue
+                assert {c.id for c in rep.failures} - failing, (side, k, mutant)
+    assert mutants >= 10
 
 
 def test_conic_parametrization_at_rational_points():

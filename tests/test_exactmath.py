@@ -278,6 +278,19 @@ def test_fq_is_a_frozen_value():
         x + FqElem(11, (3,))
 
 
+def test_fp_poly_and_fq_elem_do_not_mix():
+    # FqElem subclasses FpPoly, whose operators used to lift one into the
+    # other: FpPoly(7, (1,)) + FqElem(7, (1, 1)) came out as FpPoly(7, [2, 1])
+    # and FqElem(7, (1, 1)) == FpPoly(7, (1, 1)) held
+    f, q = FpPoly(7, (1,)), FqElem(7, (1, 1))
+    for op in (operator.add, operator.sub, operator.mul, divmod, xgcd):
+        for a, b in ((f, q), (q, f)):
+            with pytest.raises(TypeError, match="mixed rings"):
+                op(a, b)
+    assert FqElem(7, (1, 1)) != FpPoly(7, (1, 1)) and FpPoly(7, (1, 1)) != FqElem(7, (1, 1))
+    assert q + FqElem(7, (1,)) == FqElem(7, (2, 1)) and f + FpPoly(7, (1, 1)) == FpPoly(7, (2, 1))
+
+
 def test_residue_norms_multiplicative_and_representative_independent():
     # arithmetic in L = Q[T]/(G) is Poly arithmetic mod G, and the norm of a
     # class is the resultant Res(G, a) with G monic
