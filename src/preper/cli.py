@@ -91,14 +91,10 @@ def _jobs(text: str) -> int:
     return _positive_int(text)
 
 
-def _emit(payload: dict) -> None:
+def _emit(command: str, **fields) -> None:
+    """Print one report: the fields in the envelope every command shares."""
+    payload = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
     print(json.dumps(jsonable(payload), sort_keys=True, separators=(",", ":")))
-
-
-def _report_payload(command: str, rep: Report, t0: float, **extra) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "command": command,
-            "checks": [c.as_dict() for c in rep.checks], "ok": rep.ok,
-            "timing_ms": int((time.perf_counter() - t0) * 1000), **extra}
 
 
 def _graph_payload(c: Fraction) -> dict:
@@ -135,8 +131,7 @@ def cmd_graph(args) -> int:
     if args.format == "dot":
         print(_graph_dot(args.c))
     else:
-        _emit({"schema_version": SCHEMA_VERSION, "command": "graph",
-               **_graph_payload(args.c)})
+        _emit("graph", **_graph_payload(args.c))
     return 0
 
 
@@ -150,18 +145,12 @@ def cmd_scan(args) -> int:
         }
         for shape, (count, samples) in result.census.items()
     }
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "scan",
-        "height": args.height,
-        "census": census,
-        "out_of_catalog": [{"c": format_rational(c), "shape": s.code}
-                           for c, s in result.out_of_catalog],
-        "bound_violations": [{"c": format_rational(c), "size": n}
-                             for c, n in result.bound_violations],
-        "timing_ms": int((time.perf_counter() - t0) * 1000),
-    }
-    _emit(payload)
+    _emit("scan", height=args.height, census=census,
+          out_of_catalog=[{"c": format_rational(c), "shape": s.code}
+                          for c, s in result.out_of_catalog],
+          bound_violations=[{"c": format_rational(c), "size": n}
+                            for c, n in result.bound_violations],
+          timing_ms=int((time.perf_counter() - t0) * 1000))
     # an out-of-catalog shape or a 10-point graph would be a discovery, not an error
     return 0
 
@@ -169,8 +158,6 @@ def cmd_scan(args) -> int:
 def _family_payload(fp) -> dict:
     validation = validate_family(fp)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "family",
         "family": fp.family,
         "parameter": None if fp.parameter is None else format_rational(fp.parameter),
         "c": format_rational(fp.c),
@@ -193,7 +180,7 @@ def cmd_family(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     payload = _family_payload(fp)
-    _emit(payload)
+    _emit("family", **payload)
     return 0 if payload["ok"] else 1
 
 
@@ -210,15 +197,8 @@ def cmd_curve_points(args) -> int:
               file=sys.stderr)
         return 2
     pts = rational_points_bounded(curve, args.height)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "curve-points",
-        "curve": args.curve,
-        "height": args.height,
-        "count": len(pts),
-        "points": sorted(str(p) for p in pts),
-    }
-    _emit(payload)
+    _emit("curve-points", curve=args.curve, height=args.height, count=len(pts),
+          points=sorted(str(p) for p in pts))
     return 0
 
 
@@ -235,14 +215,13 @@ def cmd_jacobian(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    _emit({"schema_version": SCHEMA_VERSION, "command": "jacobian",
-           "curve": "c1_32", "p": args.p, "order": order})
+    _emit("jacobian", curve="c1_32", p=args.p, order=order)
     return 0
 
 
 def theorems_report() -> Report:
     """Family generators, their validations, and the graph anchors."""
-    rep = Report("family and graph checks")
+    rep = Report()
     anchors = [("p1", Fraction(3, 2)), ("p2", Fraction(1, 2)), ("p3", Fraction(1)),
                ("p3", Fraction(2)), ("p1and2", Fraction(2)), ("p1and2", Fraction(3)),
                ("t12", Fraction(0)), ("t12", Fraction(2)), ("t22", Fraction(2)),
@@ -286,7 +265,7 @@ def curves_report(height: int) -> Report:
     from .curves import (
         CORRECTED_POINTS,
         CURVES,
-        E24_CORRECTED,
+        MISPRINTS,
         PRINTED_POINTS,
         elliptic_points_bounded,
         good_reduction_model_check,
@@ -296,7 +275,7 @@ def curves_report(height: int) -> Report:
         x1_13_discriminant_check,
     )
 
-    rep = Report("curve checks")
+    rep = Report()
     for label, expected in EXPECTED_SEARCH.items():
         pts = rational_points_bounded(CURVES[label], height)
         rep.add(f"search-{label}", f"bounded search on {label} finds exactly {expected} points",
@@ -304,13 +283,10 @@ def curves_report(height: int) -> Report:
                 value=sorted(str(p) for p in pts))
     found = {label: elliptic_points_bounded(CURVES[label], height) for label in PRINTED_POINTS}
     for label in sorted(PRINTED_POINTS):
-        sub = verify_point_list(CURVES[label], PRINTED_POINTS[label], found[label], height)
-        if label == "e24":
-            for c in sub.checks:
-                c.note = (c.note + "; " if c.note else "") + \
-                    "documented discrepancy: printed list contains the off-curve point (-1,1)"
-        rep.extend(sub)
-    rep.extend(verify_point_list(E24_CORRECTED, CORRECTED_POINTS["e24"], found["e24"], height))
+        rep.extend(verify_point_list(CURVES[label], PRINTED_POINTS[label], found[label], height,
+                                     note=MISPRINTS.get(label, "")))
+    rep.extend(verify_point_list(CURVES["e24"], CORRECTED_POINTS["e24"], found["e24"], height,
+                                 label="e24-corrected"))
     rep.extend(verify_all_birational_pairs())
     rep.extend(x1_13_discriminant_check())
     rep.extend(good_reduction_model_check())
@@ -318,7 +294,7 @@ def curves_report(height: int) -> Report:
 
 
 def build_suite_report(suite: str, height: int = 1000) -> Report:
-    rep = Report(f"verification suite {suite}")
+    rep = Report()
     if suite in ("all", "theorems"):
         rep.extend(theorems_report())
     if suite in ("all", "curves"):
@@ -341,8 +317,8 @@ def build_suite_report(suite: str, height: int = 1000) -> Report:
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     rep = build_suite_report(args.suite, height=args.height)
-    payload = _report_payload(f"verify {args.suite}", rep, t0, suite=args.suite)
-    _emit(payload)
+    _emit(f"verify {args.suite}", checks=[c.as_dict() for c in rep.checks], ok=rep.ok,
+          timing_ms=int((time.perf_counter() - t0) * 1000), suite=args.suite)
     for c in rep.checks:
         mark = {"pass": "ok", "fail": "FAIL", "indeterminate": "? ",
                 "external-dependency": "ext"}[c.status]

@@ -68,7 +68,7 @@ def element(name: str) -> Poly:
 
 def table1_check() -> Report:
     """Recompute the norm of every distinguished element."""
-    rep = Report("norms of distinguished elements")
+    rep = Report()
     for name, (poly, expected) in TABLE_ELEMENTS.items():
         got = resultant(SEXTIC, poly)
         rep.add(f"norm-{name}", f"norm({name}) = {expected}", got == expected, value=got)
@@ -77,7 +77,7 @@ def table1_check() -> Report:
 
 def factorization_identities() -> Report:
     """2 and 743 factor in L as -alpha^2 u1 and beta1^2 beta2 beta3."""
-    rep = Report("factorization of the ramified primes in L")
+    rep = Report()
     u1, alpha = element("u1"), element("alpha")
     b1, b2, b3 = element("beta1"), element("beta2"), element("beta3")
     two = -(alpha * alpha) * u1
@@ -103,7 +103,7 @@ SHAPE_743 = [(1, 2), (2, 1), (2, 1)]
 
 
 def local_743_analysis() -> Report:
-    rep = Report("743-adic analysis")
+    rep = Report()
     gp = FpPoly.from_poly(SEXTIC, P743)
     # the shape certificate of the module docstring; b != 0 keeps each
     # root image out of F_743, so its minimal polynomial
@@ -165,7 +165,7 @@ def local_two_torsion_count(shape) -> int:
 
 def mordell_weil_report() -> Report:
     """Everything recomputable, plus the externally sourced inputs."""
-    rep = Report("Mordell-Weil evidence for the Jacobian of c1_32")
+    rep = Report()
     rep.extend(table1_check())
     rep.extend(factorization_identities())
     rep.extend(local_743_analysis())

@@ -407,15 +407,14 @@ class ScanResult(Value):
     than 9 points counting infinity, with that size."""
 
     __slots__ = ("height", "census", "out_of_catalog", "bound_violations")
-    _mutable = True
 
     def __init__(self, height: int, census: dict[GraphShape, tuple[int, list[Fraction]]],
                  out_of_catalog: list[tuple[Fraction, GraphShape]],
                  bound_violations: list[tuple[Fraction, int]]):
-        self.height = height
-        self.census = census
-        self.out_of_catalog = out_of_catalog
-        self.bound_violations = bound_violations
+        set_field(self, "height", height)
+        set_field(self, "census", census)
+        set_field(self, "out_of_catalog", out_of_catalog)
+        set_field(self, "bound_violations", bound_violations)
 
 
 def _scan_chunk(cs) -> list[tuple[str, Fraction, int]]:

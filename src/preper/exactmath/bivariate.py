@@ -121,15 +121,17 @@ _ONE = Poly((1,))
 _BASE = (int, Fraction, Poly)  # the operands that lie in Q(x) with denominator 1
 
 
-class CurveFunctionField:
+class CurveFunctionField(Value):
     """Function field Q(x)[y] / (y**2 - s(x)*y - t(x)) of a plane curve.
 
     The curve y**2 + h(x)*y = g(x) has s = -h and t = g.
     """
 
+    __slots__ = ("s", "t")
+
     def __init__(self, s: Poly, t: Poly):
-        self.s = s
-        self.t = t
+        set_field(self, "s", s)
+        set_field(self, "t", t)
 
     def x(self) -> "FieldElement":
         return FieldElement(self, Poly.x(), Poly(), _ONE)

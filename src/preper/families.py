@@ -187,7 +187,7 @@ def validate_family(fp: FamilyPoint) -> Report:
     """Re-derive every promise in a FamilyPoint from scratch: one row per
     claim, with the claim as id and statement and the detail as value."""
     f = QuadMap(fp.c)
-    rep = Report(f"family {fp.family}")
+    rep = Report()
 
     def claim(text: str, ok: bool, detail: str, note: str = "") -> None:
         rep.add(text, text, ok, value=detail, note=note)

@@ -49,7 +49,7 @@ ninth multiple is the class of the two off-cycle known points.
 from __future__ import annotations
 
 import functools
-from math import comb
+from math import comb, gcd
 
 from .curves import C1_32, CurveModel, CurvePoint
 from .exactmath import FpPoly, is_prime, xgcd
@@ -141,12 +141,11 @@ def jacobian_order(curve: CurveModel, p: int) -> int:
 
 def torsion_triviality_report() -> Report:
     """gcd of the Jacobian orders at 3 and 5 kills rational torsion."""
-    rep = Report("rational torsion of the Jacobian of c1_32")
+    rep = Report()
     j3 = jacobian_order(C1_32, 3)
     j5 = jacobian_order(C1_32, 5)
     rep.add("jac-order-3", "#J(F_3) = 27", j3 == 27, value=j3)
     rep.add("jac-order-5", "#J(F_5) = 43", j5 == 43, value=j5)
-    from math import gcd
     rep.add("jac-torsion-gcd", "gcd(#J(F_3), #J(F_5)) = 1, so rational torsion "
             "injects into trivial groups and is trivial", gcd(j3, j5) == 1,
             note="injectivity of torsion reduction at odd good primes is cited theory")
@@ -376,7 +375,7 @@ KNOWN_POINTS = {
 def verify_divisor_identities_mod3() -> Report:
     """Order-27 cyclicity, the 9D and 27D identities, and the reduction
     pattern of the eight known points."""
-    rep = Report("divisor identities over F_3")
+    rep = Report()
     model = odd_model_transform(C1_32, 3, 1)
     rep.add("f3-odd-model", "g mod 3 has the root 1, giving a monic quintic model",
             model.f.degree == 5 and model.f.lc == 1, value=list(model.f.coeffs))
@@ -426,7 +425,7 @@ def verify_divisor_identities_mod3() -> Report:
 
 def jacobian_report() -> Report:
     """Counts, orders, the zeta/brute cross-check, and the mod-3 identities."""
-    rep = Report("Jacobian arithmetic for c1_32")
+    rep = Report()
     n1 = count_points(C1_32, 3)
     rep.add("count-f3", "#C(F_3) = 7 (five affine points plus two at infinity)",
             n1 == 7, value=n1)

@@ -163,8 +163,10 @@ class ZeroInventoryError(ValueError):
     pass
 
 
-def known_zero_accounting(bound: int, zeros, conclusion: str = "") -> Report:
-    """Record an inventory of known zeros against a Strassman bound.
+def known_zero_accounting(bound: int, zeros, conclusion: str = "",
+                          prefix: str = "") -> Report:
+    """Record an inventory of known zeros against a Strassman bound, in
+    rows whose ids start with `prefix`.
 
     More zeros than the bound would contradict the bound and raises; an
     inventory that exactly exhausts the bound proves there are no others.
@@ -173,11 +175,11 @@ def known_zero_accounting(bound: int, zeros, conclusion: str = "") -> Report:
     if len(zeros) > bound:
         raise ZeroInventoryError(
             f"{len(zeros)} known zeros exceed the Strassman bound {bound}")
-    rep = Report("zero inventory")
+    rep = Report()
     exhausted = len(zeros) == bound
-    rep.add("zeros-within-bound", f"{len(zeros)} known zeros fit under the bound {bound}",
+    rep.add(f"{prefix}zeros-within-bound", f"{len(zeros)} known zeros fit under the bound {bound}",
             True, value=zeros)
-    rep.add("zeros-exhaust-bound",
+    rep.add(f"{prefix}zeros-exhaust-bound",
             "the inventory exhausts the bound, so no further zeros exist",
             exhausted, value={"bound": bound, "known": len(zeros)},
             note=conclusion if exhausted else "bound not exhausted; no conclusion")
@@ -211,7 +213,7 @@ def padic_report() -> Report:
     """Branch series, determinant congruence, Strassman bounds, and the
     zero inventories that pin down the rational points residue class by
     residue class."""
-    rep = Report("3-adic analysis of c1_32")
+    rep = Report()
 
     xi = branch_series(10)
     rep.add("xi-printed", "the first five branch coefficients match the printed values",
@@ -231,16 +233,11 @@ def padic_report() -> Report:
     rep.add("theta-strassman", "Strassman bound 1 for the short congruence 3n mod 9",
             bound_theta == 1, value=bound_theta)
 
-    inv_theta = known_zero_accounting(bound_theta, [0],
-                                      conclusion="the known point is the only one in its class")
-    for c in inv_theta.checks:
-        c.id = "theta-" + c.id
-    rep.extend(inv_theta)
-    inv_delta = known_zero_accounting(
+    rep.extend(known_zero_accounting(
+        bound_theta, [0], conclusion="the known point is the only one in its class",
+        prefix="theta-"))
+    rep.extend(known_zero_accounting(
         bound_delta, [0, 1, 2],
         conclusion="points reducing to the Weierstrass class are among S-, W, S+; "
-                   "of these only S- and S+ are rational")
-    for c in inv_delta.checks:
-        c.id = "delta-" + c.id
-    rep.extend(inv_delta)
+                   "of these only S- and S+ are rational", prefix="delta-"))
     return rep

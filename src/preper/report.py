@@ -3,7 +3,8 @@
 A Report is an ordered list of CheckResult rows with stable ids.  Statuses:
 pass / fail / indeterminate / external-dependency.  Only "fail" makes a
 report unsuccessful; indeterminate and external-dependency rows are listed
-but do not fail a run.
+but do not fail a run.  Rows are frozen values, final when a suite adds
+them, so Report.extend can share them between reports.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactmath import format_rational
-from .values import Value
+from .values import Value, set_field
 
 PASS = "pass"
 FAIL = "fail"
@@ -36,15 +37,14 @@ def jsonable(value):
 
 class CheckResult(Value):
     __slots__ = ("id", "statement", "status", "value", "note")
-    _mutable = True
 
     def __init__(self, id: str, statement: str, status: str, value: object = None,
                  note: str = ""):
-        self.id = id
-        self.statement = statement
-        self.status = status
-        self.value = value
-        self.note = note
+        set_field(self, "id", id)
+        set_field(self, "statement", statement)
+        set_field(self, "status", status)
+        set_field(self, "value", value)
+        set_field(self, "note", note)
 
     def as_dict(self) -> dict:
         d = {"id": self.id, "statement": self.statement, "status": self.status,
@@ -55,12 +55,10 @@ class CheckResult(Value):
 
 
 class Report(Value):
-    __slots__ = ("title", "checks")
-    _mutable = True
+    __slots__ = ("checks",)
 
-    def __init__(self, title: str, checks: list[CheckResult] | None = None):
-        self.title = title
-        self.checks = [] if checks is None else checks
+    def __init__(self, checks: list[CheckResult] | None = None):
+        set_field(self, "checks", [] if checks is None else checks)
 
     def add(self, id: str, statement: str, ok: bool, value=None, note: str = "") -> CheckResult:
         r = CheckResult(id, statement, PASS if ok else FAIL, value, note)

@@ -5,11 +5,12 @@ __init__ with set_field.  Value derives the rest from the fields:
 equality with an instance of the same class, a hash of the tuple of the
 compared fields, a constructor-call repr, pickling and copying through
 __reduce__ (the constructor takes the fields in order), and an
-AttributeError on any later assignment or deletion.  A class narrows what
-equality and hashing look at with _compare, declares _fields when its
-fields come from more than one class, and sets _mutable = True to be
-assignable and unhashable.  A class that defines __eq__, __hash__ or
-__repr__ itself keeps its own.
+AttributeError on any later assignment or deletion: every value is
+frozen.  A class narrows what equality and hashing look at with _compare,
+and declares _fields when its fields come from more than one class.  A
+class that defines __eq__, __hash__ or __repr__ itself keeps its own.
+A value whose fields hold a list or a dict is frozen but unhashable: its
+hash raises the TypeError of the list or dict.
 """
 
 from operator import attrgetter
@@ -22,7 +23,6 @@ class Value:
     __slots__ = ()
     _fields: tuple = ()
     _compare: tuple = ()
-    _mutable = False
 
     def __init_subclass__(cls):
         slots = cls.__dict__.get("__slots__", ())
@@ -31,10 +31,6 @@ class Value:
         names = cls._compare or cls._fields
         cls._get = attrgetter(*names)  # one field's value itself, else a tuple
         cls._single = len(names) == 1
-        if cls._mutable:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

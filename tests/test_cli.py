@@ -449,6 +449,20 @@ def test_verify_curves_matches_the_curve_verify_benchmark_golden(height, capsys)
     assert [code, hashlib.sha256(text.encode()).hexdigest()] == golden
 
 
+@pytest.mark.parametrize("suite", ["theorems", "descent", "jacobian", "padic"])
+def test_verify_suites_match_the_jacobian_benchmark_golden(suite, capsys):
+    # the four verify suites of the jacobian benchmark, run in-process and
+    # compared, read-only, with the sha256 of the golden output (the report
+    # without timing_ms)
+    with open(os.path.join(ROOT, "perfbench", "golden", "jacobian.json")) as fh:
+        golden = json.load(fh)["calls"][f"verify {suite}"]
+    code = cli.main(["verify", suite])
+    payload = json.loads(capsys.readouterr().out)
+    del payload["timing_ms"]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert [code, hashlib.sha256(text.encode()).hexdigest()] == golden
+
+
 def test_graph_tall_calls_match_their_benchmark_golden_in_one_process(capsys):
     # every family call and every graph of a non-square denominator of the
     # graph_tall benchmark's golden file, compared, read-only, with the

@@ -15,8 +15,8 @@ from preper.curves import (
     CURVES,
     E11,
     E24,
-    E24_CORRECTED,
     E40,
+    MISPRINTS,
     PRINTED_POINTS,
     Q24,
     SEARCH_BUDGET,
@@ -144,15 +144,15 @@ def test_cantor_sums_over_q_match_chord_and_tangent(curve):
 def test_closure_row_fails_without_any_one_point(label):
     # a group less one point that is not the identity is not closed: the
     # negative of the missing point, or two points that sum to it, remain
-    E, points = ((E24_CORRECTED, CORRECTED_POINTS["e24"]) if label == "e24-corrected"
+    E, points = ((E24, CORRECTED_POINTS["e24"]) if label == "e24-corrected"
                  else (CURVES[label], PRINTED_POINTS[label]))
     found = elliptic_points_bounded(E, 20)
-    assert verify_point_list(E, points, found, 20).ok
+    assert verify_point_list(E, points, found, 20, label=label).ok
     dropped = 0
     for i, P in enumerate(points):
         if P is None:
             continue
-        rep = verify_point_list(E, points[:i] + points[i + 1:], found, 20)
+        rep = verify_point_list(E, points[:i] + points[i + 1:], found, 20, label=label)
         assert rep[f"{label}-closure"].status == "fail", P
         dropped += 1
     assert dropped == len(points) - 1
@@ -167,13 +167,20 @@ def test_verify_point_lists_printed():
 
 def test_e24_printed_discrepancy_and_correction():
     found = elliptic_points_bounded(E24, 100)
-    rep = verify_point_list(E24, PRINTED_POINTS["e24"], found, 100)
+    note = MISPRINTS["e24"]
+    rep = verify_point_list(E24, PRINTED_POINTS["e24"], found, 100, note=note)
     assert not rep.ok
     on_curve = rep["e24-on-curve"]
     assert on_curve.status == "fail"
     assert "(-1,1)" in str(on_curve.value).replace(" ", "")
-    ok_rep = verify_point_list(E24, CORRECTED_POINTS["e24"], found, 100)
+    # the misprint note joins every row's own note
+    assert [c.note for c in rep.checks] == \
+        ["claimed list contains off-curve points; " + note, note, note]
+    ok_rep = verify_point_list(E24, CORRECTED_POINTS["e24"], found, 100, label="e24-corrected")
     assert ok_rep.ok
+    assert [(c.id, c.note) for c in ok_rep.checks] == [
+        ("e24-corrected-on-curve", ""), ("e24-corrected-closure", ""),
+        ("e24-corrected-search", "")]
 
 
 def test_search_refuses_a_value_off_the_curve(monkeypatch):

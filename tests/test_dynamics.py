@@ -31,7 +31,8 @@ from preper.dynamics import (
     scan,
 )
 from preper.curves import BIRATIONAL_PAIRS, C1_32, E40, BirationalPair, CurveModel, CurvePoint
-from preper.exactmath import BiPoly, FpPoly, FqElem, Poly, RationalMap
+from preper.exactmath import BiPoly, CurveFunctionField, FpPoly, FqElem, Poly, RationalMap
+from preper.exactmath.polynomial import _DensePoly
 from preper.families import FamilyPoint
 from preper.ffjac import (
     KNOWN_POINTS,
@@ -44,6 +45,7 @@ from preper.ffjac import (
 )
 from preper.padic import BranchSeries, PadicSeries, branch_series
 from preper.report import CheckResult, Report
+from preper.values import Value
 from oracles import (
     box_preper_graph,
     brute_orbit_kind,
@@ -490,10 +492,14 @@ VALUE_CASES = {
     "CheckResult": (CheckResult("a", "s", "pass"), CheckResult("a", "s", "pass", None, ""),
                     CheckResult("a", "s", "fail"),
                     "CheckResult(id='a', statement='s', status='pass', value=None, note='')"),
-    "Report": (Report("t"), Report("t", []), Report("t", [CheckResult("a", "s", "pass")]),
-               "Report(title='t', checks=[])"),
+    "Report": (Report(), Report([]), Report([CheckResult("a", "s", "pass")]),
+               "Report(checks=[])"),
     "CurveModel": (E40, CurveModel("e40", Poly((1, -2, 0, 1))), CurveModel("e40", C1_32.g),
                    "CurveModel(label='e40', g=Poly(1 + -2*x + x^3), h=Poly(0))"),
+    "CurveFunctionField": (C1_32.function_field(), CurveFunctionField(Poly(), C1_32.g),
+                           E40.function_field(),
+                           "CurveFunctionField(s=Poly(0), t=Poly(1 + 2*x + 5*x^2 + 2*x^3 + "
+                           "-2*x^4 + x^6))"),
     "CurvePoint": (CurvePoint.affine(1, 3), CurvePoint(F(1), F(3)), CurvePoint.infinite(1),
                    "(1,3)"),
     "BirationalPair": (Q24_E24,
@@ -518,9 +524,10 @@ VALUE_CASES = {
     "PadicSeries": (PadicSeries(3, 1, {0: 4}), PadicSeries(3, 1, ((0, 1),)), PadicSeries(3, 1),
                     "PadicSeries(p=3, r=1, coeffs=((0, 1),))"),
 }
-MUTABLE = ("ScanResult", "CheckResult", "Report")
+# the fields of these hold a dict or a list, so they have no hash
+UNHASHABLE = ("ScanResult", "Report")
 # the fields of these print as something other than a constructor call
-NO_EVAL = ("CurveModel", "BirationalPair")
+NO_EVAL = ("CurveModel", "BirationalPair", "CurveFunctionField")
 
 
 @pytest.mark.parametrize("name", sorted(VALUE_CASES))
@@ -539,20 +546,17 @@ def test_value_classes_compare_hash_print_and_freeze(name):
     if name not in NO_EVAL:
         assert eval(repr(a), scope) == a
     assert pickle.loads(pickle.dumps(a)) == a
-    field = type(a).__slots__[0]
-    if name in MUTABLE:
+    if name in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(a)
-        setattr(same, field, None)
-        assert a != same
-        setattr(same, field, getattr(a, field))
     else:
         assert hash(a) == hash(same) and len({a, same, different}) == 2
+    for field in type(a).__slots__:
         with pytest.raises(AttributeError):
             setattr(a, field, None)
         with pytest.raises(AttributeError):
             delattr(a, field)
-        assert a == same
+    assert a == same
     if name == "OrbitClass":
         assert OrbitClass.divergent() is OrbitClass.divergent()
         assert str(OrbitClass.divergent()) == "divergent" and str(different) == "periodic(3)"
@@ -603,6 +607,27 @@ ROUND_TRIP_CASES = {
     "MumfordDivisor": divisor_from_points(ODD_3, [ODD_3.to_odd(KNOWN_POINTS["R+"])]),
     "BirationalPair": Q24_E24,
 }
+
+
+def _value_subclasses(cls=Value):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _value_subclasses(sub)
+
+
+def test_every_value_class_is_frozen():
+    # one instance of every Value class of the package, from the cases
+    # above: no field of any of them can be assigned or deleted
+    instances = {type(v): v for v in [*(case[0] for case in VALUE_CASES.values()),
+                                      *ROUND_TRIP_CASES.values()]}
+    package = {cls for cls in _value_subclasses() if cls.__module__.startswith("preper.")}
+    assert package - set(instances) == {_DensePoly}  # the shared ring base
+    for value in instances.values():
+        for field in type(value)._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
 
 
 @pytest.mark.parametrize("name", sorted(ROUND_TRIP_CASES))

@@ -191,8 +191,9 @@ def test_strassman_monotone_in_precision():
 def test_zero_accounting():
     rep = known_zero_accounting(3, [0, 1, 2])
     assert rep.ok
-    rep = known_zero_accounting(1, [0])
+    rep = known_zero_accounting(1, [0], prefix="theta-")
     assert rep.ok
+    assert [c.id for c in rep.checks] == ["theta-zeros-within-bound", "theta-zeros-exhaust-bound"]
     partial = known_zero_accounting(3, [0, 2])
     assert not partial.ok  # not exhausted, no conclusion drawn
     with pytest.raises(ZeroInventoryError):
