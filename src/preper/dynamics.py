@@ -25,6 +25,15 @@ every walk terminates.  `preper_points` refuses a box of more than
 BOX_BUDGET numerators rather than run for hours on a short argument, and
 `scan` refuses a height above SCAN_BUDGET.
 
+The walk runs on integers, but `orbit_classify` and the graph take the
+points as Fractions, and building Fraction(k, d) is most of what a box
+numerator costs.  A scan meets each denominator d for hundreds of c, so
+it keeps one PointTable per d, which builds each k/d once and hands the
+same object to every c with that denominator.  A single graph keeps no
+table and builds each k/d as it goes: a table for its box, up to
+BOX_BUDGET numerators, would hold one Fraction per numerator for the
+whole call, so the memory of `graph` would grow with the box.
+
 Graphs are canonicalized as functional digraphs: rooted trees hang off
 cycle vertices, trees get sorted-parenthesis codes, cycles get the
 lexicographically minimal rotation of their tree-code sequence.  The
@@ -171,6 +180,25 @@ class GraphShape(Value):
         return self.code or "(empty)"
 
 
+class PointTable(dict):
+    """k -> Fraction(k, d) for one denominator d, each built on first read.
+
+    A scan reads one table for every c with denominator d**2, so the
+    points of its small boxes are built once per denominator, not once
+    per c.
+    """
+
+    __slots__ = ("d",)
+
+    def __init__(self, d: int):
+        super().__init__()
+        self.d = d
+
+    def __missing__(self, k: int) -> Fraction:
+        x = self[k] = Fraction(k, self.d)
+        return x
+
+
 class NotQuadraticError(ValueError):
     pass
 
@@ -250,15 +278,25 @@ def orbit_classify(f: QuadMap, x: Fraction, types: dict | None = None) -> OrbitC
     return OrbitClass.preperiodic(period, tail) if tail else OrbitClass.periodic(period)
 
 
-def preper_points(f: QuadMap) -> PreperGraph:
+def preper_points(f: QuadMap, points: PointTable | None = None) -> PreperGraph:
     """The complete graph of finite rational preperiodic points of f.
 
     d and u come from f, which derived them once; every coprime box
     numerator that no earlier walk recorded gets one orbit_classify call
-    on the shared memo.  Raises BoxBudgetError when the candidate box
+    on the shared memo.  With `points`, a PointTable for f's own
+    denominator d, every point k/d is read from the table, which keeps
+    it for the next map with that denominator; `scan` passes one.
+    Without it each k/d is built and dropped as the loop goes, so a box
+    of up to BOX_BUDGET numerators never holds one Fraction per
+    numerator (the memory of `graph` rests on this).  Raises ValueError
+    for a table of another denominator, whose points every walk would
+    reject as divergent, and BoxBudgetError when the candidate box
     exceeds BOX_BUDGET.
     """
     c, d, u = f.c, f.d, f.u
+    if points is not None and points.d != d:
+        raise ValueError(f"a point table for denominator {points.d} does not fit "
+                         f"c = {c}, whose points have denominator {d}")
     if d is None:
         return PreperGraph(c=c, vertices=frozenset(), edges={})
     # candidates k/d with gcd(k, d) = 1 and |k| <= K, orbit_classify's escape bound
@@ -269,10 +307,13 @@ def preper_points(f: QuadMap) -> PreperGraph:
     types: dict[int, tuple[int, int]] = {}
     for k in range(-K, K + 1):
         if k not in types and gcd(k, d) == 1:
-            orbit_classify(f, Fraction(k, d), types)
+            orbit_classify(f, Fraction(k, d) if points is None else points[k], types)
     if not types:
         return PreperGraph(c=c, vertices=frozenset(), edges={})
-    vertex = {k: Fraction(k, d) for k in types}
+    if points is None:
+        vertex = {k: Fraction(k, d) for k in types}
+    else:
+        vertex = {k: points[k] for k in types}
     edges = {}
     for k, v in vertex.items():
         image, r = divmod(k * k + u, d)
@@ -418,9 +459,23 @@ class ScanResult(Value):
 
 
 def _scan_chunk(cs) -> list[tuple[str, Fraction, int]]:
-    """Worker: c-list -> [(shape code, c, size_with_inf)] in list order."""
-    graphs = (preper_points(QuadMap(c)) for c in cs)
-    return [(graph_shape(g).code, g.c, g.size_with_infinity()) for g in graphs]
+    """Worker: c-list -> [(shape code, c, size_with_inf)] in list order.
+
+    The chunk keeps one PointTable per denominator, so each point k/d is
+    built once for all the c of the chunk that share d; a pool worker
+    builds its own.  The boxes of a scan are small (|k| < 200 at
+    SCAN_BUDGET), so the tables stay small too.
+    """
+    tables: dict[int, PointTable] = {}
+    records = []
+    for c in cs:
+        f = QuadMap(c)
+        points = tables.get(f.d)
+        if points is None:
+            points = tables[f.d] = PointTable(f.d)
+        g = preper_points(f, points)
+        records.append((graph_shape(g).code, g.c, g.size_with_infinity()))
+    return records
 
 
 def scan(height: int, jobs: int = 1) -> ScanResult:

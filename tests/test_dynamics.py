@@ -4,6 +4,7 @@ import os
 import pickle
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -16,6 +17,7 @@ from preper.dynamics import (
     GraphShape,
     NotQuadraticError,
     OrbitClass,
+    PointTable,
     PreperGraph,
     QuadMap,
     SCAN_BUDGET,
@@ -270,6 +272,82 @@ def test_vertex_closure_failure_names_the_escaped_image(monkeypatch, recorded, m
         preper_points(QuadMap(F(-29, 16)))
 
 
+@pytest.mark.parametrize("c, d", [(F(-29, 16), 3), (F(-29, 16), 1), (F(-2), 4),
+                                  (F(1, 3), 1)])
+def test_point_table_of_another_denominator_raises(c, d):
+    # every point k/d of such a table is divergent for c, so the graph
+    # would come out empty without a word
+    with pytest.raises(ValueError, match=f"table for denominator {d} does not fit"):
+        preper_points(QuadMap(c), PointTable(d))
+
+
+@pytest.mark.parametrize("c", [F(-29, 16), F(5, 16), F(-21, 16)])
+def test_point_table_holds_each_coprime_box_point_the_graph_reads(c):
+    points, K = PointTable(4), box_size(c) // 2
+    g = preper_points(QuadMap(c), points)
+    assert points == {k: F(k, 4) for k in range(-K, K + 1) if k % 2}
+    # vertices and images are the table's own objects, not equal copies
+    assert all(points[v.numerator] is v for v in g.vertices)
+    assert all(points[w.numerator] is w for w in g.edges.values())
+
+
+def test_scan_chunk_matches_graphs_built_without_a_table():
+    cs = c_values_up_to_height(100)
+    expected = []
+    for c in cs:
+        g = preper_points(QuadMap(c))
+        expected.append((graph_shape(g).code, c, g.size_with_infinity()))
+    assert dynamics._scan_chunk(cs) == expected
+
+
+@st.composite
+def one_denominator_run(draw):
+    """A denominator d and numerators u coprime to d, shuffled with repeats."""
+    d = draw(st.integers(1, 12))
+    us = draw(st.lists(st.integers(-300, 300).filter(lambda u: gcd(u, d) == 1),
+                       min_size=1, max_size=8, unique=True))
+    repeats = draw(st.lists(st.sampled_from(us), max_size=len(us)))
+    return d, draw(st.permutations(us + repeats))
+
+
+# d = 1 with c = 2 and 1/4 < c = 5/16 beside -29/16, all read twice
+@example(run=(1, [2, -2, 0, 2, -6, -2]))
+@example(run=(4, [-29, 5, -21, -29, 1, 5]))
+@settings(max_examples=60, deadline=None)
+@given(run=one_denominator_run())
+def test_one_point_table_serves_every_c_of_its_denominator(run):
+    d, us = run
+    points = PointTable(d)
+    for u in us:
+        c = F(u, d * d)
+        g = preper_points(QuadMap(c), points)
+        fresh = preper_points(QuadMap(c))
+        assert (g.vertices, g.edges) == (fresh.vertices, fresh.edges)
+        assert (g.vertices, g.edges) == box_preper_graph(c)
+        assert all(points[v.numerator] is v for v in g.vertices)
+
+
+def test_a_graph_without_a_table_keeps_no_point_per_numerator():
+    """A graph built without a PointTable drops each point k/d when its
+    walk ends, so its memory does not grow with the box.  This pins the
+    peak_rss_mb of the graph_tall benchmark, whose boxes reach 3 * 10**4
+    numerators: a table there would hold one Fraction per coprime
+    numerator for the whole call, about 150 bytes each."""
+    c = F(-10**8, 49)
+    assert box_size(c) == 20_007
+    tracemalloc.start()
+    try:
+        preper_points(QuadMap(c))
+        untabled = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        preper_points(QuadMap(c), PointTable(7))
+        tabled = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 1 kB against about 2.5 MB for the 17,148 points of the table
+    assert untabled < 1_000_000 < tabled
+
+
 def test_shape_empty_graph():
     assert _shape_of_edges({}) == GraphShape("")
 
@@ -369,12 +447,21 @@ def test_scan_census_basics_and_determinism():
         scan(SCAN_BUDGET + 1)
 
 
-def test_scan_worker_pool_matches_sequential():
+def test_scan_worker_pool_matches_sequential(monkeypatch):
     # enough parameters that the process pool really engages
     pooled = scan(20, jobs=4)
     sequential = scan(20, jobs=1)
     assert pooled.census == sequential.census
     assert pooled.out_of_catalog == sequential.out_of_catalog
+    # at height 60 the chunks of 2 and of 3 workers cut the run of c of one
+    # denominator, so two workers build point tables for the same d
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    cs, sequential = c_values_up_to_height(60), scan(60, jobs=1)
+    for jobs in (2, 3):
+        chunk = (len(cs) + jobs - 1) // jobs
+        assert any(cs[i - 1].denominator == cs[i].denominator
+                   for i in range(chunk, len(cs), chunk))
+        assert scan(60, jobs=jobs) == sequential
 
 
 def test_scan_asks_for_at_most_one_worker_per_cpu(monkeypatch):
