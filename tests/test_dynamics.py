@@ -310,7 +310,7 @@ def one_denominator_run(draw):
     return d, draw(st.permutations(us + repeats))
 
 
-# d = 1 with c = 2 and 1/4 < c = 5/16 beside -29/16, all read twice
+# d = 1 with c = 2 > 1/4, and d = 4 with 5/16 > 1/4 beside -29/16, each with repeats
 @example(run=(1, [2, -2, 0, 2, -6, -2]))
 @example(run=(4, [-29, 5, -21, -29, 1, 5]))
 @settings(max_examples=60, deadline=None)
