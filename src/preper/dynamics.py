@@ -29,10 +29,20 @@ The walk runs on integers, but `orbit_classify` and the graph take the
 points as Fractions, and building Fraction(k, d) is most of what a box
 numerator costs.  A scan meets each denominator d for hundreds of c, so
 it keeps one PointTable per d, which builds each k/d once and hands the
-same object to every c with that denominator.  A single graph keeps no
-table and builds each k/d as it goes: a table for its box, up to
-BOX_BUDGET numerators, would hold one Fraction per numerator for the
-whole call, so the memory of `graph` would grow with the box.
+same object to every c with that denominator.  The table also groups
+its numerators k >= 0 by k**2 mod d, so for c = u/d**2 it returns at
+once the box numerators whose first step stays a candidate: those with
+d | k**2 + u and |k**2 + u| <= d*K.  Only these are walked, and the
+filter drops no preperiodic point:
+* the image of a preperiodic point is preperiodic, so it lies in the box;
+* for an integer t >= 0, t(t - d) <= |u| holds exactly when t <= K, so
+  |k**2 + u| <= d*K is the step's escape test on the image;
+* d | k**2 + u together with gcd(u, d) = 1 forces gcd(k, d) = 1, so the
+  gcd test goes.
+A single graph keeps no table and walks the whole coprime box, building
+each k/d as it goes: a table for its box, up to BOX_BUDGET numerators,
+would hold its groups and points for the whole call, so the memory of
+`graph` would grow with the box.
 
 Graphs are canonicalized as functional digraphs: rooted trees hang off
 cycle vertices, trees get sorted-parenthesis codes, cycles get the
@@ -46,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache, total_ordering
 from math import gcd, isqrt
@@ -181,22 +192,52 @@ class GraphShape(Value):
 
 
 class PointTable(dict):
-    """k -> Fraction(k, d) for one denominator d, each built on first read.
+    """k -> Fraction(k, d) for one denominator d, each built on first read,
+    and the first-step survivors of every box with that denominator.
 
     A scan reads one table for every c with denominator d**2, so the
     points of its small boxes are built once per denominator, not once
-    per c.
+    per c.  The numerators 0 <= k <= reach sit in groups by k**2 mod d,
+    each in increasing order as parallel lists of squares and roots;
+    `candidates` grows the groups when a larger K arrives.
     """
 
-    __slots__ = ("d",)
+    __slots__ = ("d", "reach", "groups")
 
     def __init__(self, d: int):
         super().__init__()
         self.d = d
+        self.reach = -1
+        self.groups: dict[int, tuple[list[int], list[int]]] = {}
 
     def __missing__(self, k: int) -> Fraction:
         x = self[k] = Fraction(k, self.d)
         return x
+
+    def candidates(self, u: int, K: int) -> list[int]:
+        """The numerators |k| <= K with d | k**2 + u and |k**2 + u| <= d*K,
+        in increasing order: for c = u/d**2 in lowest terms and its box
+        bound K, exactly the box numerators k with QuadMap(c).step(k) not
+        None."""
+        d, groups = self.d, self.groups
+        if K > self.reach:
+            for k in range(self.reach + 1, K + 1):
+                s = k * k
+                group = groups.get(s % d)
+                if group is None:
+                    group = groups[s % d] = ([], [])
+                group[0].append(s)
+                group[1].append(k)
+            self.reach = K
+        group = groups.get(-u % d)
+        if group is None:
+            return []
+        squares, roots = group
+        # k**2 + u within [-d*K, d*K], and k <= K
+        ks = roots[bisect_left(squares, -d * K - u):
+                   bisect_right(squares, min(K * K, d * K - u))]
+        # k = 0 survives only for d = 1 and has no twin
+        return [-k for k in reversed(ks) if k] + ks
 
 
 class NotQuadraticError(ValueError):
@@ -281,17 +322,20 @@ def orbit_classify(f: QuadMap, x: Fraction, types: dict | None = None) -> OrbitC
 def preper_points(f: QuadMap, points: PointTable | None = None) -> PreperGraph:
     """The complete graph of finite rational preperiodic points of f.
 
-    d and u come from f, which derived them once; every coprime box
+    d and u come from f, which derived them once; every candidate
     numerator that no earlier walk recorded gets one orbit_classify call
     on the shared memo.  With `points`, a PointTable for f's own
-    denominator d, every point k/d is read from the table, which keeps
-    it for the next map with that denominator; `scan` passes one.
-    Without it each k/d is built and dropped as the loop goes, so a box
-    of up to BOX_BUDGET numerators never holds one Fraction per
-    numerator (the memory of `graph` rests on this).  Raises ValueError
-    for a table of another denominator, whose points every walk would
-    reject as divergent, and BoxBudgetError when the candidate box
-    exceeds BOX_BUDGET.
+    denominator d, the candidates are the table's first-step survivors
+    of the box, the k with d | k**2 + u and |k**2 + u| <= d*K (the module
+    docstring says why no preperiodic point is lost), and every point
+    k/d is read from the table, which keeps it for the next map with
+    that denominator; `scan` passes one.  Without it every coprime box
+    numerator is walked and each k/d is built and dropped as the loop
+    goes, so a box of up to BOX_BUDGET numerators never holds one
+    Fraction per numerator (the memory of `graph` rests on this).
+    Raises ValueError for a table of another denominator, whose points
+    every walk would reject as divergent, and BoxBudgetError when the
+    candidate box exceeds BOX_BUDGET.
     """
     c, d, u = f.c, f.d, f.u
     if points is not None and points.d != d:
@@ -305,9 +349,14 @@ def preper_points(f: QuadMap, points: PointTable | None = None) -> PreperGraph:
         raise BoxBudgetError(f"the candidate box of c = {c} holds {2 * K + 1} "
                              f"numerators, more than the budget of {BOX_BUDGET}")
     types: dict[int, tuple[int, int]] = {}
-    for k in range(-K, K + 1):
-        if k not in types and gcd(k, d) == 1:
-            orbit_classify(f, Fraction(k, d) if points is None else points[k], types)
+    if points is None:
+        for k in range(-K, K + 1):
+            if k not in types and gcd(k, d) == 1:
+                orbit_classify(f, Fraction(k, d), types)
+    else:
+        for k in points.candidates(u, K):
+            if k not in types:
+                orbit_classify(f, points[k], types)
     if not types:
         return PreperGraph(c=c, vertices=frozenset(), edges={})
     if points is None:
@@ -462,9 +511,11 @@ def _scan_chunk(cs) -> list[tuple[str, Fraction, int]]:
     """Worker: c-list -> [(shape code, c, size_with_inf)] in list order.
 
     The chunk keeps one PointTable per denominator, so each point k/d is
-    built once for all the c of the chunk that share d; a pool worker
-    builds its own.  The boxes of a scan are small (|k| < 200 at
-    SCAN_BUDGET), so the tables stay small too.
+    built once for all the c of the chunk that share d, and each c walks
+    only the first-step survivors of its box, which the table finds by
+    two bisections; a pool worker builds its own tables.  The boxes of
+    a scan are small (|k| < 200 at SCAN_BUDGET), so the tables stay
+    small too.
     """
     tables: dict[int, PointTable] = {}
     records = []

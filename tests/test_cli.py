@@ -7,11 +7,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
 import preper
 from preper import cli
+from preper.dynamics import c_values_up_to_height, scan
 from preper.exactmath import is_prime
 
 # the package the tests import, so the child runs it without an install
@@ -261,6 +263,7 @@ def test_bench_tool_counts_cpus_where_affinity_is_unknown(monkeypatch, tmp_path)
     (tmp_path / "perfbench" / "run.py").write_text("")
     monkeypatch.setattr(bench, "perfbench_run", lambda root, workload, trace: {
         "workload": workload, "trace": trace, "correct": True})
+    monkeypatch.setattr(bench, "census", lambda root: {"exit": 0})
     monkeypatch.setattr(bench, "tier1", lambda root: {"exit": 0})
     monkeypatch.setattr(bench, "git", lambda root, *args: "")
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -269,6 +272,15 @@ def test_bench_tool_counts_cpus_where_affinity_is_unknown(monkeypatch, tmp_path)
     assert bench.main() == 0
     written = json.loads((tmp_path / "BENCH_0.json").read_text(encoding="utf-8"))
     assert written["nproc"] == 3 and len(written["runs"]) == 6 and written["tier1"] == {"exit": 0}
+
+
+def test_bench_tool_census_counts_the_scan_it_runs():
+    # the BENCH file's census reads its counts from the scan's own JSON
+    run = load_bench_tool().census(Path(ROOT), height=20)
+    expected = scan(20)
+    assert run["exit"] == 0 and run["command"].endswith("scan --height 20 --jobs 1")
+    assert (run["c_values"], run["shapes"], run["out_of_catalog"], run["bound_violations"]) \
+        == (len(c_values_up_to_height(20)), len(expected.census), 0, 0)
 
 
 def test_graph_json_minus_29_16():

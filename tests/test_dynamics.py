@@ -283,12 +283,53 @@ def test_point_table_of_another_denominator_raises(c, d):
 
 @pytest.mark.parametrize("c", [F(-29, 16), F(5, 16), F(-21, 16)])
 def test_point_table_holds_each_coprime_box_point_the_graph_reads(c):
-    points, K = PointTable(4), box_size(c) // 2
-    g = preper_points(QuadMap(c), points)
-    assert points == {k: F(k, 4) for k in range(-K, K + 1) if k % 2}
+    # the graph reads only the first-step survivors of the coprime box:
+    # all eight odd numerators for -29/16 and -21/16, none for 5/16
+    f, points, K = QuadMap(c), PointTable(4), box_size(c) // 2
+    g = preper_points(f, points)
+    assert points == {k: F(k, 4) for k in range(-K, K + 1)
+                      if k % 2 and f.step(k) is not None}
     # vertices and images are the table's own objects, not equal copies
     assert all(points[v.numerator] is v for v in g.vertices)
     assert all(points[w.numerator] is w for w in g.edges.values())
+
+
+@st.composite
+def band_run(draw):
+    """A denominator d, primes, prime powers and composites alike, and
+    numerators u coprime to d with boxes of up to 270 numerators, shuffled
+    with repeats so that the box bound K both shrinks and grows."""
+    d = draw(st.one_of(st.integers(1, 60), st.sampled_from([8, 9, 25, 27, 32, 49])))
+    us = draw(st.lists(st.integers(-10**4, 10**4).filter(lambda u: gcd(u, d) == 1),
+                       min_size=1, max_size=8, unique=True))
+    repeats = draw(st.lists(st.sampled_from(us), max_size=len(us)))
+    return d, draw(st.permutations(us + repeats))
+
+
+# d = 1, where k = 0 survives without a twin; d = 4 with K = 7, 5 and 7 again
+@example(run=(1, [-2, 0, 3, -2]))
+@example(run=(4, [-29, 5, -21, -29]))
+@settings(max_examples=150, deadline=None)
+@given(run=band_run())
+def test_point_table_candidates_are_the_first_step_survivors_of_the_box(run):
+    d, us = run
+    points, real = PointTable(d), dynamics.orbit_classify
+    for u in us:
+        c = F(u, d * d)
+        f, K = QuadMap(c), box_size(c) // 2
+        survivors = [k for k in range(-K, K + 1) if gcd(k, d) == 1 and f.step(k) is not None]
+        assert points.candidates(u, K) == survivors
+        calls = []
+
+        def spy(f, x, types=None):
+            calls.append(x.numerator)
+            return real(f, x, types)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "orbit_classify", spy)
+            g = preper_points(f, points)
+        assert set(calls) <= set(survivors) <= set(points)
+        assert (g.vertices, g.edges) == box_preper_graph(c)
 
 
 def test_scan_chunk_matches_graphs_built_without_a_table():
@@ -331,21 +372,23 @@ def test_a_graph_without_a_table_keeps_no_point_per_numerator():
     """A graph built without a PointTable drops each point k/d when its
     walk ends, so its memory does not grow with the box.  This pins the
     peak_rss_mb of the graph_tall benchmark, whose boxes reach 3 * 10**4
-    numerators: a table there would hold one Fraction per coprime
-    numerator for the whole call, about 150 bytes each."""
+    numerators: holding one Fraction per coprime numerator for the whole
+    call costs about 150 bytes each."""
     c = F(-10**8, 49)
-    assert box_size(c) == 20_007
+    K = box_size(c) // 2
+    assert K == 10_003
     tracemalloc.start()
     try:
         preper_points(QuadMap(c))
         untabled = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        preper_points(QuadMap(c), PointTable(7))
-        tabled = tracemalloc.get_traced_memory()[1]
+        held = {k: F(k, 7) for k in range(-K, K + 1) if k % 7}
+        per_numerator = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 1 kB against about 2.5 MB for the 17,148 points of the table
-    assert untabled < 1_000_000 < tabled
+    # about 1 kB against about 2.5 MB for the 17,148 points of the box
+    assert len(held) == 17_148
+    assert untabled < 1_000_000 < per_numerator
 
 
 def test_shape_empty_graph():

@@ -6,6 +6,8 @@ writes DIR/BENCH_N.json.  It runs, one after another and from the root
 of the checkout (by default the one this script lives in), with seed 1:
   perfbench/run.py --seconds 25 --trace 0 for every workload,
   perfbench/run.py --seconds 25 --trace 1 for census and jacobian,
+  one whole serial census, python -m preper scan --height 10000
+  --jobs 1, with PYTHONPATH=src, once;
   the tier-1 suite, PYTHONPATH=src python -m pytest -q
   --continue-on-collection-errors, once.
 Each run.py call runs with PYTHONDONTWRITEBYTECODE removed and
@@ -16,10 +18,12 @@ warm-cached whatever the checkout holds.
 The file holds the detail line and the result line that run.py printed
 for each run, those bytecode-cache settings, the seed, the checkout's
 `git rev-parse HEAD` and whether its tree had uncommitted changes, nproc,
-the Python version, and the tier-1 counts, exit code and wall time.
-When a run is not correct the script writes nothing and exits 1.  It
-changes nothing under perfbench/.
-The whole run takes about five minutes.
+the Python version, the census's wall time, its number of c and of
+shapes and its out_of_catalog and bound_violations counts, and the
+tier-1 counts, exit code and wall time.
+When a run is not correct, or the census fails, the script writes
+nothing and exits 1.  It changes nothing under perfbench/.
+The whole run takes about five minutes, the census about 20 s of it.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ TRACED = ("census", "jacobian")
 SECONDS = 25
 SEED = 1  # one seed for every file, so that files compare
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+CENSUS_HEIGHT = 10000  # the scan budget: about 1.2M values of c
 # how every run.py call caches bytecode, recorded in the BENCH file
 BYTECODE_CACHE = {"PYTHONDONTWRITEBYTECODE": "removed",
                   "PYTHONPYCACHEPREFIX": "a fresh temporary directory per run, filled by a "
@@ -87,6 +92,29 @@ def tier1(root: Path) -> dict:
             "counts": counts, "summary": summary, "wall_s": round(wall, 2)}
 
 
+def census(root: Path, height: int = CENSUS_HEIGHT) -> dict:
+    """One whole serial scan, by default at the scan budget: its wall time,
+    exit code, and the number of c, of shapes, of c outside the catalog
+    and of c with more than 9 points counting infinity."""
+    argv = ("-m", "preper", "scan", "--height", str(height), "--jobs", "1")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, *argv], cwd=root, env=env,
+                          capture_output=True, text=True)
+    wall = time.monotonic() - start
+    run = {"command": "PYTHONPATH=src python " + " ".join(argv), "exit": proc.returncode,
+           "wall_s": round(wall, 2)}
+    if proc.returncode != 0:
+        run["stderr"] = proc.stderr[-2000:]
+        return run
+    payload = json.loads(proc.stdout)
+    run.update(c_values=sum(entry["count"] for entry in payload["census"].values()),
+               shapes=len(payload["census"]),
+               out_of_catalog=len(payload["out_of_catalog"]),
+               bound_violations=len(payload["bound_violations"]))
+    return run
+
+
 def git(root: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True,
                           check=True).stdout.strip()
@@ -125,6 +153,10 @@ def main() -> int:
     bad = [f"{r['workload']} --trace {r['trace']}" for r in runs if not r["correct"]]
     if bad:
         print(f"error: not correct: {', '.join(bad)}; nothing written", file=sys.stderr)
+        return 1
+    bench["census"] = census(root)
+    if bench["census"]["exit"] != 0:
+        print("error: the census scan failed; nothing written", file=sys.stderr)
         return 1
     bench["tier1"] = tier1(root)
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
