@@ -3,8 +3,9 @@
 Subcommands: graph, scan, family, curve-points, jacobian, verify.  All
 numeric output is exact 'p/q' text, reports are JSON with sorted keys, and
 exit codes follow a fixed contract: 0 success, 1 at least one check
-failed, 2 usage error.  PREPER_JOBS sets the default worker count for
-scan.
+failed, 2 usage error.  A scan runs in this process and starts no
+other; it still accepts --jobs, and PREPER_JOBS as its default, for
+compatibility: both are validated, and neither selects anything.
 
 main builds the argument parser on its first call and reuses it for
 every later call in the process; importing the module builds none.
@@ -137,7 +138,7 @@ def cmd_graph(args) -> int:
 
 def cmd_scan(args) -> int:
     t0 = time.perf_counter()
-    result = scan(args.height, jobs=args.jobs)
+    result = scan(args.height)
     census = {
         (shape.code or "(empty)"): {
             "count": count,
@@ -347,7 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="census of graph shapes for all c up to a height")
     p.add_argument("--height", type=_positive_int, required=True)
-    p.add_argument("--jobs", type=_jobs, default=_EnvJobs("PREPER_JOBS"))
+    p.add_argument("--jobs", type=_jobs, default=_EnvJobs("PREPER_JOBS"),
+                   help="a positive integer, default $PREPER_JOBS or 1; accepted for "
+                        "compatibility: the scan runs in this process")
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("family", help="generate and validate a parametrized family point")

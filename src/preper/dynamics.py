@@ -55,8 +55,8 @@ included) assembled from the structural rules, not hard-coded codes.
 from __future__ import annotations
 
 import itertools
-import os
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache, total_ordering
 from math import gcd, isqrt
@@ -482,13 +482,15 @@ def admissible_shapes() -> frozenset[GraphShape]:
 # --- census scan ------------------------------------------------------------
 
 
-def c_values_up_to_height(height: int) -> list[Fraction]:
+def c_values_up_to_height(height: int) -> Iterator[Fraction]:
     """All c = u/v**2 in lowest terms with |u| <= height and v**2 <= height,
-    in a fixed deterministic order."""
+    in a fixed deterministic order, made one at a time as the iterator is
+    read; none is kept.  Raises ValueError for a height below 1 at the
+    call, before any iteration."""
     if height < 1:
         raise ValueError("height bound must be >= 1")
-    return [Fraction(u, v * v) for v in range(1, isqrt(height) + 1)
-            for u in range(-height, height + 1) if gcd(u, v) == 1]
+    return (Fraction(u, v * v) for v in range(1, isqrt(height) + 1)
+            for u in range(-height, height + 1) if gcd(u, v) == 1)
 
 
 class ScanResult(Value):
@@ -507,69 +509,53 @@ class ScanResult(Value):
         set_field(self, "bound_violations", bound_violations)
 
 
-def _scan_chunk(cs) -> list[tuple[str, Fraction, int]]:
-    """Worker: c-list -> [(shape code, c, size_with_inf)] in list order.
+def _scan_chunk(cs) -> Iterator[tuple[str, Fraction, int]]:
+    """The records (shape code, c, size_with_inf) of the c in cs, in
+    order, each yielded as soon as it is made; none is kept.
 
-    The chunk keeps one PointTable per denominator, so each point k/d is
-    built once for all the c of the chunk that share d, and each c walks
+    One PointTable per denominator lives as long as the iterator, so each
+    point k/d is built once for all the c that share d, and each c walks
     only the first-step survivors of its box, which the table finds by
-    two bisections; a pool worker builds its own tables.  The boxes of
-    a scan are small (|k| < 200 at SCAN_BUDGET), so the tables stay
-    small too.
+    two bisections.  The boxes of a scan are small (|k| < 200 at
+    SCAN_BUDGET), so the tables stay small too.
     """
     tables: dict[int, PointTable] = {}
-    records = []
     for c in cs:
         f = QuadMap(c)
         points = tables.get(f.d)
         if points is None:
             points = tables[f.d] = PointTable(f.d)
         g = preper_points(f, points)
-        records.append((graph_shape(g).code, g.c, g.size_with_infinity()))
-    return records
+        yield graph_shape(g).code, g.c, g.size_with_infinity()
 
 
-def scan(height: int, jobs: int = 1) -> ScanResult:
+def scan(height: int) -> ScanResult:
     """Census of graph shapes over all c up to the given height.
 
-    The result is independent of the worker count: the pool returns chunk
-    results in task order, so concatenating them is global iteration order.
-    The pool has at most one worker per CPU the process may run on,
-    whatever `jobs` asks for.
+    The scan runs in this process and starts no other.  Each record of
+    _scan_chunk is tallied as it is made, so the memory of a scan holds
+    its point tables and its census, not one value or record per c.
     Raises ScanBudgetError above SCAN_BUDGET.
     """
     if height > SCAN_BUDGET:
         raise ScanBudgetError(f"scan height {height} exceeds the scan budget of {SCAN_BUDGET}")
-    # the CPUs this process may run on, where the platform can tell
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    jobs = min(jobs, cpus)
-    cs = c_values_up_to_height(height)
-    if jobs <= 1 or len(cs) < 2 * jobs:
-        records = _scan_chunk(cs)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = (len(cs) + jobs - 1) // jobs
-        tasks = [cs[i:i + chunk] for i in range(0, len(cs), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = [r for part in pool.map(_scan_chunk, tasks) for r in part]
-
     # tallied by code string; one GraphShape per distinct code
     catalog = {shape.code for shape in admissible_shapes()}
-    tally: dict[str, tuple[int, list[Fraction]]] = {}
+    counts: dict[str, int] = {}
+    samples: dict[str, list[Fraction]] = {}
     outside = []
     bound_violations = []
-    for code, c, size in records:
-        count, samples = tally.get(code, (0, []))
-        if len(samples) < 3:
-            samples = samples + [c]
-        tally[code] = (count + 1, samples)
+    for code, c, size in _scan_chunk(c_values_up_to_height(height)):
+        n = counts.get(code, 0)
+        counts[code] = n + 1
+        if n < 3:
+            samples.setdefault(code, []).append(c)
         if code not in catalog:
             outside.append((c, code))
         if size > 9:
             bound_violations.append((c, size))
-    shapes = {code: GraphShape(code) for code in tally}
-    census = {shapes[code]: tally[code] for code in sorted(tally)}
+    shapes = {code: GraphShape(code) for code in counts}
+    census = {shapes[code]: (counts[code], samples[code]) for code in sorted(counts)}
     return ScanResult(height=height, census=census,
                       out_of_catalog=[(c, shapes[code]) for c, code in outside],
                       bound_violations=bound_violations)

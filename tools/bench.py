@@ -18,9 +18,10 @@ warm-cached whatever the checkout holds.
 The file holds the detail line and the result line that run.py printed
 for each run, those bytecode-cache settings, the seed, the checkout's
 `git rev-parse HEAD` and whether its tree had uncommitted changes, nproc,
-the Python version, the census's wall time, its number of c and of
-shapes and its out_of_catalog and bound_violations counts, and the
-tier-1 counts, exit code and wall time.
+the Python version, the census's wall time, the peak RSS of its process
+(ru_maxrss from os.wait4 on that child alone, in MB of 1024 kB), its
+number of c and of shapes and its out_of_catalog and bound_violations
+counts, and the tier-1 counts, exit code and wall time.
 When a run is not correct, or the census fails, the script writes
 nothing and exits 1.  It changes nothing under perfbench/.
 The whole run takes about five minutes, the census about 20 s of it.
@@ -94,20 +95,30 @@ def tier1(root: Path) -> dict:
 
 def census(root: Path, height: int = CENSUS_HEIGHT) -> dict:
     """One whole serial scan, by default at the scan budget: its wall time,
-    exit code, and the number of c, of shapes, of c outside the catalog
-    and of c with more than 9 points counting infinity."""
+    exit code, the peak RSS of its own process, and the number of c, of
+    shapes, of c outside the catalog and of c with more than 9 points
+    counting infinity."""
     argv = ("-m", "preper", "scan", "--height", str(height), "--jobs", "1")
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    start = time.monotonic()
-    proc = subprocess.run([sys.executable, *argv], cwd=root, env=env,
-                          capture_output=True, text=True)
-    wall = time.monotonic() - start
+    # the child writes to files, so wait4 cannot block it on a full pipe;
+    # wait4 gives this child's own peak, where RUSAGE_CHILDREN would give
+    # the largest of every child waited for so far
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.monotonic()
+        proc = subprocess.Popen([sys.executable, *argv], cwd=root, env=env,
+                                stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.monotonic() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read().decode(), err.read().decode(errors="replace")
     run = {"command": "PYTHONPATH=src python " + " ".join(argv), "exit": proc.returncode,
-           "wall_s": round(wall, 2)}
+           "wall_s": round(wall, 2), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
     if proc.returncode != 0:
-        run["stderr"] = proc.stderr[-2000:]
+        run["stderr"] = stderr[-2000:]
         return run
-    payload = json.loads(proc.stdout)
+    payload = json.loads(stdout)
     run.update(c_values=sum(entry["count"] for entry in payload["census"].values()),
                shapes=len(payload["census"]),
                out_of_catalog=len(payload["out_of_catalog"]),
