@@ -12,33 +12,35 @@ Every rational preperiodic point of z**2 + c is constrained two ways:
 With c = u/d**2 and x = k/d both tests are integer tests, so orbits are
 walked on numerators alone: k -> (k**2 + u)/d, and the orbit has left the
 candidates as soon as d does not divide k**2 + u or the image breaks the
-escape bound |k|(|k| - d) <= |u|.  That per-map state, d, u and the step,
-lives on the QuadMap, derived once when the map is built; every call on
-the map reads it from there.  One walk, `_walk`, follows any step
-function until its orbit repeats and records the (period, tail) of every
-preperiodic point it meets, so classification, enumeration of the
-candidate box and the cycles of canonical shapes all share it, and walks
-that share a record never repeat an orbit.  The candidate box holds the
-2K + 1 numerators |k| <= K, where K = floor((d + sqrt(d**2 + 4|u|))/2) is
-the largest K with K(K - d) <= |u|; iteration inside it must repeat, so
-every walk terminates.  `preper_points` refuses a box of more than
+escape bound |k|(|k| - d) <= |u|.  One helper makes that step for given
+d and u, and another the box bound K = floor((d + sqrt(d**2 + 4|u|))/2),
+the largest K with K(K - d) <= |u|; the candidate box holds the 2K + 1
+numerators |k| <= K, and iteration inside it must repeat, so every walk
+terminates.  A QuadMap derives d, u and its step once when it is built,
+and every call on the map reads them from there.  One walk, `_walk`,
+follows any step function until its orbit repeats and records the
+(period, tail) of every preperiodic point it meets, so classification,
+enumeration of the candidate box, the census's emptiness test and the
+cycles of canonical shapes all share it, and walks that share a record
+never repeat an orbit.  `preper_points` refuses a box of more than
 BOX_BUDGET numerators rather than run for hours on a short argument, and
 `scan` refuses a height above SCAN_BUDGET.
 
-The walk runs on integers, but `orbit_classify` and the graph take the
-points as Fractions, and building Fraction(k, d) is most of what a box
-numerator costs.  A scan meets each denominator d for hundreds of c, so
-it keeps one PointTable per d, which builds each k/d once and hands the
-same object to every c with that denominator.  The table also groups
-its numerators k >= 0 by k**2 mod d, so for c = u/d**2 it returns at
-once the box numerators whose first step stays a candidate: those with
-d | k**2 + u and |k**2 + u| <= d*K.  Only these are walked, and the
-filter drops no preperiodic point:
+A scan meets each denominator d for hundreds of c, so it keeps one
+PointTable per d.  The table groups its numerators k >= 0 by k**2 mod d,
+so for c = u/d**2 it returns at once the box numerators whose first step
+stays a candidate: those with d | k**2 + u and |k**2 + u| <= d*K.  Only
+these are walked, and the filter drops no preperiodic point:
 * the image of a preperiodic point is preperiodic, so it lies in the box;
 * for an integer t >= 0, t(t - d) <= |u| holds exactly when t <= K, so
   |k**2 + u| <= d*K is the step's escape test on the image;
 * d | k**2 + u together with gcd(u, d) = 1 forces gcd(k, d) = 1, so the
   gcd test goes.
+Almost every c of a scan has the empty graph, and the scan settles that
+on integers: it walks the survivors until an orbit reaches a cycle, and
+only a c whose graph is not empty becomes a Fraction, a QuadMap and a
+graph, whose points k/d the table builds once for every c with that
+denominator.
 A single graph keeps no table and walks the whole coprime box, building
 each k/d as it goes: a table for its box, up to BOX_BUDGET numerators,
 would hold its groups and points for the whole call, so the memory of
@@ -68,6 +70,31 @@ BOX_BUDGET = 10**6
 # largest height that scan accepts; it visits about 1.2 * height**1.5 values of c
 SCAN_BUDGET = 10**4
 
+
+def _box_bound(d: int, u: int) -> int:
+    """K for c = u/d**2: the largest K with K(K - d) <= |u|, so the
+    candidate box is the numerators |k| <= K."""
+    return (d + isqrt(d * d + 4 * abs(u))) // 2
+
+
+def _numerator_step(d: int, u: int):
+    """The step k -> (k**2 + u)/d of c = u/d**2 on numerators, returning
+    None once the image is no candidate: d does not divide k**2 + u, or
+    the image breaks the escape bound |image|(|image| - d) <= |u|."""
+    bound = abs(u)
+
+    # an image sharing a prime p with d is no candidate either, but needs
+    # no test: u is coprime to d, so p cannot divide image**2 + u and the
+    # next step leaves
+    def step(k: int) -> int | None:
+        image, r = divmod(k * k + u, d)
+        if r or abs(image) * (abs(image) - d) > bound:
+            return None
+        return image
+
+    return step
+
+
 class QuadMap(Value):
     """The polynomial z**2 + c, with the integer state of its orbit walk.
 
@@ -90,17 +117,7 @@ class QuadMap(Value):
         if d * d != D:
             d = step = None
         else:
-            bound = abs(u)
-
-            # an image sharing a prime p with d is no candidate either, but
-            # needs no test: u is coprime to d, so p cannot divide
-            # image**2 + u and the next step leaves
-            def step(k: int) -> int | None:
-                image, r = divmod(k * k + u, d)
-                if r or abs(image) * (abs(image) - d) > bound:
-                    return None
-                return image
-
+            step = _numerator_step(d, u)
         set_field(self, "d", d)
         set_field(self, "u", u)
         set_field(self, "step", step)
@@ -344,7 +361,7 @@ def preper_points(f: QuadMap, points: PointTable | None = None) -> PreperGraph:
     if d is None:
         return PreperGraph(c=c, vertices=frozenset(), edges={})
     # candidates k/d with gcd(k, d) = 1 and |k| <= K, orbit_classify's escape bound
-    K = (d + isqrt(d * d + 4 * abs(u))) // 2  # the largest K with K(K - d) <= |u|
+    K = _box_bound(d, u)
     if 2 * K + 1 > BOX_BUDGET:
         raise BoxBudgetError(f"the candidate box of c = {c} holds {2 * K + 1} "
                              f"numerators, more than the budget of {BOX_BUDGET}")
@@ -482,14 +499,14 @@ def admissible_shapes() -> frozenset[GraphShape]:
 # --- census scan ------------------------------------------------------------
 
 
-def c_values_up_to_height(height: int) -> Iterator[Fraction]:
-    """All c = u/v**2 in lowest terms with |u| <= height and v**2 <= height,
-    in a fixed deterministic order, made one at a time as the iterator is
-    read; none is kept.  Raises ValueError for a height below 1 at the
-    call, before any iteration."""
+def c_values_up_to_height(height: int) -> Iterator[tuple[int, int]]:
+    """The pairs (u, v) of all c = u/v**2 in lowest terms with |u| <= height
+    and v**2 <= height, v = 1, 2, ... and u increasing within each v, made
+    one at a time as the iterator is read; none is kept.  Raises ValueError
+    for a height below 1 at the call, before any iteration."""
     if height < 1:
         raise ValueError("height bound must be >= 1")
-    return (Fraction(u, v * v) for v in range(1, isqrt(height) + 1)
+    return ((u, v) for v in range(1, isqrt(height) + 1)
             for u in range(-height, height + 1) if gcd(u, v) == 1)
 
 
@@ -509,24 +526,38 @@ class ScanResult(Value):
         set_field(self, "bound_violations", bound_violations)
 
 
-def _scan_chunk(cs) -> Iterator[tuple[str, Fraction, int]]:
-    """The records (shape code, c, size_with_inf) of the c in cs, in
-    order, each yielded as soon as it is made; none is kept.
+def _scan_chunk(pairs) -> Iterator[tuple[str, int, int, int]]:
+    """The records (shape code, u, v, size_with_inf) of the c = u/v**2 of
+    the pairs, in order, each yielded as soon as it is made; none is kept.
 
-    One PointTable per denominator lives as long as the iterator, so each
-    point k/d is built once for all the c that share d, and each c walks
-    only the first-step survivors of its box, which the table finds by
-    two bisections.  The boxes of a scan are small (|k| < 200 at
+    Almost every c of a scan has the empty graph, and that answer costs
+    integers only.  A c > 1/4, 4u > v**2, is empty at once: x**2 + c > x
+    on all of R, so every real orbit grows without bound.  Otherwise the
+    first-step survivors of its box, which the PointTable of v finds by
+    two bisections, are walked on numerators until one orbit reaches a
+    cycle; the graph is empty when none does.  Only a c with a nonempty
+    graph becomes a Fraction and a QuadMap, and gets its graph from
+    preper_points with the same table, which builds each point k/v once
+    for all the c that share v.  One table per denominator lives as long
+    as the iterator; the boxes of a scan are small (|k| < 200 at
     SCAN_BUDGET), so the tables stay small too.
     """
     tables: dict[int, PointTable] = {}
-    for c in cs:
-        f = QuadMap(c)
-        points = tables.get(f.d)
-        if points is None:
-            points = tables[f.d] = PointTable(f.d)
-        g = preper_points(f, points)
-        yield graph_shape(g).code, g.c, g.size_with_infinity()
+    for u, v in pairs:
+        code, size = "", 1
+        if 4 * u <= v * v:
+            points = tables.get(v)
+            if points is None:
+                points = tables[v] = PointTable(v)
+            survivors = points.candidates(u, _box_bound(v, u))
+            if survivors:
+                step, types = _numerator_step(v, u), {}
+                for k in survivors:
+                    if _walk(k, step, types) is not None:
+                        g = preper_points(QuadMap(Fraction(u, v * v)), points)
+                        code, size = graph_shape(g).code, g.size_with_infinity()
+                        break
+        yield code, u, v, size
 
 
 def scan(height: int) -> ScanResult:
@@ -534,8 +565,11 @@ def scan(height: int) -> ScanResult:
 
     The scan runs in this process and starts no other.  Each record of
     _scan_chunk is tallied as it is made, so the memory of a scan holds
-    its point tables and its census, not one value or record per c.
-    Raises ScanBudgetError above SCAN_BUDGET.
+    its point tables and its census, not one value or record per c.  The
+    records carry c as its integers u, v, and a Fraction is built only for
+    the samples kept, up to three per shape, and for any c outside the
+    catalog or above the size bound.  Raises ScanBudgetError above
+    SCAN_BUDGET.
     """
     if height > SCAN_BUDGET:
         raise ScanBudgetError(f"scan height {height} exceeds the scan budget of {SCAN_BUDGET}")
@@ -545,15 +579,15 @@ def scan(height: int) -> ScanResult:
     samples: dict[str, list[Fraction]] = {}
     outside = []
     bound_violations = []
-    for code, c, size in _scan_chunk(c_values_up_to_height(height)):
+    for code, u, v, size in _scan_chunk(c_values_up_to_height(height)):
         n = counts.get(code, 0)
         counts[code] = n + 1
         if n < 3:
-            samples.setdefault(code, []).append(c)
+            samples.setdefault(code, []).append(Fraction(u, v * v))
         if code not in catalog:
-            outside.append((c, code))
+            outside.append((Fraction(u, v * v), code))
         if size > 9:
-            bound_violations.append((c, size))
+            bound_violations.append((Fraction(u, v * v), size))
     shapes = {code: GraphShape(code) for code in counts}
     census = {shapes[code]: (counts[code], samples[code]) for code in sorted(counts)}
     return ScanResult(height=height, census=census,

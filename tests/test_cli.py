@@ -414,6 +414,20 @@ def test_scan_height_300_census_bytes_are_pinned():
         "b3a562a8eebcfc550c322ef3389797a5a85209375dca5cb9561fca28e1ed82a5"
 
 
+def test_scan_height_1000_census_bytes_are_pinned():
+    # sha256 of the census report with timing_ms removed, computed with the
+    # scan as it was before empty graphs were found on integers alone, so
+    # the integer-first scan keeps every count, sample and shape code of
+    # the 38,705 c up to height 1000
+    r = run_cli("scan", "--height", "1000")
+    assert r.returncode == 0
+    payload = json.loads(r.stdout)
+    del payload["timing_ms"]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "942e554f9029f3a8ee81df6b8a72c1ca65c02ebb79c6b4393dab60d1a8327674"
+
+
 @pytest.mark.parametrize("height", range(81, 91))
 def test_scan_matches_the_census_benchmark_golden(height, capsys):
     # the census benchmark's heights, run in-process and compared, read-only,

@@ -331,12 +331,76 @@ def test_point_table_candidates_are_the_first_step_survivors_of_the_box(run):
 
 
 def test_scan_chunk_matches_graphs_built_without_a_table():
-    cs = list(c_values_up_to_height(100))
+    pairs = list(c_values_up_to_height(100))
     expected = []
-    for c in cs:
+    for u, v in pairs:
+        g = preper_points(QuadMap(F(u, v * v)))
+        expected.append((graph_shape(g).code, u, v, g.size_with_infinity()))
+    assert list(dynamics._scan_chunk(pairs)) == expected
+
+
+@st.composite
+def scan_pairs(draw):
+    """Pairs (u, v) in lowest terms, shuffled with repeats so that a
+    table's box bound both shrinks and grows: v from 1 to 40 or with many
+    prime factors, whose boxes hold many numerators sharing a prime with
+    v, and u around the 1/4 exit 4u = v**2 as well as far below it."""
+    v = draw(st.one_of(st.integers(1, 40), st.sampled_from([6, 30, 60, 210])))
+    near_quarter = st.integers(-3, 3).map(lambda t: v * v // 4 + t)
+    us = draw(st.lists(st.one_of(st.integers(-5 * v * v - 300, 300), near_quarter).filter(
+        lambda u: gcd(u, v) == 1), min_size=1, max_size=8, unique=True))
+    repeats = draw(st.lists(st.sampled_from(us), max_size=len(us)))
+    return [(u, v) for u in draw(st.permutations(us + repeats))]
+
+
+# d = 1: c = 1 > 1/4 (twice), 0, -2 and -1
+@example(pairs=[(1, 1), (0, 1), (-2, 1), (-1, 1), (1, 1)])
+# c = 1/4 keeps its fixed point 1/2; u = v**2/4 + 1 for even v is just above
+# 1/4; -29/16 and -21/16 reach cycles, 3/16 does not
+@example(pairs=[(1, 2), (5, 4), (17, 8), (37, 12), (-29, 4), (-21, 4), (3, 4), (-29, 4)])
+# v = 30 and 210, where most box numerators share a prime with v: 71 of the
+# 97 of -899/900; 161/900 has the fixed points 7/30 and 23/30, and -1/44100
+# has survivors but no cycle
+@example(pairs=[(-899, 30), (161, 30), (-29, 30), (161, 30), (-1, 210)])
+@settings(max_examples=200, deadline=None)
+@given(pairs=scan_pairs())
+def test_scan_emptiness_verdict_matches_the_graph_and_the_box_oracle(pairs):
+    # a c gets a QuadMap and a preper_points call exactly when its graph,
+    # built without a table and by the box oracle, is not empty
+    built, bounded = [], set()
+    real_quad, real_preper, real_bound = dynamics.QuadMap, dynamics.preper_points, \
+        dynamics._box_bound
+
+    def quad(c):
+        built.append(c)
+        return real_quad(c)
+
+    def preper(f, points=None):
+        built.append(f)
+        return real_preper(f, points)
+
+    def bound(d, u):
+        bounded.add((u, d))
+        return real_bound(d, u)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "QuadMap", quad)
+        mp.setattr(dynamics, "preper_points", preper)
+        mp.setattr(dynamics, "_box_bound", bound)
+        records = list(dynamics._scan_chunk(pairs))
+    # a c > 1/4 is empty before its box is even bounded
+    assert bounded == {(u, v) for u, v in pairs if 4 * u <= v * v}
+    expected, nonempty = [], []
+    for u, v in pairs:
+        c = F(u, v * v)
         g = preper_points(QuadMap(c))
-        expected.append((graph_shape(g).code, c, g.size_with_infinity()))
-    assert list(dynamics._scan_chunk(cs)) == expected
+        vertices, edges = box_preper_graph(c)
+        assert (g.vertices, g.edges) == (vertices, edges)
+        if vertices:
+            nonempty += [c, QuadMap(c)]
+        expected.append((graph_shape(g).code, u, v, len(vertices) + 1))
+    assert records == expected
+    assert built == nonempty
 
 
 @st.composite
@@ -401,6 +465,22 @@ def test_a_scan_keeps_no_record_per_c():
     finally:
         tracemalloc.stop()
     assert peak < 500_000
+
+
+def test_a_scan_builds_a_map_and_a_graph_only_for_a_nonempty_graph(monkeypatch):
+    """Of the 6,481 c of height 300, 350 have a nonempty graph, and only
+    those become a QuadMap and go through preper_points: the empty graph
+    is found on integers."""
+    calls = dict.fromkeys(["QuadMap", "preper_points"], 0)
+    for name in calls:
+        def spy(*args, _real=getattr(dynamics, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(dynamics, name, spy)
+    res = scan(300)
+    total = sum(count for count, _ in res.census.values())
+    assert (total, total - res.census[GraphShape("")][0]) == (6481, 350)
+    assert calls == {"QuadMap": 350, "preper_points": 350}
 
 
 def test_shape_empty_graph():
@@ -495,7 +575,7 @@ def test_scan_census_basics_and_determinism():
     count, samples = res.census[shape_m1]
     assert count >= 1 and F(-1) in samples
     assert scan(8) == res
-    assert list(c_values_up_to_height(8))[:3] == [F(-8), F(-7), F(-6)]
+    assert list(c_values_up_to_height(8))[:3] == [(-8, 1), (-7, 1), (-6, 1)]
     with pytest.raises(ValueError):
         scan(0)
     # the height is checked at the call, not at the first read of the iterator
@@ -543,7 +623,8 @@ def test_scan_size_bound_probe():
 def test_mirror_count_rule():
     # the number of depth-1 points equals the number of cycle points of the
     # same period, one less exactly for (c, m) in {(-1, 2), (0, 1)}
-    for c in c_values_up_to_height(25):
+    for u, v in c_values_up_to_height(25):
+        c = F(u, v * v)
         g = preper_points(QuadMap(c))
         types = g.orbit_types().values()
         for m in (1, 2, 3):
