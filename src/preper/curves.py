@@ -211,19 +211,22 @@ class SearchBudgetError(BudgetError):
 def _residue_masks(coeffs, p: int, height: int) -> list[int]:
     """The masks of one sieve prime p, indexed by r = b mod p: bitsets over
     a in [-height, height], bit a + height, of the a at which b^e f(a/b)
-    is a square mod p (zero included).  All come from one table, the x in
-    F_p at which f(x) is a square mod p: for r != 0 the value is
-    r^e f(a/r), a nonzero square times f(a/r), and for r = 0 only the term
-    c_e a^e is left.  Periodic in a, so one p-bit tile is repeated."""
+    is a square mod p (zero included) and a/b can be in lowest terms.  All
+    come from one table, the x in F_p at which f(x) is a square mod p: for
+    r != 0 the value is r^e f(a/r), a nonzero square times f(a/r).  For
+    r = 0 the a with p | a are cleared, since p then divides gcd(a, b),
+    and only the term c_e a^e is left, a square for every other a or for
+    none.  Periodic in a, so one p-bit tile is repeated."""
     deg = len(coeffs) - 1
     squares = {x * x % p for x in range(p)}
     fp = FpPoly(p, coeffs)
     table = [x for x in range(p) if fp(x) in squares]
-    # r = 0 leaves c_e a^e: zero for odd deg, else c_deg times the square a^deg
+    # r = 0 leaves c_e a^e: zero for odd deg, else c_deg times the square a^deg,
+    # and bit height % p is the a = 0 mod p
     if deg % 2 or coeffs[deg] % p in squares:
-        zero = (1 << p) - 1
+        zero = ((1 << p) - 1) ^ (1 << height % p)
     else:
-        zero = 1 << height % p
+        zero = 0
     reps = -(-(2 * height + 1) // p)
     repeat = ((1 << p * reps) - 1) // ((1 << p) - 1)
     # f(a/r) is read at x = a/r, so the bit of a = x r is set

@@ -36,15 +36,15 @@ these are walked, and the filter drops no preperiodic point:
   |k**2 + u| <= d*K is the step's escape test on the image;
 * d | k**2 + u together with gcd(u, d) = 1 forces gcd(k, d) = 1, so the
   gcd test goes.
-Almost every c of a scan has the empty graph, and the scan settles that
-on integers: it walks the survivors until an orbit reaches a cycle, and
-only a c whose graph is not empty becomes a Fraction, a QuadMap and a
-graph, whose points k/d the table builds once for every c with that
-denominator.
+The scan settles every graph on integers: it walks all the survivors
+with one memo, which then holds exactly the numerators of the graph's
+vertices, and canonicalizes k -> (k**2 + u)/d on them.  Only the samples
+it prints, the first three c of each nonempty shape, become a Fraction,
+a QuadMap and a graph, built again to cross-check the integer census.
 A single graph keeps no table and walks the whole coprime box, building
 each k/d as it goes: a table for its box, up to BOX_BUDGET numerators,
-would hold its groups and points for the whole call, so the memory of
-`graph` would grow with the box.
+would hold its groups for the whole call, so the memory of `graph`
+would grow with the box.
 
 Graphs are canonicalized as functional digraphs: rooted trees hang off
 cycle vertices, trees get sorted-parenthesis codes, cycles get the
@@ -208,28 +208,21 @@ class GraphShape(Value):
         return self.code or "(empty)"
 
 
-class PointTable(dict):
-    """k -> Fraction(k, d) for one denominator d, each built on first read,
-    and the first-step survivors of every box with that denominator.
+class PointTable:
+    """The first-step survivors of every box with one denominator d.
 
-    A scan reads one table for every c with denominator d**2, so the
-    points of its small boxes are built once per denominator, not once
-    per c.  The numerators 0 <= k <= reach sit in groups by k**2 mod d,
-    each in increasing order as parallel lists of squares and roots;
-    `candidates` grows the groups when a larger K arrives.
+    A scan reads one table for every c with denominator d**2.  The
+    numerators 0 <= k <= reach sit in groups by k**2 mod d, each in
+    increasing order as parallel lists of squares and roots; `candidates`
+    grows the groups when a larger K arrives.
     """
 
     __slots__ = ("d", "reach", "groups")
 
     def __init__(self, d: int):
-        super().__init__()
         self.d = d
         self.reach = -1
         self.groups: dict[int, tuple[list[int], list[int]]] = {}
-
-    def __missing__(self, k: int) -> Fraction:
-        x = self[k] = Fraction(k, self.d)
-        return x
 
     def candidates(self, u: int, K: int) -> list[int]:
         """The numerators |k| <= K with d | k**2 + u and |k**2 + u| <= d*K,
@@ -341,15 +334,15 @@ def preper_points(f: QuadMap, points: PointTable | None = None) -> PreperGraph:
 
     d and u come from f, which derived them once; every candidate
     numerator that no earlier walk recorded gets one orbit_classify call
-    on the shared memo.  With `points`, a PointTable for f's own
-    denominator d, the candidates are the table's first-step survivors
-    of the box, the k with d | k**2 + u and |k**2 + u| <= d*K (the module
-    docstring says why no preperiodic point is lost), and every point
-    k/d is read from the table, which keeps it for the next map with
-    that denominator; `scan` passes one.  Without it every coprime box
-    numerator is walked and each k/d is built and dropped as the loop
-    goes, so a box of up to BOX_BUDGET numerators never holds one
-    Fraction per numerator (the memory of `graph` rests on this).
+    on the shared memo, with its point k/d built for that call and
+    dropped after it, and only the vertices are built again for the
+    graph.  With `points`, a PointTable for f's own denominator d, the
+    candidates are the table's first-step survivors of the box, the k
+    with d | k**2 + u and |k**2 + u| <= d*K (the module docstring says
+    why no preperiodic point is lost); the scan's cross-check passes
+    one.  Without it every coprime box numerator is walked, so a box of
+    up to BOX_BUDGET numerators never holds one Fraction per numerator
+    (the memory of `graph` rests on this).
     Raises ValueError for a table of another denominator, whose points
     every walk would reject as divergent, and BoxBudgetError when the
     candidate box exceeds BOX_BUDGET.
@@ -373,13 +366,10 @@ def preper_points(f: QuadMap, points: PointTable | None = None) -> PreperGraph:
     else:
         for k in points.candidates(u, K):
             if k not in types:
-                orbit_classify(f, points[k], types)
+                orbit_classify(f, Fraction(k, d), types)
     if not types:
         return PreperGraph(c=c, vertices=frozenset(), edges={})
-    if points is None:
-        vertex = {k: Fraction(k, d) for k in types}
-    else:
-        vertex = {k: points[k] for k in types}
+    vertex = {k: Fraction(k, d) for k in types}
     edges = {}
     for k, v in vertex.items():
         image, r = divmod(k * k + u, d)
@@ -530,19 +520,24 @@ def _scan_chunk(pairs) -> Iterator[tuple[str, int, int, int]]:
     """The records (shape code, u, v, size_with_inf) of the c = u/v**2 of
     the pairs, in order, each yielded as soon as it is made; none is kept.
 
-    Almost every c of a scan has the empty graph, and that answer costs
-    integers only.  A c > 1/4, 4u > v**2, is empty at once: x**2 + c > x
-    on all of R, so every real orbit grows without bound.  Otherwise the
-    first-step survivors of its box, which the PointTable of v finds by
-    two bisections, are walked on numerators until one orbit reaches a
-    cycle; the graph is empty when none does.  Only a c with a nonempty
-    graph becomes a Fraction and a QuadMap, and gets its graph from
-    preper_points with the same table, which builds each point k/v once
-    for all the c that share v.  One table per denominator lives as long
-    as the iterator; the boxes of a scan are small (|k| < 200 at
-    SCAN_BUDGET), so the tables stay small too.
+    Every graph is settled on integers.  A c > 1/4, 4u > v**2, is empty at
+    once: x**2 + c > x on all of R, so every real orbit grows without
+    bound.  Otherwise the first-step survivors of its box, which the
+    PointTable of v finds by two bisections, are all walked on numerators
+    with one shared memo.  The filter drops no preperiodic point, so the
+    memo ends holding exactly the numerators of the graph's vertices; the
+    graph is empty when it holds none, and else its code is the canonical
+    shape of k -> (k**2 + u)/v on those numerators and its size their
+    number plus one.
+    The first three nonempty c of each code, the samples that scan keeps,
+    are built again as a QuadMap and a graph by preper_points and
+    graph_shape, and a code or size that differs raises RuntimeError.
+    One table per denominator lives as long as the iterator; the boxes of
+    a scan are small (|k| < 200 at SCAN_BUDGET), so the tables stay small
+    too.
     """
     tables: dict[int, PointTable] = {}
+    checked: dict[str, int] = {}
     for u, v in pairs:
         code, size = "", 1
         if 4 * u <= v * v:
@@ -553,11 +548,27 @@ def _scan_chunk(pairs) -> Iterator[tuple[str, int, int, int]]:
             if survivors:
                 step, types = _numerator_step(v, u), {}
                 for k in survivors:
-                    if _walk(k, step, types) is not None:
-                        g = preper_points(QuadMap(Fraction(u, v * v)), points)
-                        code, size = graph_shape(g).code, g.size_with_infinity()
-                        break
+                    _walk(k, step, types)
+                if types:
+                    code = _shape_of_edges({k: (k * k + u) // v for k in types}).code
+                    size = len(types) + 1
+                    n = checked.get(code, 0)
+                    if n < 3:
+                        checked[code] = n + 1
+                        _check_census_graph(u, v, code, size, points)
         yield code, u, v, size
+
+
+def _check_census_graph(u: int, v: int, code: str, size: int, points: PointTable) -> None:
+    """Raise RuntimeError unless the graph of c = u/v**2, built by
+    preper_points and canonicalized by graph_shape, has the given code and
+    size."""
+    c = Fraction(u, v * v)
+    g = preper_points(QuadMap(c), points)
+    shape, graph_size = graph_shape(g).code, g.size_with_infinity()
+    if (shape, graph_size) != (code, size):
+        raise RuntimeError(f"the census found shape {code!r} and size {size} for c = {c}, "
+                           f"but its graph has shape {shape!r} and size {graph_size}")
 
 
 def scan(height: int) -> ScanResult:
@@ -566,10 +577,12 @@ def scan(height: int) -> ScanResult:
     The scan runs in this process and starts no other.  Each record of
     _scan_chunk is tallied as it is made, so the memory of a scan holds
     its point tables and its census, not one value or record per c.  The
-    records carry c as its integers u, v, and a Fraction is built only for
-    the samples kept, up to three per shape, and for any c outside the
-    catalog or above the size bound.  Raises ScanBudgetError above
-    SCAN_BUDGET.
+    records carry c as its integers u, v and its shape as a code found on
+    numerators; a Fraction is built only for the samples kept, up to
+    three per shape, whose nonempty graphs _scan_chunk has rebuilt as a
+    PreperGraph to cross-check, and for any c outside the catalog or
+    above the size bound.  Raises ScanBudgetError above SCAN_BUDGET, and
+    RuntimeError when a rebuilt sample disagrees with its record.
     """
     if height > SCAN_BUDGET:
         raise ScanBudgetError(f"scan height {height} exceeds the scan budget of {SCAN_BUDGET}")

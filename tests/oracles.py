@@ -313,12 +313,15 @@ def residue_mask(coeffs, e: int, p: int, r: int, height: int) -> int:
     """Bitset over a in [-height, height], bit a + height, of the a at which
     sum c_i a^i r^(e-i), that is b^e f(a/b) for b = r mod p, is a square
     mod p (zero included), by Horner in a for each of the p residues of a.
-    Periodic in a, so one p-bit tile is repeated."""
+    Only a/b in lowest terms is searched, so for r = 0 the a divisible by
+    p are left out.  Periodic in a, so one p-bit tile is repeated."""
     squares = {x * x % p for x in range(p)}
     ws = [coeffs[i] * r ** (e - i) % p for i in range(len(coeffs) - 1, -1, -1)]
     tile = 0
     for j in range(p):
         a, n = (j - height) % p, 0
+        if r == 0 and a == 0:
+            continue
         for w in ws:
             n = n * a + w
         if n % p in squares:

@@ -428,6 +428,20 @@ def test_scan_height_1000_census_bytes_are_pinned():
         "942e554f9029f3a8ee81df6b8a72c1ca65c02ebb79c6b4393dab60d1a8327674"
 
 
+def test_scan_height_3000_census_bytes_are_pinned():
+    # sha256 of the census report with timing_ms removed, computed with the
+    # scan as it was before nonempty graphs were canonicalized on integers,
+    # so the integer census keeps every count, sample and shape code of the
+    # 3,430 nonempty graphs up to height 3000
+    r = run_cli("scan", "--height", "3000")
+    assert r.returncode == 0
+    payload = json.loads(r.stdout)
+    del payload["timing_ms"]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "1dc66ca51418b1f1758c5ed095817cf57da173b2a5ef096cddf9201c297c3b6c"
+
+
 @pytest.mark.parametrize("height", range(81, 91))
 def test_scan_matches_the_census_benchmark_golden(height, capsys):
     # the census benchmark's heights, run in-process and compared, read-only,

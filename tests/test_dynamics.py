@@ -284,12 +284,15 @@ def test_point_table_holds_each_coprime_box_point_the_graph_reads(c):
     # the graph reads only the first-step survivors of the coprime box:
     # all eight odd numerators for -29/16 and -21/16, none for 5/16
     f, points, K = QuadMap(c), PointTable(4), box_size(c) // 2
+    survivors = [k for k in range(-K, K + 1) if k % 2 and f.step(k) is not None]
+    assert len(survivors) == (0 if c == F(5, 16) else 8)
+    assert points.candidates(f.u, K) == survivors
+    # the table groups every numerator 0 <= k <= K by k**2 mod 4
+    assert points.reach == K
+    assert sorted(k for _, roots in points.groups.values() for k in roots) == list(range(K + 1))
     g = preper_points(f, points)
-    assert points == {k: F(k, 4) for k in range(-K, K + 1)
-                      if k % 2 and f.step(k) is not None}
-    # vertices and images are the table's own objects, not equal copies
-    assert all(points[v.numerator] is v for v in g.vertices)
-    assert all(points[w.numerator] is w for w in g.edges.values())
+    assert {v.numerator for v in g.vertices} <= set(survivors)
+    assert (g.vertices, g.edges) == box_preper_graph(c)
 
 
 @st.composite
@@ -326,7 +329,7 @@ def test_point_table_candidates_are_the_first_step_survivors_of_the_box(run):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "orbit_classify", spy)
             g = preper_points(f, points)
-        assert set(calls) <= set(survivors) <= set(points)
+        assert set(calls) <= set(survivors)
         assert (g.vertices, g.edges) == box_preper_graph(c)
 
 
@@ -365,8 +368,9 @@ def scan_pairs(draw):
 @settings(max_examples=200, deadline=None)
 @given(pairs=scan_pairs())
 def test_scan_emptiness_verdict_matches_the_graph_and_the_box_oracle(pairs):
-    # a c gets a QuadMap and a preper_points call exactly when its graph,
-    # built without a table and by the box oracle, is not empty
+    # the graph is built without a table and by the box oracle; a c gets a
+    # QuadMap and a preper_points call exactly when it is one of the first
+    # three c of its code whose graph is not empty
     built, bounded = [], set()
     real_quad, real_preper, real_bound = dynamics.QuadMap, dynamics.preper_points, \
         dynamics._box_bound
@@ -390,17 +394,20 @@ def test_scan_emptiness_verdict_matches_the_graph_and_the_box_oracle(pairs):
         records = list(dynamics._scan_chunk(pairs))
     # a c > 1/4 is empty before its box is even bounded
     assert bounded == {(u, v) for u, v in pairs if 4 * u <= v * v}
-    expected, nonempty = [], []
+    expected, checked, seen = [], [], {}
     for u, v in pairs:
         c = F(u, v * v)
         g = preper_points(QuadMap(c))
         vertices, edges = box_preper_graph(c)
         assert (g.vertices, g.edges) == (vertices, edges)
+        code = graph_shape(g).code
         if vertices:
-            nonempty += [c, QuadMap(c)]
-        expected.append((graph_shape(g).code, u, v, len(vertices) + 1))
+            seen[code] = seen.get(code, 0) + 1
+            if seen[code] <= 3:
+                checked += [c, QuadMap(c)]
+        expected.append((code, u, v, len(vertices) + 1))
     assert records == expected
-    assert built == nonempty
+    assert built == checked
 
 
 @st.composite
@@ -423,11 +430,15 @@ def test_one_point_table_serves_every_c_of_its_denominator(run):
     points = PointTable(d)
     for u in us:
         c = F(u, d * d)
-        g = preper_points(QuadMap(c), points)
+        f = QuadMap(c)
+        g = preper_points(f, points)
         fresh = preper_points(QuadMap(c))
         assert (g.vertices, g.edges) == (fresh.vertices, fresh.edges)
         assert (g.vertices, g.edges) == box_preper_graph(c)
-        assert all(points[v.numerator] is v for v in g.vertices)
+        K = box_size(c) // 2
+        survivors = [k for k in range(-K, K + 1) if gcd(k, d) == 1 and f.step(k) is not None]
+        assert points.candidates(u, K) == survivors
+        assert {v.numerator for v in g.vertices} <= set(survivors)
 
 
 def test_a_graph_without_a_table_keeps_no_point_per_numerator():
@@ -468,19 +479,51 @@ def test_a_scan_keeps_no_record_per_c():
 
 
 def test_a_scan_builds_a_map_and_a_graph_only_for_a_nonempty_graph(monkeypatch):
-    """Of the 6,481 c of height 300, 350 have a nonempty graph, and only
-    those become a QuadMap and go through preper_points: the empty graph
-    is found on integers."""
-    calls = dict.fromkeys(["QuadMap", "preper_points"], 0)
-    for name in calls:
-        def spy(*args, _real=getattr(dynamics, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(dynamics, name, spy)
+    """Of the 6,481 c of height 300, 350 have a nonempty graph, found and
+    canonicalized on integers.  Only the first three c of each nonempty
+    code, the samples the scan prints, become a QuadMap and go through
+    preper_points, to cross-check the integer census; no c with the empty
+    graph does."""
+    checked, seen = [], {}
+    for u, v in c_values_up_to_height(300):
+        c = F(u, v * v)
+        code = graph_shape(preper_points(QuadMap(c))).code
+        if code:
+            seen[code] = seen.get(code, 0) + 1
+            if seen[code] <= 3:
+                checked.append(c)
+    calls = {"QuadMap": [], "preper_points": []}
+    real_quad, real_preper = dynamics.QuadMap, dynamics.preper_points
+
+    def quad(c):
+        calls["QuadMap"].append(c)
+        return real_quad(c)
+
+    def preper(f, points=None):
+        calls["preper_points"].append(f.c)
+        return real_preper(f, points)
+
+    monkeypatch.setattr(dynamics, "QuadMap", quad)
+    monkeypatch.setattr(dynamics, "preper_points", preper)
     res = scan(300)
     total = sum(count for count, _ in res.census.values())
     assert (total, total - res.census[GraphShape("")][0]) == (6481, 350)
-    assert calls == {"QuadMap": 350, "preper_points": 350}
+    assert calls == {"QuadMap": checked, "preper_points": checked}
+    assert sorted(checked) == sorted(c for shape, (_, samples) in res.census.items()
+                                     if shape.code for c in samples)
+
+
+@pytest.mark.parametrize("patch", ["code", "size"])
+def test_a_scan_raises_when_a_sample_graph_disagrees_with_the_integer_census(monkeypatch,
+                                                                             patch):
+    # a wrong code or size from the rebuilt graph of a sample stops the
+    # scan rather than letting the census and its samples disagree
+    if patch == "code":
+        monkeypatch.setattr(dynamics, "graph_shape", lambda g: GraphShape("1:()"))
+    else:
+        monkeypatch.setattr(PreperGraph, "size_with_infinity", lambda g: len(g.vertices) + 2)
+    with pytest.raises(RuntimeError, match="the census found shape .* but its graph has"):
+        scan(300)
 
 
 def test_shape_empty_graph():
