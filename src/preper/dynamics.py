@@ -28,23 +28,24 @@ BOX_BUDGET numerators rather than run for hours on a short argument, and
 
 A scan meets each denominator d for hundreds of c, so it keeps one
 PointTable per d.  The table groups its numerators k >= 0 by k**2 mod d,
-so for c = u/d**2 it returns at once the box numerators whose first step
-stays a candidate: those with d | k**2 + u and |k**2 + u| <= d*K.  Only
-these are walked, and the filter drops no preperiodic point:
+so for c = u/d**2 it returns at once those k <= K whose first step stays
+a candidate: d | k**2 + u and |k**2 + u| <= d*K.  Only these are walked,
+and no preperiodic point is lost:
 * the image of a preperiodic point is preperiodic, so it lies in the box;
 * for an integer t >= 0, t(t - d) <= |u| holds exactly when t <= K, so
   |k**2 + u| <= d*K is the step's escape test on the image;
 * d | k**2 + u together with gcd(u, d) = 1 forces gcd(k, d) = 1, so the
-  gcd test goes.
-The scan settles every graph on integers: it walks all the survivors
-with one memo, which then holds exactly the numerators of the graph's
-vertices, and canonicalizes k -> (k**2 + u)/d on them.  Only the samples
-it prints, the first three c of each nonempty shape, become a Fraction,
-a QuadMap and a graph, built again to cross-check the integer census.
-A single graph keeps no table and walks the whole coprime box, building
-each k/d as it goes: a table for its box, up to BOX_BUDGET numerators,
-would hold its groups for the whole call, so the memory of `graph`
-would grow with the box.
+  gcd test goes;
+* k and -k have the same image, so -k is preperiodic exactly when k is.
+The scan settles every graph on integers: it walks the survivors with
+one memo, whose keys and their negatives are then exactly the vertex
+numerators, and canonicalizes k -> (k**2 + u)/d on them.  Only the
+samples it prints, the first three c of each nonempty shape, get a
+Fraction, a QuadMap and a graph, built again by walking k and -k alike,
+so this cross-check rests on no mirror argument.  A single graph keeps
+no table and walks the whole coprime box: a table for a box of up to
+BOX_BUDGET numerators would hold its groups for the whole call, so the
+memory of `graph` would grow with the box.
 
 Graphs are canonicalized as functional digraphs: rooted trees hang off
 cycle vertices, trees get sorted-parenthesis codes, cycles get the
@@ -209,7 +210,7 @@ class GraphShape(Value):
 
 
 class PointTable:
-    """The first-step survivors of every box with one denominator d.
+    """The first-step survivors k >= 0 of every box with one denominator d.
 
     A scan reads one table for every c with denominator d**2.  The
     numerators 0 <= k <= reach sit in groups by k**2 mod d, each in
@@ -225,10 +226,9 @@ class PointTable:
         self.groups: dict[int, tuple[list[int], list[int]]] = {}
 
     def candidates(self, u: int, K: int) -> list[int]:
-        """The numerators |k| <= K with d | k**2 + u and |k**2 + u| <= d*K,
+        """The numerators 0 <= k <= K with d | k**2 + u and |k**2 + u| <= d*K,
         in increasing order: for c = u/d**2 in lowest terms and its box
-        bound K, exactly the box numerators k with QuadMap(c).step(k) not
-        None."""
+        bound K, the box numerators k >= 0 with QuadMap(c).step(k) not None."""
         d, groups = self.d, self.groups
         if K > self.reach:
             for k in range(self.reach + 1, K + 1):
@@ -244,10 +244,8 @@ class PointTable:
             return []
         squares, roots = group
         # k**2 + u within [-d*K, d*K], and k <= K
-        ks = roots[bisect_left(squares, -d * K - u):
-                   bisect_right(squares, min(K * K, d * K - u))]
-        # k = 0 survives only for d = 1 and has no twin
-        return [-k for k in reversed(ks) if k] + ks
+        return roots[bisect_left(squares, -d * K - u):
+                     bisect_right(squares, min(K * K, d * K - u))]
 
 
 class NotQuadraticError(ValueError):
@@ -337,12 +335,12 @@ def preper_points(f: QuadMap, points: PointTable | None = None) -> PreperGraph:
     on the shared memo, with its point k/d built for that call and
     dropped after it, and only the vertices are built again for the
     graph.  With `points`, a PointTable for f's own denominator d, the
-    candidates are the table's first-step survivors of the box, the k
-    with d | k**2 + u and |k**2 + u| <= d*K (the module docstring says
-    why no preperiodic point is lost); the scan's cross-check passes
-    one.  Without it every coprime box numerator is walked, so a box of
-    up to BOX_BUDGET numerators never holds one Fraction per numerator
-    (the memory of `graph` rests on this).
+    candidates are the table's survivors k >= 0 and their negatives, all
+    walked, so the scan's cross-check, which passes one, does not rest on
+    the mirror argument of the scan's own walk.  Without it every coprime
+    box numerator is walked, so a box of up to BOX_BUDGET numerators
+    never holds one Fraction per numerator (the memory of `graph` rests
+    on this).
     Raises ValueError for a table of another denominator, whose points
     every walk would reject as divergent, and BoxBudgetError when the
     candidate box exceeds BOX_BUDGET.
@@ -364,9 +362,10 @@ def preper_points(f: QuadMap, points: PointTable | None = None) -> PreperGraph:
             if k not in types and gcd(k, d) == 1:
                 orbit_classify(f, Fraction(k, d), types)
     else:
-        for k in points.candidates(u, K):
-            if k not in types:
-                orbit_classify(f, Fraction(k, d), types)
+        for j in points.candidates(u, K):
+            for k in {j, -j}:
+                if k not in types:
+                    orbit_classify(f, Fraction(k, d), types)
     if not types:
         return PreperGraph(c=c, vertices=frozenset(), edges={})
     vertex = {k: Fraction(k, d) for k in types}
@@ -522,16 +521,17 @@ def _scan_chunk(pairs) -> Iterator[tuple[str, int, int, int]]:
 
     Every graph is settled on integers.  A c > 1/4, 4u > v**2, is empty at
     once: x**2 + c > x on all of R, so every real orbit grows without
-    bound.  Otherwise the first-step survivors of its box, which the
-    PointTable of v finds by two bisections, are all walked on numerators
-    with one shared memo.  The filter drops no preperiodic point, so the
-    memo ends holding exactly the numerators of the graph's vertices; the
-    graph is empty when it holds none, and else its code is the canonical
+    bound.  Otherwise the first-step survivors k >= 0 of its box, which
+    the PointTable of v finds by two bisections, are walked on numerators
+    with one shared memo.  A preperiodic k >= 0 is always a survivor, and
+    -k is preperiodic exactly when k is, so the memo's keys and their
+    negatives are exactly the numerators of the graph's vertices; the
+    graph is empty when the memo is, and else its code is the canonical
     shape of k -> (k**2 + u)/v on those numerators and its size their
-    number plus one.
-    The first three nonempty c of each code, the samples that scan keeps,
-    are built again as a QuadMap and a graph by preper_points and
-    graph_shape, and a code or size that differs raises RuntimeError.
+    number plus one.  The first three nonempty c of each code, the
+    samples that scan keeps, are built again by preper_points, which
+    walks k and -k alike, and graph_shape; a code or size that differs
+    raises RuntimeError.
     One table per denominator lives as long as the iterator; the boxes of
     a scan are small (|k| < 200 at SCAN_BUDGET), so the tables stay small
     too.
@@ -550,8 +550,9 @@ def _scan_chunk(pairs) -> Iterator[tuple[str, int, int, int]]:
                 for k in survivors:
                     _walk(k, step, types)
                 if types:
-                    code = _shape_of_edges({k: (k * k + u) // v for k in types}).code
-                    size = len(types) + 1
+                    vertices = {j for k in types for j in (k, -k)}
+                    code = _shape_of_edges({k: (k * k + u) // v for k in vertices}).code
+                    size = len(vertices) + 1
                     n = checked.get(code, 0)
                     if n < 3:
                         checked[code] = n + 1

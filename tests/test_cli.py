@@ -285,6 +285,17 @@ def test_bench_tool_census_counts_the_scan_it_runs():
     assert run["peak_rss_mb"] > 0
 
 
+def test_bench_tool_census_digests_the_scan_report(capsys):
+    # the BENCH file's census keeps the sha256 of the scan's report without
+    # timing_ms, so two files show whether the census kept its bytes
+    run = load_bench_tool().census(Path(ROOT), height=30)
+    assert cli.main(["scan", "--height", "30"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    del payload["timing_ms"]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert run["stdout_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_graph_json_minus_29_16():
     r = run_cli("graph", "--c", "-29/16")
     assert r.returncode == 0

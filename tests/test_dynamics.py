@@ -282,11 +282,12 @@ def test_point_table_of_another_denominator_raises(c, d):
 @pytest.mark.parametrize("c", [F(-29, 16), F(5, 16), F(-21, 16)])
 def test_point_table_holds_each_coprime_box_point_the_graph_reads(c):
     # the graph reads only the first-step survivors of the coprime box:
-    # all eight odd numerators for -29/16 and -21/16, none for 5/16
+    # all eight odd numerators for -29/16 and -21/16, none for 5/16; the
+    # table hands out their nonnegative half, the graph walks both signs
     f, points, K = QuadMap(c), PointTable(4), box_size(c) // 2
     survivors = [k for k in range(-K, K + 1) if k % 2 and f.step(k) is not None]
     assert len(survivors) == (0 if c == F(5, 16) else 8)
-    assert points.candidates(f.u, K) == survivors
+    assert points.candidates(f.u, K) == [k for k in survivors if k >= 0]
     # the table groups every numerator 0 <= k <= K by k**2 mod 4
     assert points.reach == K
     assert sorted(k for _, roots in points.groups.values() for k in roots) == list(range(K + 1))
@@ -319,7 +320,9 @@ def test_point_table_candidates_are_the_first_step_survivors_of_the_box(run):
         c = F(u, d * d)
         f, K = QuadMap(c), box_size(c) // 2
         survivors = [k for k in range(-K, K + 1) if gcd(k, d) == 1 and f.step(k) is not None]
-        assert points.candidates(u, K) == survivors
+        # the nonnegative half; -k survives exactly when k does
+        assert points.candidates(u, K) == [k for k in survivors if k >= 0]
+        assert sorted(-k for k in survivors) == survivors
         calls = []
 
         def spy(f, x, types=None):
@@ -330,6 +333,9 @@ def test_point_table_candidates_are_the_first_step_survivors_of_the_box(run):
             mp.setattr(dynamics, "orbit_classify", spy)
             g = preper_points(f, points)
         assert set(calls) <= set(survivors)
+        # the graph does not lean on the mirror: every survivor of either
+        # sign that is no vertex gets a walk of its own
+        assert {k for k in survivors if F(k, d) not in g.vertices} <= set(calls)
         assert (g.vertices, g.edges) == box_preper_graph(c)
 
 
@@ -437,7 +443,7 @@ def test_one_point_table_serves_every_c_of_its_denominator(run):
         assert (g.vertices, g.edges) == box_preper_graph(c)
         K = box_size(c) // 2
         survivors = [k for k in range(-K, K + 1) if gcd(k, d) == 1 and f.step(k) is not None]
-        assert points.candidates(u, K) == survivors
+        assert points.candidates(u, K) == [k for k in survivors if k >= 0]
         assert {v.numerator for v in g.vertices} <= set(survivors)
 
 

@@ -20,8 +20,9 @@ for each run, those bytecode-cache settings, the seed, the checkout's
 `git rev-parse HEAD` and whether its tree had uncommitted changes, nproc,
 the Python version, the census's wall time, the peak RSS of its process
 (ru_maxrss from os.wait4 on that child alone, in MB of 1024 kB), its
-number of c and of shapes and its out_of_catalog and bound_violations
-counts, and the tier-1 counts, exit code and wall time.
+number of c and of shapes, its out_of_catalog and bound_violations
+counts and the sha256 of its stdout without timing_ms, and the tier-1
+counts, exit code and wall time.
 When a run is not correct, or the census fails, the script writes
 nothing and exits 1.  It changes nothing under perfbench/.
 The whole run takes about five minutes, the census about 20 s of it.
@@ -30,6 +31,7 @@ The whole run takes about five minutes, the census about 20 s of it.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -95,9 +97,11 @@ def tier1(root: Path) -> dict:
 
 def census(root: Path, height: int = CENSUS_HEIGHT) -> dict:
     """One whole serial scan, by default at the scan budget: its wall time,
-    exit code, the peak RSS of its own process, and the number of c, of
+    exit code, the peak RSS of its own process, the number of c, of
     shapes, of c outside the catalog and of c with more than 9 points
-    counting infinity."""
+    counting infinity, and the sha256 of its stdout with timing_ms
+    removed, re-emitted under the CLI's own JSON settings as
+    perfbench/workloads.py::digest does, so files compare byte for byte."""
     argv = ("-m", "preper", "scan", "--height", str(height), "--jobs", "1")
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     # the child writes to files, so wait4 cannot block it on a full pipe;
@@ -123,6 +127,9 @@ def census(root: Path, height: int = CENSUS_HEIGHT) -> dict:
                shapes=len(payload["census"]),
                out_of_catalog=len(payload["out_of_catalog"]),
                bound_violations=len(payload["bound_violations"]))
+    del payload["timing_ms"]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    run["stdout_sha256"] = hashlib.sha256(text.encode()).hexdigest()
     return run
 
 
