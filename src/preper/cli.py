@@ -3,15 +3,10 @@
 Subcommands: graph, scan, family, curve-points, jacobian, verify.  All
 numeric output is exact 'p/q' text, reports are JSON with sorted keys, and
 exit codes follow a fixed contract: 0 success, 1 at least one check
-failed, 2 usage error.  A scan runs in this process and starts no
-other; it still accepts --jobs, and PREPER_JOBS as its default, for
-compatibility: both are validated, and neither selects anything.
+failed, 2 usage error.
 
 main builds the argument parser on its first call and reuses it for
 every later call in the process; importing the module builds none.
-PREPER_JOBS is read on every call that parses a scan without --jobs, so
-a change to the environment between two calls takes effect, and a bad
-value is the same usage error as a bad --jobs.
 
 Each command loads only the layers it runs: graph, scan and family need
 the dynamics and the families, while the curve registry, the Jacobian
@@ -27,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 import time
@@ -78,18 +72,6 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return n
-
-
-class _EnvJobs(str):
-    """The --jobs default: a marker that _jobs replaces by PREPER_JOBS."""
-
-
-def _jobs(text: str) -> int:
-    # argparse converts a string default when the call parses, so the
-    # environment is read then, not when the parser was built
-    if isinstance(text, _EnvJobs):
-        text = os.environ.get("PREPER_JOBS", "1")
-    return _positive_int(text)
 
 
 def _emit(command: str, **fields) -> None:
@@ -348,9 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="census of graph shapes for all c up to a height")
     p.add_argument("--height", type=_positive_int, required=True)
-    p.add_argument("--jobs", type=_jobs, default=_EnvJobs("PREPER_JOBS"),
-                   help="a positive integer, default $PREPER_JOBS or 1; accepted for "
-                        "compatibility: the scan runs in this process")
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("family", help="generate and validate a parametrized family point")

@@ -41,11 +41,11 @@ The scan settles every graph on integers: it walks the survivors with
 one memo, whose keys and their negatives are then exactly the vertex
 numerators, and canonicalizes k -> (k**2 + u)/d on them.  Only the
 samples it prints, the first three c of each nonempty shape, get a
-Fraction, a QuadMap and a graph, built again by walking k and -k alike,
-so this cross-check rests on no mirror argument.  A single graph keeps
-no table and walks the whole coprime box: a table for a box of up to
-BOX_BUDGET numerators would hold its groups for the whole call, so the
-memory of `graph` would grow with the box.
+Fraction, a QuadMap and a graph, built again by `preper_points`, which
+keeps no table and walks the whole coprime box, so this cross-check
+rests neither on the table nor on the mirror argument.  Without a table
+the memory of `graph` does not grow with its box of up to BOX_BUDGET
+numerators.
 
 Graphs are canonicalized as functional digraphs: rooted trees hang off
 cycle vertices, trees get sorted-parenthesis codes, cycles get the
@@ -327,28 +327,18 @@ def orbit_classify(f: QuadMap, x: Fraction, types: dict | None = None) -> OrbitC
     return OrbitClass.preperiodic(period, tail) if tail else OrbitClass.periodic(period)
 
 
-def preper_points(f: QuadMap, points: PointTable | None = None) -> PreperGraph:
+def preper_points(f: QuadMap) -> PreperGraph:
     """The complete graph of finite rational preperiodic points of f.
 
-    d and u come from f, which derived them once; every candidate
+    d and u come from f, which derived them once; every coprime box
     numerator that no earlier walk recorded gets one orbit_classify call
     on the shared memo, with its point k/d built for that call and
     dropped after it, and only the vertices are built again for the
-    graph.  With `points`, a PointTable for f's own denominator d, the
-    candidates are the table's survivors k >= 0 and their negatives, all
-    walked, so the scan's cross-check, which passes one, does not rest on
-    the mirror argument of the scan's own walk.  Without it every coprime
-    box numerator is walked, so a box of up to BOX_BUDGET numerators
-    never holds one Fraction per numerator (the memory of `graph` rests
-    on this).
-    Raises ValueError for a table of another denominator, whose points
-    every walk would reject as divergent, and BoxBudgetError when the
-    candidate box exceeds BOX_BUDGET.
+    graph.  So a box of up to BOX_BUDGET numerators never holds one
+    Fraction per numerator (the memory of `graph` rests on this).
+    Raises BoxBudgetError when the candidate box exceeds BOX_BUDGET.
     """
     c, d, u = f.c, f.d, f.u
-    if points is not None and points.d != d:
-        raise ValueError(f"a point table for denominator {points.d} does not fit "
-                         f"c = {c}, whose points have denominator {d}")
     if d is None:
         return PreperGraph(c=c, vertices=frozenset(), edges={})
     # candidates k/d with gcd(k, d) = 1 and |k| <= K, orbit_classify's escape bound
@@ -357,15 +347,9 @@ def preper_points(f: QuadMap, points: PointTable | None = None) -> PreperGraph:
         raise BoxBudgetError(f"the candidate box of c = {c} holds {2 * K + 1} "
                              f"numerators, more than the budget of {BOX_BUDGET}")
     types: dict[int, tuple[int, int]] = {}
-    if points is None:
-        for k in range(-K, K + 1):
-            if k not in types and gcd(k, d) == 1:
-                orbit_classify(f, Fraction(k, d), types)
-    else:
-        for j in points.candidates(u, K):
-            for k in {j, -j}:
-                if k not in types:
-                    orbit_classify(f, Fraction(k, d), types)
+    for k in range(-K, K + 1):
+        if k not in types and gcd(k, d) == 1:
+            orbit_classify(f, Fraction(k, d), types)
     if not types:
         return PreperGraph(c=c, vertices=frozenset(), edges={})
     vertex = {k: Fraction(k, d) for k in types}
@@ -530,8 +514,8 @@ def _scan_chunk(pairs) -> Iterator[tuple[str, int, int, int]]:
     shape of k -> (k**2 + u)/v on those numerators and its size their
     number plus one.  The first three nonempty c of each code, the
     samples that scan keeps, are built again by preper_points, which
-    walks k and -k alike, and graph_shape; a code or size that differs
-    raises RuntimeError.
+    reads no table and walks the whole coprime box, and graph_shape; a
+    code or size that differs raises RuntimeError.
     One table per denominator lives as long as the iterator; the boxes of
     a scan are small (|k| < 200 at SCAN_BUDGET), so the tables stay small
     too.
@@ -556,16 +540,16 @@ def _scan_chunk(pairs) -> Iterator[tuple[str, int, int, int]]:
                     n = checked.get(code, 0)
                     if n < 3:
                         checked[code] = n + 1
-                        _check_census_graph(u, v, code, size, points)
+                        _check_census_graph(u, v, code, size)
         yield code, u, v, size
 
 
-def _check_census_graph(u: int, v: int, code: str, size: int, points: PointTable) -> None:
+def _check_census_graph(u: int, v: int, code: str, size: int) -> None:
     """Raise RuntimeError unless the graph of c = u/v**2, built by
     preper_points and canonicalized by graph_shape, has the given code and
     size."""
     c = Fraction(u, v * v)
-    g = preper_points(QuadMap(c), points)
+    g = preper_points(QuadMap(c))
     shape, graph_size = graph_shape(g).code, g.size_with_infinity()
     if (shape, graph_size) != (code, size):
         raise RuntimeError(f"the census found shape {code!r} and size {size} for c = {c}, "
@@ -581,9 +565,10 @@ def scan(height: int) -> ScanResult:
     records carry c as its integers u, v and its shape as a code found on
     numerators; a Fraction is built only for the samples kept, up to
     three per shape, whose nonempty graphs _scan_chunk has rebuilt as a
-    PreperGraph to cross-check, and for any c outside the catalog or
-    above the size bound.  Raises ScanBudgetError above SCAN_BUDGET, and
-    RuntimeError when a rebuilt sample disagrees with its record.
+    PreperGraph from the whole coprime box to cross-check, and for any c
+    outside the catalog or above the size bound.  Raises ScanBudgetError
+    above SCAN_BUDGET, and RuntimeError when a rebuilt sample disagrees
+    with its record.
     """
     if height > SCAN_BUDGET:
         raise ScanBudgetError(f"scan height {height} exceeds the scan budget of {SCAN_BUDGET}")

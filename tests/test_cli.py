@@ -278,7 +278,7 @@ def test_bench_tool_census_counts_the_scan_it_runs():
     # the BENCH file's census reads its counts from the scan's own JSON
     run = load_bench_tool().census(Path(ROOT), height=20)
     expected = scan(20)
-    assert run["exit"] == 0 and run["command"].endswith("scan --height 20 --jobs 1")
+    assert run["exit"] == 0 and run["command"].endswith("scan --height 20")
     assert (run["c_values"], run["shapes"], run["out_of_catalog"], run["bound_violations"]) \
         == (len(list(c_values_up_to_height(20))), len(expected.census), 0, 0)
     # the peak RSS of the scan's own process, read by wait4 on its pid
@@ -382,35 +382,18 @@ def test_jacobian_tests_the_size_of_p_before_its_primality(monkeypatch, capsys):
     assert calls == [4]
 
 
-def test_preper_jobs_is_read_on_every_call(monkeypatch, capsys):
-    # main reuses the parser of its first call, so PREPER_JOBS must still
-    # be read and validated when each later call parses, not when the
-    # parser was built; a valid value selects nothing
-    def census(*argv):
-        assert cli.main(["scan", "--height", "3", *argv]) == 0
-        payload = json.loads(capsys.readouterr().out)
+def test_scan_does_not_read_preper_jobs(monkeypatch):
+    # the scan has no --jobs and reads no PREPER_JOBS: a value that was
+    # once a usage error changes neither the exit code nor the bytes
+    def census(env=None):
+        r = run_cli("scan", "--height", "3", env=env)
+        assert r.returncode == 0 and r.stderr == ""
+        payload = json.loads(r.stdout)
         del payload["timing_ms"]
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     monkeypatch.delenv("PREPER_JOBS", raising=False)
-    serial = census()
-    monkeypatch.setenv("PREPER_JOBS", "0")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["scan", "--height", "3"])
-    assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err.strip().splitlines()[-1]
-    monkeypatch.setenv("PREPER_JOBS", "2")
-    assert census() == census("--jobs", "1") == census("--jobs", "64") == serial
-
-
-def test_scan_determinism_across_jobs():
-    a = run_cli("scan", "--height", "12", "--jobs", "1")
-    b = run_cli("scan", "--height", "12", "--jobs", "4")
-    assert a.returncode == b.returncode == 0
-    da, db = json.loads(a.stdout), json.loads(b.stdout)
-    assert da["census"] == db["census"]
-    assert json.dumps(da["census"], sort_keys=True) == json.dumps(db["census"], sort_keys=True)
-    assert da["out_of_catalog"] == [] and da["bound_violations"] == []
+    assert census({"PREPER_JOBS": "x"}) == census()
 
 
 def test_scan_height_300_census_bytes_are_pinned():
@@ -639,8 +622,9 @@ def test_verify_theorems_suite():
     (("scan", "--height", "-3"), None),
     (("scan", "--height", "5", "--jobs", "0"), None),
     (("scan", "--height", "5", "--jobs", "-1"), None),
-    (("scan", "--height", "5"), {"PREPER_JOBS": "x"}),
-    (("scan", "--height", "5"), {"PREPER_JOBS": "0"}),
+    # --jobs is gone, so the values it once accepted are usage errors too
+    (("scan", "--height", "5", "--jobs", "1"), None),
+    (("scan", "--height", "5", "--jobs", "64"), None),
     (("curve-points", "--curve", "c1_32", "--height", "0"), None),
     (("verify", "curves", "--height", "0"), None),
     (("jacobian", "--p", "4"), None),
@@ -665,7 +649,6 @@ def test_verify_theorems_suite():
     (("jacobian", "--p", "1_3"), None),
     (("curve-points", "--curve", "c1_32", "--height", "\u0663"), None),
     (("verify", "theorems", "--height", "1_0"), None),
-    (("scan", "--height", "3"), {"PREPER_JOBS": "\u0662"}),
 ])
 def test_usage_errors_exit_2_without_traceback(args, env):
     r = run_cli(*args, env=env)

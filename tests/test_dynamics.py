@@ -270,20 +270,11 @@ def test_vertex_closure_failure_names_the_escaped_image(monkeypatch, recorded, m
         preper_points(QuadMap(F(-29, 16)))
 
 
-@pytest.mark.parametrize("c, d", [(F(-29, 16), 3), (F(-29, 16), 1), (F(-2), 4),
-                                  (F(1, 3), 1)])
-def test_point_table_of_another_denominator_raises(c, d):
-    # every point k/d of such a table is divergent for c, so the graph
-    # would come out empty without a word
-    with pytest.raises(ValueError, match=f"table for denominator {d} does not fit"):
-        preper_points(QuadMap(c), PointTable(d))
-
-
 @pytest.mark.parametrize("c", [F(-29, 16), F(5, 16), F(-21, 16)])
 def test_point_table_holds_each_coprime_box_point_the_graph_reads(c):
-    # the graph reads only the first-step survivors of the coprime box:
+    # the graph's vertices are first-step survivors of the coprime box:
     # all eight odd numerators for -29/16 and -21/16, none for 5/16; the
-    # table hands out their nonnegative half, the graph walks both signs
+    # table hands out their nonnegative half, the graph reads no table
     f, points, K = QuadMap(c), PointTable(4), box_size(c) // 2
     survivors = [k for k in range(-K, K + 1) if k % 2 and f.step(k) is not None]
     assert len(survivors) == (0 if c == F(5, 16) else 8)
@@ -291,7 +282,7 @@ def test_point_table_holds_each_coprime_box_point_the_graph_reads(c):
     # the table groups every numerator 0 <= k <= K by k**2 mod 4
     assert points.reach == K
     assert sorted(k for _, roots in points.groups.values() for k in roots) == list(range(K + 1))
-    g = preper_points(f, points)
+    g = preper_points(f)
     assert {v.numerator for v in g.vertices} <= set(survivors)
     assert (g.vertices, g.edges) == box_preper_graph(c)
 
@@ -319,7 +310,8 @@ def test_point_table_candidates_are_the_first_step_survivors_of_the_box(run):
     for u in us:
         c = F(u, d * d)
         f, K = QuadMap(c), box_size(c) // 2
-        survivors = [k for k in range(-K, K + 1) if gcd(k, d) == 1 and f.step(k) is not None]
+        coprime = [k for k in range(-K, K + 1) if gcd(k, d) == 1]
+        survivors = [k for k in coprime if f.step(k) is not None]
         # the nonnegative half; -k survives exactly when k does
         assert points.candidates(u, K) == [k for k in survivors if k >= 0]
         assert sorted(-k for k in survivors) == survivors
@@ -331,11 +323,12 @@ def test_point_table_candidates_are_the_first_step_survivors_of_the_box(run):
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "orbit_classify", spy)
-            g = preper_points(f, points)
-        assert set(calls) <= set(survivors)
-        # the graph does not lean on the mirror: every survivor of either
-        # sign that is no vertex gets a walk of its own
-        assert {k for k in survivors if F(k, d) not in g.vertices} <= set(calls)
+            g = preper_points(f)
+        assert set(calls) <= set(coprime)
+        # the graph leans neither on the table nor on the mirror: every
+        # coprime box numerator that is no vertex gets a walk of its own
+        assert {k for k in coprime if F(k, d) not in g.vertices} <= set(calls)
+        assert {v.numerator for v in g.vertices} <= set(survivors)
         assert (g.vertices, g.edges) == box_preper_graph(c)
 
 
@@ -346,6 +339,18 @@ def test_scan_chunk_matches_graphs_built_without_a_table():
         g = preper_points(QuadMap(F(u, v * v)))
         expected.append((graph_shape(g).code, u, v, g.size_with_infinity()))
     assert list(dynamics._scan_chunk(pairs)) == expected
+
+
+def test_scan_cross_check_does_not_read_the_point_table(monkeypatch):
+    # a table that loses the survivor k = 0 hides the fixed point 0 of
+    # c = 0 (and the tail point 0 of c = -2) from the integer census; the
+    # samples are rebuilt from the whole coprime box, so the census's
+    # shape disagrees with the rebuilt graph instead of agreeing with it
+    real = PointTable.candidates
+    monkeypatch.setattr(PointTable, "candidates",
+                        lambda self, u, K: [k for k in real(self, u, K) if k])
+    with pytest.raises(RuntimeError, match="the census found shape"):
+        scan(2)
 
 
 @st.composite
@@ -385,9 +390,9 @@ def test_scan_emptiness_verdict_matches_the_graph_and_the_box_oracle(pairs):
         built.append(c)
         return real_quad(c)
 
-    def preper(f, points=None):
+    def preper(f):
         built.append(f)
-        return real_preper(f, points)
+        return real_preper(f)
 
     def bound(d, u):
         bounded.add((u, d))
@@ -437,9 +442,7 @@ def test_one_point_table_serves_every_c_of_its_denominator(run):
     for u in us:
         c = F(u, d * d)
         f = QuadMap(c)
-        g = preper_points(f, points)
-        fresh = preper_points(QuadMap(c))
-        assert (g.vertices, g.edges) == (fresh.vertices, fresh.edges)
+        g = preper_points(f)
         assert (g.vertices, g.edges) == box_preper_graph(c)
         K = box_size(c) // 2
         survivors = [k for k in range(-K, K + 1) if gcd(k, d) == 1 and f.step(k) is not None]
@@ -448,7 +451,7 @@ def test_one_point_table_serves_every_c_of_its_denominator(run):
 
 
 def test_a_graph_without_a_table_keeps_no_point_per_numerator():
-    """A graph built without a PointTable drops each point k/d when its
+    """A graph reads no PointTable and drops each point k/d when its
     walk ends, so its memory does not grow with the box.  This pins the
     peak_rss_mb of the graph_tall benchmark, whose boxes reach 3 * 10**4
     numerators: holding one Fraction per coprime numerator for the whole
@@ -505,9 +508,9 @@ def test_a_scan_builds_a_map_and_a_graph_only_for_a_nonempty_graph(monkeypatch):
         calls["QuadMap"].append(c)
         return real_quad(c)
 
-    def preper(f, points=None):
+    def preper(f):
         calls["preper_points"].append(f.c)
-        return real_preper(f, points)
+        return real_preper(f)
 
     monkeypatch.setattr(dynamics, "QuadMap", quad)
     monkeypatch.setattr(dynamics, "preper_points", preper)
@@ -684,10 +687,13 @@ def test_mirror_count_rule():
                 assert depth1 == expected, (c, m)
 
 
-GRAPH_2916 = preper_points(QuadMap(F(-29, 16)))
 POINTS_2916 = ((F(3, 4), OrbitClass.preperiodic(3, 2)), (F(-3, 4), OrbitClass.preperiodic(3, 2)))
 ODD_3 = odd_model_transform(C1_32, 3, 1)
 Q24_E24 = BIRATIONAL_PAIRS["q24_e24"]
+
+
+def _graph_case(g):
+    return g, PreperGraph(g.c, g.vertices, {}), PreperGraph(g.c, frozenset(), {}), repr(g)
 
 
 def _rebuilt(maps):
@@ -695,56 +701,64 @@ def _rebuilt(maps):
     return tuple(RationalMap(m.num, m.den) for m in maps)
 
 
-# per value class: an instance, an equal one that differs at most in the
-# fields equality ignores, an unequal one, and str of the first
+# per value class, built by the test that reads it, so that a fault in
+# one constructor fails its own case and not the collection of the
+# module: an instance, an equal one that differs at most in the fields
+# equality ignores, an unequal one, and str of the first
 VALUE_CASES = {
-    "QuadMap": (QuadMap(F(1, 4)), QuadMap(F(1, 4)), QuadMap(F(-2)), "QuadMap(c=Fraction(1, 4))"),
-    "OrbitClass": (OrbitClass.preperiodic(3, 2), OrbitClass("preperiodic", 3, 2),
-                   OrbitClass.periodic(3), "type 3_2"),
-    "PreperGraph": (GRAPH_2916, PreperGraph(F(-29, 16), GRAPH_2916.vertices, {}),
-                    PreperGraph(F(-29, 16), frozenset(), {}), repr(GRAPH_2916)),
-    "GraphShape": (GraphShape(""), GraphShape(""), GraphShape("1:()"), "(empty)"),
-    "FamilyPoint": (FamilyPoint("t32", None, F(-29, 16), POINTS_2916),
-                    FamilyPoint("t32", None, F(-29, 16), POINTS_2916, {"rho": F(1)}),
-                    FamilyPoint("t32", None, F(-21, 16), POINTS_2916),
-                    "FamilyPoint(family='t32', parameter=None, c=Fraction(-29, 16), points=("
-                    "(Fraction(3, 4), OrbitClass(kind='preperiodic', period=3, tail=2)), "
-                    "(Fraction(-3, 4), OrbitClass(kind='preperiodic', period=3, tail=2))), aux={})"),
-    "ScanResult": (scan(2), scan(2), scan(3), repr(scan(2))),
-    "CheckResult": (CheckResult("a", "s", "pass"), CheckResult("a", "s", "pass", None, ""),
-                    CheckResult("a", "s", "fail"),
-                    "CheckResult(id='a', statement='s', status='pass', value=None, note='')"),
-    "Report": (Report(), Report([]), Report([CheckResult("a", "s", "pass")]),
-               "Report(checks=[])"),
-    "CurveModel": (E40, CurveModel("e40", Poly((1, -2, 0, 1))), CurveModel("e40", C1_32.g),
-                   "CurveModel(label='e40', g=Poly(1 + -2*x + x^3), h=Poly(0))"),
-    "CurveFunctionField": (C1_32.function_field(), CurveFunctionField(Poly(), C1_32.g),
-                           E40.function_field(),
-                           "CurveFunctionField(s=Poly(0), t=Poly(1 + 2*x + 5*x^2 + 2*x^3 + "
-                           "-2*x^4 + x^6))"),
-    "CurvePoint": (CurvePoint.affine(1, 3), CurvePoint(F(1), F(3)), CurvePoint.infinite(1),
-                   "(1,3)"),
-    "BirationalPair": (Q24_E24,
-                       BirationalPair("q24_e24", Q24_E24.source, Q24_E24.target,
-                                      _rebuilt(Q24_E24.forward), _rebuilt(Q24_E24.backward)),
-                       BirationalPair("q24_e24", Q24_E24.source, Q24_E24.target,
-                                      Q24_E24.backward, Q24_E24.forward),
-                       repr(Q24_E24)),
-    "OddModel": (ODD_3, OddModel(FpPoly(3, (4, 3, 1, 2, 5, 1)), 1, 1),
-                 OddModel(ODD_3.f, 1, 2),
-                 "OddModel(f=FpPoly(3, [1, 0, 1, 2, 2, 1]), r=1, scale=1)"),
-    "MonicModel": (MonicModel(FpPoly(7, (1, 5, 0, 1))), MonicModel(FpPoly(7, (8, -2, 7, 8))),
-                   MonicModel(FpPoly(5, (1, 3, 0, 1))), "MonicModel(f=FpPoly(7, [1, 5, 0, 1]))"),
-    "MumfordDivisor": (divisor_identity(ODD_3), MumfordDivisor(ODD_3, FpPoly(3, (1,)), FpPoly(3)),
-                       divisor_from_points(ODD_3, [ODD_3.to_odd(KNOWN_POINTS["inf+"])]),
-                       "MumfordDivisor(model=OddModel(f=FpPoly(3, [1, 0, 1, 2, 2, 1]), "
-                       "r=1, scale=1), u=FpPoly(3, [1]), v=FpPoly(3, []))"),
-    "BranchSeries": (branch_series(2), BranchSeries((F(1), F(-3, 8), F(-31, 512)), 2),
-                     branch_series(3),
-                     "BranchSeries(coeffs=(Fraction(1, 1), Fraction(-3, 8), Fraction(-31, 512)), "
-                     "order=2)"),
-    "PadicSeries": (PadicSeries(3, 1, {0: 4}), PadicSeries(3, 1, ((0, 1),)), PadicSeries(3, 1),
-                    "PadicSeries(p=3, r=1, coeffs=((0, 1),))"),
+    "QuadMap": lambda: (
+        QuadMap(F(1, 4)), QuadMap(F(1, 4)), QuadMap(F(-2)), "QuadMap(c=Fraction(1, 4))"),
+    "OrbitClass": lambda: (
+        OrbitClass.preperiodic(3, 2), OrbitClass("preperiodic", 3, 2), OrbitClass.periodic(3),
+        "type 3_2"),
+    "PreperGraph": lambda: _graph_case(preper_points(QuadMap(F(-29, 16)))),
+    "GraphShape": lambda: (GraphShape(""), GraphShape(""), GraphShape("1:()"), "(empty)"),
+    "FamilyPoint": lambda: (
+        FamilyPoint("t32", None, F(-29, 16), POINTS_2916),
+        FamilyPoint("t32", None, F(-29, 16), POINTS_2916, {"rho": F(1)}),
+        FamilyPoint("t32", None, F(-21, 16), POINTS_2916),
+        "FamilyPoint(family='t32', parameter=None, c=Fraction(-29, 16), points=("
+        "(Fraction(3, 4), OrbitClass(kind='preperiodic', period=3, tail=2)), "
+        "(Fraction(-3, 4), OrbitClass(kind='preperiodic', period=3, tail=2))), aux={})"),
+    "ScanResult": lambda: (scan(2), scan(2), scan(3), repr(scan(2))),
+    "CheckResult": lambda: (
+        CheckResult("a", "s", "pass"), CheckResult("a", "s", "pass", None, ""),
+        CheckResult("a", "s", "fail"),
+        "CheckResult(id='a', statement='s', status='pass', value=None, note='')"),
+    "Report": lambda: (
+        Report(), Report([]), Report([CheckResult("a", "s", "pass")]), "Report(checks=[])"),
+    "CurveModel": lambda: (
+        E40, CurveModel("e40", Poly((1, -2, 0, 1))), CurveModel("e40", C1_32.g),
+        "CurveModel(label='e40', g=Poly(1 + -2*x + x^3), h=Poly(0))"),
+    "CurveFunctionField": lambda: (
+        C1_32.function_field(), CurveFunctionField(Poly(), C1_32.g), E40.function_field(),
+        "CurveFunctionField(s=Poly(0), t=Poly(1 + 2*x + 5*x^2 + 2*x^3 + -2*x^4 + x^6))"),
+    "CurvePoint": lambda: (
+        CurvePoint.affine(1, 3), CurvePoint(F(1), F(3)), CurvePoint.infinite(1), "(1,3)"),
+    "BirationalPair": lambda: (
+        Q24_E24,
+        BirationalPair("q24_e24", Q24_E24.source, Q24_E24.target,
+                       _rebuilt(Q24_E24.forward), _rebuilt(Q24_E24.backward)),
+        BirationalPair("q24_e24", Q24_E24.source, Q24_E24.target,
+                       Q24_E24.backward, Q24_E24.forward),
+        repr(Q24_E24)),
+    "OddModel": lambda: (
+        ODD_3, OddModel(FpPoly(3, (4, 3, 1, 2, 5, 1)), 1, 1), OddModel(ODD_3.f, 1, 2),
+        "OddModel(f=FpPoly(3, [1, 0, 1, 2, 2, 1]), r=1, scale=1)"),
+    "MonicModel": lambda: (
+        MonicModel(FpPoly(7, (1, 5, 0, 1))), MonicModel(FpPoly(7, (8, -2, 7, 8))),
+        MonicModel(FpPoly(5, (1, 3, 0, 1))), "MonicModel(f=FpPoly(7, [1, 5, 0, 1]))"),
+    "MumfordDivisor": lambda: (
+        divisor_identity(ODD_3), MumfordDivisor(ODD_3, FpPoly(3, (1,)), FpPoly(3)),
+        divisor_from_points(ODD_3, [ODD_3.to_odd(KNOWN_POINTS["inf+"])]),
+        "MumfordDivisor(model=OddModel(f=FpPoly(3, [1, 0, 1, 2, 2, 1]), "
+        "r=1, scale=1), u=FpPoly(3, [1]), v=FpPoly(3, []))"),
+    "BranchSeries": lambda: (
+        branch_series(2), BranchSeries((F(1), F(-3, 8), F(-31, 512)), 2), branch_series(3),
+        "BranchSeries(coeffs=(Fraction(1, 1), Fraction(-3, 8), Fraction(-31, 512)), order=2)"),
+    "PadicSeries": lambda: (
+        PadicSeries(3, 1, {0: 4}), PadicSeries(3, 1, ((0, 1),)), PadicSeries(3, 1),
+        "PadicSeries(p=3, r=1, coeffs=((0, 1),))"),
 }
 # the fields of these hold a dict or a list, so they have no hash
 UNHASHABLE = ("ScanResult", "Report")
@@ -754,7 +768,7 @@ NO_EVAL = ("CurveModel", "BirationalPair", "CurveFunctionField")
 
 @pytest.mark.parametrize("name", sorted(VALUE_CASES))
 def test_value_classes_compare_hash_print_and_freeze(name):
-    a, same, different, text = VALUE_CASES[name]
+    a, same, different, text = VALUE_CASES[name]()
     assert type(a).__name__ == name
     assert a == same and not a != same
     assert a != different and not a == different
@@ -840,7 +854,7 @@ def _value_subclasses(cls=Value):
 def test_every_value_class_is_frozen():
     # one instance of every Value class of the package, from the cases
     # above: no field of any of them can be assigned or deleted
-    instances = {type(v): v for v in [*(case[0] for case in VALUE_CASES.values()),
+    instances = {type(v): v for v in [*(case()[0] for case in VALUE_CASES.values()),
                                       *ROUND_TRIP_CASES.values()]}
     package = {cls for cls in _value_subclasses() if cls.__module__.startswith("preper.")}
     assert package - set(instances) == {_DensePoly}  # the shared ring base

@@ -6,8 +6,8 @@ writes DIR/BENCH_N.json.  It runs, one after another and from the root
 of the checkout (by default the one this script lives in), with seed 1:
   perfbench/run.py --seconds 25 --trace 0 for every workload,
   perfbench/run.py --seconds 25 --trace 1 for census and jacobian,
-  one whole serial census, python -m preper scan --height 10000
-  --jobs 1, with PYTHONPATH=src, once;
+  one whole census, python -m preper scan --height 10000, with
+  PYTHONPATH=src, once;
   the tier-1 suite, PYTHONPATH=src python -m pytest -q
   --continue-on-collection-errors, once.
 Each run.py call runs with PYTHONDONTWRITEBYTECODE removed and
@@ -25,7 +25,7 @@ counts and the sha256 of its stdout without timing_ms, and the tier-1
 counts, exit code and wall time.
 When a run is not correct, or the census fails, the script writes
 nothing and exits 1.  It changes nothing under perfbench/.
-The whole run takes about five minutes, the census about 20 s of it.
+The whole run takes about five minutes, the census about 3 s of it.
 """
 
 from __future__ import annotations
@@ -96,13 +96,13 @@ def tier1(root: Path) -> dict:
 
 
 def census(root: Path, height: int = CENSUS_HEIGHT) -> dict:
-    """One whole serial scan, by default at the scan budget: its wall time,
+    """One whole scan, by default at the scan budget: its wall time,
     exit code, the peak RSS of its own process, the number of c, of
     shapes, of c outside the catalog and of c with more than 9 points
     counting infinity, and the sha256 of its stdout with timing_ms
     removed, re-emitted under the CLI's own JSON settings as
     perfbench/workloads.py::digest does, so files compare byte for byte."""
-    argv = ("-m", "preper", "scan", "--height", str(height), "--jobs", "1")
+    argv = ("-m", "preper", "scan", "--height", str(height))
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     # the child writes to files, so wait4 cannot block it on a full pipe;
     # wait4 gives this child's own peak, where RUSAGE_CHILDREN would give
