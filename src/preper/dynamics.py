@@ -50,6 +50,9 @@ numerators.
 Graphs are canonicalized as functional digraphs: rooted trees hang off
 cycle vertices, trees get sorted-parenthesis codes, cycles get the
 lexicographically minimal rotation of their tree-code sequence.  The
+codes are made in one bottom-up pass: `_walk` gives each vertex its
+(period, tail), and the vertices are taken in decreasing tail, so each
+tree code is made from its children's codes, which are already made.  The
 catalog of shapes allowed by the classification theorems for cycle
 lengths up to 3 is a derived catalog: twelve graphs (the empty one
 included) assembled from the structural rules, not hard-coded codes.
@@ -366,7 +369,15 @@ def preper_points(f: QuadMap) -> PreperGraph:
 
 
 def _shape_of_edges(edges: dict) -> GraphShape:
-    """Canonical code of a functional digraph given as vertex -> image."""
+    """Canonical code of a functional digraph given as vertex -> image.
+
+    One bottom-up pass: `_walk` gives every vertex its (period, tail), and
+    the vertices are then taken in decreasing tail, so every child is
+    coded before its image.  A vertex's tree code is "(" + its children's
+    codes, sorted, + ")"; a tail vertex hands its code to its image, and a
+    cycle vertex keeps it.  Each cycle then takes the minimal rotation of
+    its vertices' codes, and the components are sorted and joined by ";".
+    """
     if not edges:
         return GraphShape("")
     # vertices relabelled 0..n-1; minimal rotations and sorting make the code label-free
@@ -375,26 +386,24 @@ def _shape_of_edges(edges: dict) -> GraphShape:
     types: dict[int, tuple[int, int]] = {}
     for i in range(len(image)):
         _walk(i, image.__getitem__, types)
-    children: list[list[int]] = [[] for _ in image]
-    for i, j in enumerate(image):
-        if types[i][1]:
-            children[j].append(i)
-
-    def tree_code(i: int) -> str:
-        return "(" + "".join(sorted(tree_code(ch) for ch in children[i])) + ")"
-
+    children: list[list[str]] = [[] for _ in image]
+    roots: dict[int, str] = {}  # cycle vertex -> the code of the tree it roots
+    for i, (_period, tail) in sorted(types.items(), key=lambda item: item[1][1], reverse=True):
+        code = "(" + "".join(sorted(children[i])) + ")"
+        if tail:
+            children[image[i]].append(code)
+        else:
+            roots[i] = code
     components = []
-    done = set()
-    for i, (_period, tail) in types.items():
-        if tail or i in done:
-            continue
-        cycle = [i]
-        while image[cycle[-1]] != i:
-            cycle.append(image[cycle[-1]])
-        done.update(cycle)
-        codes = [tree_code(j) for j in cycle]
-        m = len(cycle)
-        best = min(tuple(codes[(a + b) % m] for b in range(m)) for a in range(m))
+    while roots:
+        i, code = roots.popitem()
+        codes = [code]
+        j = image[i]
+        while j != i:
+            codes.append(roots.pop(j))
+            j = image[j]
+        m = len(codes)
+        best = min(codes[a:] + codes[:a] for a in range(m))
         components.append(f"{m}:" + ",".join(best))
     return GraphShape(";".join(sorted(components)))
 

@@ -13,7 +13,7 @@ import pytest
 
 import preper
 from preper import cli
-from preper.dynamics import c_values_up_to_height, scan
+from preper.dynamics import GraphShape, c_values_up_to_height, scan
 from preper.exactmath import is_prime
 
 # the package the tests import, so the child runs it without an install
@@ -264,6 +264,7 @@ def test_bench_tool_counts_cpus_where_affinity_is_unknown(monkeypatch, tmp_path)
     monkeypatch.setattr(bench, "perfbench_run", lambda root, workload, trace: {
         "workload": workload, "trace": trace, "correct": True})
     monkeypatch.setattr(bench, "census", lambda root: {"exit": 0})
+    monkeypatch.setattr(bench, "kernels", lambda root: {"shape_of_edges": {"exit": 0}})
     monkeypatch.setattr(bench, "tier1", lambda root: {"exit": 0})
     monkeypatch.setattr(bench, "git", lambda root, *args: "")
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -283,6 +284,16 @@ def test_bench_tool_census_counts_the_scan_it_runs():
         == (len(list(c_values_up_to_height(20))), len(expected.census), 0, 0)
     # the peak RSS of the scan's own process, read by wait4 on its pid
     assert run["peak_rss_mb"] > 0
+
+
+def test_bench_tool_times_shape_canonicalization_on_every_nonempty_graph():
+    # the kernels entry canonicalizes the graph of every c up to its height
+    # whose graph is not empty, and records that count beside the time
+    shape = load_bench_tool().kernels(Path(ROOT), height=20)["shape_of_edges"]
+    empty, _samples = scan(20).census[GraphShape("")]
+    assert shape["exit"] == 0 and shape["kernel"] == "dynamics._shape_of_edges"
+    assert shape["graphs"] == len(list(c_values_up_to_height(20))) - empty
+    assert shape["us_per_graph"] > 0
 
 
 def test_bench_tool_census_digests_the_scan_report(capsys):

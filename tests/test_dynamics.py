@@ -562,6 +562,58 @@ def test_shape_matches_tortoise_oracle_on_random_graphs(images):
     assert _shape_of_edges(edges).code == tortoise_shape_code(edges)
 
 
+def _tree_size(tree) -> int:
+    return sum(1 + _tree_size(child) for child in tree)
+
+
+@st.composite
+def structured_graphs(draw):
+    """A functional graph of the parts that uniform random maps rarely
+    make: components whose cycles of length 1 to 4 root trees drawn from a
+    pool of one or two, so that tree codes tie under rotation, each
+    repeated up to three times; trees up to depth 8; at most 24 vertices,
+    inserted in a shuffled order."""
+
+    def tree(depth: int, room: list[int]):
+        # a rooted tree as the tuple of its children's trees, at most depth
+        # levels and room[0] vertices below its root
+        children = []
+        for _ in range(draw(st.integers(0, 2)) if depth else 0):
+            if not room[0]:
+                break
+            room[0] -= 1
+            children.append(tree(depth - 1, room))
+        return tuple(children)
+
+    def hang(root: int, tree) -> None:
+        for child in tree:
+            v = len(edges)
+            edges[v] = root
+            hang(v, child)
+
+    edges: dict[int, int] = {}
+    room = 24
+    while room and (not edges or draw(st.booleans())):
+        m = draw(st.integers(1, min(4, room)))
+        pool = [tree(8, [(room - m) // m]) for _ in range(draw(st.integers(1, 2)))]
+        trees = [draw(st.sampled_from(pool)) for _ in range(m)]
+        size = m + sum(map(_tree_size, trees))
+        for _ in range(draw(st.integers(1, min(3, room // size)))):
+            cycle = list(range(len(edges), len(edges) + m))
+            for i, v in enumerate(cycle):
+                edges[v] = cycle[(i + 1) % m]
+            for v, t in zip(cycle, trees):
+                hang(v, t)
+            room -= size
+    return {v: edges[v] for v in draw(st.permutations(list(edges)))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(structured_graphs())
+def test_shape_matches_tortoise_oracle_on_structured_graphs(edges):
+    assert _shape_of_edges(edges).code == tortoise_shape_code(edges)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
     st.lists(st.integers(0, n - 1), min_size=n, max_size=n), st.permutations(range(n)))))

@@ -8,6 +8,8 @@ of the checkout (by default the one this script lives in), with seed 1:
   perfbench/run.py --seconds 25 --trace 1 for census and jacobian,
   one whole census, python -m preper scan --height 10000, with
   PYTHONPATH=src, once;
+  the graph canonicalization kernel, dynamics._shape_of_edges, in one
+  child with PYTHONPATH=src, over a fixed corpus;
   the tier-1 suite, PYTHONPATH=src python -m pytest -q
   --continue-on-collection-errors, once.
 Each run.py call runs with PYTHONDONTWRITEBYTECODE removed and
@@ -21,10 +23,11 @@ for each run, those bytecode-cache settings, the seed, the checkout's
 the Python version, the census's wall time, the peak RSS of its process
 (ru_maxrss from os.wait4 on that child alone, in MB of 1024 kB), its
 number of c and of shapes, its out_of_catalog and bound_violations
-counts and the sha256 of its stdout without timing_ms, and the tier-1
+counts and the sha256 of its stdout without timing_ms, under `kernels`
+the kernel's median time per graph and its corpus size, and the tier-1
 counts, exit code and wall time.
-When a run is not correct, or the census fails, the script writes
-nothing and exits 1.  It changes nothing under perfbench/.
+When a run is not correct, or the census or the kernel child fails, the
+script writes nothing and exits 1.  It changes nothing under perfbench/.
 The whole run takes about five minutes, the census about 3 s of it.
 """
 
@@ -48,6 +51,28 @@ SECONDS = 25
 SEED = 1  # one seed for every file, so that files compare
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 CENSUS_HEIGHT = 10000  # the scan budget: about 1.2M values of c
+KERNEL_HEIGHT = 300  # the kernel corpus: the 350 nonempty graphs of every c up to 300
+KERNEL_REPEATS = 51
+# run by `kernels` in a child with the checkout's src first on its path;
+# the edge maps are on numerators, as the scan canonicalizes them
+SHAPE_KERNEL = """
+import json, statistics, sys, time
+from fractions import Fraction
+from preper.dynamics import QuadMap, _shape_of_edges, c_values_up_to_height, preper_points
+height, repeats = map(int, sys.argv[1:])
+corpus = []
+for u, v in c_values_up_to_height(height):
+    g = preper_points(QuadMap(Fraction(u, v * v)))
+    if g.vertices:
+        corpus.append({x.numerator: y.numerator for x, y in g.edges.items()})
+times = []
+for _ in range(repeats):
+    start = time.perf_counter()
+    for edges in corpus:
+        _shape_of_edges(edges)
+    times.append((time.perf_counter() - start) / len(corpus) * 1e6)
+print(json.dumps({"graphs": len(corpus), "us_per_graph": round(statistics.median(times), 3)}))
+"""
 # how every run.py call caches bytecode, recorded in the BENCH file
 BYTECODE_CACHE = {"PYTHONDONTWRITEBYTECODE": "removed",
                   "PYTHONPYCACHEPREFIX": "a fresh temporary directory per run, filled by a "
@@ -133,6 +158,24 @@ def census(root: Path, height: int = CENSUS_HEIGHT) -> dict:
     return run
 
 
+def kernels(root: Path, height: int = KERNEL_HEIGHT) -> dict:
+    """The layer timings of the checkout's kernels, each measured in a
+    fresh child: for graph canonicalization, the median over
+    KERNEL_REPEATS passes of the microseconds per graph that
+    dynamics._shape_of_edges takes on the edge maps of the nonempty
+    graphs of every c up to the height, and the number of those graphs."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", SHAPE_KERNEL, str(height), str(KERNEL_REPEATS)],
+                          cwd=root, env=env, capture_output=True, text=True)
+    shape = {"kernel": "dynamics._shape_of_edges", "height": height,
+             "repeats": KERNEL_REPEATS, "exit": proc.returncode}
+    if proc.returncode != 0:
+        shape["stderr"] = proc.stderr[-2000:]
+    else:
+        shape.update(json.loads(proc.stdout))
+    return {"shape_of_edges": shape}
+
+
 def git(root: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True,
                           check=True).stdout.strip()
@@ -175,6 +218,10 @@ def main() -> int:
     bench["census"] = census(root)
     if bench["census"]["exit"] != 0:
         print("error: the census scan failed; nothing written", file=sys.stderr)
+        return 1
+    bench["kernels"] = kernels(root)
+    if any(entry["exit"] != 0 for entry in bench["kernels"].values()):
+        print("error: a kernel timing failed; nothing written", file=sys.stderr)
         return 1
     bench["tier1"] = tier1(root)
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
