@@ -296,6 +296,25 @@ def test_bench_tool_times_shape_canonicalization_on_every_nonempty_graph():
     assert shape["us_per_graph"] > 0
 
 
+def test_bench_tool_writes_nothing_when_a_kernel_timing_fails(monkeypatch, tmp_path, capsys):
+    # a checkout whose package cannot be imported fails the kernel child,
+    # and the script exits 1 before the tier-1 run
+    bench = load_bench_tool()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("")
+    (tmp_path / "src" / "preper").mkdir(parents=True)
+    (tmp_path / "src" / "preper" / "__init__.py").write_text("raise ImportError('broken')\n")
+    monkeypatch.setattr(bench, "perfbench_run", lambda root, workload, trace: {
+        "workload": workload, "trace": trace, "correct": True})
+    monkeypatch.setattr(bench, "census", lambda root: {"exit": 0})
+    monkeypatch.setattr(bench, "tier1", lambda root: pytest.fail("tier-1 ran"))
+    monkeypatch.setattr(bench, "git", lambda root, *args: "")
+    monkeypatch.setattr(sys, "argv", ["bench.py", "--pr", "0", "--checkout", str(tmp_path)])
+    assert bench.main() == 1
+    assert not (tmp_path / "BENCH_0.json").exists()
+    assert "a kernel timing failed" in capsys.readouterr().err
+
+
 def test_bench_tool_census_digests_the_scan_report(capsys):
     # the BENCH file's census keeps the sha256 of the scan's report without
     # timing_ms, so two files show whether the census kept its bytes

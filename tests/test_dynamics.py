@@ -585,8 +585,9 @@ def structured_graphs(draw):
             children.append(tree(depth - 1, room))
         return tuple(children)
 
-    def hang(root: int, tree) -> None:
-        for child in tree:
+    def hang(root: int, branches) -> None:
+        # the vertices of the tree `branches` below root, mapped towards it
+        for child in branches:
             v = len(edges)
             edges[v] = root
             hang(v, child)
