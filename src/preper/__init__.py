@@ -11,7 +11,6 @@ exact arithmetic.
 __version__ = "0.1.0"
 
 from .dynamics import (
-    GraphShape,
     OrbitClass,
     PreperGraph,
     QuadMap,
@@ -26,7 +25,6 @@ from .families import FamilyPoint, make_family_point, validate_family
 
 __all__ = [
     "FamilyPoint",
-    "GraphShape",
     "OrbitClass",
     "PreperGraph",
     "QuadMap",

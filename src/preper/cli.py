@@ -92,7 +92,7 @@ def _graph_payload(c: Fraction) -> dict:
         "orbit_types": {format_rational(v): str(types[v]) for v in vertices},
         "includes_infinity": True,
         "size_with_infinity": g.size_with_infinity(),
-        "shape": shape.code,
+        "shape": shape,
         "in_catalog": shape in admissible_shapes(),
     }
 
@@ -122,15 +122,15 @@ def cmd_scan(args) -> int:
     t0 = time.perf_counter()
     result = scan(args.height)
     census = {
-        (shape.code or "(empty)"): {
+        (code or "(empty)"): {
             "count": count,
             "samples": [format_rational(c) for c in samples],
         }
-        for shape, (count, samples) in result.census.items()
+        for code, (count, samples) in result.census.items()
     }
     _emit("scan", height=args.height, census=census,
-          out_of_catalog=[{"c": format_rational(c), "shape": s.code}
-                          for c, s in result.out_of_catalog],
+          out_of_catalog=[{"c": format_rational(c), "shape": code}
+                          for c, code in result.out_of_catalog],
           bound_violations=[{"c": format_rational(c), "size": n}
                             for c, n in result.bound_violations],
           timing_ms=int((time.perf_counter() - t0) * 1000))
@@ -317,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"preper {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # let bare negative rationals like -29/16 through as option values
-    rational_token = re.compile(r"^-\d+(/\d+)?$")
+    # let bare negative rationals like -29/16 or -3/-4 through as option values
+    rational_token = re.compile(r"^-\d+(/[+-]?\d+)?$")
 
     p = sub.add_parser("graph", help="compute the preperiodic-point graph of z^2 + c")
     p._negative_number_matcher = rational_token

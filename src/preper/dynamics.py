@@ -64,7 +64,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
-from functools import cache, total_ordering
+from functools import cache
 from math import gcd, isqrt
 
 from .values import Value, set_field
@@ -193,23 +193,6 @@ class PreperGraph(Value):
 
     def size_with_infinity(self) -> int:
         return len(self.vertices) + 1
-
-
-@total_ordering
-class GraphShape(Value):
-    """Canonical code of a functional digraph up to isomorphism; shapes
-    order by their codes."""
-
-    __slots__ = ("code",)
-
-    def __init__(self, code: str):
-        set_field(self, "code", code)
-
-    def __lt__(self, other):
-        return self.code < other.code if other.__class__ is self.__class__ else NotImplemented
-
-    def __str__(self) -> str:
-        return self.code or "(empty)"
 
 
 class PointTable:
@@ -368,8 +351,10 @@ def preper_points(f: QuadMap) -> PreperGraph:
 # --- canonical shapes -------------------------------------------------------
 
 
-def _shape_of_edges(edges: dict) -> GraphShape:
-    """Canonical code of a functional digraph given as vertex -> image.
+def _shape_of_edges(edges: dict) -> str:
+    """Canonical code of a functional digraph given as vertex -> image:
+    the code string is the shape, "" for the empty graph, and graphs are
+    isomorphic exactly when their codes are equal.
 
     One bottom-up pass: `_walk` gives every vertex its (period, tail), and
     the vertices are then taken in decreasing tail, so every child is
@@ -379,7 +364,7 @@ def _shape_of_edges(edges: dict) -> GraphShape:
     its vertices' codes, and the components are sorted and joined by ";".
     """
     if not edges:
-        return GraphShape("")
+        return ""
     # vertices relabelled 0..n-1; minimal rotations and sorting make the code label-free
     index = {v: i for i, v in enumerate(edges)}
     image = [index[w] for w in edges.values()]
@@ -405,14 +390,14 @@ def _shape_of_edges(edges: dict) -> GraphShape:
         m = len(codes)
         best = min(codes[a:] + codes[:a] for a in range(m))
         components.append(f"{m}:" + ",".join(best))
-    return GraphShape(";".join(sorted(components)))
+    return ";".join(sorted(components))
 
 
-def graph_shape(g: PreperGraph) -> GraphShape:
+def graph_shape(g: PreperGraph) -> str:
     return _shape_of_edges(g.edges)
 
 
-def _build_graph(components) -> GraphShape:
+def _build_graph(components) -> str:
     """Assemble an abstract graph from component specs and canonicalize.
 
     Each component is (m, tails) where tails is a per-cycle-vertex list:
@@ -437,7 +422,7 @@ def _build_graph(components) -> GraphShape:
 
 
 @cache
-def admissible_shapes() -> frozenset[GraphShape]:
+def admissible_shapes() -> frozenset[str]:
     """All graph shapes consistent with the classification theorems for
     cycles of length at most 3, built once and then shared.
 
@@ -493,14 +478,15 @@ def c_values_up_to_height(height: int) -> Iterator[tuple[int, int]]:
 
 
 class ScanResult(Value):
-    """Census of a scan: per shape its count and up to three sample c, the
-    c whose shape is outside the catalog, and the c whose graph has more
-    than 9 points counting infinity, with that size."""
+    """Census of a scan: per shape code, in sorted order, its count and up
+    to three sample c; the (c, code) whose code is outside the catalog; and
+    the c whose graph has more than 9 points counting infinity, with that
+    size.  The codes are those of graph_shape, "" for the empty graph."""
 
     __slots__ = ("height", "census", "out_of_catalog", "bound_violations")
 
-    def __init__(self, height: int, census: dict[GraphShape, tuple[int, list[Fraction]]],
-                 out_of_catalog: list[tuple[Fraction, GraphShape]],
+    def __init__(self, height: int, census: dict[str, tuple[int, list[Fraction]]],
+                 out_of_catalog: list[tuple[Fraction, str]],
                  bound_violations: list[tuple[Fraction, int]]):
         set_field(self, "height", height)
         set_field(self, "census", census)
@@ -544,7 +530,7 @@ def _scan_chunk(pairs) -> Iterator[tuple[str, int, int, int]]:
                     _walk(k, step, types)
                 if types:
                     vertices = {j for k in types for j in (k, -k)}
-                    code = _shape_of_edges({k: (k * k + u) // v for k in vertices}).code
+                    code = _shape_of_edges({k: (k * k + u) // v for k in vertices})
                     size = len(vertices) + 1
                     n = checked.get(code, 0)
                     if n < 3:
@@ -559,7 +545,7 @@ def _check_census_graph(u: int, v: int, code: str, size: int) -> None:
     size."""
     c = Fraction(u, v * v)
     g = preper_points(QuadMap(c))
-    shape, graph_size = graph_shape(g).code, g.size_with_infinity()
+    shape, graph_size = graph_shape(g), g.size_with_infinity()
     if (shape, graph_size) != (code, size):
         raise RuntimeError(f"the census found shape {code!r} and size {size} for c = {c}, "
                            f"but its graph has shape {shape!r} and size {graph_size}")
@@ -581,8 +567,7 @@ def scan(height: int) -> ScanResult:
     """
     if height > SCAN_BUDGET:
         raise ScanBudgetError(f"scan height {height} exceeds the scan budget of {SCAN_BUDGET}")
-    # tallied by code string; one GraphShape per distinct code
-    catalog = {shape.code for shape in admissible_shapes()}
+    catalog = admissible_shapes()
     counts: dict[str, int] = {}
     samples: dict[str, list[Fraction]] = {}
     outside = []
@@ -596,8 +581,6 @@ def scan(height: int) -> ScanResult:
             outside.append((Fraction(u, v * v), code))
         if size > 9:
             bound_violations.append((Fraction(u, v * v), size))
-    shapes = {code: GraphShape(code) for code in counts}
-    census = {shapes[code]: (counts[code], samples[code]) for code in sorted(counts)}
-    return ScanResult(height=height, census=census,
-                      out_of_catalog=[(c, shapes[code]) for c, code in outside],
+    census = {code: (counts[code], samples[code]) for code in sorted(counts)}
+    return ScanResult(height=height, census=census, out_of_catalog=outside,
                       bound_violations=bound_violations)

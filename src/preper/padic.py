@@ -1,13 +1,14 @@
 """Truncated 3-adic series, the branch expansion on c1_32, and Strassman
 root bounds.
 
-Two kinds of series live here.  BranchSeries is an exact object: the
-unique power series xi(t) in Q[[t]] with xi(0) = 1 and g(xi(t)) = (t-3)**2.
-The coefficient x_n enters the t^n coefficient of g(xi) only as
-g'(x0) * x_n, and g'(1) = 16 is a unit, so xi is solved one coefficient
-at a time; its coefficients happen to have only powers of 2 in their
-denominators, which is what makes it 3-adically integral.  PadicSeries is
-a congruence object: the residues of finitely many coefficients modulo
+Two kinds of series live here.  The branch series is exact: the unique
+power series xi(t) in Q[[t]] with xi(0) = 1 and g(xi(t)) = (t-3)**2,
+given as the tuple of its coefficients x_0..x_order.  The coefficient
+x_n enters the t^n coefficient of g(xi) only as g'(x0) * x_n, and
+g'(1) = 16 is a unit, so xi is solved one coefficient at a time; its
+coefficients happen to have only powers of 2 in their denominators,
+which is what makes it 3-adically integral.  PadicSeries is a
+congruence object: the residues of finitely many coefficients modulo
 one power p**r, every unlisted coefficient being 0 mod p**r.
 
 A nonzero residue mod p**r has an exact valuation below r, while a zero
@@ -30,16 +31,6 @@ from .values import Value, set_field
 
 
 # --- exact branch series ----------------------------------------------------
-
-
-class BranchSeries(Value):
-    """Truncated expansion x = xi(t) along a branch of y^2 = g(x)."""
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs: tuple[Fraction, ...], order: int):
-        set_field(self, "coeffs", coeffs)  # xi mod t^(order+1)
-        set_field(self, "order", order)
 
 
 def _truncate(s: Poly, order: int) -> Poly:
@@ -70,8 +61,10 @@ class SingularBranchError(ValueError):
     pass
 
 
-def branch_series(order: int, curve=C1_32, base=(Fraction(1), Fraction(-3))) -> BranchSeries:
-    """Solve g(x) = (t + y0)^2 for x as a series in t with x(0) = x0.
+def branch_series(order: int, curve=C1_32,
+                  base=(Fraction(1), Fraction(-3))) -> tuple[Fraction, ...]:
+    """Solve g(x) = (t + y0)^2 for x as a series in t with x(0) = x0, and
+    return its coefficients x_0..x_order, the expansion mod t^(order+1).
 
     The t^n coefficient of g(x0 + x_1 t + ... + x_n t^n) is g'(x0) x_n
     plus terms in x_0..x_{n-1}, so while g'(x0) != 0 each x_n is read off
@@ -92,7 +85,7 @@ def branch_series(order: int, curve=C1_32, base=(Fraction(1), Fraction(-3))) -> 
         xs.append((target[n] - _eval_poly_series(g, Poly(xs), n)[n]) / dg0)
     if _eval_poly_series(g, Poly(xs), order) != target:
         raise ArithmeticError("the branch series does not close the branch equation")
-    return BranchSeries(tuple(xs), order)
+    return tuple(xs)
 
 
 # --- congruence series ------------------------------------------------------
@@ -217,8 +210,8 @@ def padic_report() -> Report:
 
     xi = branch_series(10)
     rep.add("xi-printed", "the first five branch coefficients match the printed values",
-            xi.coeffs[:5] == PRINTED_XI, value=[str(c) for c in xi.coeffs[:5]])
-    vals = [valuation(c, 3) if c else None for c in xi.coeffs]
+            xi[:5] == PRINTED_XI, value=[str(c) for c in xi[:5]])
+    vals = [valuation(c, 3) if c else None for c in xi]
     rep.add("xi-3-integral", "branch coefficients through t^10 are 3-integral",
             all(v is None or v >= 0 for v in vals), value=vals)
 

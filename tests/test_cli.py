@@ -10,11 +10,12 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import preper
 from preper import cli
-from preper.dynamics import GraphShape, c_values_up_to_height, scan
-from preper.exactmath import is_prime
+from preper.dynamics import c_values_up_to_height, scan
+from preper.exactmath import is_prime, parse_rational
 
 # the package the tests import, so the child runs it without an install
 SRC = os.path.dirname(os.path.dirname(preper.__file__))
@@ -290,7 +291,7 @@ def test_bench_tool_times_shape_canonicalization_on_every_nonempty_graph():
     # the kernels entry canonicalizes the graph of every c up to its height
     # whose graph is not empty, and records that count beside the time
     shape = load_bench_tool().kernels(Path(ROOT), height=20)["shape_of_edges"]
-    empty, _samples = scan(20).census[GraphShape("")]
+    empty, _samples = scan(20).census[""]
     assert shape["exit"] == 0 and shape["kernel"] == "dynamics._shape_of_edges"
     assert shape["graphs"] == len(list(c_values_up_to_height(20))) - empty
     assert shape["us_per_graph"] > 0
@@ -355,6 +356,99 @@ def test_graph_empty_and_usage_error():
     assert json.loads(r.stdout)["vertices"] == []
     r = run_cli("graph", "--c", "x")
     assert r.returncode == 2
+
+
+# sha256 of the stdout of graph --c in JSON and in dot for the twelve c
+# that realize the catalogue in theorems_report, one of each shape, so a
+# change to the shape field of a nonempty graph changes a digest
+CATALOG_GRAPH_SHA256 = {
+    "1": ("37f9717e84578a4bbfabec5b1b9c2dd859b64cdb45bf36c287dd9510446ec0d4",
+          "251aabe8904b85bfc95f584ff7ee1a27d2744398a979fc301f6b0223c622fd62"),
+    "1/4": ("0e21a69128bbbb304489528400cfd48b89c928d5696364edae6137c4b9656b14",
+            "564e5c76f04bfa7a4ae2e2ec8a4ebb3d9c84e6d04b86858cb3e15e1e7910fda6"),
+    "0": ("77fde2262eb1c7908e872b5c47a0168b619410f80c7f91716f6bd7495fad5c73",
+          "330e9d0539c720cd727f50e0c86d921800f1672c6490d2d29b8bce8e36a8190b"),
+    "-3/4": ("f47f219dceade37307f0ddf2861da70a1a9299dc34cf668055bc773173bc3ee6",
+             "5514d86c3922a4632efdaa82b213befd94b3ce8849348a939185b30da6a6e140"),
+    "-2": ("43fcdafe89974d7d1aae61075ca31aba9f0bb9bf637163dc179f3947fd99edba",
+           "5f097fa26cbd16853f3cb0d773373026dda9d987efb72af1358c175ed4f373aa"),
+    "-10/9": ("cbf608ca46d859c023e870f06c08b8ba016405b62a08775ce908a8ae88007fd6",
+              "82ead652fff13440a34b465fb835fe47a5e93dae5fffc57d4bac100eda8a9304"),
+    "-1": ("2ecc1f6fc019833f5f2f9cfd9b086111bb0172ea4d7dd9e73f1c044b9845d12a",
+           "799045c58ebad08bf7256c69ad6712c94fdf709a1bddf6b1b73ed33db64aa3eb"),
+    "-7/4": ("b20b4eebaae90599a80bd510da288f8893736bd96080d9bf69d5062b185746b9",
+             "a85f2b4f347ae5cffb6c4cd6ff5d3718deba46dffba168c76ea710679981348d"),
+    "-37/9": ("4d44d5f197bf57e48dc03466c5fb734bced72358144750c27e640b03ceb694fa",
+              "24b3f2be48d4cba6ce38a5aab4e6875b87ef4c619909335a375e5c9455345405"),
+    "-21/16": ("ce20e205aeda4a84fa6c98551ae6087cfa5c758026c1fff6e9cc722d14ad047f",
+               "7eb04468f326e974cd7b27ed48d9e705fac2e2868ff4cbe46559e88701fe150d"),
+    "-301/144": ("6b18653bd8eeb0a1a6603496b3ef5027e0dea212e3fb86e09a2f15b06cb22aca",
+                 "d929bde984357923cd18eac2ae289ce9ac8efd18ae95f92ca3884f28162bf04d"),
+    "-29/16": ("7a99db021f5a8bff364582d09596950dbaad37d33d4a7d4ab98f149e91caf1ff",
+               "4fb395edf0b15a7400173ad3f27326a60c3bbee93eafe4113c6e383993d4b7e4"),
+}
+
+
+def test_graph_bytes_of_every_catalog_shape_are_pinned(capsys):
+    shapes = set()
+    for c, digests in CATALOG_GRAPH_SHA256.items():
+        outputs = []
+        for fmt in ("json", "dot"):
+            assert cli.main(["graph", "--c", c, "--format", fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert tuple(hashlib.sha256(out.encode()).hexdigest() for out in outputs) == digests, c
+        shapes.add(json.loads(outputs[0])["shape"])
+    assert len(shapes) == 12
+
+
+@pytest.mark.parametrize("signed, plain", [
+    (["graph", "--c", "-3/-4"], ["graph", "--c", "3/4"]),
+    (["graph", "--c", "-3/-4", "--format", "dot"], ["graph", "--c", "3/4", "--format", "dot"]),
+    (["graph", "--c", "-1/+2"], ["graph", "--c", "-1/2"]),
+    (["family", "p3", "--param", "-1/+2"], ["family", "p3", "--param", "-1/2"]),
+    (["family", "p3", "--param", "-3/-4"], ["family", "p3", "--param", "3/4"]),
+])
+def test_a_signed_denominator_prints_the_bytes_of_its_value(signed, plain, capsys):
+    # a leading "-" makes the value look like an option unless the
+    # negative-number matcher takes the sign of the denominator too
+    results = []
+    for argv in (signed, plain):
+        code = cli.main(argv)
+        results.append((code, capsys.readouterr().out))
+    assert results[0] == results[1] and results[0][1]
+
+
+rational_literals = st.builds(
+    lambda a, n, d: a + n + d,
+    st.sampled_from(["", "+", "-"]),
+    st.text("0123456789", min_size=1, max_size=12),
+    st.one_of(st.just(""), st.builds(lambda s, t: "/" + s + t, st.sampled_from(["", "+", "-"]),
+                                     st.text("0123456789", min_size=1, max_size=12))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_literals)
+@example("-3/-4")
+@example("-1/+2")
+@example("-3/-0")
+def test_graph_parses_c_as_parse_rational_does(lit):
+    # the parser only, so no graph is built
+    try:
+        expected = parse_rational(lit)
+    except ValueError:
+        with pytest.raises(SystemExit) as exc:
+            cli._parser().parse_args(["graph", "--c", lit])
+        assert exc.value.code == 2
+    else:
+        assert cli._parser().parse_args(["graph", "--c", lit]).c == expected
+
+
+def test_every_exported_name_resolves():
+    # a stale name in __all__ breaks only a star import, not import preper
+    assert all(hasattr(preper, name) for name in preper.__all__)
+    scope = {}
+    exec("from preper import *", scope)
+    assert set(preper.__all__) <= set(scope)
 
 
 def test_family_command():

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from preper import dynamics
 from preper.dynamics import (
     BoxBudgetError,
-    GraphShape,
     NotQuadraticError,
     OrbitClass,
     PointTable,
@@ -43,7 +42,7 @@ from preper.ffjac import (
     divisor_identity,
     odd_model_transform,
 )
-from preper.padic import BranchSeries, PadicSeries, branch_series
+from preper.padic import PadicSeries
 from preper.report import CheckResult, Report
 from preper.values import Value
 from oracles import (
@@ -337,7 +336,7 @@ def test_scan_chunk_matches_graphs_built_without_a_table():
     expected = []
     for u, v in pairs:
         g = preper_points(QuadMap(F(u, v * v)))
-        expected.append((graph_shape(g).code, u, v, g.size_with_infinity()))
+        expected.append((graph_shape(g), u, v, g.size_with_infinity()))
     assert list(dynamics._scan_chunk(pairs)) == expected
 
 
@@ -411,7 +410,7 @@ def test_scan_emptiness_verdict_matches_the_graph_and_the_box_oracle(pairs):
         g = preper_points(QuadMap(c))
         vertices, edges = box_preper_graph(c)
         assert (g.vertices, g.edges) == (vertices, edges)
-        code = graph_shape(g).code
+        code = graph_shape(g)
         if vertices:
             seen[code] = seen.get(code, 0) + 1
             if seen[code] <= 3:
@@ -496,7 +495,7 @@ def test_a_scan_builds_a_map_and_a_graph_only_for_a_nonempty_graph(monkeypatch):
     checked, seen = [], {}
     for u, v in c_values_up_to_height(300):
         c = F(u, v * v)
-        code = graph_shape(preper_points(QuadMap(c))).code
+        code = graph_shape(preper_points(QuadMap(c)))
         if code:
             seen[code] = seen.get(code, 0) + 1
             if seen[code] <= 3:
@@ -516,10 +515,10 @@ def test_a_scan_builds_a_map_and_a_graph_only_for_a_nonempty_graph(monkeypatch):
     monkeypatch.setattr(dynamics, "preper_points", preper)
     res = scan(300)
     total = sum(count for count, _ in res.census.values())
-    assert (total, total - res.census[GraphShape("")][0]) == (6481, 350)
+    assert (total, total - res.census[""][0]) == (6481, 350)
     assert calls == {"QuadMap": checked, "preper_points": checked}
-    assert sorted(checked) == sorted(c for shape, (_, samples) in res.census.items()
-                                     if shape.code for c in samples)
+    assert sorted(checked) == sorted(c for code, (_, samples) in res.census.items()
+                                     if code for c in samples)
 
 
 @pytest.mark.parametrize("patch", ["code", "size"])
@@ -528,7 +527,7 @@ def test_a_scan_raises_when_a_sample_graph_disagrees_with_the_integer_census(mon
     # a wrong code or size from the rebuilt graph of a sample stops the
     # scan rather than letting the census and its samples disagree
     if patch == "code":
-        monkeypatch.setattr(dynamics, "graph_shape", lambda g: GraphShape("1:()"))
+        monkeypatch.setattr(dynamics, "graph_shape", lambda g: "1:()")
     else:
         monkeypatch.setattr(PreperGraph, "size_with_infinity", lambda g: len(g.vertices) + 2)
     with pytest.raises(RuntimeError, match="the census found shape .* but its graph has"):
@@ -536,7 +535,7 @@ def test_a_scan_raises_when_a_sample_graph_disagrees_with_the_integer_census(mon
 
 
 def test_shape_empty_graph():
-    assert _shape_of_edges({}) == GraphShape("")
+    assert _shape_of_edges({}) == ""
 
 
 def test_shape_invariant_under_relabeling():
@@ -559,7 +558,7 @@ def test_shape_invariant_under_relabeling():
     lambda n: st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)))
 def test_shape_matches_tortoise_oracle_on_random_graphs(images):
     edges = dict(enumerate(images))
-    assert _shape_of_edges(edges).code == tortoise_shape_code(edges)
+    assert _shape_of_edges(edges) == tortoise_shape_code(edges)
 
 
 def _tree_size(tree) -> int:
@@ -612,7 +611,7 @@ def structured_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(structured_graphs())
 def test_shape_matches_tortoise_oracle_on_structured_graphs(edges):
-    assert _shape_of_edges(edges).code == tortoise_shape_code(edges)
+    assert _shape_of_edges(edges) == tortoise_shape_code(edges)
 
 
 @settings(max_examples=200, deadline=None)
@@ -643,17 +642,26 @@ def test_shape_distinguishes_rotation_direction():
 def test_admissible_catalog_contents():
     cat = admissible_shapes()
     assert len(cat) == 12
-    assert GraphShape("") in cat
+    assert "" in cat
     assert graph_shape(preper_points(QuadMap(F(-29, 16)))) in cat
 
 
 def test_admissible_catalog_is_built_once():
     # graph calls it on every command: the second call is the first one's set
     assert admissible_shapes() is admissible_shapes()
-    assert sorted(s.code for s in admissible_shapes()) == [
+    assert sorted(admissible_shapes()) == [
         "", "1:((()()));1:(())", "1:((()));1:(())", "1:(())", "1:(());1:(())",
         "1:(());1:(());2:(()),(())", "1:(());1:()", "2:((()())),(())", "2:(()),(())",
         "2:(()),()", "3:((()())),(()),(())", "3:(()),(()),(())"]
+
+
+def test_shapes_are_their_code_strings():
+    # graph_shape, the catalogue and the census all carry the code itself
+    assert type(graph_shape(preper_points(QuadMap(F(-29, 16))))) is str
+    assert {type(code) for code in admissible_shapes()} == {str}
+    res = scan(300)
+    assert {type(code) for code in res.census} == {str}
+    assert list(res.census) == sorted(res.census)
 
 
 def test_catalog_is_realized_by_explicit_values():
@@ -765,7 +773,6 @@ VALUE_CASES = {
         OrbitClass.preperiodic(3, 2), OrbitClass("preperiodic", 3, 2), OrbitClass.periodic(3),
         "type 3_2"),
     "PreperGraph": lambda: _graph_case(preper_points(QuadMap(F(-29, 16)))),
-    "GraphShape": lambda: (GraphShape(""), GraphShape(""), GraphShape("1:()"), "(empty)"),
     "FamilyPoint": lambda: (
         FamilyPoint("t32", None, F(-29, 16), POINTS_2916),
         FamilyPoint("t32", None, F(-29, 16), POINTS_2916, {"rho": F(1)}),
@@ -806,9 +813,6 @@ VALUE_CASES = {
         divisor_from_points(ODD_3, [ODD_3.to_odd(KNOWN_POINTS["inf+"])]),
         "MumfordDivisor(model=OddModel(f=FpPoly(3, [1, 0, 1, 2, 2, 1]), "
         "r=1, scale=1), u=FpPoly(3, [1]), v=FpPoly(3, []))"),
-    "BranchSeries": lambda: (
-        branch_series(2), BranchSeries((F(1), F(-3, 8), F(-31, 512)), 2), branch_series(3),
-        "BranchSeries(coeffs=(Fraction(1, 1), Fraction(-3, 8), Fraction(-31, 512)), order=2)"),
     "PadicSeries": lambda: (
         PadicSeries(3, 1, {0: 4}), PadicSeries(3, 1, ((0, 1),)), PadicSeries(3, 1),
         "PadicSeries(p=3, r=1, coeffs=((0, 1),))"),
@@ -829,9 +833,8 @@ def test_value_classes_compare_hash_print_and_freeze(name):
     assert str(a) == text
     # repr is the constructor call, and a pickle round trip keeps the value
     scope = {cls.__name__: cls for cls in (
-        Fraction, GraphShape, OrbitClass, PreperGraph, QuadMap, ScanResult, FamilyPoint,
-        CheckResult, Report, CurvePoint, FpPoly, OddModel, MonicModel, MumfordDivisor,
-        BranchSeries, PadicSeries)}
+        Fraction, OrbitClass, PreperGraph, QuadMap, ScanResult, FamilyPoint, CheckResult,
+        Report, CurvePoint, FpPoly, OddModel, MonicModel, MumfordDivisor, PadicSeries)}
     if name not in NO_EVAL:
         assert eval(repr(a), scope) == a
     assert pickle.loads(pickle.dumps(a)) == a
@@ -849,10 +852,6 @@ def test_value_classes_compare_hash_print_and_freeze(name):
     if name == "OrbitClass":
         assert OrbitClass.divergent() is OrbitClass.divergent()
         assert str(OrbitClass.divergent()) == "divergent" and str(different) == "periodic(3)"
-    if name == "GraphShape":
-        assert a < different and a <= same and different > a and different >= a
-        assert not a < same and sorted([different, a]) == [a, different]
-        assert str(different) == "1:()"
     if name == "FamilyPoint":
         # a point built without aux gets a dict of its own
         assert a.aux == {} and a.aux is not different.aux

@@ -30,10 +30,17 @@ F = Fraction
 
 def test_branch_series_printed_coefficients():
     xi = branch_series(8)
-    assert xi.coeffs[0] == 1
-    assert xi.coeffs[1] == F(-3, 8)
-    assert xi.coeffs[4] == F(15269, 2097152)
-    assert xi.coeffs[:5] == PRINTED_XI
+    assert xi[0] == 1
+    assert xi[1] == F(-3, 8)
+    assert xi[4] == F(15269, 2097152)
+    assert xi[:5] == PRINTED_XI
+
+
+def test_branch_series_is_the_tuple_of_its_coefficients():
+    for order in range(4):
+        xi = branch_series(order)
+        assert type(xi) is tuple and len(xi) == order + 1
+        assert all(type(c) is F for c in xi)
 
 
 def test_branch_series_self_consistency_at_every_order():
@@ -50,7 +57,7 @@ def test_branch_series_self_consistency_at_every_order():
                         if i + j <= order and y:
                             out[i + j] += x * y
             return out
-        xs = list(xi.coeffs)
+        xs = list(xi)
         acc = [F(0)] * (order + 1)
         for c in reversed(C1_32.g.coeffs):
             acc = mul(acc, xs)
@@ -61,7 +68,7 @@ def test_branch_series_self_consistency_at_every_order():
 
 def test_branch_series_denominators_are_powers_of_two():
     xi = branch_series(10)
-    for c in xi.coeffs:
+    for c in xi:
         d = c.denominator
         while d % 2 == 0:
             d //= 2
@@ -103,7 +110,7 @@ def test_branch_series_matches_newton_iteration(model):
     curve, base = model
     newton = newton_branch(curve.g.coeffs, *base, 8)
     for order in range(9):
-        assert list(branch_series(order, curve, base).coeffs) == newton[: order + 1], order
+        assert list(branch_series(order, curve, base)) == newton[: order + 1], order
 
 
 def test_chabauty_determinant_exact_congruence():
