@@ -11,7 +11,6 @@ exact arithmetic.
 __version__ = "0.1.0"
 
 from .dynamics import (
-    OrbitClass,
     PreperGraph,
     QuadMap,
     admissible_shapes,
@@ -25,7 +24,6 @@ from .families import FamilyPoint, make_family_point, validate_family
 
 __all__ = [
     "FamilyPoint",
-    "OrbitClass",
     "PreperGraph",
     "QuadMap",
     "admissible_shapes",

@@ -33,6 +33,7 @@ from .dynamics import (
     QuadMap,
     admissible_shapes,
     graph_shape,
+    orbit_type_text,
     preper_points,
     scan,
 )
@@ -89,7 +90,7 @@ def _graph_payload(c: Fraction) -> dict:
         "c": format_rational(c),
         "vertices": [format_rational(v) for v in vertices],
         "edges": {format_rational(v): format_rational(g.edges[v]) for v in vertices},
-        "orbit_types": {format_rational(v): str(types[v]) for v in vertices},
+        "orbit_types": {format_rational(v): orbit_type_text(types[v]) for v in vertices},
         "includes_infinity": True,
         "size_with_infinity": g.size_with_infinity(),
         "shape": shape,
@@ -102,7 +103,7 @@ def _graph_dot(c: Fraction) -> str:
     types = g.orbit_types()
     lines = ["digraph preper {", f'  label="c = {format_rational(c)}";']
     for v in sorted(g.vertices):
-        shape = "doublecircle" if types[v].kind == "periodic" else "circle"
+        shape = "doublecircle" if types[v][1] == 0 else "circle"
         lines.append(f'  "{format_rational(v)}" [shape={shape}];')
     for v in sorted(g.vertices):
         lines.append(f'  "{format_rational(v)}" -> "{format_rational(g.edges[v])}";')
@@ -144,7 +145,7 @@ def _family_payload(fp) -> dict:
         "family": fp.family,
         "parameter": None if fp.parameter is None else format_rational(fp.parameter),
         "c": format_rational(fp.c),
-        "points": [{"x": format_rational(x), "type": str(t)} for x, t in fp.points],
+        "points": [{"x": format_rational(x), "type": orbit_type_text(t)} for x, t in fp.points],
         "aux": {k: format_rational(v) for k, v in sorted(fp.aux.items())},
         "validation": [{"claim": c.id, "ok": c.status == PASS, "detail": c.value}
                        for c in validation.checks],

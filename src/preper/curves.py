@@ -491,11 +491,6 @@ def _denominator_labels(maps) -> list[str]:
     return sorted({repr(m.den) for m in maps})
 
 
-def verify_birational_pair(pair_id: str) -> Report:
-    """Exact identity verification of a registered map pair."""
-    return verify_map_pair(BIRATIONAL_PAIRS[pair_id])
-
-
 def verify_map_pair(pair: BirationalPair) -> Report:
     """Check a forward/backward map pair between two curve models, as exact
     identities modulo the source and target curve relations.
@@ -561,7 +556,7 @@ def verify_map_pair(pair: BirationalPair) -> Report:
 def verify_all_birational_pairs() -> Report:
     rep = Report()
     for pair_id in sorted(BIRATIONAL_PAIRS):
-        rep.extend(verify_birational_pair(pair_id))
+        rep.extend(verify_map_pair(BIRATIONAL_PAIRS[pair_id]))
     return rep
 
 

@@ -22,7 +22,10 @@ follows any step function until its orbit repeats and records the
 (period, tail) of every preperiodic point it meets, so classification,
 enumeration of the candidate box, the census's emptiness test and the
 cycles of canonical shapes all share it, and walks that share a record
-never repeat an orbit.  `preper_points` refuses a box of more than
+never repeat an orbit.  An orbit type is that pair itself, the type m_n
+of a point that reaches an m-cycle after n steps: `orbit_classify`
+returns it as (m, n), with n = 0 for a periodic point, or None for a
+divergent orbit.  `preper_points` refuses a box of more than
 BOX_BUDGET numerators rather than run for hours on a short argument, and
 `scan` refuses a height above SCAN_BUDGET.
 
@@ -130,45 +133,6 @@ class QuadMap(Value):
         return x * x + self.c
 
 
-class OrbitClass(Value):
-    """Orbit type of a point: periodic(m), preperiodic(m, n), or divergent.
-
-    m is the exact cycle length; n >= 1 is the number of steps before the
-    orbit becomes periodic.
-    """
-
-    __slots__ = ("kind", "period", "tail")
-
-    def __init__(self, kind: str, period: int = 0, tail: int = 0):
-        # kind is "periodic" | "preperiodic" | "divergent"
-        set_field(self, "kind", kind)
-        set_field(self, "period", period)
-        set_field(self, "tail", tail)
-
-    @classmethod
-    def periodic(cls, m: int) -> "OrbitClass":
-        return cls("periodic", m, 0)
-
-    @classmethod
-    def preperiodic(cls, m: int, n: int) -> "OrbitClass":
-        return cls("preperiodic", m, n)
-
-    @classmethod
-    def divergent(cls) -> "OrbitClass":
-        return _DIVERGENT
-
-    def __str__(self) -> str:
-        if self.kind == "periodic":
-            return f"periodic({self.period})"
-        if self.kind == "preperiodic":
-            return f"type {self.period}_{self.tail}"
-        return "divergent"
-
-
-# the one divergent class: it is immutable, so every divergent point shares it
-_DIVERGENT = OrbitClass("divergent")
-
-
 class PreperGraph(Value):
     """Finite rational preperiodic points of z**2 + c with edges x -> f(x).
 
@@ -186,7 +150,7 @@ class PreperGraph(Value):
         set_field(self, "vertices", vertices)
         set_field(self, "edges", edges)
 
-    def orbit_types(self) -> dict[Fraction, OrbitClass]:
+    def orbit_types(self) -> dict[Fraction, tuple[int, int]]:
         f = QuadMap(self.c)
         types: dict = {}
         return {v: orbit_classify(f, v, types) for v in self.vertices}
@@ -295,8 +259,12 @@ def _walk(start, step, types: dict):
     return types[start]
 
 
-def orbit_classify(f: QuadMap, x: Fraction, types: dict | None = None) -> OrbitClass:
-    """Exact orbit type of x under z**2 + c; always terminates.
+def orbit_classify(f: QuadMap, x: Fraction,
+                   types: dict | None = None) -> tuple[int, int] | None:
+    """Exact orbit type of x under z**2 + c, the pair (period, tail) when
+    x reaches a cycle of length period after tail steps (tail 0 for a
+    periodic point), or None when the orbit of x diverges; always
+    terminates.
 
     The walk runs on numerators with the step that f derived when it was
     built.  Calls that pass the same `types` dict, which must all be for
@@ -305,12 +273,16 @@ def orbit_classify(f: QuadMap, x: Fraction, types: dict | None = None) -> OrbitC
     """
     d = f.d
     if d is None or x.denominator != d:
-        return _DIVERGENT
-    kind = _walk(x.numerator, f.step, {} if types is None else types)
+        return None
+    return _walk(x.numerator, f.step, {} if types is None else types)
+
+
+def orbit_type_text(kind: tuple[int, int] | None) -> str:
+    """The text of an orbit type: periodic(m), type m_n, or divergent."""
     if kind is None:
-        return _DIVERGENT
+        return "divergent"
     period, tail = kind
-    return OrbitClass.preperiodic(period, tail) if tail else OrbitClass.periodic(period)
+    return f"type {period}_{tail}" if tail else f"periodic({period})"
 
 
 def preper_points(f: QuadMap) -> PreperGraph:

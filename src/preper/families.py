@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dynamics import OrbitClass, QuadMap, orbit_classify
+from .dynamics import QuadMap, orbit_classify, orbit_type_text
 from .report import Report
 from .values import Value, set_field
 
@@ -35,14 +35,14 @@ class ExcludedParameterError(ValueError):
 
 class FamilyPoint(Value):
     """A map z**2 + c of a family with its promised points and their orbit
-    types; aux holds the implied parameters and takes no part in equality
-    or hashing."""
+    types, each the pair (period, tail) of orbit_classify; aux holds the
+    implied parameters and takes no part in equality or hashing."""
 
     __slots__ = ("family", "parameter", "c", "points", "aux")
     _compare = ("family", "parameter", "c", "points")
 
     def __init__(self, family: str, parameter: Fraction | None, c: Fraction,
-                 points: tuple[tuple[Fraction, OrbitClass], ...],
+                 points: tuple[tuple[Fraction, tuple[int, int]], ...],
                  aux: dict[str, Fraction] | None = None):
         set_field(self, "family", family)
         set_field(self, "parameter", parameter)
@@ -57,9 +57,7 @@ def family_period1(rho) -> FamilyPoint:
     rho = Fraction(rho)
     c = Fraction(1, 4) - rho * rho
     pts = {Fraction(1, 2) + rho, Fraction(1, 2) - rho}
-    return FamilyPoint("p1", rho, c,
-                       tuple((x, OrbitClass.periodic(1)) for x in sorted(pts)),
-                       {"rho": rho})
+    return FamilyPoint("p1", rho, c, tuple((x, (1, 0)) for x in sorted(pts)), {"rho": rho})
 
 
 def family_period2(sigma) -> FamilyPoint:
@@ -69,9 +67,7 @@ def family_period2(sigma) -> FamilyPoint:
         raise ExcludedParameterError("sigma = 0 collapses the 2-cycle onto a fixed point")
     c = Fraction(-3, 4) - sigma * sigma
     pts = (Fraction(-1, 2) + sigma, Fraction(-1, 2) - sigma)
-    return FamilyPoint("p2", sigma, c,
-                       tuple((x, OrbitClass.periodic(2)) for x in pts),
-                       {"sigma": sigma})
+    return FamilyPoint("p2", sigma, c, tuple((x, (2, 0)) for x in pts), {"sigma": sigma})
 
 
 def _period3_data(tau: Fraction) -> tuple[Fraction, list[Fraction]]:
@@ -91,9 +87,7 @@ def family_period3(tau) -> FamilyPoint:
     if tau in (0, -1):
         raise ExcludedParameterError(f"tau = {tau} is a pole of the 3-cycle family")
     c, xs = _period3_data(tau)
-    return FamilyPoint("p3", tau, c,
-                       tuple((x, OrbitClass.periodic(3)) for x in xs),
-                       {"tau": tau})
+    return FamilyPoint("p3", tau, c, tuple((x, (3, 0)) for x in xs), {"tau": tau})
 
 
 def family_period1and2(mu) -> FamilyPoint:
@@ -107,10 +101,8 @@ def family_period1and2(mu) -> FamilyPoint:
     c = -(3 * m2 * m2 + 10 * m2 + 3) / (4 * (m2 - 1) ** 2)
     rho = -(m2 + 1) / (m2 - 1)
     sigma = 2 * mu / (m2 - 1)
-    pts = [(Fraction(1, 2) + rho, OrbitClass.periodic(1)),
-           (Fraction(1, 2) - rho, OrbitClass.periodic(1)),
-           (Fraction(-1, 2) + sigma, OrbitClass.periodic(2)),
-           (Fraction(-1, 2) - sigma, OrbitClass.periodic(2))]
+    pts = [(Fraction(1, 2) + rho, (1, 0)), (Fraction(1, 2) - rho, (1, 0)),
+           (Fraction(-1, 2) + sigma, (2, 0)), (Fraction(-1, 2) - sigma, (2, 0))]
     return FamilyPoint("p1and2", mu, c, tuple(pts), {"rho": rho, "sigma": sigma})
 
 
@@ -125,9 +117,7 @@ def family_type12(eta) -> FamilyPoint:
     rho = -(e2 + 3) / (2 * (e2 - 1))
     r = 2 * eta / (e2 - 1)
     pts = {r, -r}
-    return FamilyPoint("t12", eta, c,
-                       tuple((x, OrbitClass.preperiodic(1, 2)) for x in sorted(pts)),
-                       {"rho": rho})
+    return FamilyPoint("t12", eta, c, tuple((x, (1, 2)) for x in sorted(pts)), {"rho": rho})
 
 
 def family_type22(nu) -> FamilyPoint:
@@ -141,9 +131,7 @@ def family_type22(nu) -> FamilyPoint:
     c = (-n2 * n2 - 2 * nu * n2 - 2 * n2 + 2 * nu - 1) / (n2 - 1) ** 2
     sigma = (n2 + 4 * nu - 1) / (2 * (n2 - 1))
     r = (n2 + 1) / (n2 - 1)
-    return FamilyPoint("t22", nu, c,
-                       tuple((x, OrbitClass.preperiodic(2, 2)) for x in (r, -r)),
-                       {"sigma": sigma})
+    return FamilyPoint("t22", nu, c, tuple((x, (2, 2)) for x in (r, -r)), {"sigma": sigma})
 
 
 def family_type32() -> FamilyPoint:
@@ -151,8 +139,7 @@ def family_type32() -> FamilyPoint:
     c = -29/16 with points 3/4 and -3/4."""
     c = Fraction(-29, 16)
     pts = (Fraction(3, 4), Fraction(-3, 4))
-    return FamilyPoint("t32", None, c,
-                       tuple((x, OrbitClass.preperiodic(3, 2)) for x in pts))
+    return FamilyPoint("t32", None, c, tuple((x, (3, 2)) for x in pts))
 
 
 _GENERATORS = {
@@ -194,7 +181,8 @@ def validate_family(fp: FamilyPoint) -> Report:
 
     for x, expected in fp.points:
         got = orbit_classify(f, x)
-        claim(f"orbit({x})", got == expected, f"expected {expected}, got {got}")
+        claim(f"orbit({x})", got == expected,
+              f"expected {orbit_type_text(expected)}, got {orbit_type_text(got)}")
 
     rho = fp.aux.get("rho")
     if rho is not None:
@@ -221,7 +209,7 @@ def validate_family(fp: FamilyPoint) -> Report:
                   f"f({xs[0]}) vs f({xs[1]})")
         image = f(xs[0])
         cyc = orbit_classify(f, -image)
-        claim("image is minus a cycle point", cyc.kind == "periodic",
-              f"-f({xs[0]}) = {-image} classified {cyc}")
+        claim("image is minus a cycle point", cyc is not None and not cyc[1],
+              f"-f({xs[0]}) = {-image} classified {orbit_type_text(cyc)}")
 
     return rep

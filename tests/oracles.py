@@ -229,21 +229,20 @@ def sylvester_resultant(p_coeffs, q_coeffs) -> Fraction:
 
 
 def brute_orbit_kind(c: Fraction, x: Fraction, steps: int = 80):
-    """("periodic", m), ("preperiodic", m, n), or "divergent" by raw
-    iteration with a crude escape cutoff."""
+    """The orbit type (m, n), a cycle of length m reached after n >= 0
+    steps, or None for a divergent orbit, by raw iteration with a crude
+    escape cutoff."""
     cutoff = abs(c) + 4
     seen = {}
     y = Fraction(x)
     for i in range(steps):
         if abs(y) > cutoff or y.denominator > 10 ** 12:
-            return "divergent"
+            return None
         if y in seen:
-            first = seen[y]
-            m = i - first
-            return ("periodic", m) if first == 0 else ("preperiodic", m, first)
+            return i - seen[y], seen[y]
         seen[y] = i
         y = y * y + c
-    return "divergent"
+    return None
 
 
 def brute_preperiodic_set(c: Fraction, numerator_bound: int = 400) -> set[Fraction]:
@@ -257,7 +256,7 @@ def brute_preperiodic_set(c: Fraction, numerator_bound: int = 400) -> set[Fracti
         if gcd(k, d) != 1:
             continue
         x = Fraction(k, d)
-        if brute_orbit_kind(c, x) != "divergent":
+        if brute_orbit_kind(c, x) is not None:
             out.add(x)
     return out
 

@@ -21,7 +21,7 @@ from preper.curves import (
     elliptic_points_bounded,
     good_reduction_model_check,
     rational_points_bounded,
-    verify_birational_pair,
+    verify_map_pair,
     verify_point_list,
     x1_13_discriminant_check,
 )
@@ -32,7 +32,6 @@ from preper.descent import (
     table1_check,
 )
 from preper.dynamics import (
-    OrbitClass,
     QuadMap,
     admissible_shapes,
     graph_shape,
@@ -94,9 +93,9 @@ def test_criterion_01_graph_of_minus_29_16():
         g = preper_points(f)
         assert len(g.vertices) == 8 and g.size_with_infinity() == 9
         types = g.orbit_types()
-        cycle = {v for v, t in types.items() if t == OrbitClass.periodic(3)}
-        depth1 = {v for v, t in types.items() if t == OrbitClass.preperiodic(3, 1)}
-        depth2 = {v for v, t in types.items() if t == OrbitClass.preperiodic(3, 2)}
+        cycle = {v for v, t in types.items() if t == (3, 0)}
+        depth1 = {v for v, t in types.items() if t == (3, 1)}
+        depth2 = {v for v, t in types.items() if t == (3, 2)}
         assert len(cycle) == 3 and len(depth1) == 3
         assert depth2 == {F(3, 4), F(-3, 4)}
         orbit = [F(3, 4)]
@@ -227,7 +226,7 @@ def test_criterion_10_bounded_searches_stable():
 def test_criterion_11_birational_identities():
     with criterion("11 printed birational identities and the e24 discrepancy"):
         for pair_id in sorted(BIRATIONAL_PAIRS):
-            rep = verify_birational_pair(pair_id)
+            rep = verify_map_pair(BIRATIONAL_PAIRS[pair_id])
             fails = [c.id for c in rep.failures]
             if pair_id == "q17_e17":
                 # the printed forward map is off by one term; the corrected

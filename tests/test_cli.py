@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import preper
 from preper import cli
-from preper.dynamics import c_values_up_to_height, scan
+from preper.dynamics import QuadMap, c_values_up_to_height, scan
 from preper.exactmath import is_prime, parse_rational
 
 # the package the tests import, so the child runs it without an install
@@ -297,9 +297,29 @@ def test_bench_tool_times_shape_canonicalization_on_every_nonempty_graph():
     assert shape["us_per_graph"] > 0
 
 
+def test_bench_tool_times_the_orbit_walk_on_every_c_a_scan_walks():
+    # the orbit-walk row walks the first-step survivors k >= 0 of every
+    # c <= 1/4 up to its height that has any, and counts both
+    walk = load_bench_tool().kernels(Path(ROOT), height=20)["orbit_walk"]
+    c_values = survivors = 0
+    for u, v in c_values_up_to_height(20):
+        if 4 * u > v * v:
+            continue
+        step, k, found = QuadMap(Fraction(u, v * v)).step, 0, 0
+        while k * (k - v) <= abs(u):  # the box numerators k >= 0
+            found += step(k) is not None
+            k += 1
+        c_values += found > 0
+        survivors += found
+    assert walk["exit"] == 0 and walk["kernel"] == "dynamics._walk"
+    assert (walk["c_values"], walk["survivors"]) == (c_values, survivors)
+    assert walk["us_per_c"] > 0
+
+
 def test_bench_tool_writes_nothing_when_a_kernel_timing_fails(monkeypatch, tmp_path, capsys):
-    # a checkout whose package cannot be imported fails the kernel child,
-    # and the script exits 1 before the tier-1 run
+    # a checkout whose package cannot be imported fails every kernel child,
+    # and one failing row alone is enough: the script exits 1 before the
+    # tier-1 run
     bench = load_bench_tool()
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text("")
@@ -311,9 +331,19 @@ def test_bench_tool_writes_nothing_when_a_kernel_timing_fails(monkeypatch, tmp_p
     monkeypatch.setattr(bench, "tier1", lambda root: pytest.fail("tier-1 ran"))
     monkeypatch.setattr(bench, "git", lambda root, *args: "")
     monkeypatch.setattr(sys, "argv", ["bench.py", "--pr", "0", "--checkout", str(tmp_path)])
-    assert bench.main() == 1
-    assert not (tmp_path / "BENCH_0.json").exists()
-    assert "a kernel timing failed" in capsys.readouterr().err
+    rows = bench.kernels(tmp_path)
+    assert sorted(rows) == ["orbit_walk", "shape_of_edges"]
+    assert all(entry["exit"] != 0 for entry in rows.values())
+    # each row in turn is the only one that fails: the other's child runs
+    # a script that does not import the package
+    for failing in ("SHAPE_KERNEL", "WALK_KERNEL"):
+        with monkeypatch.context() as mp:
+            for name in ("SHAPE_KERNEL", "WALK_KERNEL"):
+                if name != failing:
+                    mp.setattr(bench, name, "print('{}')")
+            assert bench.main() == 1
+        assert not (tmp_path / "BENCH_0.json").exists()
+        assert "a kernel timing failed" in capsys.readouterr().err
 
 
 def test_bench_tool_census_digests_the_scan_report(capsys):

@@ -31,7 +31,6 @@ from preper.curves import (
     good_reduction_model_check,
     point_classes,
     rational_points_bounded,
-    verify_birational_pair,
     verify_map_pair,
     verify_point_list,
     weierstrass,
@@ -202,7 +201,7 @@ def test_elliptic_bounded_search_matches_lists():
 
 @pytest.mark.parametrize("pair_id", sorted(BIRATIONAL_PAIRS))
 def test_birational_pairs_exact(pair_id):
-    rep = verify_birational_pair(pair_id)
+    rep = verify_map_pair(BIRATIONAL_PAIRS[pair_id])
     bad = [c.id for c in rep.failures]
     if pair_id == "q17_e17":
         assert bad == ["q17_e17-printed-forward-on-target"]

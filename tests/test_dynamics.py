@@ -9,11 +9,11 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import preper
 from preper import dynamics
 from preper.dynamics import (
     BoxBudgetError,
     NotQuadraticError,
-    OrbitClass,
     PointTable,
     PreperGraph,
     QuadMap,
@@ -85,10 +85,21 @@ def test_normalize_quadratic_symbolic_conjugacy():
 
 
 def test_orbit_classify_anchor_examples():
-    assert orbit_classify(QuadMap(F(-29, 16)), F(3, 4)) == OrbitClass.preperiodic(3, 2)
-    assert orbit_classify(QuadMap(F(0)), F(0)) == OrbitClass.periodic(1)
-    assert orbit_classify(QuadMap(F(-1)), F(1)) == OrbitClass.preperiodic(2, 1)
-    assert orbit_classify(QuadMap(F(1, 3)), F(0)).kind == "divergent"
+    # an orbit type is the pair (period, tail) of the one walk, tail 0 for
+    # a periodic point, and None for a divergent orbit
+    assert orbit_classify(QuadMap(F(-29, 16)), F(3, 4)) == (3, 2)
+    assert orbit_classify(QuadMap(F(0)), F(0)) == (1, 0)
+    assert orbit_classify(QuadMap(F(-1)), F(1)) == (2, 1)
+    assert orbit_classify(QuadMap(F(1, 3)), F(0)) is None
+    # no class wraps the pair: the package exports these names only, and
+    # the value classes of dynamics are these
+    assert sorted(preper.__all__) == [
+        "FamilyPoint", "PreperGraph", "QuadMap", "admissible_shapes", "graph_shape",
+        "make_family_point", "normalize_quadratic", "orbit_classify", "preper_points", "scan",
+        "validate_family"]
+    assert {name for name, obj in vars(dynamics).items()
+            if isinstance(obj, type) and issubclass(obj, Value)} == \
+        {"Value", "QuadMap", "PreperGraph", "ScanResult"}
 
 
 def test_orbit_of_3_quarters_prefix():
@@ -99,22 +110,12 @@ def test_orbit_of_3_quarters_prefix():
     assert orbit == [F(3, 4), F(-5, 4), F(-1, 4), F(-7, 4), F(5, 4)]
 
 
-def assert_matches_brute(got: OrbitClass, c, x):
-    brute = brute_orbit_kind(c, x)
-    if brute == "divergent":
-        assert got.kind == "divergent", (c, x)
-    elif brute[0] == "periodic":
-        assert got == OrbitClass.periodic(brute[1]), (c, x)
-    else:
-        assert got == OrbitClass.preperiodic(brute[1], brute[2]), (c, x)
-
-
 def test_orbit_classify_matches_brute_iteration():
     rng = random.Random(12)
     for _ in range(150):
         c = F(rng.randint(-40, 10), rng.choice([1, 1, 4, 9, 16]))
         x = F(rng.randint(-30, 30), rng.choice([1, 2, 3, 4, 6]))
-        assert_matches_brute(orbit_classify(QuadMap(c), x), c, x)
+        assert orbit_classify(QuadMap(c), x) == brute_orbit_kind(c, x), (c, x)
 
 
 # c = u/d^2 of small height: every square denominator up to 36, and the
@@ -128,7 +129,7 @@ def test_preper_points_matches_oracles_on_random_c(c):
     g = preper_points(QuadMap(c))
     assert g.vertices == brute_preperiodic_set(c)
     for v, kind in g.orbit_types().items():
-        assert_matches_brute(kind, c, v)
+        assert kind == brute_orbit_kind(c, v), (c, v)
 
 
 @settings(max_examples=80, deadline=None)
@@ -138,19 +139,17 @@ def test_orbit_classify_with_shared_types_matches_brute(c, xs):
     f = QuadMap(c)
     types: dict = {}
     for x in xs:
-        assert_matches_brute(orbit_classify(f, x, types), c, x)
+        assert orbit_classify(f, x, types) == brute_orbit_kind(c, x), (c, x)
 
 
 def test_preper_points_c_29_16():
     g = preper_points(QuadMap(F(-29, 16)))
     assert g.vertices == {F(k, 4) for k in (-7, -5, -3, -1, 1, 3, 5, 7)}
     types = g.orbit_types()
-    assert {v for v, t in types.items() if t == OrbitClass.periodic(3)} == \
-        {F(-1, 4), F(-7, 4), F(5, 4)}
-    assert {v for v, t in types.items() if t == OrbitClass.preperiodic(3, 1)} == \
-        {F(1, 4), F(7, 4), F(-5, 4)}
-    assert {v for v, t in types.items() if t == OrbitClass.preperiodic(3, 2)} == \
-        {F(3, 4), F(-3, 4)}
+    assert all(type(t) is tuple and [type(n) for n in t] == [int, int] for t in types.values())
+    assert {v for v, t in types.items() if t == (3, 0)} == {F(-1, 4), F(-7, 4), F(5, 4)}
+    assert {v for v, t in types.items() if t == (3, 1)} == {F(1, 4), F(7, 4), F(-5, 4)}
+    assert {v for v, t in types.items() if t == (3, 2)} == {F(3, 4), F(-3, 4)}
     assert g.size_with_infinity() == 9
 
 
@@ -179,7 +178,7 @@ def test_preper_points_closure_and_soundness():
         for v in g.vertices:
             assert g.edges[v] == f(v)
             assert g.edges[v] in g.vertices
-            assert orbit_classify(f, v).kind != "divergent"
+            assert orbit_classify(f, v) is not None
 
 
 # c = u/d^2 with boxes of thousands of numerators, d large against sqrt|u|
@@ -262,7 +261,7 @@ def test_vertex_closure_failure_names_the_escaped_image(monkeypatch, recorded, m
     # error that python -O keeps, not with a bare KeyError
     def record(f, x, types):
         types.update((k, (1, 0)) for k in recorded)
-        return OrbitClass.divergent()
+        return None
 
     monkeypatch.setattr(dynamics, "orbit_classify", record)
     with pytest.raises(RuntimeError, match=re.escape(message + " escaped the vertex set")):
@@ -722,7 +721,7 @@ def test_five_unique_graphs_appear_once_from_height_29():
 def test_wrong_denominator_is_divergent():
     f = QuadMap(F(-29, 16))
     for x in (F(1, 2), F(1, 8), F(3)):
-        assert orbit_classify(f, x).kind == "divergent"
+        assert orbit_classify(f, x) is None
 
 
 def test_scan_size_bound_probe():
@@ -741,14 +740,14 @@ def test_mirror_count_rule():
         g = preper_points(QuadMap(c))
         types = g.orbit_types().values()
         for m in (1, 2, 3):
-            periodic = sum(1 for t in types if t == OrbitClass.periodic(m))
-            depth1 = sum(1 for t in types if t == OrbitClass.preperiodic(m, 1))
+            periodic = sum(1 for t in types if t == (m, 0))
+            depth1 = sum(1 for t in types if t == (m, 1))
             expected = periodic - (1 if (c, m) in ((F(-1), 2), (F(0), 1)) else 0)
             if periodic:
                 assert depth1 == expected, (c, m)
 
 
-POINTS_2916 = ((F(3, 4), OrbitClass.preperiodic(3, 2)), (F(-3, 4), OrbitClass.preperiodic(3, 2)))
+POINTS_2916 = ((F(3, 4), (3, 2)), (F(-3, 4), (3, 2)))
 ODD_3 = odd_model_transform(C1_32, 3, 1)
 Q24_E24 = BIRATIONAL_PAIRS["q24_e24"]
 
@@ -769,17 +768,13 @@ def _rebuilt(maps):
 VALUE_CASES = {
     "QuadMap": lambda: (
         QuadMap(F(1, 4)), QuadMap(F(1, 4)), QuadMap(F(-2)), "QuadMap(c=Fraction(1, 4))"),
-    "OrbitClass": lambda: (
-        OrbitClass.preperiodic(3, 2), OrbitClass("preperiodic", 3, 2), OrbitClass.periodic(3),
-        "type 3_2"),
     "PreperGraph": lambda: _graph_case(preper_points(QuadMap(F(-29, 16)))),
     "FamilyPoint": lambda: (
         FamilyPoint("t32", None, F(-29, 16), POINTS_2916),
         FamilyPoint("t32", None, F(-29, 16), POINTS_2916, {"rho": F(1)}),
         FamilyPoint("t32", None, F(-21, 16), POINTS_2916),
         "FamilyPoint(family='t32', parameter=None, c=Fraction(-29, 16), points=("
-        "(Fraction(3, 4), OrbitClass(kind='preperiodic', period=3, tail=2)), "
-        "(Fraction(-3, 4), OrbitClass(kind='preperiodic', period=3, tail=2))), aux={})"),
+        "(Fraction(3, 4), (3, 2)), (Fraction(-3, 4), (3, 2))), aux={})"),
     "ScanResult": lambda: (scan(2), scan(2), scan(3), repr(scan(2))),
     "CheckResult": lambda: (
         CheckResult("a", "s", "pass"), CheckResult("a", "s", "pass", None, ""),
@@ -833,7 +828,7 @@ def test_value_classes_compare_hash_print_and_freeze(name):
     assert str(a) == text
     # repr is the constructor call, and a pickle round trip keeps the value
     scope = {cls.__name__: cls for cls in (
-        Fraction, OrbitClass, PreperGraph, QuadMap, ScanResult, FamilyPoint, CheckResult,
+        Fraction, PreperGraph, QuadMap, ScanResult, FamilyPoint, CheckResult,
         Report, CurvePoint, FpPoly, OddModel, MonicModel, MumfordDivisor, PadicSeries)}
     if name not in NO_EVAL:
         assert eval(repr(a), scope) == a
@@ -849,9 +844,6 @@ def test_value_classes_compare_hash_print_and_freeze(name):
         with pytest.raises(AttributeError):
             delattr(a, field)
     assert a == same
-    if name == "OrbitClass":
-        assert OrbitClass.divergent() is OrbitClass.divergent()
-        assert str(OrbitClass.divergent()) == "divergent" and str(different) == "periodic(3)"
     if name == "FamilyPoint":
         # a point built without aux gets a dict of its own
         assert a.aux == {} and a.aux is not different.aux

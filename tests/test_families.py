@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from preper.cli import _family_payload
-from preper.dynamics import OrbitClass, QuadMap, orbit_classify, preper_points
+from preper.dynamics import QuadMap, orbit_classify, preper_points
 from preper.exactmath import Poly
 from preper.families import (
     ExcludedParameterError,
@@ -103,10 +103,10 @@ def test_type22_anchors():
 def test_type32_anchor():
     fp = family_type32()
     assert fp.c == F(-29, 16)
-    assert {x for x, _ in fp.points} == {F(3, 4), F(-3, 4)}
+    assert fp.points == ((F(3, 4), (3, 2)), (F(-3, 4), (3, 2)))
     f = QuadMap(fp.c)
-    assert orbit_classify(f, F(3, 4)) == OrbitClass.preperiodic(3, 2)
-    assert orbit_classify(f, F(-3, 4)) == OrbitClass.preperiodic(3, 2)
+    assert orbit_classify(f, F(3, 4)) == (3, 2)
+    assert orbit_classify(f, F(-3, 4)) == (3, 2)
     assert validate_family(fp).ok
 
 
@@ -140,6 +140,9 @@ def test_random_parameters_validate(maker, excluded):
     rng = random.Random(hash(maker.__name__) & 0xFFFF)
     for _ in range(40):
         fp = maker(_random_admissible(rng, excluded))
+        # each promised orbit type is the pair (period, tail) of two ints
+        assert all(type(t) is tuple and [type(n) for n in t] == [int, int]
+                   for _, t in fp.points), fp
         report = validate_family(fp)
         assert report.ok, (fp, report.checks)
 
@@ -173,27 +176,42 @@ def test_cross_family_cycle_exclusions():
     for _ in range(8):
         tau = _random_admissible(rng, (F(0), F(-1)))
         g = preper_points(QuadMap(family_period3(tau).c))
-        periods = {t.period for t in g.orbit_types().values() if t.kind == "periodic"}
+        periods = {m for m, n in g.orbit_types().values() if n == 0}
         assert periods <= {3}
     # depth-2-over-fixed maps never carry rational 2- or 3-cycles
     for _ in range(8):
         eta = _random_admissible(rng, (F(1), F(-1)))
         g = preper_points(QuadMap(family_type12(eta).c))
-        periods = {t.period for t in g.orbit_types().values() if t.kind == "periodic"}
+        periods = {m for m, n in g.orbit_types().values() if n == 0}
         assert periods <= {1}
     # depth-2-over-2-cycle maps never carry rational fixed points or 3-cycles
     for _ in range(8):
         nu = _random_admissible(rng, (F(0), F(1), F(-1)))
         g = preper_points(QuadMap(family_type22(nu).c))
-        periods = {t.period for t in g.orbit_types().values() if t.kind == "periodic"}
+        periods = {m for m, n in g.orbit_types().values() if n == 0}
         assert periods <= {2}
 
 
 def test_corrupted_family_point_fails_validation():
-    fp = family_period3(F(1))
-    bad = FamilyPoint(fp.family, fp.parameter, fp.c + 1, fp.points, fp.aux)
-    report = validate_family(bad)
-    assert not report.ok
+    # adding 1 to c breaks the promises; the failing rows read every branch
+    # of the orbit-type text, divergent included
+    rows = {}
+    for fp in (family_period3(F(1)), family_type12(F(2))):
+        bad = FamilyPoint(fp.family, fp.parameter, fp.c + 1, fp.points, fp.aux)
+        report = validate_family(bad)
+        assert not report.ok
+        rows.update((c.id, (c.status, c.value)) for c in report.checks)
+    assert rows["orbit(5/4)"] == ("fail", "expected periodic(3), got type 2_2")
+    assert rows["orbit(-1/4)"] == ("fail", "expected periodic(3), got periodic(2)")
+    assert rows["orbit(-7/4)"] == ("fail", "expected periodic(3), got divergent")
+    assert rows["orbit(4/3)"] == rows["orbit(-4/3)"] == \
+        ("fail", "expected type 1_2, got divergent")
+    assert rows["image is minus a cycle point"] == \
+        ("fail", "-f(-4/3) = -5/3 classified divergent")
+    # a pair whose image is minus a preperiodic point that is not periodic
+    fake = FamilyPoint("t12", None, F(-29, 16), ((F(-5, 4), (1, 2)), (F(5, 4), (1, 2))))
+    row = validate_family(fake)["image is minus a cycle point"]
+    assert (row.status, row.value) == ("fail", "-f(-5/4) = 1/4 classified type 3_1")
 
 
 def test_reversed_3_cycle_yields_orientation_warning():

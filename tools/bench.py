@@ -8,8 +8,9 @@ of the checkout (by default the one this script lives in), with seed 1:
   perfbench/run.py --seconds 25 --trace 1 for census and jacobian,
   one whole census, python -m preper scan --height 10000, with
   PYTHONPATH=src, once;
-  the graph canonicalization kernel, dynamics._shape_of_edges, in one
-  child with PYTHONPATH=src, over a fixed corpus;
+  the graph canonicalization kernel, dynamics._shape_of_edges, and the
+  orbit walk, dynamics._walk, each in one child with PYTHONPATH=src,
+  over a fixed corpus;
   the tier-1 suite, PYTHONPATH=src python -m pytest -q
   --continue-on-collection-errors, once.
 Each run.py call runs with PYTHONDONTWRITEBYTECODE removed and
@@ -24,9 +25,9 @@ the Python version, the census's wall time, the peak RSS of its process
 (ru_maxrss from os.wait4 on that child alone, in MB of 1024 kB), its
 number of c and of shapes, its out_of_catalog and bound_violations
 counts and the sha256 of its stdout without timing_ms, under `kernels`
-the kernel's median time per graph and its corpus size, and the tier-1
-counts, exit code and wall time.
-When a run is not correct, or the census or the kernel child fails, the
+each kernel's median time per graph or per c and its corpus size, and
+the tier-1 counts, exit code and wall time.
+When a run is not correct, or the census or a kernel child fails, the
 script writes nothing and exits 1.  It changes nothing under perfbench/.
 The whole run takes about five minutes, the census about 3 s of it.
 """
@@ -51,7 +52,9 @@ SECONDS = 25
 SEED = 1  # one seed for every file, so that files compare
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 CENSUS_HEIGHT = 10000  # the scan budget: about 1.2M values of c
-KERNEL_HEIGHT = 300  # the kernel corpus: the 350 nonempty graphs of every c up to 300
+# the kernel corpora, of every c up to 300: the 350 nonempty graphs and
+# the 1,831 c with first-step survivors
+KERNEL_HEIGHT = 300
 KERNEL_REPEATS = 51
 # run by `kernels` in a child with the checkout's src first on its path;
 # the edge maps are on numerators, as the scan canonicalizes them
@@ -72,6 +75,31 @@ for _ in range(repeats):
         _shape_of_edges(edges)
     times.append((time.perf_counter() - start) / len(corpus) * 1e6)
 print(json.dumps({"graphs": len(corpus), "us_per_graph": round(statistics.median(times), 3)}))
+"""
+# the walk of every c that a scan walks, c <= 1/4 with first-step
+# survivors in its PointTable, each with one memo, as _scan_chunk walks them
+WALK_KERNEL = """
+import json, statistics, sys, time
+from preper.dynamics import PointTable, _box_bound, _numerator_step, _walk, c_values_up_to_height
+height, repeats = map(int, sys.argv[1:])
+tables, corpus = {}, []
+for u, v in c_values_up_to_height(height):
+    if 4 * u <= v * v:
+        if v not in tables:
+            tables[v] = PointTable(v)
+        survivors = tables[v].candidates(u, _box_bound(v, u))
+        if survivors:
+            corpus.append((_numerator_step(v, u), survivors))
+times = []
+for _ in range(repeats):
+    start = time.perf_counter()
+    for step, survivors in corpus:
+        types = {}
+        for k in survivors:
+            _walk(k, step, types)
+    times.append((time.perf_counter() - start) / len(corpus) * 1e6)
+print(json.dumps({"c_values": len(corpus), "survivors": sum(len(s) for _, s in corpus),
+                  "us_per_c": round(statistics.median(times), 3)}))
 """
 # how every run.py call caches bytecode, recorded in the BENCH file
 BYTECODE_CACHE = {"PYTHONDONTWRITEBYTECODE": "removed",
@@ -160,20 +188,26 @@ def census(root: Path, height: int = CENSUS_HEIGHT) -> dict:
 
 def kernels(root: Path, height: int = KERNEL_HEIGHT) -> dict:
     """The layer timings of the checkout's kernels, each measured in a
-    fresh child: for graph canonicalization, the median over
-    KERNEL_REPEATS passes of the microseconds per graph that
+    fresh child, as medians over KERNEL_REPEATS passes: for graph
+    canonicalization, the microseconds per graph that
     dynamics._shape_of_edges takes on the edge maps of the nonempty
-    graphs of every c up to the height, and the number of those graphs."""
+    graphs of every c up to the height, and the number of those graphs;
+    for the orbit walk, the microseconds per c that dynamics._walk takes
+    on the first-step survivors of every c up to the height that has
+    any, and the numbers of those c and survivors."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "-c", SHAPE_KERNEL, str(height), str(KERNEL_REPEATS)],
-                          cwd=root, env=env, capture_output=True, text=True)
-    shape = {"kernel": "dynamics._shape_of_edges", "height": height,
-             "repeats": KERNEL_REPEATS, "exit": proc.returncode}
-    if proc.returncode != 0:
-        shape["stderr"] = proc.stderr[-2000:]
-    else:
-        shape.update(json.loads(proc.stdout))
-    return {"shape_of_edges": shape}
+    rows = {}
+    for row, kernel, code in (("shape_of_edges", "dynamics._shape_of_edges", SHAPE_KERNEL),
+                              ("orbit_walk", "dynamics._walk", WALK_KERNEL)):
+        proc = subprocess.run([sys.executable, "-c", code, str(height), str(KERNEL_REPEATS)],
+                              cwd=root, env=env, capture_output=True, text=True)
+        entry = rows[row] = {"kernel": kernel, "height": height, "repeats": KERNEL_REPEATS,
+                             "exit": proc.returncode}
+        if proc.returncode != 0:
+            entry["stderr"] = proc.stderr[-2000:]
+        else:
+            entry.update(json.loads(proc.stdout))
+    return rows
 
 
 def git(root: Path, *args: str) -> str:
