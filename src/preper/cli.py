@@ -310,7 +310,9 @@ def cmd_verify(args) -> int:
     return 0 if rep.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every main call in the process, built by the first."""
     parser = argparse.ArgumentParser(
         prog="preper",
         description="exact computations around rational preperiodic points of z^2 + c",
@@ -356,14 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of every main call in the process, built by the first."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except BudgetError as e:

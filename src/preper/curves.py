@@ -41,7 +41,7 @@ b^(n+1) f(a/b) = b F(a, b) with F = c_n a^n mod every prime of b, so a
 row b is skipped unless it is a square once the primes of c_n are
 removed: about sqrt(H) of the H rows remain for a cubic.  Both filters
 drop only what provably holds no point, so the search stays exhaustive.
-Heights above SEARCH_BUDGET are refused.  Membership is an exact square
+Heights above SEARCH_BUDGET raise BudgetError.  Membership is an exact square
 test, so every reported point satisfies its curve equation on the nose.
 Map verification happens in the curve function field (see
 exactmath.bivariate): compositions are literal identities of field
@@ -204,10 +204,6 @@ SEARCH_BUDGET = 10**4
 _SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
-class SearchBudgetError(BudgetError):
-    """The height bound of a point search exceeds SEARCH_BUDGET."""
-
-
 def _residue_masks(coeffs, p: int, height: int) -> list[int]:
     """The masks of one sieve prime p, indexed by r = b mod p: bitsets over
     a in [-height, height], bit a + height, of the a at which b^e f(a/b)
@@ -263,12 +259,12 @@ def _square_values(coeffs, height: int):
     (p, b mod p) for every sieve prime p, from _residue_masks.  Only the
     surviving a, in increasing order, are tested exactly, so the values
     and their order are those of the unsieved loop.  Raises
-    SearchBudgetError above SEARCH_BUDGET."""
+    BudgetError above SEARCH_BUDGET."""
     if height < 1:
         raise ValueError("height bound must be >= 1")
     if height > SEARCH_BUDGET:
-        raise SearchBudgetError(f"height bound {height} exceeds the search budget "
-                                f"of {SEARCH_BUDGET}")
+        raise BudgetError(f"height bound {height} exceeds the search budget "
+                          f"of {SEARCH_BUDGET}")
     if any(Fraction(c).denominator != 1 for c in coeffs):
         raise ValueError("search expects an integral model")
     coeffs = [int(c) for c in coeffs]

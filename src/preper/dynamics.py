@@ -20,14 +20,15 @@ terminates.  A QuadMap derives d, u and its step once when it is built,
 and every call on the map reads them from there.  One walk, `_walk`,
 follows any step function until its orbit repeats and records the
 (period, tail) of every preperiodic point it meets, so classification,
-enumeration of the candidate box, the census's emptiness test and the
-cycles of canonical shapes all share it, and walks that share a record
-never repeat an orbit.  An orbit type is that pair itself, the type m_n
-of a point that reaches an m-cycle after n steps: `orbit_classify`
-returns it as (m, n), with n = 0 for a periodic point, or None for a
-divergent orbit.  `preper_points` refuses a box of more than
+enumeration of the candidate box, the census's emptiness test, the
+orbit types of a graph and the cycles of canonical shapes all share it,
+and walks that share a record never repeat an orbit.  An orbit type is
+that pair itself, the type m_n of a point that reaches an m-cycle after
+n steps: `orbit_classify` returns it as (m, n), with n = 0 for a
+periodic point, or None for a divergent orbit.  `preper_points` refuses a box of more than
 BOX_BUDGET numerators rather than run for hours on a short argument, and
-`scan` refuses a height above SCAN_BUDGET.
+`scan` refuses a height above SCAN_BUDGET; both raise BudgetError, the
+one refusal type of every budget in the package.
 
 A scan meets each denominator d for hundreds of c, so it keeps one
 PointTable per d.  The table groups its numerators k >= 0 by k**2 mod d,
@@ -151,9 +152,12 @@ class PreperGraph(Value):
         set_field(self, "edges", edges)
 
     def orbit_types(self) -> dict[Fraction, tuple[int, int]]:
-        f = QuadMap(self.c)
+        """The (period, tail) of every vertex, walked on the numerators of
+        the edge map (every vertex is k/d for the one d of c), since a walk
+        keyed by Fraction spends most of its time hashing."""
+        image = {v.numerator: w.numerator for v, w in self.edges.items()}
         types: dict = {}
-        return {v: orbit_classify(f, v, types) for v in self.vertices}
+        return {v: _walk(v.numerator, image.__getitem__, types) for v in self.vertices}
 
     def size_with_infinity(self) -> int:
         return len(self.vertices) + 1
@@ -203,15 +207,10 @@ class NotQuadraticError(ValueError):
 
 
 class BudgetError(ValueError):
-    """An argument asks for more work than a budget allows."""
-
-
-class BoxBudgetError(BudgetError):
-    """The candidate box of c holds more than BOX_BUDGET numerators."""
-
-
-class ScanBudgetError(BudgetError):
-    """The height of a scan exceeds SCAN_BUDGET."""
+    """An argument asks for more work than one of the package's budgets
+    allows: BOX_BUDGET and SCAN_BUDGET here, curves.SEARCH_BUDGET,
+    ffjac.COUNT_BUDGET and families.PARAMETER_BUDGET; the message names
+    which."""
 
 
 def normalize_quadratic(a: Fraction, b: Fraction, c0: Fraction):
@@ -294,7 +293,7 @@ def preper_points(f: QuadMap) -> PreperGraph:
     dropped after it, and only the vertices are built again for the
     graph.  So a box of up to BOX_BUDGET numerators never holds one
     Fraction per numerator (the memory of `graph` rests on this).
-    Raises BoxBudgetError when the candidate box exceeds BOX_BUDGET.
+    Raises BudgetError when the candidate box exceeds BOX_BUDGET.
     """
     c, d, u = f.c, f.d, f.u
     if d is None:
@@ -302,8 +301,8 @@ def preper_points(f: QuadMap) -> PreperGraph:
     # candidates k/d with gcd(k, d) = 1 and |k| <= K, orbit_classify's escape bound
     K = _box_bound(d, u)
     if 2 * K + 1 > BOX_BUDGET:
-        raise BoxBudgetError(f"the candidate box of c = {c} holds {2 * K + 1} "
-                             f"numerators, more than the budget of {BOX_BUDGET}")
+        raise BudgetError(f"the candidate box of c = {c} holds {2 * K + 1} "
+                          f"numerators, more than the budget of {BOX_BUDGET}")
     types: dict[int, tuple[int, int]] = {}
     for k in range(-K, K + 1):
         if k not in types and gcd(k, d) == 1:
@@ -533,12 +532,12 @@ def scan(height: int) -> ScanResult:
     numerators; a Fraction is built only for the samples kept, up to
     three per shape, whose nonempty graphs _scan_chunk has rebuilt as a
     PreperGraph from the whole coprime box to cross-check, and for any c
-    outside the catalog or above the size bound.  Raises ScanBudgetError
+    outside the catalog or above the size bound.  Raises BudgetError
     above SCAN_BUDGET, and RuntimeError when a rebuilt sample disagrees
     with its record.
     """
     if height > SCAN_BUDGET:
-        raise ScanBudgetError(f"scan height {height} exceeds the scan budget of {SCAN_BUDGET}")
+        raise BudgetError(f"scan height {height} exceeds the scan budget of {SCAN_BUDGET}")
     catalog = admissible_shapes()
     counts: dict[str, int] = {}
     samples: dict[str, list[Fraction]] = {}

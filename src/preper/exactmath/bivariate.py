@@ -91,15 +91,12 @@ class BiPoly(_DensePoly):
 
 
 class RationalMap(Value):
-    """Quotient of two bivariate polynomials, one coordinate of a curve map."""
+    """Quotient of two BiPolys, one coordinate of a curve map; a scalar
+    enters as BiPoly.const(c)."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: BiPoly, den: BiPoly = BiPoly.const(1)):
-        if isinstance(num, (int, Fraction, Poly)):
-            num = BiPoly.const(num) if not isinstance(num, Poly) else BiPoly((num,))
-        if isinstance(den, (int, Fraction, Poly)):
-            den = BiPoly.const(den) if not isinstance(den, Poly) else BiPoly((den,))
         if den.is_zero():
             raise ZeroDivisionError("rational map with zero denominator")
         set_field(self, "num", num)

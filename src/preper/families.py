@@ -9,15 +9,16 @@ a corrupted FamilyPoint fails loudly rather than silently.
 
 The excluded parameter values are exactly where the displayed formulas
 degenerate (a denominator vanishes or promised points collide with a
-cycle), and the generators refuse them.  `make_family_point` also refuses
-a parameter whose numerator or denominator reaches PARAMETER_BUDGET.
+cycle), and the generators refuse them.  `make_family_point` also refuses,
+with BudgetError, a parameter whose numerator or denominator reaches
+PARAMETER_BUDGET.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .dynamics import QuadMap, orbit_classify, orbit_type_text
+from .dynamics import BudgetError, QuadMap, orbit_classify, orbit_type_text
 from .report import Report
 from .values import Value, set_field
 
@@ -165,8 +166,8 @@ def make_family_point(family: str, parameter=None) -> FamilyPoint:
         raise ValueError(f"family {family!r} requires a rational parameter")
     q = Fraction(parameter)
     if max(abs(q.numerator), q.denominator) >= PARAMETER_BUDGET:
-        raise ValueError("the parameter has a numerator or denominator of more than "
-                         f"{len(str(PARAMETER_BUDGET)) - 1} digits")
+        raise BudgetError("the parameter has a numerator or denominator of more than "
+                          f"{len(str(PARAMETER_BUDGET)) - 1} digits")
     return gen(parameter)
 
 

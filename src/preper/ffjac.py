@@ -1,7 +1,8 @@
 """Point counts of genus-2 curves over small finite fields, and one
 Jacobian group law, Cantor's algorithm, over Q and F_p in genus 1 and 2.
 
-Counting runs on plain ints.  A table of the squares of F_p, built by
+Counting runs on plain ints, and a field of more than COUNT_BUDGET
+elements raises BudgetError.  A table of the squares of F_p, built by
 squaring every residue, decides each value of g: a root gives one point,
 a nonzero square two.  Over F_{p^2} = F_p(i), i^2 = n a non-residue, the
 count goes by the Taylor expansion c(T) = g(a + T) mod p at each a in
@@ -52,6 +53,7 @@ import functools
 from math import comb, gcd
 
 from .curves import C1_32, CurveModel, CurvePoint
+from .dynamics import BudgetError
 from .exactmath import FpPoly, is_prime, xgcd
 from .report import Report
 from .values import Value, set_field
@@ -71,7 +73,7 @@ def count_points(curve: CurveModel, p: int, k: int = 1) -> int:
         raise ValueError("extension degree must be 1 or 2")
     # the size test first: Miller-Rabin on a huge p takes seconds
     if p ** k > COUNT_BUDGET:
-        raise ValueError(f"field size {p**k} exceeds the enumeration budget")
+        raise BudgetError(f"field size {p**k} exceeds the enumeration budget")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k == 2 and p == 2:

@@ -61,9 +61,7 @@ class Report(Value):
         set_field(self, "checks", [] if checks is None else checks)
 
     def add(self, id: str, statement: str, ok: bool, value=None, note: str = "") -> CheckResult:
-        r = CheckResult(id, statement, PASS if ok else FAIL, value, note)
-        self.checks.append(r)
-        return r
+        return self.add_status(id, statement, PASS if ok else FAIL, value, note)
 
     def add_status(self, id: str, statement: str, status: str, value=None,
                    note: str = "") -> CheckResult:

@@ -40,6 +40,15 @@ def run_cli(*args, env=None):
     return run_python("-m", "preper", *args, env=env)
 
 
+def report_digest(stdout: str) -> str:
+    # sha256 of a JSON report without its timing_ms, re-emitted under the
+    # CLI's own settings, as perfbench/workloads.py::digest computes it
+    payload = json.loads(stdout)
+    del payload["timing_ms"]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_cli_imports_only_the_standard_library():
     # the package has no runtime dependencies: importing the command line
     # tool loads nothing beyond preper itself and the standard library
@@ -274,6 +283,43 @@ def test_bench_tool_counts_cpus_where_affinity_is_unknown(monkeypatch, tmp_path)
     assert bench.main() == 0
     written = json.loads((tmp_path / "BENCH_0.json").read_text(encoding="utf-8"))
     assert written["nproc"] == 3 and len(written["runs"]) == 6 and written["tier1"] == {"exit": 0}
+    # a checkout without src/ records zeros, beside every earlier key
+    assert written["src"] == {"files": 0, "lines": 0, "code_lines": 0}
+    assert sorted(written) == ["bytecode_cache", "census", "head", "kernels", "nproc", "pr",
+                               "python", "runs", "seconds", "seed", "src", "tier1",
+                               "uncommitted_changes"]
+
+
+def test_bench_tool_counts_the_lines_of_src(tmp_path):
+    # physical lines of every *.py file under src/ and the code lines among
+    # them: no blank, comment-only or docstring line, but every line of a
+    # string that is no docstring, even one that looks like a comment
+    module = tmp_path / "src" / "pkg" / "mod.py"
+    module.parent.mkdir(parents=True)
+    module.write_text('"""Module docstring\n'
+                      'on two lines."""\n'
+                      "\n"
+                      "# a comment\n"
+                      "import os  # a trailing comment\n"
+                      "\n"
+                      "\n"
+                      "class A:\n"
+                      "    'Class docstring.'\n"
+                      "\n"
+                      "    def f(self, x):\n"
+                      '        """Function docstring\n'
+                      "\n"
+                      '        on three lines."""\n'
+                      '        s = """no docstring\n'
+                      '# still the string"""\n'
+                      "        return (x,\n"
+                      "                # inside the brackets\n"
+                      "                s)\n")
+    (tmp_path / "src" / "pkg" / "__init__.py").write_text("")
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("no python\n")
+    counts = load_bench_tool().src_lines(tmp_path)
+    # code: import, class, def, the two string lines, return, s)
+    assert counts == {"files": 2, "lines": 19, "code_lines": 7}
 
 
 def test_bench_tool_census_counts_the_scan_it_runs():
@@ -351,10 +397,7 @@ def test_bench_tool_census_digests_the_scan_report(capsys):
     # timing_ms, so two files show whether the census kept its bytes
     run = load_bench_tool().census(Path(ROOT), height=30)
     assert cli.main(["scan", "--height", "30"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    del payload["timing_ms"]
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    assert run["stdout_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+    assert run["stdout_sha256"] == report_digest(capsys.readouterr().out)
 
 
 def test_graph_json_minus_29_16():
@@ -467,10 +510,10 @@ def test_graph_parses_c_as_parse_rational_does(lit):
         expected = parse_rational(lit)
     except ValueError:
         with pytest.raises(SystemExit) as exc:
-            cli._parser().parse_args(["graph", "--c", lit])
+            cli.build_parser().parse_args(["graph", "--c", lit])
         assert exc.value.code == 2
     else:
-        assert cli._parser().parse_args(["graph", "--c", lit]).c == expected
+        assert cli.build_parser().parse_args(["graph", "--c", lit]).c == expected
 
 
 def test_every_exported_name_resolves():
@@ -542,9 +585,7 @@ def test_scan_does_not_read_preper_jobs(monkeypatch):
     def census(env=None):
         r = run_cli("scan", "--height", "3", env=env)
         assert r.returncode == 0 and r.stderr == ""
-        payload = json.loads(r.stdout)
-        del payload["timing_ms"]
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return report_digest(r.stdout)
 
     monkeypatch.delenv("PREPER_JOBS", raising=False)
     assert census({"PREPER_JOBS": "x"}) == census()
@@ -555,10 +596,7 @@ def test_scan_height_300_census_bytes_are_pinned():
     # count, sample or shape code at height <= 300 changes it
     r = run_cli("scan", "--height", "300")
     assert r.returncode == 0
-    payload = json.loads(r.stdout)
-    del payload["timing_ms"]
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == \
+    assert report_digest(r.stdout) == \
         "b3a562a8eebcfc550c322ef3389797a5a85209375dca5cb9561fca28e1ed82a5"
 
 
@@ -569,10 +607,7 @@ def test_scan_height_1000_census_bytes_are_pinned():
     # the 38,705 c up to height 1000
     r = run_cli("scan", "--height", "1000")
     assert r.returncode == 0
-    payload = json.loads(r.stdout)
-    del payload["timing_ms"]
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == \
+    assert report_digest(r.stdout) == \
         "942e554f9029f3a8ee81df6b8a72c1ca65c02ebb79c6b4393dab60d1a8327674"
 
 
@@ -583,10 +618,7 @@ def test_scan_height_3000_census_bytes_are_pinned():
     # 3,430 nonempty graphs up to height 3000
     r = run_cli("scan", "--height", "3000")
     assert r.returncode == 0
-    payload = json.loads(r.stdout)
-    del payload["timing_ms"]
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == \
+    assert report_digest(r.stdout) == \
         "1dc66ca51418b1f1758c5ed095817cf57da173b2a5ef096cddf9201c297c3b6c"
 
 
@@ -597,10 +629,7 @@ def test_scan_matches_the_census_benchmark_golden(height, capsys):
     with open(os.path.join(ROOT, "perfbench", "golden", "census.json")) as fh:
         golden = json.load(fh)["calls"][f"scan --height {height}"]
     code = cli.main(["scan", "--height", str(height)])
-    payload = json.loads(capsys.readouterr().out)
-    del payload["timing_ms"]
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    assert [code, hashlib.sha256(text.encode()).hexdigest()] == golden
+    assert [code, report_digest(capsys.readouterr().out)] == golden
 
 
 @pytest.mark.parametrize("p", list(filter(is_prime, range(7, 114))))
@@ -624,10 +653,7 @@ def test_verify_curves_matches_the_curve_verify_benchmark_golden(height, capsys)
     with open(os.path.join(ROOT, "perfbench", "golden", "curve_verify.json")) as fh:
         golden = json.load(fh)["calls"][f"verify curves --height {height}"]
     code = cli.main(["verify", "curves", "--height", str(height)])
-    payload = json.loads(capsys.readouterr().out)
-    del payload["timing_ms"]
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    assert [code, hashlib.sha256(text.encode()).hexdigest()] == golden
+    assert [code, report_digest(capsys.readouterr().out)] == golden
 
 
 @pytest.mark.parametrize("suite", ["theorems", "descent", "jacobian", "padic"])
@@ -638,10 +664,7 @@ def test_verify_suites_match_the_jacobian_benchmark_golden(suite, capsys):
     with open(os.path.join(ROOT, "perfbench", "golden", "jacobian.json")) as fh:
         golden = json.load(fh)["calls"][f"verify {suite}"]
     code = cli.main(["verify", suite])
-    payload = json.loads(capsys.readouterr().out)
-    del payload["timing_ms"]
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    assert [code, hashlib.sha256(text.encode()).hexdigest()] == golden
+    assert [code, report_digest(capsys.readouterr().out)] == golden
 
 
 def test_graph_tall_calls_match_their_benchmark_golden_in_one_process(capsys):
@@ -684,10 +707,7 @@ def test_verify_curves_height_40_bytes_are_pinned():
     # point list row and function-field identity row, with its value and note
     r = run_cli("verify", "curves", "--height", "40")
     assert r.returncode == 1
-    payload = json.loads(r.stdout)
-    del payload["timing_ms"]
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == \
+    assert report_digest(r.stdout) == \
         "081bc11fbaa11784d4033cd0218ad3e94bc7c070251184e4317e176b78a5ec4a"
 
 
@@ -712,10 +732,7 @@ def test_verify_all_height_57_bytes_are_pinned():
     # would change if a value flipped between int and Fraction
     r = run_cli("verify", "all", "--height", "57")
     assert r.returncode == 1
-    payload = json.loads(r.stdout)
-    del payload["timing_ms"]
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == \
+    assert report_digest(r.stdout) == \
         "73cd7b4046b877690820f0d09d5aa55ef2dbf36558745008a94d1fab3b8ba2d7"
 
 

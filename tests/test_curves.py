@@ -25,7 +25,6 @@ from preper.curves import (
     BirationalPair,
     CurveModel,
     CurvePoint,
-    SearchBudgetError,
     classify_c_from_curve_point,
     elliptic_points_bounded,
     good_reduction_model_check,
@@ -36,6 +35,7 @@ from preper.curves import (
     weierstrass,
     x1_13_discriminant_check,
 )
+from preper.dynamics import BudgetError
 from preper.exactmath import BiPoly, FieldElement, Poly, RationalMap, discriminant
 from preper.ffjac import cantor_add, cantor_neg
 
@@ -58,9 +58,10 @@ def test_bounded_search_known_sets():
     assert len(rational_points_bounded(X1_13, 100)) == 6
     with pytest.raises(ValueError):
         rational_points_bounded(C1_32, 0)
-    with pytest.raises(SearchBudgetError):
+    refusal = f"exceeds the search budget of {SEARCH_BUDGET}"
+    with pytest.raises(BudgetError, match=refusal):
         rational_points_bounded(C1_32, SEARCH_BUDGET + 1)
-    with pytest.raises(SearchBudgetError):
+    with pytest.raises(BudgetError, match=refusal):
         elliptic_points_bounded(E40, SEARCH_BUDGET + 1)
 
 

@@ -12,13 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 import preper
 from preper import dynamics
 from preper.dynamics import (
-    BoxBudgetError,
+    BudgetError,
     NotQuadraticError,
     PointTable,
     PreperGraph,
     QuadMap,
     SCAN_BUDGET,
-    ScanBudgetError,
     ScanResult,
     _shape_of_edges,
     admissible_shapes,
@@ -29,15 +28,25 @@ from preper.dynamics import (
     preper_points,
     scan,
 )
-from preper.curves import BIRATIONAL_PAIRS, C1_32, E40, BirationalPair, CurveModel, CurvePoint
+from preper.curves import (
+    BIRATIONAL_PAIRS,
+    C1_32,
+    E40,
+    SEARCH_BUDGET,
+    BirationalPair,
+    CurveModel,
+    CurvePoint,
+    rational_points_bounded,
+)
 from preper.exactmath import BiPoly, CurveFunctionField, FpPoly, FqElem, Poly, RationalMap
 from preper.exactmath.polynomial import _DensePoly
-from preper.families import FamilyPoint
+from preper.families import FamilyPoint, make_family_point
 from preper.ffjac import (
     KNOWN_POINTS,
     MonicModel,
     MumfordDivisor,
     OddModel,
+    count_points,
     divisor_from_points,
     divisor_identity,
     odd_model_transform,
@@ -128,7 +137,9 @@ small_c = st.builds(lambda u, d: F(u, d * d), st.integers(-200, 200), st.integer
 def test_preper_points_matches_oracles_on_random_c(c):
     g = preper_points(QuadMap(c))
     assert g.vertices == brute_preperiodic_set(c)
-    for v, kind in g.orbit_types().items():
+    types = g.orbit_types()
+    assert types.keys() == g.vertices
+    for v, kind in types.items():
         assert kind == brute_orbit_kind(c, v), (c, v)
 
 
@@ -223,7 +234,7 @@ def box_size(c) -> int:
     # gives under a budget of 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "BOX_BUDGET", 0)
-        with pytest.raises(BoxBudgetError) as err:
+        with pytest.raises(BudgetError, match=r"holds \d+ numerators") as err:
             preper_points(QuadMap(c))
     return int(re.search(r"holds (\d+) numerators", str(err.value)).group(1))
 
@@ -243,7 +254,7 @@ def test_candidate_box_is_the_exact_escape_bound(ud):
 def test_box_budget_guards_the_exact_box(monkeypatch, c):
     size = box_size(c)
     monkeypatch.setattr(dynamics, "BOX_BUDGET", size - 1)
-    with pytest.raises(BoxBudgetError, match=f"holds {size} numerators"):
+    with pytest.raises(BudgetError, match=f"holds {size} numerators"):
         preper_points(QuadMap(c))
     monkeypatch.setattr(dynamics, "BOX_BUDGET", size)
     assert preper_points(QuadMap(c)).vertices == box_preper_graph(c)[0]
@@ -693,8 +704,31 @@ def test_scan_census_basics_and_determinism():
     # the height is checked at the call, not at the first read of the iterator
     with pytest.raises(ValueError):
         c_values_up_to_height(0)
-    with pytest.raises(ScanBudgetError):
+    with pytest.raises(BudgetError, match=f"exceeds the scan budget of {SCAN_BUDGET}"):
         scan(SCAN_BUDGET + 1)
+
+
+# each of the five budgets one step past its edge, with its own message
+BUDGET_REFUSALS = [
+    (lambda: preper_points(QuadMap(F(-249999500000))),
+     "the candidate box of c = -249999500000 holds 1000001 numerators, "
+     "more than the budget of 1000000"),
+    (lambda: scan(SCAN_BUDGET + 1), "scan height 10001 exceeds the scan budget of 10000"),
+    (lambda: rational_points_bounded(C1_32, SEARCH_BUDGET + 1),
+     "height bound 10001 exceeds the search budget of 10000"),
+    (lambda: count_points(C1_32, 1009, 2), "field size 1018081 exceeds the enumeration budget"),
+    (lambda: make_family_point("p1", F(10**600)),
+     "the parameter has a numerator or denominator of more than 600 digits"),
+]
+
+
+@pytest.mark.parametrize("call, message", BUDGET_REFUSALS,
+                         ids=["box", "scan", "search", "count", "parameter"])
+def test_every_budget_refuses_with_budget_error(call, message):
+    with pytest.raises(BudgetError) as err:
+        call()
+    assert type(err.value) is BudgetError
+    assert str(err.value) == message
 
 
 def test_scan_census_totals_match_parameter_count():

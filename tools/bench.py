@@ -26,7 +26,9 @@ the Python version, the census's wall time, the peak RSS of its process
 number of c and of shapes, its out_of_catalog and bound_violations
 counts and the sha256 of its stdout without timing_ms, under `kernels`
 each kernel's median time per graph or per c and its corpus size, and
-the tier-1 counts, exit code and wall time.
+the tier-1 counts, exit code and wall time, and under `src` the number
+of *.py files under the checkout's src/, their physical lines and their
+code lines.
 When a run is not correct, or the census or a kernel child fails, the
 script writes nothing and exits 1.  It changes nothing under perfbench/.
 The whole run takes about five minutes, the census about 3 s of it.
@@ -35,7 +37,9 @@ The whole run takes about five minutes, the census about 3 s of it.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
+import io
 import json
 import os
 import platform
@@ -44,6 +48,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 WORKLOADS = ("census", "graph_tall", "curve_verify", "jacobian")
@@ -210,6 +215,30 @@ def kernels(root: Path, height: int = KERNEL_HEIGHT) -> dict:
     return rows
 
 
+def src_lines(root: Path) -> dict:
+    """The *.py files under the checkout's src/, their physical lines, and
+    their code lines: the lines that hold a token other than a comment and
+    lie in no docstring (found with ast), so trimming docstrings or
+    comments shows no code reduction.  Zeros when there is no src/."""
+    files = lines = code = 0
+    for path in sorted((root / "src").rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        docstrings = set()
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        tokens = set()
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+                                tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER):
+                tokens.update(range(tok.start[0], tok.end[0] + 1))
+        files += 1
+        lines += len(source.splitlines())
+        code += len(tokens - docstrings)
+    return {"files": files, "lines": lines, "code_lines": code}
+
+
 def git(root: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True,
                           check=True).stdout.strip()
@@ -237,6 +266,7 @@ def main() -> int:
         "python": platform.python_version(),
         "seconds": SECONDS,
         "bytecode_cache": BYTECODE_CACHE,
+        "src": src_lines(root),
         "runs": [],
     }
     runs = bench["runs"]
