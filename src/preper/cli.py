@@ -51,18 +51,20 @@ SUITES = ("all", "theorems", "curves", "descent", "jacobian", "padic")
 EXPECTED_SEARCH = {"c1_32": 8, "x1_18": 6, "x1_13": 6}
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+def _argument_type(parse):
+    """An argparse type that runs parse and turns its ValueError into a
+    usage error with the same message."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return convert
 
 
-def _integer(text: str) -> int:
-    try:
-        return parse_integer(text)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+_rational = _argument_type(parse_rational)
+_integer = _argument_type(parse_integer)
 
 
 def _positive_int(text: str) -> int:
@@ -81,13 +83,11 @@ def _emit(command: str, **fields) -> None:
     print(json.dumps(jsonable(payload), sort_keys=True, separators=(",", ":")))
 
 
-def _graph_payload(c: Fraction) -> dict:
-    g = preper_points(QuadMap(c))
-    types = g.orbit_types()
+def _graph_payload(g, types: dict) -> dict:
     shape = graph_shape(g)
     vertices = sorted(g.vertices)
     return {
-        "c": format_rational(c),
+        "c": format_rational(g.c),
         "vertices": [format_rational(v) for v in vertices],
         "edges": {format_rational(v): format_rational(g.edges[v]) for v in vertices},
         "orbit_types": {format_rational(v): orbit_type_text(types[v]) for v in vertices},
@@ -98,10 +98,8 @@ def _graph_payload(c: Fraction) -> dict:
     }
 
 
-def _graph_dot(c: Fraction) -> str:
-    g = preper_points(QuadMap(c))
-    types = g.orbit_types()
-    lines = ["digraph preper {", f'  label="c = {format_rational(c)}";']
+def _graph_dot(g, types: dict) -> str:
+    lines = ["digraph preper {", f'  label="c = {format_rational(g.c)}";']
     for v in sorted(g.vertices):
         shape = "doublecircle" if types[v][1] == 0 else "circle"
         lines.append(f'  "{format_rational(v)}" [shape={shape}];')
@@ -112,10 +110,13 @@ def _graph_dot(c: Fraction) -> str:
 
 
 def cmd_graph(args) -> int:
+    # one graph and one walk of its orbit types, whichever format prints them
+    g = preper_points(QuadMap(args.c))
+    types = g.orbit_types()
     if args.format == "dot":
-        print(_graph_dot(args.c))
+        print(_graph_dot(g, types))
     else:
-        _emit("graph", **_graph_payload(args.c))
+        _emit("graph", **_graph_payload(g, types))
     return 0
 
 

@@ -41,14 +41,15 @@ and no preperiodic point is lost:
 * d | k**2 + u together with gcd(u, d) = 1 forces gcd(k, d) = 1, so the
   gcd test goes;
 * k and -k have the same image, so -k is preperiodic exactly when k is.
-The scan settles every graph on integers: it walks the survivors with
-one memo, whose keys and their negatives are then exactly the vertex
-numerators, and canonicalizes k -> (k**2 + u)/d on them.  Only the
-samples it prints, the first three c of each nonempty shape, get a
-Fraction, a QuadMap and a graph, built again by `preper_points`, which
-keeps no table and walks the whole coprime box, so this cross-check
-rests neither on the table nor on the mirror argument.  Without a table
-the memory of `graph` does not grow with its box of up to BOX_BUDGET
+The scan is one loop, `_scan_chunk`, that settles every graph on integers
+and tallies it at once: it walks the survivors with one memo, whose keys
+and their negatives are then exactly the vertex numerators, and
+canonicalizes k -> (k**2 + u)/d on them.  Only the samples it prints,
+the first three c of each shape, get a Fraction, and only the nonempty
+ones a QuadMap and a graph, built again by `preper_points`, which keeps
+no table and walks the whole coprime box, so this cross-check rests
+neither on the table nor on the mirror argument.  Without a table the
+memory of `graph` does not grow with its box of up to BOX_BUDGET
 numerators.
 
 Graphs are canonicalized as functional digraphs: rooted trees hang off
@@ -465,9 +466,14 @@ class ScanResult(Value):
         set_field(self, "bound_violations", bound_violations)
 
 
-def _scan_chunk(pairs) -> Iterator[tuple[str, int, int, int]]:
-    """The records (shape code, u, v, size_with_inf) of the c = u/v**2 of
-    the pairs, in order, each yielded as soon as it is made; none is kept.
+def _scan_chunk(pairs) -> tuple[dict[str, tuple[int, list[Fraction]]],
+                                list[tuple[Fraction, str]], list[tuple[Fraction, int]]]:
+    """The census of the c = u/v**2 of the pairs, the scan's only loop: per
+    shape code, in sorted order, its count and its first three c; the
+    (c, code) whose code is outside the catalog; and the (c, size) of every
+    graph of more than 9 points counting infinity, both in the order of the
+    pairs.  Each c is tallied as soon as its graph is settled, so the loop
+    keeps no value or record per c.
 
     Every graph is settled on integers.  A c > 1/4, 4u > v**2, is empty at
     once: x**2 + c > x on all of R, so every real orbit grows without
@@ -478,16 +484,20 @@ def _scan_chunk(pairs) -> Iterator[tuple[str, int, int, int]]:
     negatives are exactly the numerators of the graph's vertices; the
     graph is empty when the memo is, and else its code is the canonical
     shape of k -> (k**2 + u)/v on those numerators and its size their
-    number plus one.  The first three nonempty c of each code, the
-    samples that scan keeps, are built again by preper_points, which
-    reads no table and walks the whole coprime box, and graph_shape; a
-    code or size that differs raises RuntimeError.
-    One table per denominator lives as long as the iterator; the boxes of
-    a scan are small (|k| < 200 at SCAN_BUDGET), so the tables stay small
+    number plus one.  Where the tally keeps a nonempty c as a sample, the
+    first three of its code, the graph is built again by preper_points,
+    which reads no table and walks the whole coprime box, and graph_shape;
+    a code or size that differs raises RuntimeError.
+    One table per denominator lives as long as the call; the boxes of a
+    scan are small (|k| < 200 at SCAN_BUDGET), so the tables stay small
     too.
     """
+    catalog = admissible_shapes()
     tables: dict[int, PointTable] = {}
-    checked: dict[str, int] = {}
+    counts: dict[str, int] = {}
+    samples: dict[str, list[Fraction]] = {}
+    outside = []
+    bound_violations = []
     for u, v in pairs:
         code, size = "", 1
         if 4 * u <= v * v:
@@ -503,11 +513,18 @@ def _scan_chunk(pairs) -> Iterator[tuple[str, int, int, int]]:
                     vertices = {j for k in types for j in (k, -k)}
                     code = _shape_of_edges({k: (k * k + u) // v for k in vertices})
                     size = len(vertices) + 1
-                    n = checked.get(code, 0)
-                    if n < 3:
-                        checked[code] = n + 1
-                        _check_census_graph(u, v, code, size)
-        yield code, u, v, size
+        n = counts.get(code, 0)
+        counts[code] = n + 1
+        if n < 3:
+            if code:
+                _check_census_graph(u, v, code, size)
+            samples.setdefault(code, []).append(Fraction(u, v * v))
+        if code not in catalog:
+            outside.append((Fraction(u, v * v), code))
+        if size > 9:
+            bound_violations.append((Fraction(u, v * v), size))
+    census = {code: (counts[code], samples[code]) for code in sorted(counts)}
+    return census, outside, bound_violations
 
 
 def _check_census_graph(u: int, v: int, code: str, size: int) -> None:
@@ -525,33 +542,16 @@ def _check_census_graph(u: int, v: int, code: str, size: int) -> None:
 def scan(height: int) -> ScanResult:
     """Census of graph shapes over all c up to the given height.
 
-    The scan runs in this process and starts no other.  Each record of
-    _scan_chunk is tallied as it is made, so the memory of a scan holds
-    its point tables and its census, not one value or record per c.  The
-    records carry c as its integers u, v and its shape as a code found on
-    numerators; a Fraction is built only for the samples kept, up to
-    three per shape, whose nonempty graphs _scan_chunk has rebuilt as a
-    PreperGraph from the whole coprime box to cross-check, and for any c
-    outside the catalog or above the size bound.  Raises BudgetError
-    above SCAN_BUDGET, and RuntimeError when a rebuilt sample disagrees
-    with its record.
+    The scan runs in this process and starts no other; its one loop is
+    _scan_chunk over the pairs of c_values_up_to_height, so the memory of
+    a scan holds its point tables and its census, not one value per c.  A
+    Fraction is built only for the samples kept, up to three per shape,
+    whose nonempty graphs _scan_chunk has rebuilt as a PreperGraph from
+    the whole coprime box to cross-check, and for any c outside the
+    catalog or above the size bound.  Raises BudgetError above
+    SCAN_BUDGET, and RuntimeError when a rebuilt sample disagrees with the
+    integer census.
     """
     if height > SCAN_BUDGET:
         raise BudgetError(f"scan height {height} exceeds the scan budget of {SCAN_BUDGET}")
-    catalog = admissible_shapes()
-    counts: dict[str, int] = {}
-    samples: dict[str, list[Fraction]] = {}
-    outside = []
-    bound_violations = []
-    for code, u, v, size in _scan_chunk(c_values_up_to_height(height)):
-        n = counts.get(code, 0)
-        counts[code] = n + 1
-        if n < 3:
-            samples.setdefault(code, []).append(Fraction(u, v * v))
-        if code not in catalog:
-            outside.append((Fraction(u, v * v), code))
-        if size > 9:
-            bound_violations.append((Fraction(u, v * v), size))
-    census = {code: (counts[code], samples[code]) for code in sorted(counts)}
-    return ScanResult(height=height, census=census, out_of_catalog=outside,
-                      bound_violations=bound_violations)
+    return ScanResult(height, *_scan_chunk(c_values_up_to_height(height)))

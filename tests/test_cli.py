@@ -1,6 +1,8 @@
 import ast
+import functools
 import hashlib
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -40,13 +42,18 @@ def run_cli(*args, env=None):
     return run_python("-m", "preper", *args, env=env)
 
 
-def report_digest(stdout: str) -> str:
-    # sha256 of a JSON report without its timing_ms, re-emitted under the
-    # CLI's own settings, as perfbench/workloads.py::digest computes it
-    payload = json.loads(stdout)
-    del payload["timing_ms"]
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+def load_checkout_module(name, *path):
+    # a file of the checkout, loaded fresh on every call; dataclasses looks
+    # the module up in sys.modules while it makes a class
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, *path))
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the benchmark's own digest, read and never edited here: the sha256 of a
+# report without its timing_ms, re-emitted under the CLI's own settings
+digest = load_checkout_module("perfbench_workloads", "perfbench", "workloads.py").digest
 
 
 def test_cli_imports_only_the_standard_library():
@@ -203,23 +210,34 @@ def test_perfbench_targets_resolve_on_the_package(monkeypatch):
     assert missing == []
 
 
-@pytest.mark.parametrize("workload", ["census", "graph_tall", "curve_verify", "jacobian"])
-def test_traced_benchmark_reaches_every_expected_function(workload):
-    # a tiny traced run checks its outputs against the goldens and fails
-    # when a function that perfbench/layers.py::EXPECTED lists sees no call
+@functools.cache
+def traced_tiny_run(workload):
+    # the detail line and the result line of a tiny traced run of the workload
     r = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                         "--seed", "1", "--seconds", "0.1", "--trace", "1", "--size", "tiny"],
                        cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr[-2000:]
-    assert json.loads(r.stdout.strip().splitlines()[-1])["correct"] is True
+    return [json.loads(line) for line in r.stdout.strip().splitlines()[-2:]]
+
+
+@pytest.mark.parametrize("workload", ["census", "graph_tall", "curve_verify", "jacobian"])
+def test_traced_benchmark_reaches_every_expected_function(workload):
+    # a tiny traced run checks its outputs against the goldens and fails
+    # when a function that perfbench/layers.py::EXPECTED lists sees no call
+    assert traced_tiny_run(workload)[1]["correct"] is True
+
+
+def test_traced_census_charges_the_scan_loop_to_scan_chunk():
+    # the census's per-c work is the plain loop of _scan_chunk, so the
+    # tracer times it there; a generator's iteration would read as scan's
+    # self time, and _scan_chunk would show only its creation
+    functions = traced_tiny_run("census")[0]["functions"]
+    assert functions["dynamics._scan_chunk"]["total_s"] \
+        >= functions["dynamics.scan"]["total_s"] / 2
 
 
 def load_bench_tool():
-    spec = importlib.util.spec_from_file_location("bench_tool",
-                                                  os.path.join(ROOT, "tools", "bench.py"))
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    return bench
+    return load_checkout_module("bench_tool", "tools", "bench.py")
 
 
 def test_bench_tool_writes_nothing_when_a_run_is_not_correct(monkeypatch, capsys):
@@ -394,10 +412,12 @@ def test_bench_tool_writes_nothing_when_a_kernel_timing_fails(monkeypatch, tmp_p
 
 def test_bench_tool_census_digests_the_scan_report(capsys):
     # the BENCH file's census keeps the sha256 of the scan's report without
-    # timing_ms, so two files show whether the census kept its bytes
+    # timing_ms, so two files show whether the census kept its bytes; the
+    # tool keeps its own copy of the digest, since it runs on any checkout,
+    # and this pins that copy against the benchmark's
     run = load_bench_tool().census(Path(ROOT), height=30)
     assert cli.main(["scan", "--height", "30"]) == 0
-    assert run["stdout_sha256"] == report_digest(capsys.readouterr().out)
+    assert run["stdout_sha256"] == digest(capsys.readouterr().out)
 
 
 def test_graph_json_minus_29_16():
@@ -585,7 +605,7 @@ def test_scan_does_not_read_preper_jobs(monkeypatch):
     def census(env=None):
         r = run_cli("scan", "--height", "3", env=env)
         assert r.returncode == 0 and r.stderr == ""
-        return report_digest(r.stdout)
+        return digest(r.stdout)
 
     monkeypatch.delenv("PREPER_JOBS", raising=False)
     assert census({"PREPER_JOBS": "x"}) == census()
@@ -596,7 +616,7 @@ def test_scan_height_300_census_bytes_are_pinned():
     # count, sample or shape code at height <= 300 changes it
     r = run_cli("scan", "--height", "300")
     assert r.returncode == 0
-    assert report_digest(r.stdout) == \
+    assert digest(r.stdout) == \
         "b3a562a8eebcfc550c322ef3389797a5a85209375dca5cb9561fca28e1ed82a5"
 
 
@@ -607,7 +627,7 @@ def test_scan_height_1000_census_bytes_are_pinned():
     # the 38,705 c up to height 1000
     r = run_cli("scan", "--height", "1000")
     assert r.returncode == 0
-    assert report_digest(r.stdout) == \
+    assert digest(r.stdout) == \
         "942e554f9029f3a8ee81df6b8a72c1ca65c02ebb79c6b4393dab60d1a8327674"
 
 
@@ -618,7 +638,7 @@ def test_scan_height_3000_census_bytes_are_pinned():
     # 3,430 nonempty graphs up to height 3000
     r = run_cli("scan", "--height", "3000")
     assert r.returncode == 0
-    assert report_digest(r.stdout) == \
+    assert digest(r.stdout) == \
         "1dc66ca51418b1f1758c5ed095817cf57da173b2a5ef096cddf9201c297c3b6c"
 
 
@@ -629,7 +649,7 @@ def test_scan_matches_the_census_benchmark_golden(height, capsys):
     with open(os.path.join(ROOT, "perfbench", "golden", "census.json")) as fh:
         golden = json.load(fh)["calls"][f"scan --height {height}"]
     code = cli.main(["scan", "--height", str(height)])
-    assert [code, report_digest(capsys.readouterr().out)] == golden
+    assert [code, digest(capsys.readouterr().out)] == golden
 
 
 @pytest.mark.parametrize("p", list(filter(is_prime, range(7, 114))))
@@ -653,7 +673,7 @@ def test_verify_curves_matches_the_curve_verify_benchmark_golden(height, capsys)
     with open(os.path.join(ROOT, "perfbench", "golden", "curve_verify.json")) as fh:
         golden = json.load(fh)["calls"][f"verify curves --height {height}"]
     code = cli.main(["verify", "curves", "--height", str(height)])
-    assert [code, report_digest(capsys.readouterr().out)] == golden
+    assert [code, digest(capsys.readouterr().out)] == golden
 
 
 @pytest.mark.parametrize("suite", ["theorems", "descent", "jacobian", "padic"])
@@ -664,7 +684,7 @@ def test_verify_suites_match_the_jacobian_benchmark_golden(suite, capsys):
     with open(os.path.join(ROOT, "perfbench", "golden", "jacobian.json")) as fh:
         golden = json.load(fh)["calls"][f"verify {suite}"]
     code = cli.main(["verify", suite])
-    assert [code, report_digest(capsys.readouterr().out)] == golden
+    assert [code, digest(capsys.readouterr().out)] == golden
 
 
 def test_graph_tall_calls_match_their_benchmark_golden_in_one_process(capsys):
@@ -707,7 +727,7 @@ def test_verify_curves_height_40_bytes_are_pinned():
     # point list row and function-field identity row, with its value and note
     r = run_cli("verify", "curves", "--height", "40")
     assert r.returncode == 1
-    assert report_digest(r.stdout) == \
+    assert digest(r.stdout) == \
         "081bc11fbaa11784d4033cd0218ad3e94bc7c070251184e4317e176b78a5ec4a"
 
 
@@ -732,7 +752,7 @@ def test_verify_all_height_57_bytes_are_pinned():
     # would change if a value flipped between int and Fraction
     r = run_cli("verify", "all", "--height", "57")
     assert r.returncode == 1
-    assert report_digest(r.stdout) == \
+    assert digest(r.stdout) == \
         "73cd7b4046b877690820f0d09d5aa55ef2dbf36558745008a94d1fab3b8ba2d7"
 
 

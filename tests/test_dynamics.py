@@ -341,13 +341,26 @@ def test_point_table_candidates_are_the_first_step_survivors_of_the_box(run):
         assert (g.vertices, g.edges) == box_preper_graph(c)
 
 
-def test_scan_chunk_matches_graphs_built_without_a_table():
+def test_scan_chunk_matches_graphs_built_without_a_table(monkeypatch):
+    # the verdict on each c alone: a census of one c is its code, counted
+    # once with c as its sample, and c again wherever it is out of the
+    # catalog or over the size bound
     pairs = list(c_values_up_to_height(100))
-    expected = []
+    nonempty = []
     for u, v in pairs:
-        g = preper_points(QuadMap(F(u, v * v)))
-        expected.append((graph_shape(g), u, v, g.size_with_infinity()))
-    assert list(dynamics._scan_chunk(pairs)) == expected
+        c = F(u, v * v)
+        g = preper_points(QuadMap(c))
+        code, size = graph_shape(g), g.size_with_infinity()
+        if code:
+            nonempty.append((c, code))
+        assert dynamics._scan_chunk([(u, v)]) == (
+            {code: (1, [c])},
+            [] if code in admissible_shapes() else [(c, code)],
+            [(c, size)] if size > 9 else [])
+    # a catalog of the empty graph alone puts every nonempty c outside it,
+    # in the order of the pairs
+    monkeypatch.setattr(dynamics, "admissible_shapes", lambda: frozenset([""]))
+    assert dynamics._scan_chunk(pairs)[1] == nonempty
 
 
 def test_scan_cross_check_does_not_read_the_point_table(monkeypatch):
@@ -411,22 +424,30 @@ def test_scan_emptiness_verdict_matches_the_graph_and_the_box_oracle(pairs):
         mp.setattr(dynamics, "QuadMap", quad)
         mp.setattr(dynamics, "preper_points", preper)
         mp.setattr(dynamics, "_box_bound", bound)
-        records = list(dynamics._scan_chunk(pairs))
+        result = dynamics._scan_chunk(pairs)
     # a c > 1/4 is empty before its box is even bounded
     assert bounded == {(u, v) for u, v in pairs if 4 * u <= v * v}
-    expected, checked, seen = [], [], {}
+    # the tally of the box oracle's codes: counts, the first three c of
+    # each code in order, and the c out of the catalog or over the bound
+    counts, samples, outside, violations, checked = {}, {}, [], [], []
     for u, v in pairs:
         c = F(u, v * v)
         g = preper_points(QuadMap(c))
         vertices, edges = box_preper_graph(c)
         assert (g.vertices, g.edges) == (vertices, edges)
-        code = graph_shape(g)
-        if vertices:
-            seen[code] = seen.get(code, 0) + 1
-            if seen[code] <= 3:
+        code, size = graph_shape(g), len(vertices) + 1
+        counts[code] = counts.get(code, 0) + 1
+        if counts[code] <= 3:
+            samples.setdefault(code, []).append(c)
+            if vertices:
                 checked += [c, QuadMap(c)]
-        expected.append((code, u, v, len(vertices) + 1))
-    assert records == expected
+        if code not in admissible_shapes():
+            outside.append((c, code))
+        if size > 9:
+            violations.append((c, size))
+    assert result == ({code: (counts[code], samples[code]) for code in sorted(counts)},
+                      outside, violations)
+    assert list(result[0]) == sorted(counts)
     assert built == checked
 
 
