@@ -44,7 +44,14 @@ and no preperiodic point is lost:
 The scan is one loop, `_scan_chunk`, that settles every graph on integers
 and tallies it at once: it walks the survivors with one memo, whose keys
 and their negatives are then exactly the vertex numerators, and
-canonicalizes k -> (k**2 + u)/d on them.  Only the samples it prints,
+canonicalizes k -> (k**2 + u)/d on them.  Almost every nonempty graph of
+a scan repeats a labelled graph already seen (17 distinct among the 350
+up to height 300), so the scan keys its codes by the rank image: the
+vertex numerators in increasing order, each image replaced by its rank.
+Equal rank images are the same labelled graph on 0..n-1, hence one code,
+and only a new one is canonicalized.  This memo lives as long as one
+scan call, so it holds at most the distinct graphs of that scan and no
+state is carried from one scan to the next.  Only the samples it prints,
 the first three c of each shape, get a Fraction, and only the nonempty
 ones a QuadMap and a graph, built again by `preper_points`, which keeps
 no table and walks the whole coprime box, so this cross-check rests
@@ -54,8 +61,10 @@ numerators.
 
 Graphs are canonicalized as functional digraphs: rooted trees hang off
 cycle vertices, trees get sorted-parenthesis codes, cycles get the
-lexicographically minimal rotation of their tree-code sequence.  The
-codes are made in one bottom-up pass: `_walk` gives each vertex its
+lexicographically minimal rotation of their tree-code sequence.  One
+kernel, `_shape_of_image`, codes a graph given as an image list on
+0..n-1, and `_shape_of_edges` relabels any vertex -> image dict onto it.
+The codes are made in one bottom-up pass: `_walk` gives each vertex its
 (period, tail), and the vertices are taken in decreasing tail, so each
 tree code is made from its children's codes, which are already made.  The
 catalog of shapes allowed by the classification theorems for cycle
@@ -67,7 +76,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
@@ -326,7 +335,16 @@ def preper_points(f: QuadMap) -> PreperGraph:
 def _shape_of_edges(edges: dict) -> str:
     """Canonical code of a functional digraph given as vertex -> image:
     the code string is the shape, "" for the empty graph, and graphs are
-    isomorphic exactly when their codes are equal.
+    isomorphic exactly when their codes are equal.  The vertices are
+    relabelled 0..n-1 in the order they come in, and _shape_of_image codes
+    the relabelled graph; the code does not depend on the labels."""
+    index = {v: i for i, v in enumerate(edges)}
+    return _shape_of_image([index[w] for w in edges.values()])
+
+
+def _shape_of_image(image: Sequence[int]) -> str:
+    """Canonical code of the functional digraph i -> image[i] on the
+    vertices 0..n-1, "" for n = 0.
 
     One bottom-up pass: `_walk` gives every vertex its (period, tail), and
     the vertices are then taken in decreasing tail, so every child is
@@ -334,12 +352,10 @@ def _shape_of_edges(edges: dict) -> str:
     codes, sorted, + ")"; a tail vertex hands its code to its image, and a
     cycle vertex keeps it.  Each cycle then takes the minimal rotation of
     its vertices' codes, and the components are sorted and joined by ";".
+    Minimal rotations and sorting make the code label-free.
     """
-    if not edges:
+    if not image:
         return ""
-    # vertices relabelled 0..n-1; minimal rotations and sorting make the code label-free
-    index = {v: i for i, v in enumerate(edges)}
-    image = [index[w] for w in edges.values()]
     types: dict[int, tuple[int, int]] = {}
     for i in range(len(image)):
         _walk(i, image.__getitem__, types)
@@ -363,6 +379,16 @@ def _shape_of_edges(edges: dict) -> str:
         best = min(codes[a:] + codes[:a] for a in range(m))
         components.append(f"{m}:" + ",".join(best))
     return ";".join(sorted(components))
+
+
+def _rank_image(edges: dict[int, int]) -> tuple[int, ...]:
+    """The functional graph edges, integer vertex -> image, as an image
+    tuple on 0..n-1: the vertices in increasing order, each image replaced
+    by its rank among them.  Two graphs with equal rank images are the
+    same labelled graph, so they have the same code."""
+    order = sorted(edges)
+    rank = {k: i for i, k in enumerate(order)}
+    return tuple(rank[edges[k]] for k in order)
 
 
 def graph_shape(g: PreperGraph) -> str:
@@ -484,16 +510,22 @@ def _scan_chunk(pairs) -> tuple[dict[str, tuple[int, list[Fraction]]],
     negatives are exactly the numerators of the graph's vertices; the
     graph is empty when the memo is, and else its code is the canonical
     shape of k -> (k**2 + u)/v on those numerators and its size their
-    number plus one.  Where the tally keeps a nonempty c as a sample, the
-    first three of its code, the graph is built again by preper_points,
-    which reads no table and walks the whole coprime box, and graph_shape;
-    a code or size that differs raises RuntimeError.
+    number plus one.  The code is looked up by the graph's rank image
+    (_rank_image) in a dict local to this call, and _shape_of_image runs
+    only on an image not seen before: equal rank images are the same
+    labelled graph, so they have the same code.  The dict holds at most
+    one entry per distinct graph of the pairs and goes with the call.
+    Where the tally keeps a nonempty c as a sample, the first three of its
+    code, the graph is built again by preper_points, which reads no table
+    and walks the whole coprime box, and graph_shape; a code or size that
+    differs raises RuntimeError.  That cross-check never reads the memo.
     One table per denominator lives as long as the call; the boxes of a
     scan are small (|k| < 200 at SCAN_BUDGET), so the tables stay small
     too.
     """
     catalog = admissible_shapes()
     tables: dict[int, PointTable] = {}
+    shapes: dict[tuple[int, ...], str] = {}
     counts: dict[str, int] = {}
     samples: dict[str, list[Fraction]] = {}
     outside = []
@@ -511,7 +543,10 @@ def _scan_chunk(pairs) -> tuple[dict[str, tuple[int, list[Fraction]]],
                     _walk(k, step, types)
                 if types:
                     vertices = {j for k in types for j in (k, -k)}
-                    code = _shape_of_edges({k: (k * k + u) // v for k in vertices})
+                    image = _rank_image({k: (k * k + u) // v for k in vertices})
+                    code = shapes.get(image)
+                    if code is None:
+                        code = shapes[image] = _shape_of_image(image)
                     size = len(vertices) + 1
         n = counts.get(code, 0)
         counts[code] = n + 1

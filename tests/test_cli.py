@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import preper
 from preper import cli
-from preper.dynamics import QuadMap, c_values_up_to_height, scan
+from preper.dynamics import QuadMap, c_values_up_to_height, preper_points, scan
 from preper.exactmath import is_prime, parse_rational
 
 # the package the tests import, so the child runs it without an install
@@ -351,20 +351,61 @@ def test_bench_tool_census_counts_the_scan_it_runs():
     assert run["peak_rss_mb"] > 0
 
 
+@functools.cache
+def tiny_kernel_rows() -> dict:
+    """The kernels entry of the bench tool at height 20, run once for the
+    tests that read it."""
+    return load_bench_tool().kernels(Path(ROOT), height=20)
+
+
 def test_bench_tool_times_shape_canonicalization_on_every_nonempty_graph():
     # the kernels entry canonicalizes the graph of every c up to its height
     # whose graph is not empty, and records that count beside the time
-    shape = load_bench_tool().kernels(Path(ROOT), height=20)["shape_of_edges"]
+    shape = tiny_kernel_rows()["shape_of_edges"]
     empty, _samples = scan(20).census[""]
     assert shape["exit"] == 0 and shape["kernel"] == "dynamics._shape_of_edges"
     assert shape["graphs"] == len(list(c_values_up_to_height(20))) - empty
     assert shape["us_per_graph"] > 0
 
 
+def test_bench_tool_times_the_scan_memo_on_the_same_graphs():
+    # the census_shapes row codes the same nonempty graphs through one memo
+    # keyed by rank image, and counts the graphs and the distinct images
+    memo = tiny_kernel_rows()["census_shapes"]
+    images = set()
+    for u, v in c_values_up_to_height(20):
+        g = preper_points(QuadMap(Fraction(u, v * v)))
+        order = sorted(g.vertices)
+        if order:
+            images.add(tuple(order.index(g.edges[x]) for x in order))
+    empty, _samples = scan(20).census[""]
+    assert memo["exit"] == 0 and memo["kernel"] == "dynamics._shape_of_image"
+    assert memo["graphs"] == len(list(c_values_up_to_height(20))) - empty
+    assert memo["distinct_images"] == len(images)
+    assert memo["us_per_graph"] > 0
+
+
+def test_bench_tool_times_cantor_addition_on_a_seeded_sample():
+    # the cantor_add row adds seeded pairs from the whole group of the odd
+    # model of c1_32 at its prime, whose size is the Jacobian's order
+    from preper.curves import C1_32
+    from preper.exactmath import FpPoly
+    from preper.ffjac import jacobian_order
+
+    row = tiny_kernel_rows()["cantor_add"]
+    bench = load_bench_tool()
+    assert row["exit"] == 0 and row["kernel"] == "ffjac.cantor_add"
+    assert (row["prime"], row["pairs"]) == (bench.CANTOR_PRIME, bench.CANTOR_PAIRS)
+    p = row["prime"]
+    assert FpPoly.from_poly(C1_32.g, p)(row["root"]) == 0
+    assert row["classes"] == jacobian_order(C1_32, p)
+    assert row["us_per_add"] > 0
+
+
 def test_bench_tool_times_the_orbit_walk_on_every_c_a_scan_walks():
     # the orbit-walk row walks the first-step survivors k >= 0 of every
     # c <= 1/4 up to its height that has any, and counts both
-    walk = load_bench_tool().kernels(Path(ROOT), height=20)["orbit_walk"]
+    walk = tiny_kernel_rows()["orbit_walk"]
     c_values = survivors = 0
     for u, v in c_values_up_to_height(20):
         if 4 * u > v * v:
@@ -396,13 +437,14 @@ def test_bench_tool_writes_nothing_when_a_kernel_timing_fails(monkeypatch, tmp_p
     monkeypatch.setattr(bench, "git", lambda root, *args: "")
     monkeypatch.setattr(sys, "argv", ["bench.py", "--pr", "0", "--checkout", str(tmp_path)])
     rows = bench.kernels(tmp_path)
-    assert sorted(rows) == ["orbit_walk", "shape_of_edges"]
+    assert sorted(rows) == ["cantor_add", "census_shapes", "orbit_walk", "shape_of_edges"]
     assert all(entry["exit"] != 0 for entry in rows.values())
-    # each row in turn is the only one that fails: the other's child runs
-    # a script that does not import the package
-    for failing in ("SHAPE_KERNEL", "WALK_KERNEL"):
+    # each row in turn is the only one that fails: the others' children
+    # run a script that does not import the package
+    kernels = ("SHAPE_KERNEL", "CENSUS_SHAPES_KERNEL", "WALK_KERNEL", "CANTOR_KERNEL")
+    for failing in kernels:
         with monkeypatch.context() as mp:
-            for name in ("SHAPE_KERNEL", "WALK_KERNEL"):
+            for name in kernels:
                 if name != failing:
                     mp.setattr(bench, name, "print('{}')")
             assert bench.main() == 1

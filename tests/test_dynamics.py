@@ -19,7 +19,9 @@ from preper.dynamics import (
     QuadMap,
     SCAN_BUDGET,
     ScanResult,
+    _rank_image,
     _shape_of_edges,
+    _shape_of_image,
     admissible_shapes,
     c_values_up_to_height,
     graph_shape,
@@ -375,6 +377,34 @@ def test_scan_cross_check_does_not_read_the_point_table(monkeypatch):
         scan(2)
 
 
+def test_scan_canonicalizes_each_distinct_graph_once_per_call(monkeypatch):
+    # a scan codes each distinct rank image of its nonempty graphs once
+    # (the vertices sorted by numerator, each image replaced by its rank),
+    # and each cross-checked sample once more through graph_shape; the
+    # memo lives for one call, so a second scan makes as many calls again
+    images = set()
+    for u, v in c_values_up_to_height(300):
+        g = preper_points(QuadMap(F(u, v * v)))
+        order = sorted(g.vertices)
+        if order:
+            images.add(tuple(order.index(g.edges[x]) for x in order))
+    admissible_shapes()  # the catalog's own codes are made once per process
+    calls = []
+    real = dynamics._shape_of_image
+
+    def spy(image):
+        calls.append(image)
+        return real(image)
+
+    monkeypatch.setattr(dynamics, "_shape_of_image", spy)
+    result = scan(300)
+    checked = sum(len(samples) for code, (_n, samples) in result.census.items() if code)
+    assert len(calls) == len(images) + checked
+    first = len(calls)
+    assert scan(300) == result
+    assert len(calls) == 2 * first
+
+
 @st.composite
 def scan_pairs(draw):
     """Pairs (u, v) in lowest terms, shuffled with repeats so that a
@@ -590,6 +620,7 @@ def test_shape_invariant_under_relabeling():
 def test_shape_matches_tortoise_oracle_on_random_graphs(images):
     edges = dict(enumerate(images))
     assert _shape_of_edges(edges) == tortoise_shape_code(edges)
+    assert _shape_of_image(images) == tortoise_shape_code(edges)
 
 
 def _tree_size(tree) -> int:
@@ -656,6 +687,9 @@ def test_shape_ignores_insertion_order_and_label_type(graph):
     assert _shape_of_edges({v: images[v] for v in perm}) == code
     assert _shape_of_edges({str(perm[v]): str(perm[images[v]]) for v in perm}) == code
     assert _shape_of_edges({F(perm[v] - 6, 7): F(perm[images[v]] - 6, 7) for v in perm}) == code
+    # the scan's memo key, an integer relabelling ranked back onto 0..n-1
+    assert _shape_of_image(_rank_image({3 * perm[v] - 5: 3 * perm[images[v]] - 5
+                                        for v in perm})) == code
 
 
 def test_shape_distinguishes_rotation_direction():

@@ -8,9 +8,10 @@ of the checkout (by default the one this script lives in), with seed 1:
   perfbench/run.py --seconds 25 --trace 1 for census and jacobian,
   one whole census, python -m preper scan --height 10000, with
   PYTHONPATH=src, once;
-  the graph canonicalization kernel, dynamics._shape_of_edges, and the
-  orbit walk, dynamics._walk, each in one child with PYTHONPATH=src,
-  over a fixed corpus;
+  the graph canonicalization kernel, dynamics._shape_of_edges, the
+  scan's memoized canonicalization through dynamics._shape_of_image, the
+  orbit walk, dynamics._walk, and Cantor addition, ffjac.cantor_add,
+  each in one child with PYTHONPATH=src, over a fixed corpus;
   the tier-1 suite, PYTHONPATH=src python -m pytest -q
   --continue-on-collection-errors, once.
 Each run.py call runs with PYTHONDONTWRITEBYTECODE removed and
@@ -25,7 +26,8 @@ the Python version, the census's wall time, the peak RSS of its process
 (ru_maxrss from os.wait4 on that child alone, in MB of 1024 kB), its
 number of c and of shapes, its out_of_catalog and bound_violations
 counts and the sha256 of its stdout without timing_ms, under `kernels`
-each kernel's median time per graph or per c and its corpus size, and
+each kernel's median time per graph, per c or per addition and its
+corpus size, and
 the tier-1 counts, exit code and wall time, and under `src` the number
 of *.py files under the checkout's src/, their physical lines and their
 code lines.
@@ -81,6 +83,32 @@ for _ in range(repeats):
     times.append((time.perf_counter() - start) / len(corpus) * 1e6)
 print(json.dumps({"graphs": len(corpus), "us_per_graph": round(statistics.median(times), 3)}))
 """
+# the same graphs as the scan codes them: each one's rank image looked up
+# in one memo per pass, and coded by _shape_of_image only on a miss
+CENSUS_SHAPES_KERNEL = """
+import json, statistics, sys, time
+from fractions import Fraction
+from preper.dynamics import (QuadMap, _rank_image, _shape_of_image, c_values_up_to_height,
+                             preper_points)
+height, repeats = map(int, sys.argv[1:])
+corpus = []
+for u, v in c_values_up_to_height(height):
+    g = preper_points(QuadMap(Fraction(u, v * v)))
+    if g.vertices:
+        corpus.append((u, v, {x.numerator for x in g.vertices}))
+times = []
+for _ in range(repeats):
+    start = time.perf_counter()
+    shapes = {}
+    for u, v, vertices in corpus:
+        image = _rank_image({k: (k * k + u) // v for k in vertices})
+        code = shapes.get(image)
+        if code is None:
+            code = shapes[image] = _shape_of_image(image)
+    times.append((time.perf_counter() - start) / len(corpus) * 1e6)
+print(json.dumps({"graphs": len(corpus), "distinct_images": len(shapes),
+                  "us_per_graph": round(statistics.median(times), 3)}))
+"""
 # the walk of every c that a scan walks, c <= 1/4 with first-step
 # survivors in its PointTable, each with one memo, as _scan_chunk walks them
 WALK_KERNEL = """
@@ -105,6 +133,32 @@ for _ in range(repeats):
     times.append((time.perf_counter() - start) / len(corpus) * 1e6)
 print(json.dumps({"c_values": len(corpus), "survivors": sum(len(s) for _, s in corpus),
                   "us_per_c": round(statistics.median(times), 3)}))
+"""
+# Cantor addition on the odd model of c1_32 at a prime where g has a root,
+# the model the jacobian workload certifies orders on: a seeded sample of
+# ordered pairs of classes from the whole group, which enumerate_jacobian
+# lists (139 classes at p = 11)
+CANTOR_PRIME = 11
+CANTOR_PAIRS = 200
+CANTOR_KERNEL = """
+import json, random, statistics, sys, time
+from preper.curves import C1_32
+from preper.exactmath import FpPoly
+from preper.ffjac import cantor_add, enumerate_jacobian, odd_model_transform
+p, pairs, repeats = map(int, sys.argv[1:])
+gp = FpPoly.from_poly(C1_32.g, p)
+root = next(r for r in range(p) if gp(r) == 0)
+group = enumerate_jacobian(odd_model_transform(C1_32, p, root))
+rng = random.Random(f"cantor_add:{p}:{pairs}")
+sample = [(rng.choice(group), rng.choice(group)) for _ in range(pairs)]
+times = []
+for _ in range(repeats):
+    start = time.perf_counter()
+    for a, b in sample:
+        cantor_add(a, b)
+    times.append((time.perf_counter() - start) / pairs * 1e6)
+print(json.dumps({"root": root, "classes": len(group),
+                  "us_per_add": round(statistics.median(times), 3)}))
 """
 # how every run.py call caches bytecode, recorded in the BENCH file
 BYTECODE_CACHE = {"PYTHONDONTWRITEBYTECODE": "removed",
@@ -197,16 +251,28 @@ def kernels(root: Path, height: int = KERNEL_HEIGHT) -> dict:
     canonicalization, the microseconds per graph that
     dynamics._shape_of_edges takes on the edge maps of the nonempty
     graphs of every c up to the height, and the number of those graphs;
-    for the orbit walk, the microseconds per c that dynamics._walk takes
+    for the scan's canonicalization, the microseconds per graph of the
+    same graphs through one memo of rank images, with _shape_of_image on
+    a miss, and the numbers of graphs and of distinct rank images; for
+    the orbit walk, the microseconds per c that dynamics._walk takes
     on the first-step survivors of every c up to the height that has
-    any, and the numbers of those c and survivors."""
+    any, and the numbers of those c and survivors; for Cantor addition,
+    the microseconds per ffjac.cantor_add on CANTOR_PAIRS seeded pairs of
+    classes at CANTOR_PRIME, with the root moved to infinity and the
+    number of classes."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     rows = {}
-    for row, kernel, code in (("shape_of_edges", "dynamics._shape_of_edges", SHAPE_KERNEL),
-                              ("orbit_walk", "dynamics._walk", WALK_KERNEL)):
-        proc = subprocess.run([sys.executable, "-c", code, str(height), str(KERNEL_REPEATS)],
+    for row, kernel, code, args in (
+            ("shape_of_edges", "dynamics._shape_of_edges", SHAPE_KERNEL, {"height": height}),
+            ("census_shapes", "dynamics._shape_of_image", CENSUS_SHAPES_KERNEL,
+             {"height": height}),
+            ("orbit_walk", "dynamics._walk", WALK_KERNEL, {"height": height}),
+            ("cantor_add", "ffjac.cantor_add", CANTOR_KERNEL,
+             {"prime": CANTOR_PRIME, "pairs": CANTOR_PAIRS})):
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, args.values()),
+                               str(KERNEL_REPEATS)],
                               cwd=root, env=env, capture_output=True, text=True)
-        entry = rows[row] = {"kernel": kernel, "height": height, "repeats": KERNEL_REPEATS,
+        entry = rows[row] = {"kernel": kernel, **args, "repeats": KERNEL_REPEATS,
                              "exit": proc.returncode}
         if proc.returncode != 0:
             entry["stderr"] = proc.stderr[-2000:]
