@@ -15,7 +15,6 @@ from .dynamics import (
     QuadMap,
     admissible_shapes,
     graph_shape,
-    normalize_quadratic,
     orbit_classify,
     preper_points,
     scan,
@@ -29,7 +28,6 @@ __all__ = [
     "admissible_shapes",
     "graph_shape",
     "make_family_point",
-    "normalize_quadratic",
     "orbit_classify",
     "preper_points",
     "scan",

@@ -1,5 +1,9 @@
 """Orbits and preperiodic points of z**2 + c over Q.
 
+Every quadratic polynomial over Q is conjugate to one z**2 + c by an
+affine change of variable over Q, which maps preperiodic points to
+preperiodic points, so the classification needs only this family.
+
 Every rational preperiodic point of z**2 + c is constrained two ways:
 
 * at each prime p dividing the denominator of c, an eventually periodic
@@ -30,11 +34,11 @@ BOX_BUDGET numerators rather than run for hours on a short argument, and
 `scan` refuses a height above SCAN_BUDGET; both raise BudgetError, the
 one refusal type of every budget in the package.
 
-A scan meets each denominator d for hundreds of c, so it keeps one
-PointTable per d.  The table groups its numerators k >= 0 by k**2 mod d,
-so for c = u/d**2 it returns at once those k <= K whose first step stays
-a candidate: d | k**2 + u and |k**2 + u| <= d*K.  Only these are walked,
-and no preperiodic point is lost:
+A scan meets each denominator d for hundreds of c in a row, so it keeps
+one live PointTable, for the current d.  The table groups its numerators
+k >= 0 by k**2 mod d, so for c = u/d**2 it returns at once those k <= K
+whose first step stays a candidate: d | k**2 + u and |k**2 + u| <= d*K.
+Only these are walked, and no preperiodic point is lost:
 * the image of a preperiodic point is preperiodic, so it lies in the box;
 * for an integer t >= 0, t(t - d) <= |u| holds exactly when t <= K, so
   |k**2 + u| <= d*K is the step's escape test on the image;
@@ -63,7 +67,10 @@ Graphs are canonicalized as functional digraphs: rooted trees hang off
 cycle vertices, trees get sorted-parenthesis codes, cycles get the
 lexicographically minimal rotation of their tree-code sequence.  One
 kernel, `_shape_of_image`, codes a graph given as an image list on
-0..n-1, and `_shape_of_edges` relabels any vertex -> image dict onto it.
+0..n-1, and one relabelling, `_rank_image`, puts a graph on integer
+labels onto it: `graph_shape` ranks the numerators of a PreperGraph, the
+scan the numerators of its memo, and the catalog builds its image lists
+directly.
 The codes are made in one bottom-up pass: `_walk` gives each vertex its
 (period, tail), and the vertices are taken in decreasing tail, so each
 tree code is made from its children's codes, which are already made.  The
@@ -74,7 +81,6 @@ included) assembled from the structural rules, not hard-coded codes.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
@@ -212,28 +218,11 @@ class PointTable:
                      bisect_right(squares, min(K * K, d * K - u))]
 
 
-class NotQuadraticError(ValueError):
-    pass
-
-
 class BudgetError(ValueError):
     """An argument asks for more work than one of the package's budgets
     allows: BOX_BUDGET and SCAN_BUDGET here, curves.SEARCH_BUDGET,
     ffjac.COUNT_BUDGET and families.PARAMETER_BUDGET; the message names
     which."""
-
-
-def normalize_quadratic(a: Fraction, b: Fraction, c0: Fraction):
-    """Conjugate a*z**2 + b*z + c0 to z**2 + c via ell(z) = a*z + b/2.
-
-    Returns (c, (a, b/2)); ell maps preperiodic points of the original map
-    bijectively onto those of z**2 + c.
-    """
-    a, b, c0 = Fraction(a), Fraction(b), Fraction(c0)
-    if a == 0:
-        raise NotQuadraticError("leading coefficient must be nonzero")
-    c = a * c0 + b / 2 - b * b / 4
-    return c, (a, b / 2)
 
 
 def _walk(start, step, types: dict):
@@ -332,19 +321,10 @@ def preper_points(f: QuadMap) -> PreperGraph:
 # --- canonical shapes -------------------------------------------------------
 
 
-def _shape_of_edges(edges: dict) -> str:
-    """Canonical code of a functional digraph given as vertex -> image:
-    the code string is the shape, "" for the empty graph, and graphs are
-    isomorphic exactly when their codes are equal.  The vertices are
-    relabelled 0..n-1 in the order they come in, and _shape_of_image codes
-    the relabelled graph; the code does not depend on the labels."""
-    index = {v: i for i, v in enumerate(edges)}
-    return _shape_of_image([index[w] for w in edges.values()])
-
-
 def _shape_of_image(image: Sequence[int]) -> str:
     """Canonical code of the functional digraph i -> image[i] on the
-    vertices 0..n-1, "" for n = 0.
+    vertices 0..n-1, "" for n = 0: the code string is the shape, and
+    graphs are isomorphic exactly when their codes are equal.
 
     One bottom-up pass: `_walk` gives every vertex its (period, tail), and
     the vertices are then taken in decreasing tail, so every child is
@@ -381,42 +361,43 @@ def _shape_of_image(image: Sequence[int]) -> str:
     return ";".join(sorted(components))
 
 
-def _rank_image(edges: dict[int, int]) -> tuple[int, ...]:
-    """The functional graph edges, integer vertex -> image, as an image
-    tuple on 0..n-1: the vertices in increasing order, each image replaced
-    by its rank among them.  Two graphs with equal rank images are the
-    same labelled graph, so they have the same code."""
+def _rank_image(edges: dict) -> tuple[int, ...]:
+    """The functional graph edges, vertex -> image, as an image tuple on
+    0..n-1: the vertices in increasing order, each image replaced by its
+    rank among them; the package's one relabelling, on integer labels,
+    though any one sortable label type gives the same code.  Two graphs
+    with equal rank images are the same labelled graph, so they have the
+    same code."""
     order = sorted(edges)
     rank = {k: i for i, k in enumerate(order)}
     return tuple(rank[edges[k]] for k in order)
 
 
 def graph_shape(g: PreperGraph) -> str:
-    return _shape_of_edges(g.edges)
+    """The canonical code of g, ranked on the numerators of its edge map
+    (every vertex is k/d for the one d of c)."""
+    return _shape_of_image(_rank_image({v.numerator: w.numerator for v, w in g.edges.items()}))
 
 
 def _build_graph(components) -> str:
-    """Assemble an abstract graph from component specs and canonicalize.
+    """Assemble an abstract graph from component specs, as an image list
+    on 0..n-1 with each vertex appended in turn, and canonicalize it.
 
     Each component is (m, tails) where tails is a per-cycle-vertex list:
     None for no tail, or an integer giving how many depth-2 vertices hang
     off that cycle vertex's single mirror tail.
     """
-    edges = {}
-    fresh = itertools.count()
+    image: list[int] = []
     for m, tails in components:
-        cyc = [f"c{next(fresh)}" for _ in range(m)]
-        for i, v in enumerate(cyc):
-            edges[v] = cyc[(i + 1) % m]
+        cycle = len(image)
+        image.extend(cycle + (i + 1) % m for i in range(m))
         for i, deep_count in enumerate(tails):
             if deep_count is None:
                 continue
-            tail = f"t{next(fresh)}"
-            edges[tail] = cyc[i]
-            for _ in range(deep_count):
-                deep = f"d{next(fresh)}"
-                edges[deep] = tail
-    return _shape_of_edges(edges)
+            tail = len(image)
+            image.append(cycle + i)
+            image.extend([tail] * deep_count)
+    return _shape_of_image(image)
 
 
 @cache
@@ -501,10 +482,17 @@ def _scan_chunk(pairs) -> tuple[dict[str, tuple[int, list[Fraction]]],
     pairs.  Each c is tallied as soon as its graph is settled, so the loop
     keeps no value or record per c.
 
+    The pairs come grouped by denominator, u increasing within each v, as
+    c_values_up_to_height makes them.  One PointTable is live at a time,
+    the table of the current v, and it is replaced by a new one whenever
+    v changes; a v that comes back later gets a fresh table, which finds
+    the same survivors, so any order of the pairs gives the same census
+    and only the grouped order builds each table once.
+
     Every graph is settled on integers.  A c > 1/4, 4u > v**2, is empty at
     once: x**2 + c > x on all of R, so every real orbit grows without
     bound.  Otherwise the first-step survivors k >= 0 of its box, which
-    the PointTable of v finds by two bisections, are walked on numerators
+    the live PointTable finds by two bisections, are walked on numerators
     with one shared memo.  A preperiodic k >= 0 is always a survivor, and
     -k is preperiodic exactly when k is, so the memo's keys and their
     negatives are exactly the numerators of the graph's vertices; the
@@ -519,12 +507,9 @@ def _scan_chunk(pairs) -> tuple[dict[str, tuple[int, list[Fraction]]],
     code, the graph is built again by preper_points, which reads no table
     and walks the whole coprime box, and graph_shape; a code or size that
     differs raises RuntimeError.  That cross-check never reads the memo.
-    One table per denominator lives as long as the call; the boxes of a
-    scan are small (|k| < 200 at SCAN_BUDGET), so the tables stay small
-    too.
     """
     catalog = admissible_shapes()
-    tables: dict[int, PointTable] = {}
+    points = None
     shapes: dict[tuple[int, ...], str] = {}
     counts: dict[str, int] = {}
     samples: dict[str, list[Fraction]] = {}
@@ -533,9 +518,8 @@ def _scan_chunk(pairs) -> tuple[dict[str, tuple[int, list[Fraction]]],
     for u, v in pairs:
         code, size = "", 1
         if 4 * u <= v * v:
-            points = tables.get(v)
-            if points is None:
-                points = tables[v] = PointTable(v)
+            if points is None or points.d != v:
+                points = PointTable(v)
             survivors = points.candidates(u, _box_bound(v, u))
             if survivors:
                 step, types = _numerator_step(v, u), {}
@@ -579,7 +563,7 @@ def scan(height: int) -> ScanResult:
 
     The scan runs in this process and starts no other; its one loop is
     _scan_chunk over the pairs of c_values_up_to_height, so the memory of
-    a scan holds its point tables and its census, not one value per c.  A
+    a scan holds one point table and its census, not one value per c.  A
     Fraction is built only for the samples kept, up to three per shape,
     whose nonempty graphs _scan_chunk has rebuilt as a PreperGraph from
     the whole coprime box to cross-check, and for any c outside the

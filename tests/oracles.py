@@ -171,14 +171,6 @@ def fp_xgcd(a, b, p: int):
     return r0, s0, t0
 
 
-def frac_compose(outer, inner) -> list[Fraction]:
-    """outer(inner(x)) by Horner on coefficient lists."""
-    acc: list[Fraction] = []
-    for c in reversed(frac_poly(outer)):
-        acc = frac_add(frac_mul(acc, inner), [c])
-    return acc
-
-
 def sylvester_discriminant(coeffs) -> Fraction:
     """(-1)^(n(n-1)/2) Res(p, p') / lc(p), with the Sylvester resultant."""
     p = frac_poly(coeffs)

@@ -342,13 +342,47 @@ def test_bench_tool_counts_the_lines_of_src(tmp_path):
 
 def test_bench_tool_census_counts_the_scan_it_runs():
     # the BENCH file's census reads its counts from the scan's own JSON
-    run = load_bench_tool().census(Path(ROOT), height=20)
+    bench = load_bench_tool()
+    run = bench.census(Path(ROOT), height=20)
     expected = scan(20)
     assert run["exit"] == 0 and run["command"].endswith("scan --height 20")
     assert (run["c_values"], run["shapes"], run["out_of_catalog"], run["bound_violations"]) \
         == (len(list(c_values_up_to_height(20))), len(expected.census), 0, 0)
-    # the peak RSS of the scan's own process, read by wait4 on its pid
+    # the peak RSS of the scan's own process, read by wait4 on its pid;
+    # the wall time and the peak are the medians of every run's
     assert run["peak_rss_mb"] > 0
+    assert len(run["wall_s_runs"]) == len(run["peak_rss_mb_runs"]) == bench.CENSUS_RUNS == 5
+    assert run["wall_s"] == sorted(run["wall_s_runs"])[2]
+    assert run["peak_rss_mb"] == sorted(run["peak_rss_mb_runs"])[2]
+    assert "error" not in run
+
+
+def test_bench_tool_fails_when_the_census_output_differs_between_runs(monkeypatch, capsys):
+    # every census run must print the same census; the fourth prints
+    # another count, so the runs stop there and the tool writes nothing
+    bench = load_bench_tool()
+    runs = []
+
+    def fake_scan(root, argv, env):
+        runs.append(argv)
+        payload = {"census": {"": {"count": 7 if len(runs) == 4 else 6, "samples": ["1"]}},
+                   "out_of_catalog": [], "bound_violations": [], "timing_ms": len(runs)}
+        return 0, 0.5, 20.0, json.dumps(payload), ""
+
+    monkeypatch.setattr(bench, "scan_once", fake_scan)
+    run = bench.census(Path(ROOT), height=20)
+    assert len(runs) == 4 and run["error"] == "the census stdout differs between runs"
+    first, *same, last = run["stdout_sha256_runs"]
+    assert len(same) == 2 and set(same) == {first} == {run["stdout_sha256"]} != {last}
+    monkeypatch.setattr(bench, "perfbench_run", lambda root, workload, trace: {
+        "workload": workload, "trace": trace, "correct": True})
+    monkeypatch.setattr(bench, "git", lambda root, *args: "")
+    monkeypatch.setattr(bench, "kernels", lambda root: pytest.fail("kernels ran"))
+    monkeypatch.setattr(sys, "argv", ["bench.py", "--pr", "0", "--checkout", ROOT])
+    runs.clear()
+    assert bench.main() == 1
+    assert "differs between runs; nothing written" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(ROOT, "BENCH_0.json"))
 
 
 @functools.cache
@@ -363,7 +397,7 @@ def test_bench_tool_times_shape_canonicalization_on_every_nonempty_graph():
     # whose graph is not empty, and records that count beside the time
     shape = tiny_kernel_rows()["shape_of_edges"]
     empty, _samples = scan(20).census[""]
-    assert shape["exit"] == 0 and shape["kernel"] == "dynamics._shape_of_edges"
+    assert shape["exit"] == 0 and shape["kernel"] == "dynamics._shape_of_image(_rank_image)"
     assert shape["graphs"] == len(list(c_values_up_to_height(20))) - empty
     assert shape["us_per_graph"] > 0
 

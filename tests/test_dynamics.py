@@ -13,19 +13,16 @@ import preper
 from preper import dynamics
 from preper.dynamics import (
     BudgetError,
-    NotQuadraticError,
     PointTable,
     PreperGraph,
     QuadMap,
     SCAN_BUDGET,
     ScanResult,
     _rank_image,
-    _shape_of_edges,
     _shape_of_image,
     admissible_shapes,
     c_values_up_to_height,
     graph_shape,
-    normalize_quadratic,
     orbit_classify,
     preper_points,
     scan,
@@ -60,39 +57,10 @@ from oracles import (
     box_preper_graph,
     brute_orbit_kind,
     brute_preperiodic_set,
-    frac_compose,
     tortoise_shape_code,
 )
 
 F = Fraction
-
-
-def conjugated_normal_form(a, b, c0):
-    """ell(f(ell^-1(z))) computed symbolically for ell(z) = a z + b/2."""
-    a, b, c0 = F(a), F(b), F(c0)
-    ell_inv = Poly((F(-b, 2) / a, 1 / a))
-    f = Poly((c0, b, a))
-    inner = Poly(frac_compose(f.coeffs, ell_inv.coeffs))
-    return inner * a + F(b, 2)
-
-
-def test_normalize_quadratic_examples():
-    c, (la, lb) = normalize_quadratic(F(1), F(0), F(7))
-    assert c == 7 and (la, lb) == (1, 0)
-    assert normalize_quadratic(F(2), F(2), F(0))[0] == 0
-    assert normalize_quadratic(F(1), F(-2), F(0))[0] == -2
-    with pytest.raises(NotQuadraticError):
-        normalize_quadratic(F(0), F(1), F(1))
-
-
-def test_normalize_quadratic_symbolic_conjugacy():
-    rng = random.Random(11)
-    for _ in range(50):
-        a = F(rng.choice([x for x in range(-6, 7) if x]), rng.randint(1, 5))
-        b = F(rng.randint(-6, 6), rng.randint(1, 5))
-        c0 = F(rng.randint(-6, 6), rng.randint(1, 5))
-        c, _ = normalize_quadratic(a, b, c0)
-        assert conjugated_normal_form(a, b, c0) == Poly((c, 0, 1))
 
 
 def test_orbit_classify_anchor_examples():
@@ -106,8 +74,7 @@ def test_orbit_classify_anchor_examples():
     # the value classes of dynamics are these
     assert sorted(preper.__all__) == [
         "FamilyPoint", "PreperGraph", "QuadMap", "admissible_shapes", "graph_shape",
-        "make_family_point", "normalize_quadratic", "orbit_classify", "preper_points", "scan",
-        "validate_family"]
+        "make_family_point", "orbit_classify", "preper_points", "scan", "validate_family"]
     assert {name for name, obj in vars(dynamics).items()
             if isinstance(obj, type) and issubclass(obj, Value)} == \
         {"Value", "QuadMap", "PreperGraph", "ScanResult"}
@@ -143,6 +110,9 @@ def test_preper_points_matches_oracles_on_random_c(c):
     assert types.keys() == g.vertices
     for v, kind in types.items():
         assert kind == brute_orbit_kind(c, v), (c, v)
+    # graph_shape ranks the numerators of the edges; the oracle codes the
+    # Fraction edges as they are
+    assert graph_shape(g) == tortoise_shape_code(g.edges)
 
 
 @settings(max_examples=80, deadline=None)
@@ -405,6 +375,46 @@ def test_scan_canonicalizes_each_distinct_graph_once_per_call(monkeypatch):
     assert len(calls) == 2 * first
 
 
+def test_a_scan_keeps_one_live_point_table_per_run_of_its_denominator(monkeypatch):
+    # _scan_chunk replaces its one PointTable whenever v changes: the
+    # ordered pairs of height 300 build one table per denominator, and a
+    # stream whose denominator blocks are each split in two, every second
+    # half before every first half, builds one per run, with the same
+    # count for every code
+    pairs = list(c_values_up_to_height(300))
+    blocks: dict[int, list] = {}
+    for u, v in pairs:
+        blocks.setdefault(v, []).append((u, v))
+    halves = [(block[len(block) // 2:], block[:len(block) // 2]) for block in blocks.values()]
+    split = [pair for i in (0, 1) for two in halves for pair in two[i]]
+    made = []
+    real = PointTable.__init__
+
+    def spy(self, d):
+        made.append(d)
+        real(self, d)
+
+    monkeypatch.setattr(PointTable, "__init__", spy)
+    ordered = dynamics._scan_chunk(pairs)
+    assert made == list(range(1, 18))
+    made.clear()
+    regrouped = dynamics._scan_chunk(split)
+    assert made == 2 * list(range(1, 18))
+    assert {code: n for code, (n, _samples) in regrouped[0].items()} == \
+        {code: n for code, (n, _samples) in ordered[0].items()}
+    assert regrouped[1:] == ordered[1:] == ([], [])
+
+
+def test_scan_chunk_of_the_nonempty_c_is_the_census_without_the_empty_graph():
+    # with every empty c removed, by the box oracle, the live table meets
+    # gaps in each run of u and still finds every survivor: the census is
+    # the scan's, counts and samples, less its "" entry
+    pairs = [(u, v) for u, v in c_values_up_to_height(300) if box_preper_graph(F(u, v * v))[0]]
+    census = dict(scan(300).census)
+    del census[""]
+    assert dynamics._scan_chunk(pairs) == (census, [], [])
+
+
 @st.composite
 def scan_pairs(draw):
     """Pairs (u, v) in lowest terms, shuffled with repeats so that a
@@ -596,22 +606,22 @@ def test_a_scan_raises_when_a_sample_graph_disagrees_with_the_integer_census(mon
 
 
 def test_shape_empty_graph():
-    assert _shape_of_edges({}) == ""
+    assert _shape_of_image(_rank_image({})) == ""
 
 
 def test_shape_invariant_under_relabeling():
     rng = random.Random(14)
     base = {0: 1, 1: 0, 2: 0, 3: 2, 4: 2}  # 2-cycle with a small tree
-    code = _shape_of_edges(base)
+    code = _shape_of_image(_rank_image(base))
     for _ in range(30):
         labels = list("abcdefghij")
         rng.shuffle(labels)
         relabeled = {labels[v]: labels[w] for v, w in base.items()}
-        assert _shape_of_edges(relabeled) == code
+        assert _shape_of_image(_rank_image(relabeled)) == code
     g = preper_points(QuadMap(F(-1)))
     perm = {F(1): "x", F(0): "y", F(-1): "z"}
     relabeled = {perm[v]: perm[w] for v, w in g.edges.items()}
-    assert _shape_of_edges(relabeled) == graph_shape(g)
+    assert _shape_of_image(_rank_image(relabeled)) == graph_shape(g)
 
 
 @settings(max_examples=200, deadline=None)
@@ -619,7 +629,7 @@ def test_shape_invariant_under_relabeling():
     lambda n: st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)))
 def test_shape_matches_tortoise_oracle_on_random_graphs(images):
     edges = dict(enumerate(images))
-    assert _shape_of_edges(edges) == tortoise_shape_code(edges)
+    assert _shape_of_image(_rank_image(edges)) == tortoise_shape_code(edges)
     assert _shape_of_image(images) == tortoise_shape_code(edges)
 
 
@@ -673,7 +683,7 @@ def structured_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(structured_graphs())
 def test_shape_matches_tortoise_oracle_on_structured_graphs(edges):
-    assert _shape_of_edges(edges) == tortoise_shape_code(edges)
+    assert _shape_of_image(_rank_image(edges)) == tortoise_shape_code(edges)
 
 
 @settings(max_examples=200, deadline=None)
@@ -683,10 +693,12 @@ def test_shape_ignores_insertion_order_and_label_type(graph):
     # the code depends on neither the order the vertices come in nor how
     # their labels sort: str labels sort "10" before "2", Fractions by value
     images, perm = graph
-    code = _shape_of_edges(dict(enumerate(images)))
-    assert _shape_of_edges({v: images[v] for v in perm}) == code
-    assert _shape_of_edges({str(perm[v]): str(perm[images[v]]) for v in perm}) == code
-    assert _shape_of_edges({F(perm[v] - 6, 7): F(perm[images[v]] - 6, 7) for v in perm}) == code
+    code = _shape_of_image(_rank_image(dict(enumerate(images))))
+    assert _shape_of_image(_rank_image({v: images[v] for v in perm})) == code
+    assert _shape_of_image(_rank_image({str(perm[v]): str(perm[images[v]])
+                                        for v in perm})) == code
+    assert _shape_of_image(_rank_image({F(perm[v] - 6, 7): F(perm[images[v]] - 6, 7)
+                                        for v in perm})) == code
     # the scan's memo key, an integer relabelling ranked back onto 0..n-1
     assert _shape_of_image(_rank_image({3 * perm[v] - 5: 3 * perm[images[v]] - 5
                                         for v in perm})) == code
@@ -697,11 +709,11 @@ def test_shape_distinguishes_rotation_direction():
     # vertices of a directed 3-cycle are not rotation-equivalent
     a = {0: 1, 1: 2, 2: 0, 3: 0, 4: 1, 5: 4}
     b = {0: 1, 1: 2, 2: 0, 3: 0, 4: 2, 5: 4}
-    assert _shape_of_edges(a) != _shape_of_edges(b)
+    assert _shape_of_image(_rank_image(a)) != _shape_of_image(_rank_image(b))
     # but each is invariant under rotating its own labels
     a_rot = {1: 2, 2: 0, 0: 1, 3: 1, 4: 2, 5: 4}
-    assert _shape_of_edges({**a_rot}) == _shape_of_edges(
-        {0: 1, 1: 2, 2: 0, 3: 1, 4: 2, 5: 4})
+    assert _shape_of_image(_rank_image({**a_rot})) == _shape_of_image(_rank_image(
+        {0: 1, 1: 2, 2: 0, 3: 1, 4: 2, 5: 4}))
 
 
 def test_admissible_catalog_contents():

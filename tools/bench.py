@@ -7,9 +7,10 @@ of the checkout (by default the one this script lives in), with seed 1:
   perfbench/run.py --seconds 25 --trace 0 for every workload,
   perfbench/run.py --seconds 25 --trace 1 for census and jacobian,
   one whole census, python -m preper scan --height 10000, with
-  PYTHONPATH=src, once;
-  the graph canonicalization kernel, dynamics._shape_of_edges, the
-  scan's memoized canonicalization through dynamics._shape_of_image, the
+  PYTHONPATH=src, CENSUS_RUNS times;
+  graph canonicalization, dynamics._shape_of_image on the rank image of
+  dynamics._rank_image, the scan's memoized canonicalization through
+  dynamics._shape_of_image, the
   orbit walk, dynamics._walk, and Cantor addition, ffjac.cantor_add,
   each in one child with PYTHONPATH=src, over a fixed corpus;
   the tier-1 suite, PYTHONPATH=src python -m pytest -q
@@ -22,18 +23,20 @@ warm-cached whatever the checkout holds.
 The file holds the detail line and the result line that run.py printed
 for each run, those bytecode-cache settings, the seed, the checkout's
 `git rev-parse HEAD` and whether its tree had uncommitted changes, nproc,
-the Python version, the census's wall time, the peak RSS of its process
-(ru_maxrss from os.wait4 on that child alone, in MB of 1024 kB), its
-number of c and of shapes, its out_of_catalog and bound_violations
-counts and the sha256 of its stdout without timing_ms, under `kernels`
+the Python version, the census's wall time and the peak RSS of its
+process (ru_maxrss from os.wait4 on that child alone, in MB of 1024 kB),
+each the median of its runs beside the list of every run's, its number
+of c and of shapes, its out_of_catalog and bound_violations counts and
+the sha256 of its stdout without timing_ms, under `kernels`
 each kernel's median time per graph, per c or per addition and its
 corpus size, and
 the tier-1 counts, exit code and wall time, and under `src` the number
 of *.py files under the checkout's src/, their physical lines and their
 code lines.
-When a run is not correct, or the census or a kernel child fails, the
-script writes nothing and exits 1.  It changes nothing under perfbench/.
-The whole run takes about five minutes, the census about 3 s of it.
+When a run is not correct, a census scan fails or its stdout digest
+differs from one run to the next, or a kernel child fails, the script
+writes nothing and exits 1.  It changes nothing under perfbench/.  The
+whole run takes about five minutes, the census about 10 s of it.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -59,6 +63,9 @@ SECONDS = 25
 SEED = 1  # one seed for every file, so that files compare
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 CENSUS_HEIGHT = 10000  # the scan budget: about 1.2M values of c
+# whole census scans per file: one reading of the peak RSS cannot tell a
+# memory change from the host's spread, so the file keeps every run's
+CENSUS_RUNS = 5
 # the kernel corpora, of every c up to 300: the 350 nonempty graphs and
 # the 1,831 c with first-step survivors
 KERNEL_HEIGHT = 300
@@ -68,7 +75,8 @@ KERNEL_REPEATS = 51
 SHAPE_KERNEL = """
 import json, statistics, sys, time
 from fractions import Fraction
-from preper.dynamics import QuadMap, _shape_of_edges, c_values_up_to_height, preper_points
+from preper.dynamics import (QuadMap, _rank_image, _shape_of_image, c_values_up_to_height,
+                             preper_points)
 height, repeats = map(int, sys.argv[1:])
 corpus = []
 for u, v in c_values_up_to_height(height):
@@ -79,7 +87,7 @@ times = []
 for _ in range(repeats):
     start = time.perf_counter()
     for edges in corpus:
-        _shape_of_edges(edges)
+        _shape_of_image(_rank_image(edges))
     times.append((time.perf_counter() - start) / len(corpus) * 1e6)
 print(json.dumps({"graphs": len(corpus), "us_per_graph": round(statistics.median(times), 3)}))
 """
@@ -110,17 +118,18 @@ print(json.dumps({"graphs": len(corpus), "distinct_images": len(shapes),
                   "us_per_graph": round(statistics.median(times), 3)}))
 """
 # the walk of every c that a scan walks, c <= 1/4 with first-step
-# survivors in its PointTable, each with one memo, as _scan_chunk walks them
+# survivors in the live PointTable, each with one memo, as _scan_chunk
+# walks them
 WALK_KERNEL = """
 import json, statistics, sys, time
 from preper.dynamics import PointTable, _box_bound, _numerator_step, _walk, c_values_up_to_height
 height, repeats = map(int, sys.argv[1:])
-tables, corpus = {}, []
+points, corpus = None, []
 for u, v in c_values_up_to_height(height):
     if 4 * u <= v * v:
-        if v not in tables:
-            tables[v] = PointTable(v)
-        survivors = tables[v].candidates(u, _box_bound(v, u))
+        if points is None or points.d != v:
+            points = PointTable(v)
+        survivors = points.candidates(u, _box_bound(v, u))
         if survivors:
             corpus.append((_numerator_step(v, u), survivors))
 times = []
@@ -207,15 +216,9 @@ def tier1(root: Path) -> dict:
             "counts": counts, "summary": summary, "wall_s": round(wall, 2)}
 
 
-def census(root: Path, height: int = CENSUS_HEIGHT) -> dict:
-    """One whole scan, by default at the scan budget: its wall time,
-    exit code, the peak RSS of its own process, the number of c, of
-    shapes, of c outside the catalog and of c with more than 9 points
-    counting infinity, and the sha256 of its stdout with timing_ms
-    removed, re-emitted under the CLI's own JSON settings as
-    perfbench/workloads.py::digest does, so files compare byte for byte."""
-    argv = ("-m", "preper", "scan", "--height", str(height))
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+def scan_once(root: Path, argv: tuple[str, ...], env: dict) -> tuple[int, float, float, str, str]:
+    """One child python with argv: its exit code, wall time, peak RSS in
+    MB, stdout and stderr."""
     # the child writes to files, so wait4 cannot block it on a full pipe;
     # wait4 gives this child's own peak, where RUSAGE_CHILDREN would give
     # the largest of every child waited for so far
@@ -228,20 +231,46 @@ def census(root: Path, height: int = CENSUS_HEIGHT) -> dict:
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         err.seek(0)
-        stdout, stderr = out.read().decode(), err.read().decode(errors="replace")
-    run = {"command": "PYTHONPATH=src python " + " ".join(argv), "exit": proc.returncode,
-           "wall_s": round(wall, 2), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
-    if proc.returncode != 0:
-        run["stderr"] = stderr[-2000:]
-        return run
-    payload = json.loads(stdout)
-    run.update(c_values=sum(entry["count"] for entry in payload["census"].values()),
-               shapes=len(payload["census"]),
-               out_of_catalog=len(payload["out_of_catalog"]),
-               bound_violations=len(payload["bound_violations"]))
-    del payload["timing_ms"]
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    run["stdout_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+        return (proc.returncode, wall, usage.ru_maxrss / 1024, out.read().decode(),
+                err.read().decode(errors="replace"))
+
+
+def census(root: Path, height: int = CENSUS_HEIGHT) -> dict:
+    """A whole scan, by default at the scan budget, run CENSUS_RUNS times: the
+    median wall time and peak RSS of its own process, with every run's
+    in wall_s_runs and peak_rss_mb_runs, its exit code, the number of c,
+    of shapes, of c outside the catalog and of c with more than 9 points
+    counting infinity, and the sha256 of its stdout with timing_ms
+    removed, re-emitted under the CLI's own JSON settings as
+    perfbench/workloads.py::digest does, so files compare byte for byte.
+    A scan that fails, or a digest that differs between runs, stops the
+    runs and sets `error`."""
+    argv = ("-m", "preper", "scan", "--height", str(height))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = {"command": "PYTHONPATH=src python " + " ".join(argv), "wall_s_runs": [],
+           "peak_rss_mb_runs": []}
+    digests = []
+    for _ in range(CENSUS_RUNS):
+        run["exit"], wall, peak, stdout, stderr = scan_once(root, argv, env)
+        run["wall_s_runs"].append(round(wall, 2))
+        run["peak_rss_mb_runs"].append(round(peak, 1))
+        if run["exit"] != 0:
+            run.update(error="the census scan failed", stderr=stderr[-2000:])
+            return run
+        payload = json.loads(stdout)
+        run.update(c_values=sum(entry["count"] for entry in payload["census"].values()),
+                   shapes=len(payload["census"]),
+                   out_of_catalog=len(payload["out_of_catalog"]),
+                   bound_violations=len(payload["bound_violations"]))
+        del payload["timing_ms"]
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+        run["stdout_sha256"] = digests[0]
+        if digests[-1] != digests[0]:
+            run.update(error="the census stdout differs between runs", stdout_sha256_runs=digests)
+            return run
+    run["wall_s"] = statistics.median(run["wall_s_runs"])
+    run["peak_rss_mb"] = statistics.median(run["peak_rss_mb_runs"])
     return run
 
 
@@ -249,7 +278,8 @@ def kernels(root: Path, height: int = KERNEL_HEIGHT) -> dict:
     """The layer timings of the checkout's kernels, each measured in a
     fresh child, as medians over KERNEL_REPEATS passes: for graph
     canonicalization, the microseconds per graph that
-    dynamics._shape_of_edges takes on the edge maps of the nonempty
+    dynamics._shape_of_image takes on the rank image, from
+    dynamics._rank_image, of the numerator edge maps of the nonempty
     graphs of every c up to the height, and the number of those graphs;
     for the scan's canonicalization, the microseconds per graph of the
     same graphs through one memo of rank images, with _shape_of_image on
@@ -263,7 +293,8 @@ def kernels(root: Path, height: int = KERNEL_HEIGHT) -> dict:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     rows = {}
     for row, kernel, code, args in (
-            ("shape_of_edges", "dynamics._shape_of_edges", SHAPE_KERNEL, {"height": height}),
+            ("shape_of_edges", "dynamics._shape_of_image(_rank_image)", SHAPE_KERNEL,
+             {"height": height}),
             ("census_shapes", "dynamics._shape_of_image", CENSUS_SHAPES_KERNEL,
              {"height": height}),
             ("orbit_walk", "dynamics._walk", WALK_KERNEL, {"height": height}),
@@ -346,8 +377,8 @@ def main() -> int:
         print(f"error: not correct: {', '.join(bad)}; nothing written", file=sys.stderr)
         return 1
     bench["census"] = census(root)
-    if bench["census"]["exit"] != 0:
-        print("error: the census scan failed; nothing written", file=sys.stderr)
+    if "error" in bench["census"]:
+        print(f"error: {bench['census']['error']}; nothing written", file=sys.stderr)
         return 1
     bench["kernels"] = kernels(root)
     if any(entry["exit"] != 0 for entry in bench["kernels"].values()):
