@@ -24,8 +24,9 @@ The file holds the detail line and the result line that run.py printed
 for each run, those bytecode-cache settings, the seed, the checkout's
 `git rev-parse HEAD` and whether its tree had uncommitted changes, nproc,
 the Python version, the census's wall time and the peak RSS of its
-process (ru_maxrss from os.wait4 on that child alone, in MB of 1024 kB),
-each the median of its runs beside the list of every run's, its number
+process (ru_maxrss from os.wait4 on that child alone, started from a
+fresh interpreter, in MB of 1024 kB), each the median of its runs beside
+the list of every run's, its number
 of c and of shapes, its out_of_catalog and bound_violations counts and
 the sha256 of its stdout without timing_ms, under `kernels`
 each kernel's median time per graph, per c or per addition and its
@@ -169,6 +170,16 @@ for _ in range(repeats):
 print(json.dumps({"root": root, "classes": len(group),
                   "us_per_add": round(statistics.median(times), 3)}))
 """
+# runs the command in its argv and then writes its exit code, wall time
+# and ru_maxrss in kB as the last line of stderr
+SPAWN = """
+import os, subprocess, sys, time
+start = time.monotonic()
+proc = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), time.monotonic() - start, usage.ru_maxrss,
+      file=sys.stderr)
+"""
 # how every run.py call caches bytecode, recorded in the BENCH file
 BYTECODE_CACHE = {"PYTHONDONTWRITEBYTECODE": "removed",
                   "PYTHONPYCACHEPREFIX": "a fresh temporary directory per run, filled by a "
@@ -219,20 +230,19 @@ def tier1(root: Path) -> dict:
 def scan_once(root: Path, argv: tuple[str, ...], env: dict) -> tuple[int, float, float, str, str]:
     """One child python with argv: its exit code, wall time, peak RSS in
     MB, stdout and stderr."""
-    # the child writes to files, so wait4 cannot block it on a full pipe;
-    # wait4 gives this child's own peak, where RUSAGE_CHILDREN would give
-    # the largest of every child waited for so far
+    # the child writes to files, so it cannot block on a full pipe, and a
+    # fresh interpreter, SPAWN, starts it: Linux keeps the peak RSS of the
+    # process that starts a child as the floor of the child's ru_maxrss,
+    # so a child of this process would read this process's own peak
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        start = time.monotonic()
-        proc = subprocess.Popen([sys.executable, *argv], cwd=root, env=env,
-                                stdout=out, stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.monotonic() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
+        subprocess.run([sys.executable, "-c", SPAWN, sys.executable, *argv], cwd=root, env=env,
+                       stdout=out, stderr=err)
         out.seek(0)
         err.seek(0)
-        return (proc.returncode, wall, usage.ru_maxrss / 1024, out.read().decode(),
-                err.read().decode(errors="replace"))
+        stdout, stderr = out.read().decode(), err.read().decode(errors="replace")
+    stderr, _, last = stderr.rstrip("\n").rpartition("\n")
+    code, wall, peak = last.split()
+    return int(code), float(wall), int(peak) / 1024, stdout, stderr
 
 
 def census(root: Path, height: int = CENSUS_HEIGHT) -> dict:
